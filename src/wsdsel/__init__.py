@@ -8,7 +8,7 @@ and CorLoc / VOC-style mAP evaluation.
 
 from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic, load_dataset, save_dataset, split_dataset
 from wsdsel.evaluation import EvalOptions, EvalReport, corloc, detect, evaluate_map, infer_image, voc_ap, weight_concentration
-from wsdsel.geometry import BBox, Detection, box_vote, iou, nms
+from wsdsel.geometry import BBox, Detection, box_vote, iou, iou_matrix, nms
 from wsdsel.head import ForwardTrace, HeadParams, backward_image, finite_diff_grads, forward_image
 from wsdsel.schedule import PruneSchedule, epochs_per_halving, pos_budget
 from wsdsel.trainer import TrainConfig, TrainState, init_params, load_checkpoint, save_checkpoint, train, train_epoch
@@ -40,6 +40,7 @@ __all__ = [
     "infer_image",
     "init_params",
     "iou",
+    "iou_matrix",
     "load_checkpoint",
     "load_dataset",
     "nms",

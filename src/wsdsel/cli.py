@@ -17,14 +17,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
 from wsdsel import __version__
 from wsdsel.data import SynthConfig, generate_synthetic, load_dataset, save_dataset, split_dataset
 from wsdsel.errors import ConfigError, DataError, TrainingError
-from wsdsel.evaluation import EvalOptions, dump_pr_curves, evaluate_map
+from wsdsel.evaluation import EvalOptions, ap_by_class, dump_pr_curves, evaluate_map
 from wsdsel.head import run_gradcheck
 from wsdsel.schedule import PruneSchedule, pos_budget
 from wsdsel.trainer import TrainConfig, TrainState, load_checkpoint, save_checkpoint, train
@@ -263,10 +263,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.time()
     config = resolve_config(EVAL_KEYS, args)
-    if config["mask_mode"] not in ("all", "top_mpt"):
-        raise ConfigError(f"mask_mode must be 'all' or 'top_mpt', got {config['mask_mode']!r}")
-    if config["ap_protocol"] not in ("eleven_point", "area"):
-        raise ConfigError(f"ap_protocol must be 'eleven_point' or 'area', got {config['ap_protocol']!r}")
+    opts = EvalOptions(**{f.name: config[f.name] for f in fields(EvalOptions)})
     dataset = load_dataset(args.dataset)
     state = load_checkpoint(args.checkpoint)
     if state.params.num_classes != dataset.num_classes or state.params.feat_dim != dataset.feat_dim:
@@ -274,27 +271,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"checkpoint (C={state.params.num_classes}, D={state.params.feat_dim}) does not match "
             f"dataset (C={dataset.num_classes}, D={dataset.feat_dim})"
         )
-    opts = EvalOptions(
-        mask_mode=config["mask_mode"],
-        top_m=config["top_m"],
-        ap_protocol=config["ap_protocol"],
-        nms_threshold=config["nms_threshold"],
-        vote_threshold=config["vote_threshold"],
-        score_floor=config["score_floor"],
-        iou_threshold=config["iou_threshold"],
-    )
-    report = evaluate_map(dataset, state.params, opts, threads=args.threads)
+    report = evaluate_map(dataset, state.params, opts)
     if config["both"]:
         other = "area" if opts.ap_protocol == "eleven_point" else "eleven_point"
-        alt = evaluate_map(dataset, state.params, replace(opts, ap_protocol=other), threads=args.threads)
-        report.diagnostics[f"map_{other}"] = alt.map
-        report.diagnostics[f"per_class_ap_{other}"] = alt.per_class_ap
+        per_class, mean_ap = ap_by_class(report.curves, other)
+        report.diagnostics[f"map_{other}"] = mean_ap
+        report.diagnostics[f"per_class_ap_{other}"] = per_class
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_json())
     outputs = {"report": str(out)}
     if config["pr_csv"]:
-        dump_pr_curves(dataset, state.params, opts, config["pr_csv"])
+        dump_pr_curves(report.curves, dataset.class_names, config["pr_csv"])
         outputs["pr_csv"] = config["pr_csv"]
     write_manifest(
         out,
@@ -336,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--config", help="key-value config file")
     p_synth.add_argument("--out", required=True, help="dataset manifest path (JSON)")
-    p_synth.add_argument("--threads", type=int, default=1, help="worker pool size (generation is sequential)")
     _add_key_flags(p_synth, SYNTH_KEYS)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -344,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dataset", required=True, help="dataset manifest path")
     p_train.add_argument("--config", help="key-value config file")
     p_train.add_argument("--out", required=True, help="checkpoint output path")
-    p_train.add_argument("--threads", type=int, default=1, help="worker pool size (training is sequential)")
     _add_key_flags(p_train, TRAIN_KEYS)
     p_train.set_defaults(func=cmd_train)
 
@@ -353,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True, help="checkpoint path")
     p_eval.add_argument("--config", help="key-value config file")
     p_eval.add_argument("--out", required=True, help="report output path (JSON)")
-    p_eval.add_argument("--threads", type=int, default=1, help="worker pool size for per-image inference")
     _add_key_flags(p_eval, EVAL_KEYS)
     p_eval.set_defaults(func=cmd_eval)
 

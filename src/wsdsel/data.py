@@ -61,6 +61,8 @@ class Dataset:
     images: list[ImageBag]
 
     def validate(self):
+        if not self.images:
+            raise DataError("dataset has no images")
         if len(self.class_names) != self.num_classes:
             raise DataError(f"expected {self.num_classes} class names, got {len(self.class_names)}")
         for bag in self.images:
@@ -278,6 +280,8 @@ def _read_sidecar(path: Path, image_id: str) -> list[np.ndarray]:
         raise DataError(f"image {image_id}: cannot read feature sidecar {path}: {err}") from err
     if raw[:4] != FEATURE_MAGIC:
         raise DataError(f"image {image_id}: bad sidecar magic {raw[:4]!r}")
+    if len(raw) < 18:
+        raise DataError(f"image {image_id}: truncated feature sidecar header, {len(raw)} bytes")
     (version,) = struct.unpack_from("<H", raw, 4)
     if version != FEATURE_VERSION:
         raise DataError(f"image {image_id}: unsupported sidecar version {version}")
@@ -325,6 +329,12 @@ def save_dataset(ds: Dataset, path: str | Path):
         fh.write("\n")
 
 
+def _positive_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DataError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load and fully validate a dataset; errors name the offending image."""
     path = Path(path)
@@ -337,12 +347,15 @@ def load_dataset(path: str | Path) -> Dataset:
     for key in ("c", "d", "class_names", "images"):
         if key not in manifest:
             raise DataError(f"dataset manifest missing key '{key}'")
-    num_classes = int(manifest["c"])
-    feat_dim = int(manifest["d"])
+    num_classes = _positive_int(manifest["c"], "manifest key 'c'")
+    feat_dim = _positive_int(manifest["d"], "manifest key 'd'")
 
     images = []
     for rec in manifest["images"]:
         image_id = rec.get("id", "<missing id>")
+        missing = [key for key in ("proposals", "labels", "feature_file", "views") if key not in rec]
+        if missing:
+            raise DataError(f"image {image_id}: record missing {', '.join(missing)}")
         try:
             proposals = [BBox(*coords) for coords in rec["proposals"]]
         except (TypeError, ValueError) as err:
@@ -351,8 +364,9 @@ def load_dataset(path: str | Path) -> Dataset:
             gt = [(int(g["class"]), BBox(*g["box"])) for g in rec.get("ground_truth", [])]
         except (TypeError, KeyError, ValueError) as err:
             raise DataError(f"image {image_id}: bad ground-truth record: {err}") from err
+        n_views = _positive_int(rec["views"], f"image {image_id}: views")
         views = _read_sidecar(path.parent / rec["feature_file"], image_id)
-        if len(views) != int(rec["views"]):
+        if len(views) != n_views:
             raise DataError(
                 f"image {image_id}: manifest declares {rec['views']} views, sidecar has {len(views)}"
             )

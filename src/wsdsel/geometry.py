@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -56,43 +58,54 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def nms(dets: list[Detection], threshold: float) -> list[Detection]:
-    """Greedy non-maximum suppression within one class.
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each [x1, y1, x2, y2] row of `a` (M, 4) with each row of `b` (K, 4), as (M, K).
 
-    Detections are visited in descending score order (ties broken by input
-    order); one is removed iff its IoU with an already-kept, higher-scored
-    detection exceeds `threshold`. Output is sorted by descending score.
+    The arithmetic is `iou`'s, so entry [i, j] equals iou(a_i, b_j) bit for bit.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    iw = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0])
+    ih = np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1])
+    overlap = (iw > 0.0) & (ih > 0.0)
+    inter = iw * ih
+    del iw, ih
+    union = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]))[:, None] + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union -= inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+
+
+def nms(ious: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Greedy non-maximum suppression within one class; returns kept candidate indices.
+
+    `ious` is the (K, K) IoU matrix of the K candidates and `scores` their
+    (K,) scores. Candidates are visited in descending score order (ties
+    broken by index); one is removed iff its IoU with an already-kept,
+    higher-scored candidate exceeds `threshold`. Output is in visiting order.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"nms threshold must be in (0, 1], got {threshold}")
-    if len({d.class_id for d in dets}) > 1:
-        raise ValueError("nms expects detections of a single class")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    kept: list[Detection] = []
-    for i in order:
-        if all(iou(dets[i].box, k.box) <= threshold for k in kept):
-            kept.append(dets[i])
-    return kept
+    suppressed = np.zeros(len(scores), dtype=bool)
+    kept = []
+    for i in np.argsort(-np.asarray(scores), kind="stable"):
+        if not suppressed[i]:
+            kept.append(i)
+            suppressed |= ious[i] > threshold
+    return np.array(kept, dtype=np.intp)
 
 
-def box_vote(kept: Detection, pool: list[Detection], vote_threshold: float) -> BBox:
-    """Refine a kept detection by score-weighted averaging of overlapping boxes.
+def box_vote(
+    kept: np.ndarray, ious: np.ndarray, boxes: np.ndarray, scores: np.ndarray, vote_threshold: float
+) -> np.ndarray:
+    """Refine kept candidates by score-weighted averaging of the boxes overlapping them.
 
-    Every pool box with iou(box, kept.box) >= vote_threshold votes with weight
-    equal to its score. `pool` is expected to contain `kept`, so the voter set
-    is never empty; if all voter scores are zero the kept box is returned
-    unchanged.
+    For each kept index k, every candidate i with ious[k, i] >= vote_threshold
+    votes with weight scores[i]; `boxes` is (K, 4). Returns one row per kept
+    index. A kept candidate votes for itself, so the voter set is never
+    empty; if all voter scores are zero its own box is returned unchanged.
     """
-    wx1 = wy1 = wx2 = wy2 = 0.0
-    total = 0.0
-    for d in pool:
-        if iou(d.box, kept.box) >= vote_threshold:
-            w = d.score
-            wx1 += w * d.box.x1
-            wy1 += w * d.box.y1
-            wx2 += w * d.box.x2
-            wy2 += w * d.box.y2
-            total += w
-    if total <= 0.0:
-        return kept.box
-    return BBox(wx1 / total, wy1 / total, wx2 / total, wy2 / total)
+    weights = np.where(ious[kept] >= vote_threshold, scores, 0.0)
+    # Running sums add the voters in index order, as a scalar loop would, so
+    # the voted boxes do not depend on how numpy groups a plain sum.
+    total = np.cumsum(weights, axis=1)[:, -1:]
+    sums = np.stack([np.cumsum(weights * boxes[:, c], axis=1)[:, -1] for c in range(4)], axis=1)
+    return np.divide(sums, total, out=boxes[kept], where=total > 0.0)

@@ -85,6 +85,13 @@ def class_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def linear_outputs(params: HeadParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both branches on (N, D) features: class probabilities p and importance logits, each (N, C)."""
+    x = np.asarray(feats, dtype=np.float64)
+    p = class_softmax(x @ params.w_cls.T.astype(np.float64) + params.b_cls.astype(np.float64))
+    return p, x @ params.w_imp.T.astype(np.float64) + params.b_imp.astype(np.float64)
+
+
 def select_regions(p: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int) -> np.ndarray:
     """Class-specific top-M selection mask.
 
@@ -124,6 +131,14 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return v
 
 
+def importance_weights(logits_imp: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Masked softmax of each class column of the importance logits over its selected regions."""
+    v = np.zeros_like(logits_imp)
+    for j in range(logits_imp.shape[1]):
+        v[:, j] = masked_softmax(logits_imp[:, j], h[:, j])
+    return v
+
+
 def aggregate(v_col: np.ndarray, p_col: np.ndarray, eps: float = EPS) -> float:
     """Importance-weighted sum of region probabilities, clamped to [eps, 1-eps]."""
     f = float(np.dot(np.asarray(v_col, dtype=np.float64), np.asarray(p_col, dtype=np.float64)))
@@ -156,19 +171,14 @@ def forward_image(
     if y.shape != (params.num_classes,):
         raise ValueError(f"labels must be ({params.num_classes},), got {y.shape}")
 
-    p = class_softmax(x @ params.w_cls.T.astype(np.float64) + params.b_cls.astype(np.float64))
-    logits_imp = x @ params.w_imp.T.astype(np.float64) + params.b_imp.astype(np.float64)
+    p, logits_imp = linear_outputs(params, x)
     h = select_regions(p, y, m_pos, m_neg)
     return _finish_forward(p, logits_imp, h, y, eps)
 
 
 def _finish_forward(p, logits_imp, h, y, eps) -> ForwardTrace:
-    n, c = p.shape
-    v = np.zeros((n, c), dtype=np.float64)
-    f = np.empty(c, dtype=np.float64)
-    for j in range(c):
-        v[:, j] = masked_softmax(logits_imp[:, j], h[:, j])
-        f[j] = aggregate(v[:, j], p[:, j], eps)
+    v = importance_weights(logits_imp, h)
+    f = np.array([aggregate(v[:, j], p[:, j], eps) for j in range(p.shape[1])])
     return ForwardTrace(p=p, logits_imp=logits_imp, h=h, v=v, f=f, loss=image_loss(y, f))
 
 
@@ -184,11 +194,8 @@ def loss_with_mask(
     This is the smooth function that backward_image differentiates; it is
     also what the finite-difference oracle perturbs.
     """
-    x = np.asarray(feats, dtype=np.float64)
-    y = np.asarray(labels)
-    p = class_softmax(x @ params.w_cls.T.astype(np.float64) + params.b_cls.astype(np.float64))
-    logits_imp = x @ params.w_imp.T.astype(np.float64) + params.b_imp.astype(np.float64)
-    return _finish_forward(p, logits_imp, np.asarray(h, dtype=bool), y, eps).loss
+    p, logits_imp = linear_outputs(params, feats)
+    return _finish_forward(p, logits_imp, np.asarray(h, dtype=bool), np.asarray(labels), eps).loss
 
 
 def backward_image(

@@ -190,6 +190,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise DataError(f"cannot read checkpoint {path}: {err}") from err
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"bad checkpoint magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise DataError(f"checkpoint {path}: truncated header, {len(raw)} bytes")
     version, c, d = struct.unpack_from("<III", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
@@ -204,6 +206,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
         for shape in sizes:
             count = int(np.prod(shape))
             arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise DataError(f"checkpoint {path}: non-finite values in a parameter or velocity block")
             blocks.append(arr)
             offset += 4 * count
         containers.append(HeadParams(*blocks))

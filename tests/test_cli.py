@@ -9,7 +9,7 @@ import wsdsel.head
 from wsdsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from wsdsel.data import load_dataset
 from wsdsel.head import HeadParams
-from wsdsel.trainer import init_params, load_checkpoint
+from wsdsel.trainer import init_params, load_checkpoint, save_checkpoint
 
 SMALL_SYNTH = ["--n-images", "10", "--num-classes", "3", "--feat-dim", "8", "--proposals-per-image", "16"]
 FAST_TRAIN = ["--epochs", "4", "--warmup-epochs", "1", "--m-start", "8", "--m-final", "4",
@@ -21,6 +21,17 @@ def small_dataset(tmp_path):
     out = tmp_path / "ds.json"
     assert main(["synth", "--out", str(out), *SMALL_SYNTH]) == EXIT_OK
     return out
+
+
+@pytest.fixture
+def trained(small_dataset, tmp_path):
+    ckpt = tmp_path / "ckpt.wsdc"
+    assert main(["train", "--dataset", str(small_dataset), "--out", str(ckpt), *FAST_TRAIN]) == EXIT_OK
+    return small_dataset, ckpt
+
+
+def run_eval(dataset, ckpt, out, *flags):
+    return main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt), "--out", str(out), *flags])
 
 
 class TestSynth:
@@ -114,12 +125,6 @@ class TestTrain:
 
 
 class TestEval:
-    @pytest.fixture
-    def trained(self, small_dataset, tmp_path):
-        ckpt = tmp_path / "ckpt.wsdc"
-        assert main(["train", "--dataset", str(small_dataset), "--out", str(ckpt), *FAST_TRAIN]) == EXIT_OK
-        return small_dataset, ckpt
-
     def test_report_fields(self, trained, tmp_path):
         dataset, ckpt = trained
         report_path = tmp_path / "report.json"
@@ -150,16 +155,6 @@ class TestEval:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_thread_count_does_not_change_report(self, trained, tmp_path):
-        dataset, ckpt = trained
-        blobs = []
-        for threads in ("1", "4"):
-            path = tmp_path / f"r{threads}.json"
-            assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt),
-                         "--out", str(path), "--threads", threads]) == EXIT_OK
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
-
     def test_both_protocols_present(self, trained, tmp_path):
         dataset, ckpt = trained
         path = tmp_path / "r.json"
@@ -184,6 +179,44 @@ class TestEval:
                    "--out", str(tmp_path / "r.json"), "--mask-mode", "sideways"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--nms-threshold", "0"],
+            ["--top-m", "0"],
+            ["--top-m", "0", "--mask-mode", "top_mpt"],
+            ["--vote-threshold", "nan"],
+            ["--vote-threshold", "1.5"],
+            ["--ap-protocol", "bogus"],
+            ["--iou-threshold", "0"],
+            ["--score-floor", "nan"],
+        ],
+    )
+    def test_bad_option_exits_config(self, trained, tmp_path, capsys, flags):
+        dataset, ckpt = trained
+        assert run_eval(dataset, ckpt, tmp_path / "r.json", *flags) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_linear_layer_runs_once_per_image_view(self, tmp_path, monkeypatch):
+        ds = tmp_path / "views.json"
+        assert main(["synth", "--out", str(ds), *SMALL_SYNTH, "--n-views", "2"]) == EXIT_OK
+        ckpt = tmp_path / "ckpt.wsdc"
+        assert main(["train", "--dataset", str(ds), "--out", str(ckpt), *FAST_TRAIN]) == EXIT_OK
+        # every class_softmax call during eval is one application of the linear layer to one view
+        real = wsdsel.head.class_softmax
+        calls = []
+
+        def counted(logits):
+            calls.append(logits.shape)
+            return real(logits)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "wsdsel" and getattr(module, "class_softmax", None) is real:
+                monkeypatch.setattr(module, "class_softmax", counted)
+        assert run_eval(ds, ckpt, tmp_path / "r.json", "--both", "--pr-csv", str(tmp_path / "pr.csv")) == EXIT_OK
+        assert len(calls) == 10 * 2
+
     def test_dimension_mismatch_exits_data(self, trained, tmp_path):
         dataset, _ = trained
         other = tmp_path / "other.wsdc"
@@ -201,6 +234,55 @@ class TestEval:
         assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt),
                      "--out", str(path), "--mask-mode", "top_mpt", "--top-m", "4"]) == EXIT_OK
         assert 0.0 <= json.loads(path.read_text())["map"] <= 1.0
+
+
+class TestMalformedInputs:
+    """Corrupt or empty inputs end in exit 3 with a message, never a traceback or a report."""
+
+    def test_short_checkpoint(self, trained, tmp_path):
+        dataset, ckpt = trained
+        ckpt.write_bytes(ckpt.read_bytes()[:10])
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+
+    @pytest.mark.parametrize("block", ["params", "velocity"])
+    def test_non_finite_checkpoint(self, trained, tmp_path, block):
+        dataset, ckpt = trained
+        state = load_checkpoint(ckpt)
+        getattr(state, block).w_cls[0, 0] = np.nan
+        save_checkpoint(state, ckpt)
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert not (tmp_path / "r.json").exists()
+
+    def test_short_sidecar(self, trained, tmp_path):
+        dataset, ckpt = trained
+        sidecar = sorted((tmp_path / "ds_features").iterdir())[0]
+        sidecar.write_bytes(sidecar.read_bytes()[:12])
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+
+    @pytest.mark.parametrize("key", ["feature_file", "labels", "proposals", "views"])
+    def test_image_record_missing_key(self, trained, tmp_path, capsys, key):
+        dataset, ckpt = trained
+        manifest = json.loads(dataset.read_text())
+        del manifest["images"][0][key]
+        dataset.write_text(json.dumps(manifest))
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("c", "three"), ("d", 8.5), ("c", None)])
+    def test_non_integer_dimension(self, trained, tmp_path, key, value):
+        dataset, ckpt = trained
+        manifest = json.loads(dataset.read_text())
+        manifest[key] = value
+        dataset.write_text(json.dumps(manifest))
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+
+    def test_no_images(self, trained, tmp_path):
+        dataset, ckpt = trained
+        manifest = json.loads(dataset.read_text())
+        manifest["images"] = []
+        dataset.write_text(json.dumps(manifest))
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestGradcheck:

@@ -13,11 +13,29 @@ from wsdsel.evaluation import (
     voc_ap,
     weight_concentration,
 )
-from wsdsel.geometry import BBox, Detection, box_vote, iou
+from wsdsel.geometry import BBox, Detection, iou
 from wsdsel.head import HeadParams, class_softmax, masked_softmax
 from wsdsel.trainer import init_params
 
-from reference_eval import reference_ap, reference_corloc
+from reference_eval import greedy_nms_indices, reference_ap, reference_corloc
+
+
+def scalar_detect(scores, proposals, nms_threshold=0.6, vote_threshold=0.5, score_floor=1e-4):
+    """Per-class NMS and box voting with scalar IoU, voters summed one by one in index order."""
+    out = []
+    for j in range(scores.shape[1]):
+        pool = [i for i in range(len(proposals)) if scores[i, j] >= score_floor]
+        boxes = [proposals[i] for i in pool]
+        pool_scores = [float(scores[i, j]) for i in pool]
+        for k in greedy_nms_indices(boxes, pool_scores, nms_threshold, iou):
+            sums, total = [0.0] * 4, 0.0
+            for box, w in zip(boxes, pool_scores):
+                if iou(box, boxes[k]) >= vote_threshold:
+                    sums = [acc + w * x for acc, x in zip(sums, box.as_tuple())]
+                    total += w
+            voted = BBox(*(x / total for x in sums)) if total > 0.0 else boxes[k]
+            out.append(Detection(voted, j, pool_scores[k]))
+    return out
 
 
 def bag_with(feats, labels, proposals=None, gt=None, n_views=1):
@@ -97,10 +115,23 @@ class TestDetect:
         assert iou(a, b) == pytest.approx(100 / 120)
         dets = detect(np.array([[0.9], [0.8]]), [a, b], nms_threshold=0.6, vote_threshold=0.5)
         assert len(dets) == 1
-        pool = [Detection(a, 0, 0.9), Detection(b, 0, 0.8)]
-        expected = box_vote(pool[0], pool, 0.5)
-        assert dets[0].box == expected
+        total = 0.9 + 0.8  # score-weighted mean of the two boxes, coordinate by coordinate
+        assert dets[0].box == BBox(0.0, 0.0, (0.9 * 10 + 0.8 * 12) / total, (0.9 * 10 + 0.8 * 10) / total)
         assert dets[0].score == 0.9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scalar_reference_exactly(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        n, c = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        props = []
+        for _ in range(n):
+            x, y = rng.uniform(0, 8, 2)
+            w, h = rng.uniform(0.5, 4, 2)
+            props.append(BBox(x, y, x + w, y + h))
+        scores = rng.random((n, c)) * (rng.random((n, c)) < 0.7)  # some candidates under the floor
+        nms_threshold, vote_threshold = float(rng.uniform(0.2, 0.9)), float(rng.uniform(0.0, 1.0))
+        got = detect(scores, props, nms_threshold, vote_threshold)
+        assert got == scalar_detect(scores, props, nms_threshold, vote_threshold)
 
     def test_no_kept_pair_overlaps_beyond_threshold(self):
         # vote_threshold=1.0 makes each box vote only for itself, so the
@@ -336,6 +367,23 @@ class TestEvaluateMap:
         ds = Dataset(num_classes=2, feat_dim=3, class_names=["a", "b"], images=[bag])
         report = evaluate_map(ds, init_params(3, 2, 0))
         assert report.diagnostics["classes_without_ground_truth"] == [1]
+
+    def test_no_positive_labels_writes_null_concentration(self):
+        import json
+
+        ds = generate_synthetic(SynthConfig(n_images=3, num_classes=2, feat_dim=6,
+                                            proposals_per_image=8, seed=37))
+        for bag in ds.images:
+            bag.labels = np.zeros_like(bag.labels)
+        report = evaluate_map(ds, init_params(6, 2, 0))
+        assert math.isnan(report.diagnostics["weight_concentration"])
+
+        def reject(token):
+            raise ValueError(f"invalid JSON token {token}")
+
+        parsed = json.loads(report.to_json(), parse_constant=reject)
+        assert parsed["diagnostics"]["weight_concentration"] is None
+        assert parsed["mean_corloc"] is None
 
     def test_report_json_round_trips(self):
         import json
