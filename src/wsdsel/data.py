@@ -344,14 +344,20 @@ def load_dataset(path: str | Path) -> Dataset:
     except (OSError, json.JSONDecodeError) as err:
         raise DataError(f"cannot load dataset manifest {path}: {err}") from err
 
+    if not isinstance(manifest, dict):
+        raise DataError(f"dataset manifest {path} must be a JSON object, got {type(manifest).__name__}")
     for key in ("c", "d", "class_names", "images"):
         if key not in manifest:
             raise DataError(f"dataset manifest missing key '{key}'")
     num_classes = _positive_int(manifest["c"], "manifest key 'c'")
     feat_dim = _positive_int(manifest["d"], "manifest key 'd'")
 
+    if not isinstance(manifest["images"], list):
+        raise DataError(f"manifest key 'images' must be a list, got {type(manifest['images']).__name__}")
     images = []
-    for rec in manifest["images"]:
+    for position, rec in enumerate(manifest["images"]):
+        if not isinstance(rec, dict):
+            raise DataError(f"image record {position} must be an object, got {type(rec).__name__}")
         image_id = rec.get("id", "<missing id>")
         missing = [key for key in ("proposals", "labels", "feature_file", "views") if key not in rec]
         if missing:
@@ -364,6 +370,9 @@ def load_dataset(path: str | Path) -> Dataset:
             gt = [(int(g["class"]), BBox(*g["box"])) for g in rec.get("ground_truth", [])]
         except (TypeError, KeyError, ValueError) as err:
             raise DataError(f"image {image_id}: bad ground-truth record: {err}") from err
+        labels = rec["labels"]
+        if not isinstance(labels, list) or any(type(x) is not int or x not in (0, 1) for x in labels):
+            raise DataError(f"image {image_id}: labels must be a list of 0/1 integers, got {labels!r}")
         n_views = _positive_int(rec["views"], f"image {image_id}: views")
         views = _read_sidecar(path.parent / rec["feature_file"], image_id)
         if len(views) != n_views:
@@ -375,7 +384,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 id=str(image_id),
                 proposals=proposals,
                 views=views,
-                labels=np.asarray(rec["labels"], dtype=np.int64),
+                labels=np.asarray(labels, dtype=np.int64),
                 ground_truth=gt,
             )
         )

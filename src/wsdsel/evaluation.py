@@ -24,7 +24,7 @@ import numpy as np
 from wsdsel.data import Dataset, ImageBag
 from wsdsel.errors import ConfigError
 from wsdsel.geometry import BBox, Detection, box_vote, iou, iou_matrix, nms
-from wsdsel.head import HeadParams, importance_weights, linear_outputs, select_regions
+from wsdsel.head import HeadParams, linear_outputs, masked_softmax, select_regions
 
 MASK_MODES = ("all", "top_mpt")
 AP_PROTOCOLS = ("eleven_point", "area")
@@ -118,11 +118,11 @@ def _infer(params: HeadParams, bag: ImageBag, mask_mode: str, top_m: int):
     total, p_sum, v_sum = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     for feats in bag.views:
         p, logits_imp = linear_outputs(params, feats)
-        v_all = importance_weights(logits_imp, np.ones(shape, dtype=bool))
+        v_all = masked_softmax(logits_imp, np.ones(shape, dtype=bool))
         if mask_mode == "all":
             v = v_all
         else:  # top_mpt: each class keeps its top-M regions by probability, as if every label were positive
-            v = importance_weights(logits_imp, select_regions(p, np.ones(shape[1]), top_m, top_m))
+            v = masked_softmax(logits_imp, select_regions(p, np.ones(shape[1]), top_m, top_m))
         total += v * p
         p_sum += p
         v_sum += v_all

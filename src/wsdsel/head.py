@@ -13,31 +13,51 @@ flow only through the regions selected in the forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
+
+from wsdsel.errors import ConfigError
 
 EPS = 1e-12  # clamp on aggregated scores before the logs
 
 
-@dataclass
 class HeadParams:
-    """Weights and biases of the two linear branches.
+    """Weights and biases of the two linear branches, in one flat buffer.
 
     w_cls/b_cls feed the class softmax, w_imp/b_imp the importance
-    branch. The same container is used for gradients, which mirror the
-    parameter shapes block for block.
+    branch. The four blocks are views, in that order and row-major, into
+    `flat`, one contiguous 1-D array of 2*C*D + 2*C entries, so an update
+    or a checkpoint read or write touches all of them at once. The same
+    container is used for gradients, which mirror the parameter shapes
+    block for block.
     """
 
-    w_cls: np.ndarray  # (C, D)
-    b_cls: np.ndarray  # (C,)
-    w_imp: np.ndarray  # (C, D)
-    b_imp: np.ndarray  # (C,)
+    NAMES = ("w_cls", "b_cls", "w_imp", "b_imp")
 
-    def __post_init__(self):
-        c, d = self.w_cls.shape
-        if self.w_imp.shape != (c, d) or self.b_cls.shape != (c,) or self.b_imp.shape != (c,):
+    def __init__(self, w_cls, b_cls, w_imp, b_imp):
+        blocks = [np.asarray(a) for a in (w_cls, b_cls, w_imp, b_imp)]
+        c, d = blocks[0].shape
+        if blocks[2].shape != (c, d) or blocks[1].shape != (c,) or blocks[3].shape != (c,):
             raise ValueError("parameter block shapes are inconsistent")
+        self._bind(np.concatenate([a.ravel() for a in blocks]), c, d)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, num_classes: int, feat_dim: int) -> "HeadParams":
+        """Blocks as views into `flat`, which is used as is, not copied."""
+        params = cls.__new__(cls)
+        params._bind(flat, num_classes, feat_dim)
+        return params
+
+    def _bind(self, flat: np.ndarray, c: int, d: int):
+        if flat.shape != (2 * c * d + 2 * c,):
+            raise ValueError(f"flat buffer has shape {flat.shape}, expected ({2 * c * d + 2 * c},)")
+        self.flat = flat
+        self.w_cls = flat[: c * d].reshape(c, d)
+        self.b_cls = flat[c * d : c * d + c]
+        self.w_imp = flat[c * d + c : 2 * c * d + c].reshape(c, d)
+        self.b_imp = flat[2 * c * d + c :]
 
     @property
     def num_classes(self) -> int:
@@ -48,15 +68,15 @@ class HeadParams:
         return self.w_cls.shape[1]
 
     def blocks(self):
-        """Iterate (name, array) over the four parameter blocks in a fixed order."""
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
+        """Iterate (name, array) over the four parameter blocks in buffer order."""
+        for name in self.NAMES:
+            yield name, getattr(self, name)
 
     def copy(self) -> "HeadParams":
-        return HeadParams(*(arr.copy() for _, arr in self.blocks()))
+        return HeadParams.from_flat(self.flat.copy(), self.num_classes, self.feat_dim)
 
     def zeros_like(self) -> "HeadParams":
-        return HeadParams(*(np.zeros_like(arr) for _, arr in self.blocks()))
+        return HeadParams.from_flat(np.zeros_like(self.flat), self.num_classes, self.feat_dim)
 
 
 @dataclass
@@ -99,44 +119,67 @@ def select_regions(p: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int) ->
     the largest p[:, c], where the budget is m_pos for positive classes and
     m_neg for negative ones. Ties are broken in favor of the smaller region
     index, which makes the mask the deterministic argmax of the constrained
-    selection objective.
+    selection objective. NaN ranks below every number, as in a stable
+    argsort of -p.
+
+    All classes are done at once on the (C, N) transpose: one sort along
+    regions gives each class's budget-th largest value t, and the mask is
+    every region above t plus, in index order, as many regions equal to t
+    as the budget still needs. The result is the (N, C) transpose of that
+    (C, N) mask.
     """
     if m_pos < 1 or m_neg < 1:
         raise ValueError("region budgets must be >= 1")
-    p = np.asarray(p)
-    n, c = p.shape
-    h = np.zeros((n, c), dtype=bool)
-    for j in range(c):
-        budget = min(n, m_pos if labels[j] else m_neg)
-        order = np.argsort(-p[:, j], kind="stable")
-        h[order[:budget], j] = True
-    return h
+    key = np.negative(np.asarray(p).T, order="C")  # (C, N); ascending key = descending p
+    c, n = key.shape
+    budget = np.minimum(np.where(np.asarray(labels, dtype=bool), m_pos, m_neg), n)
+    t = np.sort(key, axis=1)[np.arange(c), budget - 1]
+    short = np.isnan(t)
+    if short.any():  # fewer than `budget` numbers: take them all, then NaNs in index order
+        key[short] = np.isnan(key[short])
+        t[short] = 1
+    above = key < t[:, None]
+    tied = key == t[:, None]
+    need = budget - above.sum(axis=1)
+    extra = np.flatnonzero(tied.sum(axis=1) > need)
+    if extra.size:  # more regions tie at t than the budget has places left
+        tied[extra] &= np.cumsum(tied[extra], axis=1) <= need[extra, None]
+    return (above | tied).T
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over the selected entries only; masked entries are exactly 0.
+    """Softmax of each column over its selected entries only; masked entries are exactly 0.
 
-    Stabilized by subtracting the max logit over the selected set. An
-    all-zero mask violates the contract (select_regions always selects at
-    least one region).
+    `logits` and `mask` are (N, C); a 1-D input is one column. Each column
+    is stabilized by subtracting the max logit over its selected set. The
+    selected logits are gathered class by class, in region order, with the
+    classes ordered by selected count; the classes that share a count m
+    then form one contiguous (classes, m) block, whose rows are summed
+    exactly as a 1-D softmax over each selection would sum them. A column
+    with no selected entry violates the contract (select_regions always
+    selects at least one region).
     """
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("masked_softmax requires at least one selected entry")
     z = np.asarray(logits, dtype=np.float64)
-    v = np.zeros_like(z)
-    sel = z[mask]
-    e = np.exp(sel - sel.max())
-    v[mask] = e / e.sum()
-    return v
-
-
-def importance_weights(logits_imp: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Masked softmax of each class column of the importance logits over its selected regions."""
-    v = np.zeros_like(logits_imp)
-    for j in range(logits_imp.shape[1]):
-        v[:, j] = masked_softmax(logits_imp[:, j], h[:, j])
-    return v
+    h = np.asarray(mask, dtype=bool)
+    column = z.ndim == 1
+    if column:
+        z, h = z[:, None], h[:, None]
+    counts = h.sum(axis=0)
+    order = np.argsort(counts, kind="stable")
+    if counts[order[0]] == 0:
+        raise ValueError("masked_softmax requires at least one selected entry in every column")
+    rows, regions = np.nonzero(h.T[order])
+    classes = order[rows]
+    sel = z[regions, classes]
+    start = 0
+    for m, k in sorted(Counter(counts.tolist()).items()):
+        block = sel[start : start + k * m].reshape(k, m)
+        e = np.exp(block - block.max(axis=1, keepdims=True))
+        sel[start : start + k * m] = (e / e.sum(axis=1, keepdims=True)).ravel()
+        start += k * m
+    v = np.zeros(z.shape)
+    v[regions, classes] = sel
+    return v[:, 0] if column else v
 
 
 def aggregate(v_col: np.ndarray, p_col: np.ndarray, eps: float = EPS) -> float:
@@ -177,7 +220,7 @@ def forward_image(
 
 
 def _finish_forward(p, logits_imp, h, y, eps) -> ForwardTrace:
-    v = importance_weights(logits_imp, h)
+    v = masked_softmax(logits_imp, h)
     f = np.array([aggregate(v[:, j], p[:, j], eps) for j in range(p.shape[1])])
     return ForwardTrace(p=p, logits_imp=logits_imp, h=h, v=v, f=f, loss=image_loss(y, f))
 
@@ -260,20 +303,15 @@ def finite_diff_grads(
     def loss_at(p: HeadParams) -> float:
         return loss_with_mask(p, feats, labels, h, eps)
 
-    work = HeadParams(*(arr.astype(np.float64).copy() for _, arr in params.blocks()))
+    work = HeadParams.from_flat(params.flat.astype(np.float64), params.num_classes, params.feat_dim)
     grads = work.zeros_like()
-    for name, arr in work.blocks():
-        g = getattr(grads, name)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            hi = loss_at(work)
-            arr[idx] = orig - step
-            lo = loss_at(work)
-            arr[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * step)
+    for i, orig in enumerate(work.flat.tolist()):
+        work.flat[i] = orig + step
+        hi = loss_at(work)
+        work.flat[i] = orig - step
+        lo = loss_at(work)
+        work.flat[i] = orig
+        grads.flat[i] = (hi - lo) / (2.0 * step)
     return grads
 
 
@@ -283,11 +321,8 @@ def gradient_agreement(analytic: HeadParams, numeric: HeadParams, floor: float =
     Per entry: |a - n| / max(|a|, |n|, floor); the floor keeps near-zero
     entries from inflating the ratio beyond finite-difference resolution.
     """
-    worst = 0.0
-    for (_, a), (_, n) in zip(analytic.blocks(), numeric.blocks()):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float((np.abs(a - n) / denom).max()))
-    return worst
+    a, n = analytic.flat, numeric.flat
+    return float((np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)).max())
 
 
 def run_gradcheck(
@@ -304,6 +339,8 @@ def run_gradcheck(
     Returns a report with the max relative error, the worst instance, and
     a pass flag at `tolerance`. Both label polarities are exercised.
     """
+    if instances < 1:
+        raise ConfigError(f"instances must be >= 1, got {instances}")
     rng = np.random.default_rng(seed)
     worst_err = 0.0
     worst_desc = ""

@@ -1,18 +1,23 @@
 """SGD training loop: one image per mini-batch, seeded shuffling, schedule-driven budgets.
 
-Parameters and velocity are float32 (the checkpoint currency); forward and
-backward math runs in float64 inside the head module. Epoch shuffles are
-drawn from streams derived from (seed, epoch), independent of the
-initialization stream, so a run resumed from a checkpoint continues
+Parameters and velocity are float32 (the checkpoint currency), each one
+flat buffer (`HeadParams.flat`) whose views are the four blocks, so an SGD
+step is one elementwise update and a checkpoint is two buffers' bytes.
+Forward and backward math runs in float64 inside the head module. Epoch
+shuffles are drawn from streams derived from (seed, epoch), independent of
+the initialization stream, so a run resumed from a checkpoint continues
 bit-identically and ablations share their initialization.
 
 Checkpoint format: magic "WSDC", then version, C, D as u32 LE, then the
 four parameter blocks and four velocity blocks (w_cls, b_cls, w_imp,
-b_imp) as row-major float32 LE, then the completed-epoch index as u32 LE.
+b_imp) as row-major float32 LE, which is the parameter buffer followed by
+the velocity buffer, then the completed-epoch index as u32 LE. The file is
+written beside its target under a temporary name and renamed into place.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,21 +101,21 @@ def _shuffle_rng(seed: int, epoch: int) -> np.random.Generator:
 
 
 def sgd_step(state: TrainState, grads: HeadParams, config: TrainConfig) -> TrainState:
-    """Momentum SGD with weight decay, in place on float32 blocks.
+    """Momentum SGD with weight decay, in place on the float32 flat buffers.
 
     velocity <- momentum*velocity - lr*(grad + weight_decay*param);
-    param <- param + velocity.
+    param <- param + velocity. One elementwise update covers all four
+    blocks; nothing is updated if any gradient entry is non-finite.
     """
+    if not np.isfinite(grads.flat).all():
+        raise TrainingError("non-finite gradient")
     lr = np.float32(config.lr_at(state.epoch))
     mom = np.float32(config.momentum)
     wd = np.float32(config.weight_decay)
-    for (_, param), (_, vel), (_, grad) in zip(state.params.blocks(), state.velocity.blocks(), grads.blocks()):
-        if not np.isfinite(grad).all():
-            raise TrainingError("non-finite gradient")
-        g = grad.astype(np.float32)
-        vel *= mom
-        vel -= lr * (g + wd * param)
-        param += vel
+    param, vel = state.params.flat, state.velocity.flat
+    vel *= mom
+    vel -= lr * (grads.flat.astype(np.float32) + wd * param)
+    param += vel
     return state
 
 
@@ -138,9 +143,10 @@ def train_epoch(
         else:
             m_pos = pos_budget(state.epoch, n, config.schedule)
             m_neg = config.schedule.m_neg
-        feats = bag.views[0]
+        feats = np.asarray(bag.views[0], dtype=np.float64)  # one conversion for forward and backward
         trace = forward_image(state.params, feats, bag.labels, m_pos, m_neg, config.epsilon)
         grads = backward_image(trace, state.params, feats, bag.labels, config.epsilon)
+        del feats  # so the next image's copy is not made while this one is alive
         try:
             sgd_step(state, grads, config)
         except TrainingError as err:
@@ -169,17 +175,20 @@ def train(
 
 
 def save_checkpoint(state: TrainState, path: str | Path):
+    """Write the checkpoint to a temporary file beside `path`, then rename it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    c = state.params.num_classes
-    d = state.params.feat_dim
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<III", CHECKPOINT_VERSION, c, d))
-        for container in (state.params, state.velocity):
-            for _, arr in container.blocks():
-                fh.write(arr.astype("<f4").tobytes())
-        fh.write(struct.pack("<I", state.epoch))
+    header = CHECKPOINT_MAGIC + struct.pack("<III", CHECKPOINT_VERSION, state.params.num_classes, state.params.feat_dim)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(state.params.flat.astype("<f4").tobytes())
+            fh.write(state.velocity.flat.astype("<f4").tobytes())
+            fh.write(struct.pack("<I", state.epoch))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
@@ -195,21 +204,16 @@ def load_checkpoint(path: str | Path) -> TrainState:
     version, c, d = struct.unpack_from("<III", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    sizes = [(c, d), (c,), (c, d), (c,)]
-    expected = 16 + 2 * 4 * sum(int(np.prod(s)) for s in sizes) + 4
+    size = 2 * c * d + 2 * c  # entries of one flat buffer
+    expected = 16 + 2 * 4 * size + 4
     if len(raw) != expected:
         raise DataError(f"checkpoint {path}: expected {expected} bytes, got {len(raw)}")
-    offset = 16
-    containers = []
-    for _ in range(2):
-        blocks = []
-        for shape in sizes:
-            count = int(np.prod(shape))
-            arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
-            if not np.isfinite(arr).all():
-                raise DataError(f"checkpoint {path}: non-finite values in a parameter or velocity block")
-            blocks.append(arr)
-            offset += 4 * count
-        containers.append(HeadParams(*blocks))
-    (epoch,) = struct.unpack_from("<I", raw, offset)
-    return TrainState(params=containers[0], velocity=containers[1], epoch=int(epoch))
+    body = np.frombuffer(raw, dtype="<f4", count=2 * size, offset=16).astype(np.float32)
+    if not np.isfinite(body).all():
+        raise DataError(f"checkpoint {path}: non-finite values in a parameter or velocity block")
+    (epoch,) = struct.unpack_from("<I", raw, expected - 4)
+    return TrainState(
+        params=HeadParams.from_flat(body[:size], c, d),
+        velocity=HeadParams.from_flat(body[size:], c, d),
+        epoch=int(epoch),
+    )

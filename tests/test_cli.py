@@ -276,6 +276,33 @@ class TestMalformedInputs:
         dataset.write_text(json.dumps(manifest))
         assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(images={"im0": m["images"][0]}),
+        lambda m: m.update(images="im0"),
+        lambda m: m.update(images=[m["images"][0], 7]),
+        lambda m: m.update(images=[["im0"]]),
+        lambda m: m["images"][0].update(labels=["one", 0, 0]),
+        lambda m: m["images"][0].update(labels=[1.5, 0, 0]),
+        lambda m: m["images"][0].update(labels=[None, 0, 0]),
+        lambda m: m["images"][0].update(labels="100"),
+        lambda m: m["images"][0].update(labels=[2**70, 0, 0]),
+    ], ids=["images-object", "images-string", "record-number", "record-list",
+            "label-string", "label-float", "label-null", "labels-string", "label-huge"])
+    def test_malformed_structure(self, trained, tmp_path, capsys, edit):
+        dataset, ckpt = trained
+        manifest = json.loads(dataset.read_text())
+        edit(manifest)
+        dataset.write_text(json.dumps(manifest))
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2, 3]", '"c d class_names images"'])
+    def test_manifest_not_an_object(self, trained, tmp_path, text):
+        dataset, ckpt = trained
+        dataset.write_text(text)
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+
     def test_no_images(self, trained, tmp_path):
         dataset, ckpt = trained
         manifest = json.loads(dataset.read_text())
@@ -295,6 +322,13 @@ class TestGradcheck:
     def test_degenerate_sizes_pass(self):
         assert main(["gradcheck", "--instances", "5", "--max-regions", "1",
                      "--max-classes", "1", "--max-dim", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_instances_exits_config(self, capsys, count):
+        assert main(["gradcheck", "--instances", count]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "instances" in captured.err
+        assert "PASS" not in captured.out
 
     def test_sign_flip_mutation_fails(self, monkeypatch, capsys):
         real = wsdsel.head.backward_image

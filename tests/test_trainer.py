@@ -266,6 +266,47 @@ class TestCheckpoint:
             assert x.tobytes() == y.tobytes()
         np.testing.assert_array_equal(full.loss_history[3:], resumed.loss_history)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        ds = toy_dataset()
+        path = tmp_path / "ckpt.wsdc"
+        save_checkpoint(train(ds, self._config(1)), path)
+        before = path.read_bytes()
+        real_open = open
+
+        class FailingFile:
+            """Takes the first 40 bytes, then fails as a full disk would."""
+
+            def __init__(self, *args):
+                self.fh = real_open(*args)
+                self.room = 40
+
+            def write(self, data):
+                if len(data) > self.room:
+                    self.fh.write(data[: self.room])
+                    raise OSError(28, "No space left on device")
+                self.room -= len(data)
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr("wsdsel.trainer.open", FailingFile, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(train(ds, self._config(2)), path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        state = train(toy_dataset(), self._config(2))
+        first, second = tmp_path / "a.wsdc", tmp_path / "b.wsdc"
+        save_checkpoint(state, first)
+        save_checkpoint(load_checkpoint(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [first, second]
+
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.wsdc"
         path.write_bytes(b"JUNKJUNKJUNK")
