@@ -294,6 +294,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     print(f"mAP {report.map:.4f}  mean CorLoc {report.mean_corloc:.4f}  ({report.n_images} images)")
     print(f"wrote {out}")
+    if report.diagnostics["n_detections"] == 0:
+        print(
+            f"warning: no detections: no region scored at least score_floor={opts.score_floor:g} for any class, "
+            "so every AP is 0 (see diagnostics.classes_without_candidates)",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -351,6 +351,9 @@ def load_dataset(path: str | Path) -> Dataset:
             raise DataError(f"dataset manifest missing key '{key}'")
     num_classes = _positive_int(manifest["c"], "manifest key 'c'")
     feat_dim = _positive_int(manifest["d"], "manifest key 'd'")
+    class_names = manifest["class_names"]
+    if not isinstance(class_names, list) or not all(isinstance(name, str) for name in class_names):
+        raise DataError(f"manifest key 'class_names' must be a list of strings, got {class_names!r}")
 
     if not isinstance(manifest["images"], list):
         raise DataError(f"manifest key 'images' must be a list, got {type(manifest['images']).__name__}")
@@ -374,6 +377,8 @@ def load_dataset(path: str | Path) -> Dataset:
         if not isinstance(labels, list) or any(type(x) is not int or x not in (0, 1) for x in labels):
             raise DataError(f"image {image_id}: labels must be a list of 0/1 integers, got {labels!r}")
         n_views = _positive_int(rec["views"], f"image {image_id}: views")
+        if not isinstance(rec["feature_file"], str):
+            raise DataError(f"image {image_id}: feature_file must be a path string, got {rec['feature_file']!r}")
         views = _read_sidecar(path.parent / rec["feature_file"], image_id)
         if len(views) != n_views:
             raise DataError(
@@ -388,6 +393,6 @@ def load_dataset(path: str | Path) -> Dataset:
                 ground_truth=gt,
             )
         )
-    ds = Dataset(num_classes=num_classes, feat_dim=feat_dim, class_names=list(manifest["class_names"]), images=images)
+    ds = Dataset(num_classes=num_classes, feat_dim=feat_dim, class_names=class_names, images=images)
     ds.validate()
     return ds

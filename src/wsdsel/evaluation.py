@@ -23,7 +23,7 @@ import numpy as np
 
 from wsdsel.data import Dataset, ImageBag
 from wsdsel.errors import ConfigError
-from wsdsel.geometry import BBox, Detection, box_vote, iou, iou_matrix, nms
+from wsdsel.geometry import BBox, Detection, box_vote, iou, iou_matrix, nms  # noqa: F401  (perfbench's tracer reads evaluation.iou)
 from wsdsel.head import HeadParams, linear_outputs, masked_softmax, select_regions
 
 MASK_MODES = ("all", "top_mpt")
@@ -60,7 +60,7 @@ class EvalOptions:
 class PRCurve:
     """One class's detections in rank order: each one's score, and recall and precision after it."""
 
-    scores: list[float]
+    scores: np.ndarray
     recall: np.ndarray
     precision: np.ndarray
     npos: int  # ground-truth boxes of the class
@@ -135,6 +135,31 @@ def infer_image(params: HeadParams, bag: ImageBag, mask_mode: str = "all", top_m
     return _infer(params, bag, mask_mode, top_m)[0]
 
 
+def _boxes(boxes: list[BBox]) -> np.ndarray:
+    """Boxes as an (N, 4) float64 array of [x1, y1, x2, y2] rows."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def detect_arrays(
+    scores: np.ndarray,
+    boxes: np.ndarray,
+    nms_threshold: float = 0.6,
+    vote_threshold: float = 0.5,
+    score_floor: float = 1e-4,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class NMS plus box voting over the pre-NMS candidate pool, all classes at once.
+
+    `scores` is (N, C) and `boxes` the (N, 4) proposals; the candidates of a
+    class are the regions scoring at least `score_floor`. One IoU matrix
+    serves every class. Returns the detections' class ids, scores and voted
+    (K, 4) boxes, class by class and each class in descending score order.
+    """
+    candidates = scores >= score_floor
+    ious = iou_matrix(boxes, boxes)
+    kept = nms(ious, scores, nms_threshold, candidates)
+    return kept[1], scores[kept], box_vote(kept, ious, boxes, scores, vote_threshold, candidates)
+
+
 def detect(
     scores: np.ndarray,
     proposals: list[BBox],
@@ -142,24 +167,14 @@ def detect(
     vote_threshold: float = 0.5,
     score_floor: float = 1e-4,
 ) -> list[Detection]:
-    """Per-class NMS plus box voting over the pre-NMS candidate pool.
-
-    One IoU matrix over all proposals serves every class's pool.
-    """
-    boxes = np.array([b.as_tuple() for b in proposals], dtype=np.float64)
-    ious = iou_matrix(boxes, boxes)
-    out: list[Detection] = []
-    for j in range(scores.shape[1]):
-        pool = np.flatnonzero(scores[:, j] >= score_floor)
-        if pool.size == 0:
-            continue
-        pool_ious = ious[np.ix_(pool, pool)]
-        pool_scores = scores[pool, j]
-        kept = nms(pool_ious, pool_scores, nms_threshold)
-        voted = box_vote(kept, pool_ious, boxes[pool], pool_scores, vote_threshold)
-        for box, score in zip(voted.tolist(), pool_scores[kept].tolist()):
-            out.append(Detection(box=BBox(*box), class_id=j, score=score))
-    return out
+    """Per-class NMS plus box voting over the pre-NMS candidate pool, as `Detection`s (see `detect_arrays`)."""
+    classes, kept_scores, voted = detect_arrays(
+        np.asarray(scores), _boxes(proposals), nms_threshold, vote_threshold, score_floor
+    )
+    return [
+        Detection(box=BBox(*box), class_id=j, score=score)
+        for j, score, box in zip(classes.tolist(), kept_scores.tolist(), voted.tolist())
+    ]
 
 
 def corloc(
@@ -190,40 +205,58 @@ def weight_concentration(params: HeadParams, dataset: Dataset, k: int) -> float:
     return evaluate_map(dataset, params, EvalOptions(top_m=k)).diagnostics["weight_concentration"]
 
 
+def _match(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """True-positive flags of one image's detections (rows, in rank order) against its ground truth (columns).
+
+    Each detection in turn takes its best-IoU *unmatched* ground truth, the
+    first on ties, iff that IoU reaches the threshold. The unmatched set
+    only changes at a match, so one argmax over the remaining rows finds
+    the next true positive: at most one step per ground-truth box. `ious`
+    is overwritten.
+    """
+    tp = np.zeros(len(ious), dtype=bool)
+    start = 0
+    while ious.size and start < len(ious):
+        rest = ious[start:]
+        best = rest.argmax(axis=1)
+        hits = np.flatnonzero(rest[np.arange(len(rest)), best] >= iou_threshold)
+        if hits.size == 0:
+            break
+        tp[start + hits[0]] = True
+        ious[:, best[hits[0]]] = -1.0  # matched: below every unmatched IoU from now on
+        start += hits[0] + 1
+    return tp
+
+
 def _pr_curve(
-    dets: list[tuple[str, float, BBox]],
-    gts: dict[str, list[BBox]],
+    images: np.ndarray,
+    scores: np.ndarray,
+    boxes: np.ndarray,
+    gts: dict[int, np.ndarray],
     iou_threshold: float,
 ) -> PRCurve:
     """Greedy matching of one class's detections, in rank order.
 
-    A detection is a true positive iff its best-IoU *unmatched* ground
-    truth in the same image reaches the threshold. Ties in score keep
-    input order.
+    Detection i is in image `images[i]` with score `scores[i]` and box
+    `boxes[i]`; `gts` maps an image to the (G, 4) ground-truth boxes of the
+    class. A detection is a true positive iff its best-IoU *unmatched*
+    ground truth in the same image reaches the threshold. Ties in score
+    keep input order.
     """
-    npos = sum(len(v) for v in gts.values())
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
-    matched: dict[str, list[bool]] = {img: [False] * len(boxes) for img, boxes in gts.items()}
-    tp = np.zeros(len(dets))
-    for rank, i in enumerate(order):
-        image_id, _, box = dets[i]
-        boxes = gts.get(image_id, [])
-        flags = matched.get(image_id, [])
-        best, best_j = 0.0, -1
-        for j, g in enumerate(boxes):
-            if flags[j]:
-                continue
-            ov = iou(box, g)
-            if ov > best:
-                best, best_j = ov, j
-        if best_j >= 0 and best >= iou_threshold:
-            tp[rank] = 1.0
-            flags[best_j] = True
+    npos = sum(len(g) for g in gts.values())
+    ranked = np.argsort(-scores, kind="stable")
+    images, boxes = images[ranked], boxes[ranked]
+    by_image = np.argsort(images, kind="stable")  # ranks grouped by image, in rank order within one
+    grouped = images[by_image]
+    tp = np.zeros(len(ranked))
+    for image, gt in gts.items():
+        rows = by_image[np.searchsorted(grouped, image, "left") : np.searchsorted(grouped, image, "right")]
+        tp[rows] = _match(iou_matrix(boxes[rows], gt), iou_threshold)
     cum_tp = np.cumsum(tp)
     cum_fp = np.cumsum(1.0 - tp)
-    recall = cum_tp / npos if npos > 0 else np.zeros(len(dets))
+    recall = cum_tp / npos if npos > 0 else np.zeros(len(ranked))
     precision = cum_tp / np.maximum(cum_tp + cum_fp, 1.0)
-    return PRCurve([dets[i][1] for i in order], recall, precision, npos)
+    return PRCurve(scores[ranked], recall, precision, npos)
 
 
 def _ap_eleven_point(recall: np.ndarray, precision: np.ndarray) -> float:
@@ -236,9 +269,7 @@ def _ap_eleven_point(recall: np.ndarray, precision: np.ndarray) -> float:
 
 def _ap_area(recall: np.ndarray, precision: np.ndarray) -> float:
     r = np.concatenate(([0.0], recall, [1.0]))
-    p = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(p) - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
+    p = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     idx = np.where(r[1:] != r[:-1])[0]
     return float(((r[idx + 1] - r[idx]) * p[idx + 1]).sum())
 
@@ -255,42 +286,71 @@ def voc_ap(
     ground-truth boxes of the class. With no ground truth the AP is 0 by
     definition (flagged by the caller).
     """
-    return _pr_curve(dets, gts, iou_threshold).ap(protocol)
+    keys = {image_id: k for k, image_id in enumerate(gts)}
+    curve = _pr_curve(
+        np.array([keys.get(image_id, -1) for image_id, _, _ in dets], dtype=np.intp),
+        np.array([score for _, score, _ in dets], dtype=np.float64),
+        _boxes([box for _, _, box in dets]),
+        {keys[image_id]: _boxes(boxes) for image_id, boxes in gts.items()},
+        iou_threshold,
+    )
+    return curve.ap(protocol)
 
 
 def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | None = None) -> EvalReport:
     """Full pipeline in one pass over the images: inference, detection, AP/mAP, CorLoc, concentration."""
     opts = options or EvalOptions()
     c = dataset.num_classes
-    dets_by_class: list[list[tuple[str, float, BBox]]] = [[] for _ in range(c)]
-    gts_by_class: list[dict[str, list[BBox]]] = [{} for _ in range(c)]
+    keys: dict[str, int] = {}  # image id -> key; images sharing an id share their ground truth
+    image_keys: list[int] = []
+    gts_by_class: list[dict[int, np.ndarray]] = [{} for _ in range(c)]
+    # per image: the class ids, scores and voted boxes of its detections
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 4)))]
     correct, positives = np.zeros(c), np.zeros(c)
     fractions: list[float] = []
     for bag in dataset.images:
+        key = keys.setdefault(bag.id, len(keys))
+        image_keys.append(key)
         scores, p, v = _infer(params, bag, opts.mask_mode, opts.top_m)
-        for class_id, box in bag.ground_truth:
-            gts_by_class[class_id].setdefault(bag.id, []).append(box)
-        for det in detect(scores, bag.proposals, opts.nms_threshold, opts.vote_threshold, opts.score_floor):
-            dets_by_class[det.class_id].append((bag.id, det.score, det.box))
-        for j in np.flatnonzero(bag.labels):
-            positives[j] += 1
-            top = bag.proposals[int(np.argmax(scores[:, j]))]
-            correct[j] += any(iou(top, g) >= opts.iou_threshold for cls, g in bag.ground_truth if cls == j)
+        boxes = _boxes(bag.proposals)
+        gt_classes = np.array([cls for cls, _ in bag.ground_truth], dtype=np.intp)
+        gt_boxes = _boxes([box for _, box in bag.ground_truth])
+        for j in set(gt_classes.tolist()):
+            earlier = gts_by_class[j].get(key, np.zeros((0, 4)))
+            gts_by_class[j][key] = np.concatenate((earlier, gt_boxes[gt_classes == j]))
+        found.append(detect_arrays(scores, boxes, opts.nms_threshold, opts.vote_threshold, opts.score_floor))
+        positive = np.flatnonzero(bag.labels)
+        positives[positive] += 1
+        # CorLoc: the top-scoring region of each positive class against that class's ground truth
+        tops = boxes[np.argmax(scores[:, positive], axis=0)]
+        hits = (iou_matrix(tops, gt_boxes) >= opts.iou_threshold) & (gt_classes == positive[:, None])
+        correct[positive] += hits.any(axis=1)
+        for j in positive:
             # weight concentration: importance mass on the top_m most probable regions
             fractions.append(float(v[np.argsort(-p[:, j], kind="stable")[: opts.top_m], j].sum()))
 
-    curves = [_pr_curve(dets_by_class[j], gts_by_class[j], opts.iou_threshold) for j in range(c)]
+    images = np.repeat(np.array(image_keys, dtype=np.intp), [len(f[0]) for f in found[1:]])
+    classes, det_scores, det_boxes = (np.concatenate(part) for part in zip(*found))
+    del found  # freed before the per-class arrays are built, so the two sets are never held at once
+    curves = []
+    for j in range(c):
+        mine = classes == j
+        curves.append(_pr_curve(images[mine], det_scores[mine], det_boxes[mine], gts_by_class[j], opts.iou_threshold))
     per_class_ap, mean_ap = ap_by_class(curves, opts.ap_protocol)
     per_class_corloc = [correct[j] / positives[j] if positives[j] else float("nan") for j in range(c)]
     defined = [x for x in per_class_corloc if not math.isnan(x)]
     diagnostics = {
         "weight_concentration": float(np.mean(fractions)) if fractions else float("nan"),
         "concentration_k": opts.top_m,
-        "n_detections": sum(len(d) for d in dets_by_class),
+        "n_detections": len(classes),
     }
     flagged = [j for j in range(c) if not gts_by_class[j]]
     if flagged:
         diagnostics["classes_without_ground_truth"] = flagged
+    # A class with a candidate always keeps one, so a class without detections had no region at or above the floor.
+    unscored = np.flatnonzero(np.bincount(classes, minlength=c) == 0).tolist()
+    if unscored:
+        diagnostics["classes_without_candidates"] = unscored
     return EvalReport(
         per_class_ap=per_class_ap,
         map=mean_ap,
@@ -308,5 +368,6 @@ def dump_pr_curves(curves: list[PRCurve], class_names: list[str], path: str | Pa
         writer = csv.writer(fh)
         writer.writerow(["class", "rank", "score", "recall", "precision"])
         for name, curve in zip(class_names, curves):
-            for rank, (score, rec, prec) in enumerate(zip(curve.scores, curve.recall, curve.precision)):
+            rows = zip(curve.scores.tolist(), curve.recall.tolist(), curve.precision.tolist())
+            for rank, (score, rec, prec) in enumerate(rows):
                 writer.writerow([name, rank, f"{score:.6g}", f"{rec:.6f}", f"{prec:.6f}"])

@@ -74,38 +74,97 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 
 
-def nms(ious: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
-    """Greedy non-maximum suppression within one class; returns kept candidate indices.
+# Voting works on blocks of kept rows with at most this many (row, region)
+# entries, so its temporaries stay bounded however many regions an image has.
+VOTE_BLOCK = 1 << 18
 
-    `ious` is the (K, K) IoU matrix of the K candidates and `scores` their
-    (K,) scores. Candidates are visited in descending score order (ties
+
+def _columns(scores: np.ndarray, candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """`scores` as (N, C), one column for a 1-D vector, and the candidate mask of that shape."""
+    scores = np.asarray(scores)
+    cols = scores[:, None] if scores.ndim == 1 else scores
+    if candidates is None:
+        return cols, np.ones(cols.shape, dtype=bool)
+    return cols, np.asarray(candidates, dtype=bool).reshape(cols.shape)
+
+
+def nms(ious: np.ndarray, scores: np.ndarray, threshold: float, candidates: np.ndarray | None = None):
+    """Greedy non-maximum suppression, every class on its own; returns the kept entries as an index into `scores`.
+
+    `ious` is the (N, N) IoU matrix of N regions and `scores` their (N, C)
+    class scores; a 1-D `scores` is one class. `candidates`, shaped like
+    `scores` (default: every entry), marks the entries that take part.
+    Within a class, candidates are visited in descending score order (ties
     broken by index); one is removed iff its IoU with an already-kept,
-    higher-scored candidate exceeds `threshold`. Output is in visiting order.
+    higher-scored candidate of the class exceeds `threshold`. For 1-D
+    scores the result is the kept region indices in visiting order; for
+    2-D it is a (regions, classes) pair of arrays, class by class and each
+    class in visiting order. Either way `scores[kept]` are the kept scores.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"nms threshold must be in (0, 1], got {threshold}")
-    suppressed = np.zeros(len(scores), dtype=bool)
-    kept = []
-    for i in np.argsort(-np.asarray(scores), kind="stable"):
-        if not suppressed[i]:
-            kept.append(i)
-            suppressed |= ious[i] > threshold
-    return np.array(kept, dtype=np.intp)
+    cols, live = _columns(scores, candidates)
+    n, c = cols.shape
+    # One stable sort per class; non-candidates rank last and are never kept.
+    order = np.argsort(np.where(live, -cols, np.inf), axis=0, kind="stable")
+    live = np.take_along_axis(live, order, axis=0)
+    overlaps = ious > threshold
+    suppressed = np.zeros((c, n), dtype=bool)
+    kept = np.zeros((c, n), dtype=bool)  # by class and rank
+    classes = np.arange(c)
+    for rank in np.flatnonzero(live.any(axis=1)):
+        regions = order[rank]
+        keep = live[rank] & ~suppressed[classes, regions]
+        if keep.any():
+            kept[keep, rank] = True
+            suppressed[keep] |= overlaps[regions[keep]]
+    kept_classes, ranks = np.nonzero(kept)
+    regions = order[ranks, kept_classes]
+    return regions if np.ndim(scores) == 1 else (regions, kept_classes)
 
 
 def box_vote(
-    kept: np.ndarray, ious: np.ndarray, boxes: np.ndarray, scores: np.ndarray, vote_threshold: float
+    kept,
+    ious: np.ndarray,
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    vote_threshold: float,
+    candidates: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Refine kept candidates by score-weighted averaging of the boxes overlapping them.
+    """Refine kept entries by score-weighted averaging of the boxes overlapping them.
 
-    For each kept index k, every candidate i with ious[k, i] >= vote_threshold
-    votes with weight scores[i]; `boxes` is (K, 4). Returns one row per kept
-    index. A kept candidate votes for itself, so the voter set is never
-    empty; if all voter scores are zero its own box is returned unchanged.
+    `kept` indexes `scores` as `nms` returns it, and `scores`/`candidates`
+    are shaped as for `nms`; `boxes` is (N, 4). For a kept region k of
+    class j, every candidate i of class j with ious[k, i] >= vote_threshold
+    votes with weight scores[i, j]. Returns one row per kept entry. A kept
+    region votes for itself, so the voter set is never empty; if all voter
+    scores are zero its own box is returned unchanged.
     """
-    weights = np.where(ious[kept] >= vote_threshold, scores, 0.0)
-    # Running sums add the voters in index order, as a scalar loop would, so
-    # the voted boxes do not depend on how numpy groups a plain sum.
-    total = np.cumsum(weights, axis=1)[:, -1:]
-    sums = np.stack([np.cumsum(weights * boxes[:, c], axis=1)[:, -1] for c in range(4)], axis=1)
-    return np.divide(sums, total, out=boxes[kept], where=total > 0.0)
+    cols, live = _columns(scores, candidates)
+    regions, classes = (kept, np.zeros(len(kept), dtype=np.intp)) if np.ndim(scores) == 1 else kept
+    close = ious >= vote_threshold
+    live_by_class = np.ascontiguousarray(live.T)
+    out = boxes[regions]
+    n = len(boxes)
+    step = max(1, VOTE_BLOCK // max(n, 1))
+    for lo in range(0, len(regions), step):
+        block, block_classes = regions[lo : lo + step], classes[lo : lo + step]
+        voters = close[block] & live_by_class[block_classes]
+        rows, idx = np.divmod(np.flatnonzero(voters), n)
+        # Each row's voters packed to the front in index order, layer by layer:
+        # (weight, weight * box) of every row's first voter, then its second...
+        counts = np.bincount(rows, minlength=len(block))
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        weights = cols[idx, block_classes[rows]]
+        layers = np.zeros((counts.max(), len(block), 5))
+        layers[slot, rows, 0] = weights
+        layers[slot, rows, 1:] = weights[:, None] * boxes[idx]
+        # Adding the layers one by one sums each row's voters in index order,
+        # as a scalar loop would, so the voted boxes do not depend on how
+        # numpy groups a plain sum.
+        sums = layers[0].copy()
+        for layer in layers[1:]:
+            sums += layer
+        total = sums[:, :1]
+        np.divide(sums[:, 1:], total, out=out[lo : lo + step], where=total > 0.0)
+    return out

@@ -135,6 +135,7 @@ class TestEval:
         assert report["n_images"] == 10
         assert 0.0 <= report["map"] <= 1.0
         assert report["diagnostics"]["concentration_k"] == 4
+        assert "classes_without_candidates" not in report["diagnostics"]  # written only when non-empty
 
     def test_fresh_checkpoint_gives_valid_report(self, small_dataset, tmp_path):
         ckpt = tmp_path / "init.wsdc"
@@ -144,6 +145,21 @@ class TestEval:
                      "--out", str(report_path)]) == EXIT_OK
         report = json.loads(report_path.read_text())
         assert 0.0 <= report["map"] <= 1.0
+
+    def test_untrained_head_at_paper_scale_says_why_it_found_nothing(self, tmp_path, capsys):
+        # Scores scale like 1/(N*C), so at N=1024, C=20 an untrained head leaves every
+        # region under the absolute score floor: the report must say so, not just read mAP 0.
+        dataset, ckpt, path = tmp_path / "big.json", tmp_path / "init.wsdc", tmp_path / "r.json"
+        assert main(["synth", "--out", str(dataset), "--n-images", "2", "--num-classes", "20",
+                     "--proposals-per-image", "1024"]) == EXIT_OK
+        assert main(["train", "--dataset", str(dataset), "--out", str(ckpt), "--epochs", "0"]) == EXIT_OK
+        capsys.readouterr()
+        assert run_eval(dataset, ckpt, path) == EXIT_OK
+        report = json.loads(path.read_text())
+        assert report["map"] == 0.0
+        assert report["diagnostics"]["n_detections"] == 0
+        assert report["diagnostics"]["classes_without_candidates"] == list(range(20))
+        assert "warning: no detections" in capsys.readouterr().err
 
     def test_byte_identical_reports(self, trained, tmp_path):
         dataset, ckpt = trained

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wsdsel import evaluation
 from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
 from wsdsel.evaluation import (
     EvalOptions,
@@ -13,11 +16,12 @@ from wsdsel.evaluation import (
     voc_ap,
     weight_concentration,
 )
-from wsdsel.geometry import BBox, Detection, iou
+from wsdsel.geometry import BBox, Detection, iou, iou_matrix
 from wsdsel.head import HeadParams, class_softmax, masked_softmax
 from wsdsel.trainer import init_params
 
-from reference_eval import greedy_nms_indices, reference_ap, reference_corloc
+from reference_eval import greedy_nms_indices, match_detections, reference_ap, reference_corloc
+from test_geometry import grid_boxes_strategy
 
 
 def scalar_detect(scores, proposals, nms_threshold=0.6, vote_threshold=0.5, score_floor=1e-4):
@@ -152,6 +156,57 @@ class TestDetect:
                     assert iou(a.box, b.box) <= 0.4
 
 
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(grid_boxes_strategy(), min_size=n, max_size=n),
+                st.lists(st.lists(st.sampled_from([0.0, 5e-5, 0.2, 0.5, 0.9]), min_size=3, max_size=3),
+                         min_size=n, max_size=n),
+            )
+        ),
+        st.sampled_from([0.3, 0.6, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_class_batched_equals_scalar_reference(self, case, nms_threshold, vote_threshold):
+        # grid boxes and a few score levels give IoU and score ties; 0 and 5e-5 are under the floor,
+        # and class 2 never has a candidate
+        props, levels = case
+        scores = np.array(levels)
+        scores[:, 2] = np.minimum(scores[:, 2], 5e-5)
+        got = detect(scores, props, nms_threshold, vote_threshold)
+        assert got == scalar_detect(scores, props, nms_threshold, vote_threshold)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_paper_scale_equals_per_class_reference(self, seed):
+        # N=1024, C=20, every region a candidate of most classes: per-class greedy NMS on the
+        # pool, then each kept box voted with its voters summed one by one in index order
+        n, c = 1024, 20
+        ds = generate_synthetic(SynthConfig(n_images=1, num_classes=c, feat_dim=4, proposals_per_image=n, seed=seed))
+        props = ds.images[0].proposals
+        rng = np.random.default_rng(seed)
+        scores = rng.random((n, c)) * (rng.random((n, c)) < 0.9)
+        boxes = np.array([b.as_tuple() for b in props])
+        ious = iou_matrix(boxes, boxes)
+        classes, kept_scores, voted = evaluation.detect_arrays(scores, boxes)
+        want_classes, want_scores, want_boxes = [], [], []
+        for j in range(c):
+            pool = np.flatnonzero(scores[:, j] >= 1e-4)
+            pool_scores = scores[pool, j].tolist()
+            for k in greedy_nms_indices(list(pool), pool_scores, 0.6, lambda a, b: ious[a, b]):
+                voters = pool[ious[pool[k], pool] >= 0.5]
+                total, sums = 0.0, [0.0] * 4
+                for i in voters.tolist():
+                    total += scores[i, j]
+                    sums = [acc + scores[i, j] * x for acc, x in zip(sums, boxes[i])]
+                want_classes.append(j)
+                want_scores.append(pool_scores[k])
+                want_boxes.append([x / total for x in sums])
+        assert classes.tolist() == want_classes
+        assert kept_scores.tolist() == want_scores
+        assert voted.tolist() == want_boxes
+
+
 class TestCorloc:
     def _single_class_dataset(self, gt_box):
         # two proposals; w_imp ranks proposal 0 on top
@@ -278,6 +333,50 @@ class TestVocAp:
             got = voc_ap(dets, gts, protocol=protocol)
             want = reference_ap(dets, gts, 0.5, protocol, iou)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestArrayMatching:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([0.2, 0.5, 0.9]), grid_boxes_strategy()),
+            max_size=12,
+        ),
+        st.dictionaries(st.sampled_from(["a", "b", "d"]), st.lists(grid_boxes_strategy(), max_size=4), max_size=3),
+        st.sampled_from([0.1, 0.5, 1.0]),
+    )
+    @example(  # the first detection ties between both boxes and must take the first
+        dets=[("a", 0.9, BBox(1, 0, 3, 1)), ("a", 0.5, BBox(0, 0, 2, 1))],
+        gts={"a": [BBox(0, 0, 2, 1), BBox(2, 0, 4, 1)]},
+        iou_threshold=0.1,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matcher_equals_reference(self, dets, gts, iou_threshold):
+        # grid boxes tie often, both in score and in IoU with two ground-truth boxes
+        keys = {image_id: k for k, image_id in enumerate(gts)}
+        curve = evaluation._pr_curve(
+            np.array([keys.get(d[0], -1) for d in dets], dtype=np.intp),
+            np.array([d[1] for d in dets], dtype=np.float64),
+            np.array([d[2].as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4),
+            {keys[k]: np.array([b.as_tuple() for b in v]).reshape(-1, 4) for k, v in gts.items()},
+            iou_threshold,
+        )
+        labels, npos = match_detections(dets, gts, iou_threshold, iou)
+        assert curve.npos == npos
+        got = np.diff(np.rint(curve.recall * npos), prepend=0.0) == 1.0 if npos else np.zeros(len(dets), bool)
+        assert got.tolist() == labels
+        assert curve.scores.tolist() == sorted((d[1] for d in dets), reverse=True)
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=30).map(sorted), st.lists(st.floats(0.0, 1.0), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_area_running_max_is_exact(self, recall, precision):
+        n = min(len(recall), len(precision))
+        recall, precision = np.array(recall[:n]), np.array(precision[:n])
+        r = np.concatenate(([0.0], recall, [1.0]))
+        p = np.concatenate(([0.0], precision, [0.0]))
+        for i in range(len(p) - 2, -1, -1):
+            p[i] = max(p[i], p[i + 1])
+        idx = np.where(r[1:] != r[:-1])[0]
+        assert evaluation._ap_area(recall, precision) == float(((r[idx + 1] - r[idx]) * p[idx + 1]).sum())
 
 
 class TestEvaluateMap:

@@ -182,3 +182,71 @@ class TestBoxVote:
         assert min(b.y1 for b in contributors) <= voted.y1 <= max(b.y1 for b in contributors)
         assert min(b.x2 for b in contributors) <= voted.x2 <= max(b.x2 for b in contributors)
         assert min(b.y2 for b in contributors) <= voted.y2 <= max(b.y2 for b in contributors)
+
+
+def class_batch_strategy():
+    """Boxes on a small grid and (N, C) scores from a few levels, so IoU and score ties are common."""
+    return st.integers(1, 10).flatmap(
+        lambda n: st.tuples(
+            st.lists(grid_boxes_strategy(), min_size=n, max_size=n),
+            st.integers(1, 4).flatmap(
+                lambda c: st.lists(
+                    st.lists(st.sampled_from([0.0, 1e-5, 0.25, 0.5, 0.75, 1.0]), min_size=c, max_size=c),
+                    min_size=n,
+                    max_size=n,
+                )
+            ),
+        )
+    )
+
+
+class TestClassBatched:
+    """(N, C) scores run every class at once; each class must match its own 1-D run over its candidate pool."""
+
+    @given(class_batch_strategy(), st.sampled_from([0.3, 0.6, 1.0]), st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_each_class_equals_its_own_pool(self, case, threshold, vote_threshold):
+        boxes, scores = case
+        arr, scores = as_array(boxes), np.array(scores)
+        ious = iou_matrix(arr, arr)
+        candidates = scores >= 1e-4
+        regions, classes = nms(ious, scores, threshold, candidates)
+        voted = box_vote((regions, classes), ious, arr, scores, vote_threshold, candidates)
+        assert np.all(np.diff(classes) >= 0)
+        for j in range(scores.shape[1]):
+            pool = np.flatnonzero(candidates[:, j])
+            pool_ious = ious[np.ix_(pool, pool)]
+            kept = nms(pool_ious, scores[pool, j], threshold)
+            mine = classes == j
+            assert regions[mine].tolist() == pool[kept].tolist()
+            want = box_vote(kept, pool_ious, arr[pool], scores[pool, j], vote_threshold)
+            assert voted[mine].tobytes() == want.tobytes()
+
+    def test_one_column_equals_a_vector(self):
+        boxes = [BBox(0, 0, 10, 10), BBox(1, 0, 11, 10), BBox(20, 20, 30, 30)]
+        ious, scores = pairwise(boxes), np.array([0.5, 0.9, 0.2])
+        regions, classes = nms(ious, scores[:, None], 0.6)
+        assert regions.tolist() == nms(ious, scores, 0.6).tolist() == [1, 2]
+        assert classes.tolist() == [0, 0]
+
+    def test_non_candidates_never_kept_or_voting(self):
+        a, b = BBox(0, 0, 10, 10), BBox(0, 0, 12, 10)
+        ious, scores = pairwise([a, b]), np.array([[0.9, 0.8], [0.95, 0.7]])
+        candidates = np.array([[True, True], [False, True]])
+        regions, classes = nms(ious, scores, 0.6, candidates)
+        assert list(zip(regions.tolist(), classes.tolist())) == [(0, 0), (0, 1)]
+        voted = box_vote((regions, classes), ious, as_array([a, b]), scores, 0.5, candidates)
+        assert BBox(*voted[0]) == a  # region 1 is no candidate of class 0: it neither wins nor votes
+        assert voted[1, 2] == pytest.approx((0.8 * 10 + 0.7 * 12) / 1.5)
+
+    def test_voting_memory_is_blocked(self, monkeypatch):
+        import wsdsel.geometry as geometry
+
+        rng = np.random.default_rng(7)
+        xy = rng.uniform(0, 20, (40, 2))
+        arr = np.hstack([xy, xy + rng.uniform(2, 8, (40, 2))])
+        ious, scores = iou_matrix(arr, arr), rng.random((40, 3))
+        kept = nms(ious, scores, 0.6)
+        whole = box_vote(kept, ious, arr, scores, 0.0)
+        monkeypatch.setattr(geometry, "VOTE_BLOCK", 41)  # one kept row per block
+        assert box_vote(kept, ious, arr, scores, 0.0).tobytes() == whole.tobytes()
