@@ -8,6 +8,12 @@ proportion to their best overlap with a ground-truth box, so loose boxes
 score deceptively well: the object/background ambiguity that region
 selection is meant to resolve.
 
+Proposals travel as arrays: the generator draws its boxes as plain floats
+and hands each image's proposals over as one (N, 4) float64 array,
+`ImageBag.boxes`, which the loader fills from the manifest in one
+vectorized check and the writer lists row by row. `ImageBag.proposals`
+builds `BBox` objects from it only when asked.
+
 File formats
 ------------
 Dataset manifest (JSON): top level {c, d, class_names, images: [{id,
@@ -20,37 +26,60 @@ then V, N, D as u32 LE, then V*N*D row-major float32 LE.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from wsdsel.errors import ConfigError, DataError
-from wsdsel.geometry import BBox, iou
+from wsdsel.geometry import BBox, iou, iou_matrix
 
 FEATURE_MAGIC = b"WSDF"
 FEATURE_VERSION = 1
 
 
-@dataclass
 class ImageBag:
-    """One image: proposals, per-region features (one or more views), labels.
+    """One image: proposal boxes, per-region features (one or more views), labels.
 
+    `boxes` holds the proposals as an (N, 4) float64 array of [x1, y1, x2,
+    y2] rows; `proposals` builds them as `BBox`es on demand. A bag is made
+    from either one: `ImageBag(id, boxes=array, ...)` keeps the array,
+    `ImageBag(id, proposals=[BBox, ...], ...)` stacks the boxes into one.
     Ground-truth annotations are carried for evaluation only; the trainer
     never reads them.
     """
 
-    id: str
-    proposals: list[BBox]
-    views: list[np.ndarray]  # V arrays, each (N, D) float32
-    labels: np.ndarray  # (C,) ints in {0, 1}
-    ground_truth: list[tuple[int, BBox]] = field(default_factory=list)
+    def __init__(
+        self,
+        id: str,
+        *,
+        views: list[np.ndarray],  # V arrays, each (N, D) float32
+        labels: np.ndarray,  # (C,) ints in {0, 1}
+        ground_truth: list[tuple[int, BBox]] | None = None,
+        boxes: np.ndarray | None = None,
+        proposals: list[BBox] | None = None,
+    ):
+        if (boxes is None) == (proposals is None):
+            raise ValueError("an ImageBag takes its proposals as either `boxes` or `proposals`")
+        if boxes is None:
+            boxes = np.array([b.as_tuple() for b in proposals], dtype=np.float64).reshape(-1, 4)
+        self.id = id
+        self.boxes = np.asarray(boxes, dtype=np.float64)
+        self.views = views
+        self.labels = labels
+        self.ground_truth = [] if ground_truth is None else ground_truth
+
+    @property
+    def proposals(self) -> list[BBox]:
+        return [BBox(*row) for row in self.boxes.tolist()]
 
     @property
     def n_regions(self) -> int:
-        return len(self.proposals)
+        return len(self.boxes)
 
 
 @dataclass
@@ -69,6 +98,17 @@ class Dataset:
             n = bag.n_regions
             if n < 1:
                 raise DataError(f"image {bag.id}: no proposals")
+            boxes = bag.boxes
+            if boxes.shape != (n, 4):
+                raise DataError(f"image {bag.id}: proposal boxes have shape {boxes.shape}, expected ({n}, 4)")
+            if not np.isfinite(boxes).all():
+                raise DataError(f"image {bag.id}: non-finite proposal box coordinates")
+            degenerate = np.flatnonzero((boxes[:, 0] >= boxes[:, 2]) | (boxes[:, 1] >= boxes[:, 3]))
+            if degenerate.size:
+                row = degenerate[0]
+                raise DataError(
+                    f"image {bag.id}: degenerate proposal box {row} (non-positive area): {boxes[row].tolist()}"
+                )
             if bag.labels.shape != (self.num_classes,):
                 raise DataError(f"image {bag.id}: label vector has shape {bag.labels.shape}")
             if not np.isin(bag.labels, (0, 1)).all():
@@ -124,63 +164,78 @@ def _unit_rows(rng: np.random.Generator, shape) -> np.ndarray:
     return m / np.linalg.norm(m, axis=-1, keepdims=True)
 
 
-def _random_gt_box(rng: np.random.Generator) -> BBox:
-    w = rng.uniform(0.12, 0.35)
-    h = rng.uniform(0.12, 0.35)
-    cx = rng.uniform(w / 2, 1.0 - w / 2)
-    cy = rng.uniform(h / 2, 1.0 - h / 2)
-    return BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+# A box on the generator's canvas as plain floats: (x1, y1, x2, y2).
+Box = tuple[float, float, float, float]
 
 
-def _jittered(rng: np.random.Generator, box: BBox, scale: float) -> BBox | None:
+def _uniform(low: float, high: float, u: float) -> float:
+    """`rng.uniform(low, high)` of the double `u` from `rng.random`: numpy's own arithmetic, so the same float."""
+    return low + (high - low) * u
+
+
+def _random_gt_box(rng: np.random.Generator) -> Box:
+    uw, uh, ux, uy = rng.random(4).tolist()
+    w = _uniform(0.12, 0.35, uw)
+    h = _uniform(0.12, 0.35, uh)
+    cx = _uniform(w / 2, 1.0 - w / 2, ux)
+    cy = _uniform(h / 2, 1.0 - h / 2, uy)
+    return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
+def _jittered(rng: np.random.Generator, box: Box, scale: float) -> Box | None:
     """Random translation and resize of `box` at relative magnitude `scale`."""
-    w, h = box.x2 - box.x1, box.y2 - box.y1
-    cx, cy = (box.x1 + box.x2) / 2, (box.y1 + box.y2) / 2
-    cx += rng.uniform(-scale, scale) * w
-    cy += rng.uniform(-scale, scale) * h
-    w *= np.exp(rng.uniform(-scale, scale))
-    h *= np.exp(rng.uniform(-scale, scale))
+    x1, y1, x2, y2 = box
+    w, h = x2 - x1, y2 - y1
+    cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
+    ux, uy, uw, uh = rng.random(4).tolist()
+    cx += _uniform(-scale, scale, ux) * w
+    cy += _uniform(-scale, scale, uy) * h
+    w *= float(np.exp(_uniform(-scale, scale, uw)))
+    h *= float(np.exp(_uniform(-scale, scale, uh)))
     x1, x2 = max(0.0, cx - w / 2), min(1.0, cx + w / 2)
     y1, y2 = max(0.0, cy - h / 2), min(1.0, cy + h / 2)
     if x2 - x1 < 1e-3 or y2 - y1 < 1e-3:
         return None
-    return BBox(x1, y1, x2, y2)
+    return (x1, y1, x2, y2)
 
 
-def _cluster_box(rng: np.random.Generator, gt: BBox, scale: float, min_iou: float = 0.0, tries: int = 30) -> BBox:
-    """A jittered copy of `gt`, rejection-sampled until iou >= min_iou."""
+def _cluster_box(rng: np.random.Generator, gt: Box, scale: float, min_iou: float = 0.0, tries: int = 30) -> Box:
+    """A jittered copy of `gt`, rejection-sampled until iou >= min_iou (at min_iou <= 0, any box passes)."""
     for _ in range(tries):
         cand = _jittered(rng, gt, scale)
-        if cand is not None and iou(cand, gt) >= min_iou:
+        if cand is not None and (min_iou <= 0.0 or iou(cand, gt) >= min_iou):
             return cand
-    return BBox(gt.x1, gt.y1, gt.x2, gt.y2)
+    return gt
 
 
-def _context_box(rng: np.random.Generator, gt: BBox, tries: int = 30) -> BBox:
+def _context_box(rng: np.random.Generator, gt: Box, tries: int = 30) -> Box:
     """An oversized box around `gt`: contains most of it, IoU below 0.5."""
+    gx1, gy1, gx2, gy2 = gt
     for _ in range(tries):
-        f = rng.uniform(1.5, 2.4)
-        w, h = (gt.x2 - gt.x1) * f, (gt.y2 - gt.y1) * f
-        cx = (gt.x1 + gt.x2) / 2 + rng.uniform(-0.15, 0.15) * w
-        cy = (gt.y1 + gt.y2) / 2 + rng.uniform(-0.15, 0.15) * h
+        uf, ux, uy = rng.random(3).tolist()
+        f = _uniform(1.5, 2.4, uf)
+        w, h = (gx2 - gx1) * f, (gy2 - gy1) * f
+        cx = (gx1 + gx2) / 2 + _uniform(-0.15, 0.15, ux) * w
+        cy = (gy1 + gy2) / 2 + _uniform(-0.15, 0.15, uy) * h
         x1, x2 = max(0.0, cx - w / 2), min(1.0, cx + w / 2)
         y1, y2 = max(0.0, cy - h / 2), min(1.0, cy + h / 2)
         if x2 - x1 < 1e-3 or y2 - y1 < 1e-3:
             continue
-        cand = BBox(x1, y1, x2, y2)
+        cand = (x1, y1, x2, y2)
         if iou(cand, gt) < 0.5:
             return cand
     return _cluster_box(rng, gt, scale=0.8)
 
 
-def _background_box(rng: np.random.Generator, gt_boxes: list[BBox], tries: int = 20) -> BBox:
+def _background_box(rng: np.random.Generator, gt_boxes: list[Box], tries: int = 20) -> Box:
     cand = None
     for _ in range(tries):
-        w = rng.uniform(0.05, 0.5)
-        h = rng.uniform(0.05, 0.5)
-        x1 = rng.uniform(0.0, 1.0 - w)
-        y1 = rng.uniform(0.0, 1.0 - h)
-        cand = BBox(x1, y1, x1 + w, y1 + h)
+        uw, uh, ux, uy = rng.random(4).tolist()
+        w = _uniform(0.05, 0.5, uw)
+        h = _uniform(0.05, 0.5, uh)
+        x1 = _uniform(0.0, 1.0 - w, ux)
+        y1 = _uniform(0.0, 1.0 - h, uy)
+        cand = (x1, y1, x1 + w, y1 + h)
         if all(iou(cand, g) < 0.3 for g in gt_boxes):
             return cand
     return cand
@@ -206,39 +261,34 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
         gt = [(int(rng.integers(cfg.num_classes)), _random_gt_box(rng)) for _ in range(k)]
         gt_boxes = [b for _, b in gt]
 
-        proposals: list[BBox] = []
-        is_context = []
+        proposals: list[Box] = []
         # Per-object clusters spanning tight to loose overlap; the first
         # member is forced tight so a correct localization always exists.
         cluster_total = max(k, (n - n_context) // 2)
         per_obj = cluster_total // k
-        for _, gt_box in gt:
+        for gt_box in gt_boxes:
             proposals.append(_cluster_box(rng, gt_box, scale=0.05, min_iou=0.7))
-            is_context.append(False)
             for j in range(per_obj - 1):
-                scale = 0.08 + 0.62 * (j + 1) / per_obj
-                proposals.append(_cluster_box(rng, gt_box, scale=scale))
-                is_context.append(False)
+                proposals.append(_cluster_box(rng, gt_box, scale=0.08 + 0.62 * (j + 1) / per_obj))
+        n_cluster = len(proposals)
         for _ in range(n_context):
-            anchor = gt_boxes[int(rng.integers(k))]
-            proposals.append(_context_box(rng, anchor))
-            is_context.append(True)
+            proposals.append(_context_box(rng, gt_boxes[int(rng.integers(k))]))
         while len(proposals) < n:
             proposals.append(_background_box(rng, gt_boxes))
-            is_context.append(False)
-        proposals = proposals[:n]
-        is_context = is_context[:n]
+        is_context = np.zeros(len(proposals), dtype=bool)
+        is_context[n_cluster : n_cluster + n_context] = True
 
         perm = rng.permutation(n)
-        proposals = [proposals[j] for j in perm]
-        is_context = [is_context[j] for j in perm]
+        boxes = np.array(proposals[:n], dtype=np.float64)[perm]
+        is_context = is_context[:n][perm]
 
+        # Each region's best IoU with a ground-truth box of each class.
+        ious = iou_matrix(boxes, np.array(gt_boxes))
         overlap = np.zeros((n, cfg.num_classes))
-        for j, box in enumerate(proposals):
-            for class_id, gt_box in gt:
-                overlap[j, class_id] = max(overlap[j, class_id], iou(box, gt_box))
+        for t, (class_id, _) in enumerate(gt):
+            np.maximum(overlap[:, class_id], ious[:, t], out=overlap[:, class_id])
         signal = overlap @ prototypes
-        signal[np.asarray(is_context)] += cfg.distractor_strength * context_dir
+        signal[is_context] += cfg.distractor_strength * context_dir
 
         views = [
             (signal + cfg.noise_sigma * rng.normal(size=(n, cfg.feat_dim))).astype(np.float32)
@@ -246,7 +296,8 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
         ]
         labels = np.zeros(cfg.num_classes, dtype=np.int64)
         labels[[c for c, _ in gt]] = 1
-        images.append(ImageBag(id=f"im{i:05d}", proposals=proposals, views=views, labels=labels, ground_truth=gt))
+        ground_truth = [(c, BBox(*b)) for c, b in gt]
+        images.append(ImageBag(id=f"im{i:05d}", boxes=boxes, views=views, labels=labels, ground_truth=ground_truth))
 
     ds = Dataset(num_classes=cfg.num_classes, feat_dim=cfg.feat_dim, class_names=class_names, images=images)
     ds.validate()
@@ -275,7 +326,11 @@ def _write_sidecar(path: Path, views: list[np.ndarray]):
 
 def _read_sidecar(path: Path, image_id: str) -> list[np.ndarray]:
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            raw = fh.read(18)
+            # The floats are read straight into the one array the views share: no copy, no zero fill.
+            payload = np.empty(max(0, os.fstat(fh.fileno()).st_size - len(raw)), dtype=np.uint8)
+            payload = payload[: fh.readinto(payload)]
     except OSError as err:
         raise DataError(f"image {image_id}: cannot read feature sidecar {path}: {err}") from err
     if raw[:4] != FEATURE_MAGIC:
@@ -287,13 +342,11 @@ def _read_sidecar(path: Path, image_id: str) -> list[np.ndarray]:
         raise DataError(f"image {image_id}: unsupported sidecar version {version}")
     v, n, d = struct.unpack_from("<III", raw, 6)
     expected = 4 * v * n * d
-    payload = raw[18:]
     if len(payload) != expected:
         raise DataError(
             f"image {image_id}: truncated feature sidecar, expected {expected} bytes of floats, got {len(payload)}"
         )
-    arr = np.frombuffer(payload, dtype="<f4").reshape(v, n, d)
-    return [arr[j].copy() for j in range(v)]
+    return list(payload.view("<f4").reshape(v, n, d))
 
 
 def save_dataset(ds: Dataset, path: str | Path):
@@ -312,7 +365,7 @@ def save_dataset(ds: Dataset, path: str | Path):
             {
                 "id": bag.id,
                 "labels": bag.labels.tolist(),
-                "proposals": [list(b.as_tuple()) for b in bag.proposals],
+                "proposals": bag.boxes,  # listed as the encoder reaches it, so one image's floats exist at a time
                 "ground_truth": [{"class": c, "box": list(b.as_tuple())} for c, b in bag.ground_truth],
                 "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
                 "views": len(bag.views),
@@ -325,7 +378,7 @@ def save_dataset(ds: Dataset, path: str | Path):
         "images": records,
     }
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1)
+        json.dump(manifest, fh, indent=1, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -335,13 +388,38 @@ def _positive_int(value, what: str) -> int:
     return value
 
 
+def _boxes_from_json(rows, what: str) -> np.ndarray:
+    """JSON [x1, y1, x2, y2] rows as an (N, 4) float64 array; anything but four numbers a row is a DataError.
+
+    Only JSON numbers count: `np.array(rows, float)` alone would also take
+    `true` as 1.0 and "0.5" as 0.5. Finite, ordered coordinates are checked
+    by the caller.
+    """
+    if not isinstance(rows, list):
+        raise DataError(f"{what} must be a list of [x1, y1, x2, y2] rows, got {type(rows).__name__}")
+    try:
+        four = set(map(len, rows)) <= {4}
+    except TypeError:  # a row without a length
+        four = False
+    if not four:
+        raise DataError(f"{what}: every row must be a list of four numbers")
+    coords = list(itertools.chain.from_iterable(rows))
+    kinds = set(map(type, coords))
+    if not kinds <= {int, float}:
+        raise DataError(f"{what}: coordinates must be numbers, found {sorted(k.__name__ for k in kinds)}")
+    try:
+        return np.array(coords, dtype=np.float64).reshape(-1, 4)
+    except OverflowError as err:  # an integer beyond the float range
+        raise DataError(f"{what}: {err}") from err
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load and fully validate a dataset; errors name the offending image."""
     path = Path(path)
     try:
         with open(path) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: not JSON, or not UTF-8
         raise DataError(f"cannot load dataset manifest {path}: {err}") from err
 
     if not isinstance(manifest, dict):
@@ -365,14 +443,19 @@ def load_dataset(path: str | Path) -> Dataset:
         missing = [key for key in ("proposals", "labels", "feature_file", "views") if key not in rec]
         if missing:
             raise DataError(f"image {image_id}: record missing {', '.join(missing)}")
+        boxes = _boxes_from_json(rec["proposals"], f"image {image_id}: proposals")
+        records = rec.get("ground_truth", [])
         try:
-            proposals = [BBox(*coords) for coords in rec["proposals"]]
-        except (TypeError, ValueError) as err:
-            raise DataError(f"image {image_id}: bad proposal box: {err}") from err
-        try:
-            gt = [(int(g["class"]), BBox(*g["box"])) for g in rec.get("ground_truth", [])]
-        except (TypeError, KeyError, ValueError) as err:
+            classes, gt_rows = [g["class"] for g in records], [g["box"] for g in records]
+        except (TypeError, KeyError) as err:
             raise DataError(f"image {image_id}: bad ground-truth record: {err}") from err
+        if any(type(c) is not int for c in classes):
+            raise DataError(f"image {image_id}: ground-truth classes must be integers, got {classes!r}")
+        gt_boxes = _boxes_from_json(gt_rows, f"image {image_id}: ground-truth boxes").tolist()
+        try:
+            gt = [(c, BBox(*box)) for c, box in zip(classes, gt_boxes)]
+        except ValueError as err:
+            raise DataError(f"image {image_id}: bad ground-truth box: {err}") from err
         labels = rec["labels"]
         if not isinstance(labels, list) or any(type(x) is not int or x not in (0, 1) for x in labels):
             raise DataError(f"image {image_id}: labels must be a list of 0/1 integers, got {labels!r}")
@@ -387,7 +470,7 @@ def load_dataset(path: str | Path) -> Dataset:
         images.append(
             ImageBag(
                 id=str(image_id),
-                proposals=proposals,
+                boxes=boxes,
                 views=views,
                 labels=np.asarray(labels, dtype=np.int64),
                 ground_truth=gt,

@@ -14,6 +14,7 @@ the PR-curve CSV are all computed from those results.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -312,7 +313,7 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
         key = keys.setdefault(bag.id, len(keys))
         image_keys.append(key)
         scores, p, v = _infer(params, bag, opts.mask_mode, opts.top_m)
-        boxes = _boxes(bag.proposals)
+        boxes = bag.boxes
         gt_classes = np.array([cls for cls, _ in bag.ground_truth], dtype=np.intp)
         gt_boxes = _boxes([box for _, box in bag.ground_truth])
         for j in set(gt_classes.tolist()):
@@ -362,12 +363,22 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
     )
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one field of a `csv.writer` row: quoted only where the csv module would quote it."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue()[: -len(",\r\n")]
+
+
 def dump_pr_curves(curves: list[PRCurve], class_names: list[str], path: str | Path):
-    """Write one CSV row per (class, rank) with the score and the recall/precision after it."""
+    """Write one CSV row per (class, rank) with the score and the recall/precision after it.
+
+    The bytes are those of `csv.writer`: CRLF line ends, and a class name
+    quoted where it must be. Each row is one f-string, and each class one write.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "rank", "score", "recall", "precision"])
+        fh.write("class,rank,score,recall,precision\r\n")
         for name, curve in zip(class_names, curves):
+            quoted = _csv_field(name)
             rows = zip(curve.scores.tolist(), curve.recall.tolist(), curve.precision.tolist())
-            for rank, (score, rec, prec) in enumerate(rows):
-                writer.writerow([name, rank, f"{score:.6g}", f"{rec:.6f}", f"{prec:.6f}"])
+            fh.write("".join(f"{quoted},{rank},{score:.6g},{rec:.6f},{prec:.6f}\r\n" for rank, (score, rec, prec) in enumerate(rows)))

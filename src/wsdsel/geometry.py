@@ -30,6 +30,9 @@ class BBox:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
+    def __iter__(self):
+        return iter((self.x1, self.y1, self.x2, self.y2))
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -44,18 +47,19 @@ class Detection:
             raise ValueError(f"detection score must be finite and non-negative, got {self.score}")
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes; symmetric, 0 when disjoint."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
+def iou(a, b) -> float:
+    """Intersection-over-union of two boxes; symmetric, 0 when disjoint.
+
+    Each box is a `BBox` or any four numbers x1, y1, x2, y2 in a row (a tuple).
+    """
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -190,6 +190,56 @@ class TestLoadValidation:
         with pytest.raises(DataError, match="im00000"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["images"][0]["proposals"][0].__setitem__(2, True),
+            lambda m: m["images"][0]["proposals"][0].__setitem__(2, "0.9"),
+            lambda m: m["images"][0]["proposals"][0].__setitem__(0, None),
+            lambda m: m["images"][0]["proposals"][0].__setitem__(1, [0.1]),
+            lambda m: m["images"][0]["proposals"][0].pop(),
+            lambda m: m["images"][0]["proposals"][0].append(0.5),
+            lambda m: m["images"][0]["proposals"].__setitem__(3, {"x1": 0.1}),
+            lambda m: m["images"][0]["proposals"].__setitem__(3, 0.5),
+            lambda m: m["images"][0]["proposals"][0].__setitem__(2, 10**400),
+            lambda m: m["images"][0]["ground_truth"][0]["box"].__setitem__(2, True),
+            lambda m: m["images"][0]["ground_truth"][0]["box"].__setitem__(3, "1"),
+            lambda m: m["images"][0]["ground_truth"][0]["box"].pop(),
+            lambda m: m["images"][0]["ground_truth"][0].__setitem__("class", 1.7),
+            lambda m: m["images"][0]["ground_truth"][0].__setitem__("class", True),
+            lambda m: m["images"][0]["ground_truth"][0].__setitem__("class", "1"),
+            lambda m: m["images"][0]["ground_truth"][0].__setitem__("class", None),
+            lambda m: m["images"][0]["ground_truth"][0].pop("box"),
+            lambda m: m["images"][0].__setitem__("ground_truth", [[0, [0.1, 0.1, 0.2, 0.2]]]),
+        ],
+    )
+    def test_non_number_or_misshapen_coordinates_and_classes_rejected(self, tmp_path, edit):
+        _, path = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="im00000"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda m, v: m["images"][0]["proposals"][0].__setitem__(2, v),
+         lambda m, v: m["images"][0]["ground_truth"][0]["box"].__setitem__(3, v)],
+    )
+    def test_overflowing_coordinate_rejected(self, tmp_path, edit):
+        _, path = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        edit(manifest, 12345.5)
+        path.write_text(json.dumps(manifest).replace("12345.5", "1e999"))  # parses as infinity
+        with pytest.raises(DataError, match="im00000.*(non-finite|must be finite)"):
+            load_dataset(path)
+
+    def test_loaded_boxes_are_one_float64_array(self, tmp_path):
+        ds, path = self._saved(tmp_path)
+        for a, b in zip(ds.images, load_dataset(path).images):
+            assert b.boxes.dtype == np.float64 and b.boxes.shape == (SMALL.proposals_per_image, 4)
+            assert b.boxes.tobytes() == a.boxes.tobytes()
+
     def test_view_count_mismatch_rejected(self, tmp_path):
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
@@ -201,6 +251,36 @@ class TestLoadValidation:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope.json")
+
+
+class TestImageBag:
+    def test_proposals_are_the_box_rows_as_bboxes(self):
+        boxes = [BBox(0, 0, 1, 2), BBox(0.5, 0.25, 3, 4)]
+        bag = ImageBag(id="x", proposals=boxes, views=[np.zeros((2, 1), np.float32)], labels=np.array([1]))
+        assert bag.boxes.dtype == np.float64
+        assert bag.boxes.tolist() == [[0, 0, 1, 2], [0.5, 0.25, 3, 4]]
+        assert bag.proposals == boxes and bag.n_regions == 2
+        same = ImageBag(id="x", boxes=bag.boxes, views=bag.views, labels=bag.labels)
+        assert same.boxes is bag.boxes and same.proposals == boxes
+
+    def test_takes_boxes_or_proposals_not_both(self):
+        views, labels = [np.zeros((1, 1), np.float32)], np.array([1])
+        with pytest.raises(ValueError):
+            ImageBag(id="x", views=views, labels=labels)
+        with pytest.raises(ValueError):
+            ImageBag(id="x", boxes=np.zeros((1, 4)), proposals=[BBox(0, 0, 1, 1)], views=views, labels=labels)
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [([0.5, 0.0, 0.5, 1.0], "degenerate"), ([0.0, 0.7, 1.0, 0.2], "degenerate"), ([0.0, np.nan, 1.0, 1.0], "non-finite"),
+         ([0.0, 0.0, np.inf, 1.0], "non-finite")],
+    )
+    def test_validate_checks_every_box(self, row, match):
+        boxes = np.array([[0.0, 0.0, 1.0, 1.0], row])
+        bag = ImageBag(id="x", boxes=boxes, views=[np.zeros((2, 1), np.float32)], labels=np.array([1]))
+        ds = Dataset(num_classes=1, feat_dim=1, class_names=["a"], images=[bag])
+        with pytest.raises(DataError, match=f"x.*{match}"):
+            ds.validate()
 
 
 class TestDatasetValidate:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -380,6 +381,17 @@ class TestArrayMatching:
 
 
 class TestEvaluateMap:
+    def test_reads_the_box_array_and_builds_no_bbox_per_proposal(self, monkeypatch):
+        ds = generate_synthetic(SynthConfig(n_images=6, num_classes=3, feat_dim=8, proposals_per_image=12, seed=11))
+        params = init_params(8, 3, seed=2)
+        want = evaluate_map(ds, params, EvalOptions(ap_protocol="area")).to_json()
+
+        def refuse(bag):
+            raise AssertionError("eval asked for proposals as BBoxes")
+
+        monkeypatch.setattr(ImageBag, "proposals", property(refuse))
+        assert evaluate_map(ds, params, EvalOptions(ap_protocol="area")).to_json() == want
+
     def test_report_invariants_on_random_params(self):
         ds = generate_synthetic(SynthConfig(n_images=6, num_classes=3, feat_dim=8,
                                             proposals_per_image=12, seed=11))
@@ -493,6 +505,30 @@ class TestEvaluateMap:
         parsed = json.loads(report.to_json())
         assert parsed["map"] == report.map
         assert parsed["n_images"] == 4
+
+
+class TestPrCurveCsv:
+    @staticmethod
+    def csv_writer_rows(curves, class_names, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["class", "rank", "score", "recall", "precision"])
+            for name, curve in zip(class_names, curves):
+                rows = zip(curve.scores.tolist(), curve.recall.tolist(), curve.precision.tolist())
+                for rank, (score, rec, prec) in enumerate(rows):
+                    writer.writerow([name, rank, f"{score:.6g}", f"{rec:.6f}", f"{prec:.6f}"])
+
+    def test_bytes_equal_csv_writer_rows(self, tmp_path):
+        rng = np.random.default_rng(0)
+        names = ["class00", "", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "tab\t", "caf\u00e9", "x'y"]
+        curves = [
+            evaluation.PRCurve(rng.random(n) * 10.0 ** rng.integers(-9, 4, n), rng.random(n), rng.random(n), 3)
+            for n in [0, 1, 5, 40, 3, 2, 7, 1, 4, 300]
+        ]
+        curves[3].scores[:3] = [0.0, 1e-300, 123456789.0]
+        self.csv_writer_rows(curves, names, tmp_path / "want.csv")
+        evaluation.dump_pr_curves(curves, names, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestWeightConcentration:

@@ -1,13 +1,15 @@
 """Corrupted inputs must end in a documented exit code: 2 config, 3 data, 4 numerical.
 
 Each example copies a small valid dataset and checkpoint, applies one
-corruption that no valid input could have, and runs `wsdsel eval` (and
+corruption that no valid input could have (down to one coordinate of one
+box, or one ground-truth class), and runs `wsdsel eval` (and
 `wsdsel train` when the dataset is the corrupted file) in-process. A
 traceback fails the test as an uncaught exception; exit 0 fails it as a
 report computed from corrupt input.
 """
 
 import json
+import math
 import shutil
 import struct
 import tempfile
@@ -70,6 +72,56 @@ def edit_manifest(root: Path, edit):
     manifest = json.loads(path.read_text())
     edit(manifest)
     path.write_text(json.dumps(manifest))
+
+
+def ground_truth_record(manifest, image: int, g: int) -> dict:
+    records = manifest["images"][image]["ground_truth"]
+    return records[g % len(records)]  # every pristine image has one or two objects
+
+
+def box_row(manifest, image: int, field: str, r: int) -> list:
+    if field == "proposals":
+        return manifest["images"][image]["proposals"][r % N]
+    return ground_truth_record(manifest, image, r)["box"]
+
+
+def coordinate_edit():
+    """One coordinate made a non-number, infinite or out of order, or removed, or one number too many in the row."""
+    non_number = st.one_of(
+        st.none(), st.booleans(), st.text(max_size=4), st.sampled_from([math.inf, -math.inf, "0.5", "1"]),
+        JSON_VALUES.filter(lambda v: type(v) not in (int, float)),
+    )
+    return st.one_of(
+        non_number.map(lambda v: (f"={v!r}", lambda row, q: row.__setitem__(q, v))),
+        # x1 >= x2 or y1 >= y2: q ^ 2 is the other coordinate of the same axis
+        st.floats(0.0, 10.0).map(
+            lambda d: (f"past its pair by {d!r}", lambda row, q: row.__setitem__(q, row[q ^ 2] + (d if q < 2 else -d)))
+        ),
+        st.just(("removed", lambda row, q: row.pop(q))),
+        st.just(("plus one", lambda row, q: row.insert(q, 0.5))),
+    )
+
+
+def box_or_class_corruption():
+    """One coordinate of one proposal or ground-truth box (see `coordinate_edit`), or one ground-truth class, made invalid."""
+    image = st.integers(0, IMAGES - 1)
+    return st.one_of(
+        st.tuples(image, st.integers(0, 1), st.one_of(
+            st.sampled_from([1.7, 1.0, True, False, "1", None]), JSON_VALUES.filter(lambda v: not is_int(v, *range(C)))
+        )).map(
+            lambda t: (
+                f"set image {t[0]} ground truth {t[1]} class={t[2]!r}",
+                lambda m: ground_truth_record(m, t[0], t[1]).__setitem__("class", t[2]),
+            )
+        ),
+        st.tuples(image, st.sampled_from(["proposals", "ground_truth"]), st.integers(0, N - 1), st.integers(0, 3),
+                  coordinate_edit()).map(
+            lambda t: (
+                f"image {t[0]} {t[1]} row {t[2]} coordinate {t[3]} {t[4][0]}",
+                lambda m: t[4][1](box_row(m, t[0], t[1], t[2]), t[3]),
+            )
+        ),
+    ).map(lambda named: ("manifest", named[0], lambda root: edit_manifest(root, named[1])))
 
 
 def manifest_corruption():
@@ -163,9 +215,7 @@ def corruption():
     )
 
 
-@given(corruption())
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_corrupt_input_ends_in_a_documented_exit_code(pristine, capsys, case):
+def run_corrupted(pristine, case):
     target, description, corrupt = case
     note(f"{target}: {description}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -179,4 +229,17 @@ def test_corrupt_input_ends_in_a_documented_exit_code(pristine, capsys, case):
         if target != "checkpoint":
             code = main(["train", "--dataset", dataset, "--out", str(root / "new.wsdc"), "--epochs", "1"])
             assert code in DOCUMENTED, f"train after {target} corruption ({description}) exited {code}"
+
+
+@given(corruption())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupt_input_ends_in_a_documented_exit_code(pristine, capsys, case):
+    run_corrupted(pristine, case)
+    capsys.readouterr()
+
+
+@given(box_or_class_corruption())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupt_box_coordinate_or_class_ends_in_a_documented_exit_code(pristine, capsys, case):
+    run_corrupted(pristine, case)
     capsys.readouterr()

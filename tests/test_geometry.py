@@ -67,6 +67,13 @@ class TestIoU:
         assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     @given(boxes_strategy(), boxes_strategy())
+    @settings(max_examples=100, deadline=None)
+    def test_boxes_and_tuples_give_the_same_float(self, a, b):
+        want = iou(a, b)
+        assert iou(a.as_tuple(), b.as_tuple()) == want
+        assert iou(a, tuple(b)) == want and iou(list(a), b) == want
+
+    @given(boxes_strategy(), boxes_strategy())
     @settings(max_examples=200, deadline=None)
     def test_symmetric_and_bounded(self, a, b):
         ab = iou(a, b)
