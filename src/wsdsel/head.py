@@ -6,14 +6,19 @@ masked softmax over the regions selected for each class. Image-level class
 scores are the importance-weighted sum of region probabilities, trained
 with per-class binary cross entropy against the image-level labels.
 
-All math is done in float64 regardless of input dtype. Selection is
-non-differentiable and treated as a constant during backward: gradients
-flow only through the regions selected in the forward pass.
+All math is done in float64 regardless of input dtype, from one cast of
+the parameter buffer per pass. Selection is non-differentiable and treated
+as a constant during backward: gradients flow only through the regions
+selected in the forward pass.
+
+`image_step` is one image's forward and backward pass as the trainer runs
+it, writing the gradient into a caller's buffer and keeping nothing else.
+`forward_image` and `backward_image` are the same pass, split in two, as
+the public entry points that keep every intermediate.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,18 +103,22 @@ class ForwardTrace:
 
 
 def class_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting each row's max."""
+    """Row-wise softmax of (N, C) logits, stabilized by subtracting each row's max.
+
+    A max is exact in any order, so it is taken down the columns of the
+    contiguous (C, N) transpose, where numpy compares whole rows at a time;
+    along the short rows of the (N, C) array it runs one inner loop per row.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(z - np.ascontiguousarray(z.T).max(axis=0)[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def linear_outputs(params: HeadParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both branches on (N, D) features: class probabilities p and importance logits, each (N, C)."""
     x = np.asarray(feats, dtype=np.float64)
-    p = class_softmax(x @ params.w_cls.T.astype(np.float64) + params.b_cls.astype(np.float64))
-    return p, x @ params.w_imp.T.astype(np.float64) + params.b_imp.astype(np.float64)
+    w = HeadParams.from_flat(params.flat.astype(np.float64, copy=False), params.num_classes, params.feat_dim)
+    return class_softmax(x @ w.w_cls.T + w.b_cls), x @ w.w_imp.T + w.b_imp
 
 
 def select_regions(p: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int) -> np.ndarray:
@@ -121,19 +130,30 @@ def select_regions(p: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int) ->
     index, which makes the mask the deterministic argmax of the constrained
     selection objective. NaN ranks below every number, as in a stable
     argsort of -p.
+    """
+    return _select(np.asarray(p), np.asarray(labels, dtype=bool), m_pos, m_neg)[0].T
 
-    All classes are done at once on the (C, N) transpose: one sort along
+
+def _select(p: np.ndarray, pos: np.ndarray, m_pos: int, m_neg: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, N) selection mask of (N, C) scores `p`, and the (C,) budgets it selects.
+
+    When every budget covers all N regions, the mask is all True. Otherwise
+    all classes are done at once on the (C, N) transpose: one sort along
     regions gives each class's budget-th largest value t, and the mask is
     every region above t plus, in index order, as many regions equal to t
-    as the budget still needs. The result is the (N, C) transpose of that
-    (C, N) mask.
+    as the budget still needs.
     """
     if m_pos < 1 or m_neg < 1:
         raise ValueError("region budgets must be >= 1")
-    key = np.negative(np.asarray(p).T, order="C")  # (C, N); ascending key = descending p
-    c, n = key.shape
-    budget = np.minimum(np.where(np.asarray(labels, dtype=bool), m_pos, m_neg), n)
+    n, c = p.shape
+    budget = np.where(pos, min(m_pos, n), min(m_neg, n))
+    if min(budget.tolist()) == n:
+        return np.ones((c, n), dtype=bool), budget
+    key = np.negative(p.T, order="C")  # (C, N); ascending key = descending p
     t = np.sort(key, axis=1)[np.arange(c), budget - 1]
+    h_t = key <= t[:, None]
+    if (h_t.sum(axis=1) == budget).all():  # no NaN threshold, and no tie at t crosses a budget
+        return h_t, budget
     short = np.isnan(t)
     if short.any():  # fewer than `budget` numbers: take them all, then NaNs in index order
         key[short] = np.isnan(key[short])
@@ -144,20 +164,16 @@ def select_regions(p: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int) ->
     extra = np.flatnonzero(tied.sum(axis=1) > need)
     if extra.size:  # more regions tie at t than the budget has places left
         tied[extra] &= np.cumsum(tied[extra], axis=1) <= need[extra, None]
-    return (above | tied).T
+    return above | tied, budget
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax of each column over its selected entries only; masked entries are exactly 0.
 
     `logits` and `mask` are (N, C); a 1-D input is one column. Each column
-    is stabilized by subtracting the max logit over its selected set. The
-    selected logits are gathered class by class, in region order, with the
-    classes ordered by selected count; the classes that share a count m
-    then form one contiguous (classes, m) block, whose rows are summed
-    exactly as a 1-D softmax over each selection would sum them. A column
-    with no selected entry violates the contract (select_regions always
-    selects at least one region).
+    is stabilized by subtracting the max logit over its selected set. A
+    column with no selected entry violates the contract (select_regions
+    always selects at least one region).
     """
     z = np.asarray(logits, dtype=np.float64)
     h = np.asarray(mask, dtype=bool)
@@ -165,27 +181,54 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if column:
         z, h = z[:, None], h[:, None]
     counts = h.sum(axis=0)
-    order = np.argsort(counts, kind="stable")
-    if counts[order[0]] == 0:
+    if counts.min() == 0:
         raise ValueError("masked_softmax requires at least one selected entry in every column")
-    rows, regions = np.nonzero(h.T[order])
-    classes = order[rows]
-    sel = z[regions, classes]
-    start = 0
-    for m, k in sorted(Counter(counts.tolist()).items()):
-        block = sel[start : start + k * m].reshape(k, m)
-        e = np.exp(block - block.max(axis=1, keepdims=True))
-        sel[start : start + k * m] = (e / e.sum(axis=1, keepdims=True)).ravel()
-        start += k * m
-    v = np.zeros(z.shape)
-    v[regions, classes] = sel
+    v = _masked_softmax(z, h.T, counts)
     return v[:, 0] if column else v
 
 
-def aggregate(v_col: np.ndarray, p_col: np.ndarray, eps: float = EPS) -> float:
-    """Importance-weighted sum of region probabilities, clamped to [eps, 1-eps]."""
-    f = float(np.dot(np.asarray(v_col, dtype=np.float64), np.asarray(p_col, dtype=np.float64)))
-    return min(max(f, eps), 1.0 - eps)
+def _masked_softmax(z: np.ndarray, h_t: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Masked softmax of (N, C) logits under the (C, N) mask `h_t`, which selects counts[j] entries of class j.
+
+    The classes that select the same count m form one contiguous (classes, m)
+    block of their selected logits, gathered class by class in region order,
+    so each row is summed exactly as a 1-D softmax over that selection would
+    sum it. When every region is selected, the block is the contiguous (C, N)
+    transpose itself. The result is C-ordered (N, C), the layout `aggregate`
+    and the backward pass take their per-class sums in.
+    """
+    n, c = z.shape
+    levels = set(counts.tolist())
+    if levels == {n}:
+        z_t = np.ascontiguousarray(z.T)
+        e = np.exp(z_t - z_t.max(axis=1, keepdims=True))
+        v = np.empty((n, c))
+        np.divide(e, e.sum(axis=1, keepdims=True), out=v.T)
+        return v
+    v = np.zeros((n, c))
+    for m in levels:
+        group = h_t if len(levels) == 1 else h_t & (counts == m)[:, None]
+        block = z.T[group].reshape(-1, m)
+        e = np.exp(block - block.max(axis=1, keepdims=True))
+        v.T[group] = (e / e.sum(axis=1, keepdims=True)).ravel()
+    return v
+
+
+def aggregate(v_col: np.ndarray, p_col: np.ndarray, eps: float = EPS) -> float | np.ndarray:
+    """Importance-weighted sum of region probabilities, clamped to [eps, 1-eps].
+
+    Two (N,) columns give a float; two (N, C) arrays give the (C,) scores of
+    all classes. Each class is one (1, N) @ (N, 1) product of a stacked
+    matmul, which numpy hands to the same strided BLAS dot as
+    np.dot(v[:, j], p[:, j]), so the scores are those bits. np.einsum and
+    (v * p).sum(0) add in another order, and np.vecdot needs numpy 2.0
+    while the package supports numpy>=1.24.
+    """
+    v = np.asarray(v_col, dtype=np.float64)
+    p = np.asarray(p_col, dtype=np.float64)
+    f = np.matmul(v.T[..., None, :], p.T[..., :, None]).reshape(v.shape[1:])
+    f = np.minimum(np.maximum(f, eps), 1.0 - eps)
+    return float(f) if f.ndim == 0 else f
 
 
 def image_loss(labels: np.ndarray, f: np.ndarray) -> float:
@@ -213,16 +256,17 @@ def forward_image(
         raise ValueError(f"features must be (N, {params.feat_dim}), got {x.shape}")
     if y.shape != (params.num_classes,):
         raise ValueError(f"labels must be ({params.num_classes},), got {y.shape}")
+    p, logits_imp, h_t, v, f, loss = _forward(params, x, y, m_pos, m_neg, eps)
+    return ForwardTrace(p=p, logits_imp=logits_imp, h=h_t.T, v=v, f=f, loss=loss)
 
+
+def _forward(params: HeadParams, x: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int, eps: float):
+    """(p, logits_imp, (C, N) mask, v, f, loss) of one image with float64 features x."""
     p, logits_imp = linear_outputs(params, x)
-    h = select_regions(p, y, m_pos, m_neg)
-    return _finish_forward(p, logits_imp, h, y, eps)
-
-
-def _finish_forward(p, logits_imp, h, y, eps) -> ForwardTrace:
-    v = masked_softmax(logits_imp, h)
-    f = np.array([aggregate(v[:, j], p[:, j], eps) for j in range(p.shape[1])])
-    return ForwardTrace(p=p, logits_imp=logits_imp, h=h, v=v, f=f, loss=image_loss(y, f))
+    h_t, counts = _select(p, np.asarray(labels, dtype=bool), m_pos, m_neg)
+    v = _masked_softmax(logits_imp, h_t, counts)
+    f = aggregate(v, p, eps)
+    return p, logits_imp, h_t, v, f, image_loss(labels, f)
 
 
 def loss_with_mask(
@@ -238,7 +282,7 @@ def loss_with_mask(
     also what the finite-difference oracle perturbs.
     """
     p, logits_imp = linear_outputs(params, feats)
-    return _finish_forward(p, logits_imp, np.asarray(h, dtype=bool), np.asarray(labels), eps).loss
+    return image_loss(labels, aggregate(masked_softmax(logits_imp, h), p, eps))
 
 
 def backward_image(
@@ -255,29 +299,50 @@ def backward_image(
     contribute nothing to any block.
     """
     x = np.asarray(feats, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
     if x.shape != (trace.p.shape[0], params.feat_dim):
         raise ValueError("features do not match the trace/params shapes")
+    grads = HeadParams.from_flat(np.empty(params.flat.shape), params.num_classes, params.feat_dim)
+    return _backward(trace.p, trace.v, trace.f, x, labels, eps, grads)
 
-    f = trace.f
+
+def _backward(p, v, f, x, labels, eps, out: HeadParams) -> HeadParams:
+    """Write the gradient of one image's loss into the float64 blocks of `out`, given its forward pass."""
+    y = np.asarray(labels, dtype=np.float64)
     saturated = (f <= eps) | (f >= 1.0 - eps)
     dl_df = np.where(saturated, 0.0, -y / f + (1.0 - y) / (1.0 - f))
 
-    p, v = trace.p, trace.v
-    dv = dl_df[None, :] * p  # (N, C); only selected entries matter below
-    dp = dl_df[None, :] * v  # zero off-mask since v is
+    dv = dl_df * p  # (N, C); only selected entries matter below
+    dp = dl_df * v  # zero off-mask since v is
 
     # Masked softmax Jacobian per class column: zero off-mask by construction.
     dz_imp = v * (dv - (v * dv).sum(axis=0, keepdims=True))
     # Row softmax Jacobian over classes.
     dz_cls = p * (dp - (p * dp).sum(axis=1, keepdims=True))
 
-    return HeadParams(
-        w_cls=dz_cls.T @ x,
-        b_cls=dz_cls.sum(axis=0),
-        w_imp=dz_imp.T @ x,
-        b_imp=dz_imp.sum(axis=0),
-    )
+    np.matmul(dz_cls.T, x, out=out.w_cls)
+    np.sum(dz_cls, axis=0, out=out.b_cls)
+    np.matmul(dz_imp.T, x, out=out.w_imp)
+    np.sum(dz_imp, axis=0, out=out.b_imp)
+    return out
+
+
+def image_step(
+    params: HeadParams,
+    feats: np.ndarray,
+    labels: np.ndarray,
+    m_pos: int,
+    m_neg: int,
+    eps: float,
+    grads: HeadParams,
+) -> float:
+    """Forward and backward pass of one image: writes the gradient into float64 `grads`, returns the loss.
+
+    `feats` must be a float64 (N, D) array. Nothing else of the pass
+    outlives the call.
+    """
+    p, _, _, v, f, loss = _forward(params, feats, labels, m_pos, m_neg, eps)
+    _backward(p, v, f, feats, labels, eps, grads)
+    return loss
 
 
 def finite_diff_grads(

@@ -3,10 +3,20 @@
 Parameters and velocity are float32 (the checkpoint currency), each one
 flat buffer (`HeadParams.flat`) whose views are the four blocks, so an SGD
 step is one elementwise update and a checkpoint is two buffers' bytes.
-Forward and backward math runs in float64 inside the head module. Epoch
-shuffles are drawn from streams derived from (seed, epoch), independent of
-the initialization stream, so a run resumed from a checkpoint continues
-bit-identically and ablations share their initialization.
+Epoch shuffles are drawn from streams derived from (seed, epoch),
+independent of the initialization stream, so a run resumed from a
+checkpoint continues bit-identically and ablations share their
+initialization.
+
+Each step is `head.image_step`, the forward and backward pass that
+`head.forward_image` and `head.backward_image` wrap as the public,
+tested entry points; it casts the parameters to float64 once and does
+all its math in float64. An epoch allocates two float64 workspaces and
+reuses them for every image: an (N_max, D) feature buffer that each
+image's first view is copied into, and a flat gradient buffer, wrapped
+as a `HeadParams` for `sgd_step`, that the backward pass writes into.
+Nothing else of a step outlives it, so the next image's temporaries
+reuse the same freed memory.
 
 Checkpoint format: magic "WSDC", then version, C, D as u32 LE, then the
 four parameter blocks and four velocity blocks (w_cls, b_cls, w_imp,
@@ -17,6 +27,7 @@ written beside its target under a temporary name and renamed into place.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -27,7 +38,9 @@ import numpy as np
 
 from wsdsel.data import Dataset
 from wsdsel.errors import ConfigError, DataError, TrainingError
-from wsdsel.head import EPS, HeadParams, backward_image, forward_image
+# forward_image is not called here, but stays in this namespace: perfbench's tracer test checks
+# that the tracer wraps it in every wsdsel module that holds it, this one included.
+from wsdsel.head import EPS, HeadParams, forward_image, image_step  # noqa: F401
 from wsdsel.schedule import PruneSchedule, pos_budget
 
 CHECKPOINT_MAGIC = b"WSDC"
@@ -51,12 +64,19 @@ class TrainConfig:
     baseline: bool = False  # force m_pos = m_neg = N (selection disabled)
 
     def __post_init__(self):
+        for name in ("learning_rate", "momentum", "weight_decay", "epsilon", "lr_decay_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 < self.epsilon < 0.5:  # the clamp [epsilon, 1 - epsilon] must hold more than one point
+            raise ConfigError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
+        if self.lr_decay_factor <= 0:
+            raise ConfigError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
         if self.total_epochs < 0:
             raise ConfigError(f"total_epochs must be >= 0, got {self.total_epochs}")
         if self.total_epochs > self.schedule.total_epochs:
@@ -134,6 +154,8 @@ def train_epoch(
             f"(C={state.params.num_classes}, D={state.params.feat_dim})"
         )
     order = _shuffle_rng(config.seed, state.epoch).permutation(len(dataset.images))
+    feats = np.empty((max(len(bag.views[0]) for bag in dataset.images), dataset.feat_dim))
+    grads = HeadParams.from_flat(np.empty(state.params.flat.shape), dataset.num_classes, dataset.feat_dim)
     total = 0.0
     for idx in order:
         bag = dataset.images[idx]
@@ -143,17 +165,16 @@ def train_epoch(
         else:
             m_pos = pos_budget(state.epoch, n, config.schedule)
             m_neg = config.schedule.m_neg
-        feats = np.asarray(bag.views[0], dtype=np.float64)  # one conversion for forward and backward
-        trace = forward_image(state.params, feats, bag.labels, m_pos, m_neg, config.epsilon)
-        grads = backward_image(trace, state.params, feats, bag.labels, config.epsilon)
-        del feats  # so the next image's copy is not made while this one is alive
+        x = feats[: len(bag.views[0])]
+        np.copyto(x, bag.views[0])
+        loss = image_step(state.params, x, bag.labels, m_pos, m_neg, config.epsilon, grads)
         try:
             sgd_step(state, grads, config)
         except TrainingError as err:
             raise TrainingError(f"{err} (image {bag.id}, epoch {state.epoch})") from err
-        total += trace.loss
+        total += loss
         if on_step is not None:
-            on_step(bag.id, state.epoch, m_pos, m_neg, trace.loss)
+            on_step(bag.id, state.epoch, m_pos, m_neg, loss)
     state.loss_history.append(total / len(dataset.images))
     state.epoch += 1
     return state

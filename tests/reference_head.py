@@ -1,9 +1,10 @@
 """Per-class reference implementations of the training step, used as oracles by the tests.
 
-Top-M selection, the masked softmax and the optimizer update are written
-here the plain way, one class column or one parameter block at a time,
-independent of the whole-matrix code in `wsdsel.head` and
-`wsdsel.trainer` that they cross-check. The tests hold the two to equal
+Top-M selection, the masked softmax, the optimizer update and the
+training loop built from them are written here the plain way, one class
+column, one parameter block or one image at a time, independent of the
+whole-matrix code in `wsdsel.head` and `wsdsel.trainer` that they
+cross-check. The tests hold the two to equal
 bytes, not to a tolerance.
 """
 
@@ -82,3 +83,36 @@ def sgd_step(params: list, velocity: list, grads: list, lr: float, momentum: flo
         vel *= mom
         vel -= lr * (g + wd * param)
         param += vel
+
+
+def train(dataset, config):
+    """The training loop, one image and one class at a time: (params, velocity, loss history) as block lists.
+
+    Starts from `trainer.init_params` and draws each epoch's order from the
+    same (seed, epoch) stream the trainer documents; budgets come from the
+    schedule, or are N for the baseline.
+    """
+    from wsdsel.schedule import pos_budget
+    from wsdsel.trainer import init_params
+
+    init = init_params(dataset.feat_dim, dataset.num_classes, config.seed)
+    params = [a.copy() for _, a in init.blocks()]
+    velocity = [np.zeros_like(a) for a in params]
+    history = []
+    for epoch in range(config.total_epochs):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, epoch)))
+        total = 0.0
+        for idx in rng.permutation(len(dataset.images)):
+            bag = dataset.images[idx]
+            n = bag.n_regions
+            if config.baseline:
+                m_pos = m_neg = n
+            else:
+                m_pos, m_neg = pos_budget(epoch, n, config.schedule), config.schedule.m_neg
+            feats = bag.views[0]
+            p, _, v, f, loss = forward(params, feats, bag.labels, m_pos, m_neg, config.epsilon)
+            grads = backward(p, v, f, feats, bag.labels, config.epsilon)
+            sgd_step(params, velocity, grads, config.lr_at(epoch), config.momentum, config.weight_decay)
+            total += loss
+        history.append(total / len(dataset.images))
+    return params, velocity, history

@@ -123,6 +123,31 @@ class TestTrain:
                    "--momentum", "1.5"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epsilon", "0.7"],
+            ["--epsilon", "0.5"],
+            ["--epsilon", "0"],
+            ["--epsilon", "-1"],
+            ["--epsilon", "nan"],
+            ["--lr-decay-factor", "-1"],
+            ["--lr-decay-factor", "0"],
+            ["--lr-decay-factor", "nan"],
+            ["--learning-rate", "nan"],
+            ["--learning-rate", "inf"],
+            ["--weight-decay", "nan"],
+            ["--weight-decay", "inf"],
+            ["--momentum", "nan"],
+        ],
+    )
+    def test_bad_option_exits_config(self, small_dataset, tmp_path, capsys, flags):
+        ckpt = tmp_path / "c.wsdc"
+        rc = main(["train", "--dataset", str(small_dataset), "--out", str(ckpt), *FAST_TRAIN, *flags])
+        assert rc == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestEval:
     def test_report_fields(self, trained, tmp_path):

@@ -1,8 +1,9 @@
 """The whole-matrix training step equals the per-class reference byte for byte.
 
-Selection, the masked softmax, the forward and backward pass and the SGD
-update are compared with `reference_head` on random instances chosen to
-hit the edges: tied class probabilities, budgets at or above N, a single
+Selection, the masked softmax, the aggregation, the forward and backward
+pass, the SGD update and whole training runs are compared with
+`reference_head` on random instances chosen to hit the edges: tied class
+probabilities, budgets at or above N (every region selected), a single
 region, a single class, and positive and negative budgets that differ.
 """
 
@@ -12,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_head as ref
-from wsdsel.head import EPS, HeadParams, backward_image, forward_image, masked_softmax, select_regions
-from wsdsel.trainer import TrainConfig, TrainState, sgd_step
+from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
+from wsdsel.head import EPS, HeadParams, aggregate, backward_image, forward_image, masked_softmax, select_regions
+from wsdsel.schedule import PruneSchedule
+from wsdsel.trainer import TrainConfig, TrainState, sgd_step, train
 
 
 def same(a, b) -> bool:
@@ -22,8 +25,12 @@ def same(a, b) -> bool:
 
 
 @st.composite
-def instances(draw, max_n=24, max_c=6, max_d=6):
-    """(rng, n, c, d, labels, m_pos, m_neg) with budgets from 1 to past N."""
+def instances(draw, max_n=24, max_c=6, max_d=6, cover=False):
+    """(rng, n, c, d, labels, m_pos, m_neg) with budgets from 1 to past N.
+
+    cover=True makes every class select all N regions: both budgets are at
+    least N, or, with every label positive, m_pos is.
+    """
     n = draw(st.integers(1, max_n))
     c = draw(st.integers(1, max_c))
     d = draw(st.integers(1, max_d))
@@ -31,6 +38,12 @@ def instances(draw, max_n=24, max_c=6, max_d=6):
     labels = (rng.random(c) < 0.5).astype(np.int64)
     m_pos = draw(st.integers(1, n + 3))
     m_neg = draw(st.integers(1, n + 3))
+    if cover:
+        if draw(st.booleans()):
+            m_pos, m_neg = draw(st.integers(n, n + 3)), draw(st.integers(n, n + 3))
+        else:
+            labels[:] = 1
+            m_pos = draw(st.integers(n, n + 3))
     return rng, n, c, d, labels, m_pos, m_neg
 
 
@@ -50,17 +63,17 @@ def feats_with_repeats(rng, n, d, distinct):
 
 
 class TestSelectRegions:
-    @given(instances(max_n=40, max_c=8), st.integers(1, 6))
+    @given(st.data(), st.integers(1, 6), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_tied_scores(self, inst, levels):
-        rng, n, c, _, labels, m_pos, m_neg = inst
+    def test_tied_scores(self, data, levels, cover):
+        rng, n, c, _, labels, m_pos, m_neg = data.draw(instances(max_n=40, max_c=8, cover=cover))
         p = tied_p(rng, n, c, levels)
         assert same(select_regions(p, labels, m_pos, m_neg), ref.select_regions(p, labels, m_pos, m_neg))
 
-    @given(instances(max_n=40, max_c=8))
+    @given(st.data(), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_distinct_scores(self, inst):
-        rng, n, c, _, labels, m_pos, m_neg = inst
+    def test_distinct_scores(self, data, cover):
+        rng, n, c, _, labels, m_pos, m_neg = data.draw(instances(max_n=40, max_c=8, cover=cover))
         p = rng.random((n, c))
         assert same(select_regions(p, labels, m_pos, m_neg), ref.select_regions(p, labels, m_pos, m_neg))
 
@@ -78,14 +91,16 @@ class TestSelectRegions:
 
 
 class TestMaskedSoftmax:
-    @given(instances(max_n=30, max_c=8))
+    @given(instances(max_n=30, max_c=8), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_any_mask(self, inst):
+    def test_any_mask(self, inst, all_selected):
         # arbitrary masks: every column has its own selected count
         rng, n, c, _, _, _, _ = inst
         logits = rng.normal(scale=3.0, size=(n, c))
         mask = rng.random((n, c)) < rng.random(c)
         mask[rng.integers(0, n, size=c), np.arange(c)] = True
+        if all_selected:
+            mask[:] = True
         assert same(masked_softmax(logits, mask), ref.masked_softmax(logits, mask))
 
     @given(instances(max_n=30, max_c=8), st.integers(1, 4))
@@ -96,13 +111,15 @@ class TestMaskedSoftmax:
         mask = select_regions(rng.random((n, c)), labels, m_pos, m_neg)
         assert same(masked_softmax(logits, mask), ref.masked_softmax(logits, mask))
 
-    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_one_column(self, n, seed):
+    def test_one_column(self, n, seed, all_selected):
         rng = np.random.default_rng(seed)
         logits = rng.normal(size=n)
         mask = rng.random(n) < 0.5
         mask[rng.integers(n)] = True
+        if all_selected:
+            mask[:] = True
         assert same(masked_softmax(logits, mask), ref.masked_softmax_column(logits, mask))
 
     def test_empty_column_rejected(self):
@@ -142,12 +159,22 @@ def check_sgd(params, grads_seq, config):
 
 
 class TestTrainingStep:
-    @given(instances(), st.integers(1, 4))
+    @given(st.data(), st.integers(1, 4), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_forward_and_backward(self, inst, distinct):
-        rng, n, c, d, labels, m_pos, m_neg = inst
+    def test_forward_and_backward(self, data, distinct, cover):
+        rng, n, c, d, labels, m_pos, m_neg = data.draw(instances(cover=cover))
         params = random_params(rng, c, d, dtype=np.float32)
         check_step(params, feats_with_repeats(rng, n, d, distinct), labels, m_pos, m_neg)
+
+    @pytest.mark.parametrize("n, c", [(1, 1), (1, 6), (64, 1), (64, 6), (2048, 1), (2048, 20)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_aggregate_is_per_column_dot(self, n, c, order):
+        rng = np.random.default_rng(n * 100 + c)
+        v = np.asarray(rng.dirichlet(np.ones(n), size=c).T, order=order)
+        p = np.asarray(rng.dirichlet(np.ones(c), size=n), order=order)
+        columns = [min(max(float(np.dot(v[:, j], p[:, j])), EPS), 1.0 - EPS) for j in range(c)]
+        assert same(aggregate(v, p), np.array(columns))
+        assert [aggregate(v[:, j], p[:, j]) for j in range(c)] == columns
 
     @given(instances())
     @settings(max_examples=100, deadline=None)
@@ -173,3 +200,58 @@ def test_paper_shape_two_images():
         feats = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
         grads_seq.append(check_step(params, feats, labels, m_pos, 128))
     check_sgd(params, grads_seq, TrainConfig())
+
+
+def bag_dataset(rng, sizes, c, d, distinct):
+    """Images of the given region counts, with repeated feature rows so that class probabilities tie."""
+    images = []
+    for i, n in enumerate(sizes):
+        labels = (rng.random(c) < 0.5).astype(np.int64)
+        labels[rng.integers(c)] = 1
+        feats = feats_with_repeats(rng, n, d, distinct).astype(np.float32)
+        images.append(ImageBag(f"im{i}", boxes=np.tile([0.1, 0.1, 0.5, 0.5], (n, 1)), views=[feats], labels=labels))
+    return Dataset(num_classes=c, feat_dim=d, class_names=[f"c{j}" for j in range(c)], images=images)
+
+
+def synth_dataset(n_images, c, d, n, seed):
+    return generate_synthetic(SynthConfig(n_images=n_images, num_classes=c, feat_dim=d, proposals_per_image=n,
+                                          objects_max=1, seed=seed))
+
+
+TRAIN_RUNS = {
+    # warmup, then budgets 16, 8, 4 (= m_neg), 2, with a learning-rate step at epoch 5
+    "warmup_and_halving": (lambda: synth_dataset(6, 4, 8, 16, 3),
+                           dict(schedule=PruneSchedule(warmup_epochs=2, m_start=16, m_final=2, m_neg=4, total_epochs=8),
+                                lr_decay_epoch=5)),
+    "equal_budgets": (lambda: synth_dataset(5, 3, 6, 12, 4),
+                      dict(schedule=PruneSchedule(warmup_epochs=1, m_start=4, m_final=4, m_neg=4, total_epochs=3))),
+    "baseline": (lambda: synth_dataset(6, 4, 8, 16, 3),
+                 dict(schedule=PruneSchedule(warmup_epochs=2, m_start=16, m_final=2, m_neg=4, total_epochs=8),
+                      baseline=True)),
+    "one_region": (lambda: bag_dataset(np.random.default_rng(5), [1] * 4, 3, 4, 1),
+                   dict(schedule=PruneSchedule(warmup_epochs=1, m_start=4, m_final=1, m_neg=2, total_epochs=4))),
+    "one_class": (lambda: bag_dataset(np.random.default_rng(6), [12] * 4, 1, 5, 4),
+                  dict(schedule=PruneSchedule(warmup_epochs=1, m_start=8, m_final=2, m_neg=3, total_epochs=4))),
+    "tied_varying_regions": (lambda: bag_dataset(np.random.default_rng(7), [3, 9, 16, 5, 16], 4, 3, 2),
+                             dict(schedule=PruneSchedule(warmup_epochs=1, m_start=8, m_final=2, m_neg=3,
+                                                         total_epochs=4))),
+    # N=2048, C=20, D=256: warmup, then budgets 1024 and 512, with m_neg=128
+    "paper_shape": (lambda: synth_dataset(2, 20, 256, 2048, 0),
+                    dict(schedule=PruneSchedule(warmup_epochs=1, m_start=1024, m_final=512, m_neg=128, total_epochs=3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
+def test_train_equals_reference_loop(name):
+    make, overrides = TRAIN_RUNS[name]
+    dataset = make()
+    schedule = overrides["schedule"]
+    config = TrainConfig(**{"learning_rate": 0.05, "total_epochs": schedule.total_epochs, "lr_decay_epoch": None,
+                            **overrides})
+    state = train(dataset, config)
+    params, velocity, history = ref.train(dataset, config)
+    for (_, got), want in zip(state.params.blocks(), params):
+        assert same(got, want)
+    for (_, got), want in zip(state.velocity.blocks(), velocity):
+        assert same(got, want)
+    assert state.loss_history == history
