@@ -8,11 +8,30 @@ proportion to their best overlap with a ground-truth box, so loose boxes
 score deceptively well: the object/background ambiguity that region
 selection is meant to resolve.
 
-Proposals travel as arrays: the generator draws its boxes as plain floats
-and hands each image's proposals over as one (N, 4) float64 array,
-`ImageBag.boxes`, which the loader fills from the manifest in one
-vectorized check and the writer lists row by row. `ImageBag.proposals`
-builds `BBox` objects from it only when asked.
+Proposals travel as arrays: the generator fills each image's proposals
+into one (N, 4) float64 array, `ImageBag.boxes`, which the loader fills
+from the manifest in one vectorized check and the writer formats row by
+row. `ImageBag.proposals` builds `BBox` objects from it only when asked.
+
+The boxes of an image are drawn from its own generator in a fixed order,
+each by rejection sampling: the tight first box of each cluster, then the
+cluster's loose boxes, then the context boxes, then the background boxes.
+Each try of a loose or background box reads four consecutive doubles, so
+the tries of a run of such boxes form one stream of candidates, and the
+samplers draw that stream in rounds rather than four doubles at a time. A
+round holds one candidate for every box still needed, drawn with one
+`rng.random` call; since every such box takes at least one more try, no
+round reads past what the box-by-box loop would, and nothing is put back.
+The candidates are judged at once and handed to the boxes in stream
+order, with each box's try count carried across rounds, so a box gives up
+after exactly as many tries as it would alone: a loose box then becomes a
+copy of its ground truth (30 tries), a background box keeps its last try
+(20 tries). The boxes, and the generator state left behind, are the same
+bytes as one scalar loop per box. The tight boxes (k per image) stay
+scalar, and so do the context boxes: each one first calls
+`rng.integers(k)`, which reads the half of a 64-bit output that PCG64
+keeps buffered between the double draws, so drawing them in any other
+order would move the stream.
 
 File formats
 ------------
@@ -182,18 +201,26 @@ def _random_gt_box(rng: np.random.Generator) -> Box:
     return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
-def _jittered(rng: np.random.Generator, box: Box, scale: float) -> Box | None:
-    """Random translation and resize of `box` at relative magnitude `scale`."""
+def _jitter(box: Box, scale, u):
+    """`box` moved and resized at relative magnitude `scale` by uniforms u = (ux, uy, uw, uh), clipped to the canvas.
+
+    Works alike on floats (one try) and on arrays (one try per element).
+    """
     x1, y1, x2, y2 = box
     w, h = x2 - x1, y2 - y1
     cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
-    ux, uy, uw, uh = rng.random(4).tolist()
-    cx += _uniform(-scale, scale, ux) * w
-    cy += _uniform(-scale, scale, uy) * h
-    w *= float(np.exp(_uniform(-scale, scale, uw)))
-    h *= float(np.exp(_uniform(-scale, scale, uh)))
-    x1, x2 = max(0.0, cx - w / 2), min(1.0, cx + w / 2)
-    y1, y2 = max(0.0, cy - h / 2), min(1.0, cy + h / 2)
+    ux, uy, uw, uh = u
+    cx = cx + _uniform(-scale, scale, ux) * w
+    cy = cy + _uniform(-scale, scale, uy) * h
+    w = w * np.exp(_uniform(-scale, scale, uw))
+    h = h * np.exp(_uniform(-scale, scale, uh))
+    x1, y1 = np.maximum(0.0, cx - w / 2), np.maximum(0.0, cy - h / 2)
+    return x1, y1, np.minimum(1.0, cx + w / 2), np.minimum(1.0, cy + h / 2)
+
+
+def _jittered(rng: np.random.Generator, box: Box, scale: float) -> Box | None:
+    """Random translation and resize of `box` at relative magnitude `scale`; None if it comes out degenerate."""
+    x1, y1, x2, y2 = map(float, _jitter(box, scale, rng.random(4).tolist()))
     if x2 - x1 < 1e-3 or y2 - y1 < 1e-3:
         return None
     return (x1, y1, x2, y2)
@@ -206,6 +233,35 @@ def _cluster_box(rng: np.random.Generator, gt: Box, scale: float, min_iou: float
         if cand is not None and (min_iou <= 0.0 or iou(cand, gt) >= min_iou):
             return cand
     return gt
+
+
+def _loose_boxes(rng: np.random.Generator, gt: Box, scales: np.ndarray, tries: int = 30) -> np.ndarray:
+    """`_cluster_box(rng, gt, scale)` for each of `scales` in turn, drawn in rounds (see the module docstring).
+
+    A try is judged at its own box's scale, so a round takes its tries up to
+    the first degenerate one and carries the rest into the next round,
+    shifted onto the boxes they then belong to.
+    """
+    count = len(scales)
+    out = np.empty((count, 4))
+    done = tried = 0  # boxes finished; rejected tries of box `done`
+    u = np.empty((0, 4))  # tries drawn for the boxes from `done` on
+    while done < count:
+        if len(u) < count - done:
+            u = np.concatenate((u, rng.random((count - done - len(u), 4))))
+        cand = np.stack(_jitter(gt, scales[done:], u.T), axis=1)
+        degenerate = (cand[:, 2] - cand[:, 0] < 1e-3) | (cand[:, 3] - cand[:, 1] < 1e-3)
+        r = int(degenerate.argmax()) if degenerate.any() else len(cand)
+        out[done : done + r] = cand[:r]
+        done += r
+        if done == count:
+            break
+        tried = tried + 1 if r == 0 else 1
+        if tried == tries:  # every try failed: the ground-truth copy
+            out[done] = gt
+            done, tried = done + 1, 0
+        u = u[r + 1 :]
+    return out
 
 
 def _context_box(rng: np.random.Generator, gt: Box, tries: int = 30) -> Box:
@@ -227,18 +283,45 @@ def _context_box(rng: np.random.Generator, gt: Box, tries: int = 30) -> Box:
     return _cluster_box(rng, gt, scale=0.8)
 
 
-def _background_box(rng: np.random.Generator, gt_boxes: list[Box], tries: int = 20) -> Box:
-    cand = None
-    for _ in range(tries):
-        uw, uh, ux, uy = rng.random(4).tolist()
+def _background_boxes(rng: np.random.Generator, gt_boxes, count: int, tries: int = 20) -> np.ndarray:
+    """`_background_box(rng, gt_boxes)` `count` times, drawn in rounds (see the module docstring).
+
+    A try's verdict does not depend on its box, so a round hands out all its
+    tries in stream order: each box takes them up to its first accepted one
+    or its last one, and the next box starts after it.
+    """
+    gt = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    out = np.empty((count, 4))
+    done = tried = 0  # boxes finished; rejected tries of box `done`
+    while done < count:
+        uw, uh, ux, uy = rng.random((count - done, 4)).T
         w = _uniform(0.05, 0.5, uw)
         h = _uniform(0.05, 0.5, uh)
         x1 = _uniform(0.0, 1.0 - w, ux)
         y1 = _uniform(0.0, 1.0 - h, uy)
-        cand = (x1, y1, x1 + w, y1 + h)
-        if all(iou(cand, g) < 0.3 for g in gt_boxes):
-            return cand
-    return cand
+        cand = np.stack((x1, y1, x1 + w, y1 + h), axis=1)
+        ok = (iou_matrix(cand, gt) < 0.3).all(axis=1)
+        pos, end = 0, len(cand)
+        while pos < end:
+            # Each box ends at an accepted try; the box left open at the round's end ends at `end` at the earliest.
+            stops = np.append(pos + np.flatnonzero(ok[pos:]), end)
+            starts = np.append(pos - tried, stops[:-1] + 1)
+            over = np.flatnonzero(stops - starts >= tries)  # boxes whose tries run out first
+            n_ok = int(over[0]) if over.size else len(stops) - 1
+            out[done : done + n_ok] = cand[stops[:n_ok]]
+            done += n_ok
+            if not over.size:
+                tried, pos = end - starts[-1], end
+                break
+            last = starts[n_ok] + tries - 1
+            out[done] = cand[last]
+            done, tried, pos = done + 1, 0, last + 1
+    return out
+
+
+def _background_box(rng: np.random.Generator, gt_boxes, tries: int = 20) -> Box:
+    """A box with IoU below 0.3 with every ground-truth box, rejection-sampled; its last try if all `tries` fail."""
+    return tuple(_background_boxes(rng, gt_boxes, 1, tries)[0].tolist())
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
@@ -254,6 +337,9 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
 
     n = cfg.proposals_per_image
     n_context = round(cfg.context_fraction * n)
+    # Each image's signal and each view's noise go into these two buffers: fresh (N, D) float64
+    # temporaries per image fragment the heap between the float32 views that stay, and raise peak RSS.
+    signal, noise = np.empty((n, cfg.feat_dim)), np.empty((n, cfg.feat_dim))
     images = []
     for i in range(cfg.n_images):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, i)))
@@ -261,39 +347,48 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
         gt = [(int(rng.integers(cfg.num_classes)), _random_gt_box(rng)) for _ in range(k)]
         gt_boxes = [b for _, b in gt]
 
-        proposals: list[Box] = []
         # Per-object clusters spanning tight to loose overlap; the first
         # member is forced tight so a correct localization always exists.
+        # Clusters and context boxes never hold more than n boxes (SynthConfig checks it).
+        proposals = np.empty((n, 4))
         cluster_total = max(k, (n - n_context) // 2)
         per_obj = cluster_total // k
+        loose_scales = 0.08 + 0.62 * np.arange(1, per_obj) / per_obj
+        row = 0
         for gt_box in gt_boxes:
-            proposals.append(_cluster_box(rng, gt_box, scale=0.05, min_iou=0.7))
-            for j in range(per_obj - 1):
-                proposals.append(_cluster_box(rng, gt_box, scale=0.08 + 0.62 * (j + 1) / per_obj))
-        n_cluster = len(proposals)
-        for _ in range(n_context):
-            proposals.append(_context_box(rng, gt_boxes[int(rng.integers(k))]))
-        while len(proposals) < n:
-            proposals.append(_background_box(rng, gt_boxes))
-        is_context = np.zeros(len(proposals), dtype=bool)
+            proposals[row] = _cluster_box(rng, gt_box, scale=0.05, min_iou=0.7)
+            proposals[row + 1 : row + per_obj] = _loose_boxes(rng, gt_box, loose_scales)
+            row += per_obj
+        n_cluster = row
+        # One at a time: each context box's rng.integers call reads a buffered half of the
+        # generator's 64-bit output between the double draws, so batching would move the stream.
+        for row in range(n_cluster, n_cluster + n_context):
+            proposals[row] = _context_box(rng, gt_boxes[int(rng.integers(k))])
+        proposals[n_cluster + n_context :] = _background_boxes(rng, gt_boxes, n - n_cluster - n_context)
+        is_context = np.zeros(n, dtype=bool)
         is_context[n_cluster : n_cluster + n_context] = True
 
         perm = rng.permutation(n)
-        boxes = np.array(proposals[:n], dtype=np.float64)[perm]
-        is_context = is_context[:n][perm]
+        boxes = proposals[perm]
+        is_context = is_context[perm]
 
         # Each region's best IoU with a ground-truth box of each class.
         ious = iou_matrix(boxes, np.array(gt_boxes))
         overlap = np.zeros((n, cfg.num_classes))
         for t, (class_id, _) in enumerate(gt):
             np.maximum(overlap[:, class_id], ious[:, t], out=overlap[:, class_id])
-        signal = overlap @ prototypes
+        np.matmul(overlap, prototypes, out=signal)
         signal[is_context] += cfg.distractor_strength * context_dir
 
-        views = [
-            (signal + cfg.noise_sigma * rng.normal(size=(n, cfg.feat_dim))).astype(np.float32)
-            for _ in range(cfg.n_views)
-        ]
+        # signal + sigma * rng.normal(size=(n, d)), in place. normal() at loc 0, scale 1 is 0.0 + 1.0 * z,
+        # the same double as z except for z = -0.0 (odds 2**-53 a draw), and even that sum only
+        # differs where the signal entry is -0.0 too.
+        views = []
+        for _ in range(cfg.n_views):
+            rng.standard_normal(out=noise)
+            noise *= cfg.noise_sigma
+            np.add(signal, noise, out=noise)
+            views.append(noise.astype(np.float32))
         labels = np.zeros(cfg.num_classes, dtype=np.int64)
         labels[[c for c, _ in gt]] = 1
         ground_truth = [(c, BBox(*b)) for c, b in gt]
@@ -316,12 +411,10 @@ def split_dataset(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
 def _write_sidecar(path: Path, views: list[np.ndarray]):
     v = len(views)
     n, d = views[0].shape
-    stacked = np.stack([view.astype("<f4") for view in views])
+    stacked = np.stack(views, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<H", FEATURE_VERSION))
-        fh.write(struct.pack("<III", v, n, d))
-        fh.write(stacked.tobytes())
+        fh.write(FEATURE_MAGIC + struct.pack("<HIII", FEATURE_VERSION, v, n, d))
+        fh.write(stacked.data)
 
 
 def _read_sidecar(path: Path, image_id: str) -> list[np.ndarray]:
@@ -349,37 +442,60 @@ def _read_sidecar(path: Path, image_id: str) -> list[np.ndarray]:
     return list(payload.view("<f4").reshape(v, n, d))
 
 
+# Where an image's proposal rows go in its record's text. In json's output a quote not preceded by
+# a backslash always opens or closes a string, so this can only be the record's key "proposals"
+# holding the string "\0", the placeholder the writer puts there.
+_PROPOSALS_SLOT = '"proposals": "\\u0000"'
+# One proposal row as json.dump(indent=1) lays it out at its depth in the manifest.
+_ROW = "    [\n     %r,\n     %r,\n     %r,\n     %r\n    ]"
+
+
+def _proposals_json(boxes: np.ndarray) -> str:
+    """The manifest text of an image's proposal rows, byte for byte what json.dump(indent=1) writes for them.
+
+    Finite coordinates are written with `%r`, which is the `float.__repr__`
+    json uses; rows with a non-finite coordinate (json's NaN, Infinity), no
+    rows or rows of another shape are left to json itself.
+    """
+    if boxes.shape[1:] != (4,) or not len(boxes) or not np.isfinite(boxes).all():
+        return json.dumps(boxes.tolist(), indent=1).replace("\n", "\n   ")
+    return "[\n" + ",\n".join([_ROW] * len(boxes)) % tuple(boxes.ravel().tolist()) + "\n   ]"
+
+
 def save_dataset(ds: Dataset, path: str | Path):
-    """Write the manifest JSON at `path` plus one feature sidecar per image."""
+    """Write the manifest JSON at `path` plus one feature sidecar per image.
+
+    The manifest's bytes are those of json.dump(indent=1). Its list of image
+    records comes last; each record is encoded on its own, with a
+    placeholder for its proposals whose rows are then formatted into it,
+    and written as it is made, so that one image's text exists at a time.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     feat_dir_name = path.stem + "_features"
     feat_dir = path.parent / feat_dir_name
     feat_dir.mkdir(exist_ok=True)
-
-    records = []
     for bag in ds.images:
-        sidecar = feat_dir / f"{bag.id}.wsdf"
-        _write_sidecar(sidecar, bag.views)
-        records.append(
-            {
+        _write_sidecar(feat_dir / f"{bag.id}.wsdf", bag.views)
+
+    head = json.dumps({"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "images": []}, indent=1)
+    with open(path, "w") as fh:
+        fh.write(head.removesuffix("[]\n}"))
+        separator = "[\n  "
+        for bag in ds.images:
+            record = {
                 "id": bag.id,
                 "labels": bag.labels.tolist(),
-                "proposals": bag.boxes,  # listed as the encoder reaches it, so one image's floats exist at a time
+                "proposals": "\0",
                 "ground_truth": [{"class": c, "box": list(b.as_tuple())} for c, b in bag.ground_truth],
                 "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
                 "views": len(bag.views),
             }
-        )
-    manifest = {
-        "c": ds.num_classes,
-        "d": ds.feat_dim,
-        "class_names": ds.class_names,
-        "images": records,
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, default=np.ndarray.tolist)
-        fh.write("\n")
+            # Indented two levels deeper: the record sits in the manifest's "images" list.
+            before, after = json.dumps(record, indent=1).replace("\n", "\n  ").split(_PROPOSALS_SLOT)
+            fh.write(f'{separator}{before}"proposals": {_proposals_json(bag.boxes)}{after}')
+            separator = ",\n  "
+        fh.write("\n ]\n}\n" if ds.images else "[]\n}\n")
 
 
 def _positive_int(value, what: str) -> int:

@@ -11,11 +11,13 @@ initialization.
 Each step is `head.image_step`, the forward and backward pass that
 `head.forward_image` and `head.backward_image` wrap as the public,
 tested entry points; it casts the parameters to float64 once and does
-all its math in float64. An epoch allocates two float64 workspaces and
-reuses them for every image: an (N_max, D) feature buffer that each
-image's first view is copied into, and a flat gradient buffer, wrapped
-as a `HeadParams` for `sgd_step`, that the backward pass writes into.
-Nothing else of a step outlives it, so the next image's temporaries
+all its math in float64. An epoch allocates three workspaces and reuses
+them for every image: an (N_max, D) float64 feature buffer that each
+image's first view is copied into, a flat float64 gradient buffer,
+wrapped as a `HeadParams` for `sgd_step`, that the backward pass writes
+into, and a flat float32 buffer that `sgd_step` builds each update in,
+with the epoch's learning rate, momentum and weight decay cast to float32
+once. Nothing else of a step outlives it, so the next image's temporaries
 reuse the same freed memory.
 
 Checkpoint format: magic "WSDC", then version, C, D as u32 LE, then the
@@ -120,21 +122,38 @@ def _shuffle_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, epoch)))
 
 
-def sgd_step(state: TrainState, grads: HeadParams, config: TrainConfig) -> TrainState:
+def _sgd_coefficients(config: TrainConfig, epoch: int) -> tuple[np.float32, np.float32, np.float32]:
+    """The learning rate of `epoch`, the momentum and the weight decay, as the float32 scalars SGD runs in."""
+    return np.float32(config.lr_at(epoch)), np.float32(config.momentum), np.float32(config.weight_decay)
+
+
+def sgd_step(
+    state: TrainState,
+    grads: HeadParams,
+    config: TrainConfig,
+    coefficients: tuple[np.float32, np.float32, np.float32] | None = None,
+    scratch: np.ndarray | None = None,
+) -> TrainState:
     """Momentum SGD with weight decay, in place on the float32 flat buffers.
 
     velocity <- momentum*velocity - lr*(grad + weight_decay*param);
     param <- param + velocity. One elementwise update covers all four
     blocks; nothing is updated if any gradient entry is non-finite.
+    `train_epoch` passes its epoch's `_sgd_coefficients` and a float32
+    `scratch` buffer the size of the flat buffer; without them the step
+    derives the one and allocates the other.
     """
     if not np.isfinite(grads.flat).all():
         raise TrainingError("non-finite gradient")
-    lr = np.float32(config.lr_at(state.epoch))
-    mom = np.float32(config.momentum)
-    wd = np.float32(config.weight_decay)
+    lr, mom, wd = _sgd_coefficients(config, state.epoch) if coefficients is None else coefficients
     param, vel = state.params.flat, state.velocity.flat
+    step = np.empty_like(param) if scratch is None else scratch
+    # Each operation rounds to float32 where the expression above does, the gradient first.
+    np.multiply(param, wd, out=step)
+    np.add(step, grads.flat, out=step, dtype=np.float32)
+    step *= lr
     vel *= mom
-    vel -= lr * (grads.flat.astype(np.float32) + wd * param)
+    vel -= step
     param += vel
     return state
 
@@ -156,6 +175,7 @@ def train_epoch(
     order = _shuffle_rng(config.seed, state.epoch).permutation(len(dataset.images))
     feats = np.empty((max(len(bag.views[0]) for bag in dataset.images), dataset.feat_dim))
     grads = HeadParams.from_flat(np.empty(state.params.flat.shape), dataset.num_classes, dataset.feat_dim)
+    coefficients, step = _sgd_coefficients(config, state.epoch), np.empty_like(state.params.flat)
     total = 0.0
     for idx in order:
         bag = dataset.images[idx]
@@ -169,7 +189,7 @@ def train_epoch(
         np.copyto(x, bag.views[0])
         loss = image_step(state.params, x, bag.labels, m_pos, m_neg, config.epsilon, grads)
         try:
-            sgd_step(state, grads, config)
+            sgd_step(state, grads, config, coefficients, step)
         except TrainingError as err:
             raise TrainingError(f"{err} (image {bag.id}, epoch {state.epoch})") from err
         total += loss
