@@ -469,7 +469,19 @@ def save_dataset(ds: Dataset, path: str | Path):
     records comes last; each record is encoded on its own, with a
     placeholder for its proposals whose rows are then formatted into it,
     and written as it is made, so that one image's text exists at a time.
+
+    An image id names its sidecar file, so an id that is empty, `.` or `..`,
+    holds `/`, `\\` or NUL, or repeats another is a DataError, raised before
+    anything is written.
     """
+    seen = set()
+    for position, bag in enumerate(ds.images):
+        name = str(bag.id)
+        if name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
+            raise DataError(f"image {position} ({name!r}): id cannot name a feature file")
+        if name in seen:
+            raise DataError(f"image {position} ({name!r}): id repeats an earlier image's")
+        seen.add(name)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     feat_dir_name = path.stem + "_features"

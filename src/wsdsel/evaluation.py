@@ -374,11 +374,18 @@ def dump_pr_curves(curves: list[PRCurve], class_names: list[str], path: str | Pa
     """Write one CSV row per (class, rank) with the score and the recall/precision after it.
 
     The bytes are those of `csv.writer`: CRLF line ends, and a class name
-    quoted where it must be. Each row is one f-string, and each class one write.
+    quoted where it must be. Each class is one `%` format, a row template
+    repeated once per rank, applied to the class's (rank, score, recall,
+    precision) values interleaved, and one write.
     """
     with open(path, "w", newline="") as fh:
         fh.write("class,rank,score,recall,precision\r\n")
         for name, curve in zip(class_names, curves):
-            quoted = _csv_field(name)
-            rows = zip(curve.scores.tolist(), curve.recall.tolist(), curve.precision.tolist())
-            fh.write("".join(f"{quoted},{rank},{score:.6g},{rec:.6f},{prec:.6f}\r\n" for rank, (score, rec, prec) in enumerate(rows)))
+            n = len(curve.scores)
+            values = [None] * (4 * n)
+            values[0::4] = range(n)
+            values[1::4] = curve.scores.tolist()
+            values[2::4] = curve.recall.tolist()
+            values[3::4] = curve.precision.tolist()
+            row = _csv_field(name).replace("%", "%%") + ",%d,%.6g,%.6f,%.6f\r\n"
+            fh.write(row * n % tuple(values))

@@ -104,27 +104,29 @@ def nms(ious: np.ndarray, scores: np.ndarray, threshold: float, candidates: np.n
     scores the result is the kept region indices in visiting order; for
     2-D it is a (regions, classes) pair of arrays, class by class and each
     class in visiting order. Either way `scores[kept]` are the kept scores.
+
+    Each row of `ious > threshold` is packed into one Python int, bit i set
+    when region i overlaps it. A class's walk then keeps a candidate whose
+    bit is clear in the class's suppression int and ORs the kept row into
+    it, so the walk costs one int test per candidate.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"nms threshold must be in (0, 1], got {threshold}")
     cols, live = _columns(scores, candidates)
-    n, c = cols.shape
     # One stable sort per class; non-candidates rank last and are never kept.
-    order = np.argsort(np.where(live, -cols, np.inf), axis=0, kind="stable")
-    live = np.take_along_axis(live, order, axis=0)
-    overlaps = ious > threshold
-    suppressed = np.zeros((c, n), dtype=bool)
-    kept = np.zeros((c, n), dtype=bool)  # by class and rank
-    classes = np.arange(c)
-    for rank in np.flatnonzero(live.any(axis=1)):
-        regions = order[rank]
-        keep = live[rank] & ~suppressed[classes, regions]
-        if keep.any():
-            kept[keep, rank] = True
-            suppressed[keep] |= overlaps[regions[keep]]
-    kept_classes, ranks = np.nonzero(kept)
-    regions = order[ranks, kept_classes]
-    return regions if np.ndim(scores) == 1 else (regions, kept_classes)
+    order = np.argsort(np.where(live, -cols, np.inf), axis=0, kind="stable").T
+    live = np.take_along_axis(live.T, order, axis=1)
+    rows = [int.from_bytes(row, "little") for row in np.packbits(ious > threshold, axis=1, bitorder="little")]
+    regions, counts = [], []
+    for ranked, is_live in zip(order, live):
+        suppressed, before = 0, len(regions)
+        for i in ranked[is_live].tolist():
+            if not suppressed >> i & 1:
+                regions.append(i)
+                suppressed |= rows[i]
+        counts.append(len(regions) - before)
+    regions = np.array(regions, dtype=np.intp)
+    return regions if np.ndim(scores) == 1 else (regions, np.repeat(np.arange(len(counts)), counts))
 
 
 def box_vote(

@@ -140,6 +140,29 @@ class TestRoundTrip:
         for name in sidecars:
             assert (a / "ds_features" / name).read_bytes() == (b / "ds_features" / name).read_bytes()
 
+    @pytest.mark.parametrize("bad", ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0here"])
+    def test_rejects_an_id_that_cannot_name_a_sidecar(self, tmp_path, bad):
+        ds = generate_synthetic(SMALL)
+        ds.images[1].id = bad
+        with pytest.raises(DataError, match=r"image 1 .*cannot name a feature file"):
+            save_dataset(ds, tmp_path / "out" / "ds.json")
+        assert not (tmp_path / "out").exists()
+
+    def test_rejects_a_repeated_id(self, tmp_path):
+        ds = generate_synthetic(SMALL)
+        ds.images[3].id = ds.images[0].id
+        with pytest.raises(DataError, match=r"image 3 \('im00000'\).*repeats"):
+            save_dataset(ds, tmp_path / "out" / "ds.json")
+        assert not (tmp_path / "out").exists()
+
+    def test_ids_are_names_not_paths(self, tmp_path):
+        ds = generate_synthetic(SMALL)
+        for bag, name in zip(ds.images, ["a.b", "...", " ", "caf\u00e9", "-x", "%s", "a:b"]):
+            bag.id = name
+        save_dataset(ds, tmp_path / "ds.json")
+        assert [bag.id for bag in load_dataset(tmp_path / "ds.json").images] == [bag.id for bag in ds.images]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.json", "ds_features"]
+
 
 class TestLoadValidation:
     def _saved(self, tmp_path):

@@ -173,8 +173,8 @@ def awkward_dataset():
         np.empty((0, 4)),
         rng.random((5, 4)),
     ]
-    # Ids name the sidecar files too, so they hold no NUL; class names do.
-    ids = ["plain", 'quo"ted \\ "proposals": "\\u0000"', '"proposals": "\\u0000"', "ünï ☃"]
+    # Ids name the sidecar files too, so they hold no NUL, `/` or backslash; class names do.
+    ids = ["plain", 'quo"ted \x1f "proposals": "\x01"', '"proposals": "\x7f"', "ünï ☃"]
     images = [
         ImageBag(
             id=image_id,
@@ -185,7 +185,7 @@ def awkward_dataset():
         )
         for i, (image_id, b) in enumerate(zip(ids, boxes))
     ]
-    names = ["naïve ☃", 'say "hi"', '"proposals": "\x00"']
+    names = ["naïve ☃", 'say "hi" \\ "proposals": "\\u0000"', '"proposals": "\x00"']
     return Dataset(num_classes=3, feat_dim=3, class_names=names, images=images)
 
 

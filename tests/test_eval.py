@@ -520,10 +520,11 @@ class TestPrCurveCsv:
 
     def test_bytes_equal_csv_writer_rows(self, tmp_path):
         rng = np.random.default_rng(0)
-        names = ["class00", "", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "tab\t", "caf\u00e9", "x'y"]
+        names = ["class00", "", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "tab\t", "caf\u00e9", "x'y",
+                 "50%", "%s%d", "100%%"]
         curves = [
             evaluation.PRCurve(rng.random(n) * 10.0 ** rng.integers(-9, 4, n), rng.random(n), rng.random(n), 3)
-            for n in [0, 1, 5, 40, 3, 2, 7, 1, 4, 300]
+            for n in [0, 1, 5, 40, 3, 2, 7, 1, 4, 300, 2, 3, 0]
         ]
         curves[3].scores[:3] = [0.0, 1e-300, 123456789.0]
         self.csv_writer_rows(curves, names, tmp_path / "want.csv")
