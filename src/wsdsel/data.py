@@ -542,7 +542,11 @@ def _boxes_from_json(rows, what: str) -> np.ndarray:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load and fully validate a dataset; errors name the offending image."""
+    """Load and fully validate a dataset; errors name the offending image.
+
+    Every image's id must differ from every other's as text (`str(id)`),
+    the rule `save_dataset` writes by.
+    """
     path = Path(path)
     try:
         with open(path) as fh:
@@ -564,10 +568,14 @@ def load_dataset(path: str | Path) -> Dataset:
     if not isinstance(manifest["images"], list):
         raise DataError(f"manifest key 'images' must be a list, got {type(manifest['images']).__name__}")
     images = []
+    positions: dict[str, int] = {}  # str(id) -> position of the first image with it
     for position, rec in enumerate(manifest["images"]):
         if not isinstance(rec, dict):
             raise DataError(f"image record {position} must be an object, got {type(rec).__name__}")
         image_id = rec.get("id", "<missing id>")
+        first = positions.setdefault(str(image_id), position)
+        if first != position:
+            raise DataError(f"image {position} ({str(image_id)!r}): id repeats image {first}'s")
         missing = [key for key in ("proposals", "labels", "feature_file", "views") if key not in rec]
         if missing:
             raise DataError(f"image {image_id}: record missing {', '.join(missing)}")

@@ -302,23 +302,18 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
     """Full pipeline in one pass over the images: inference, detection, AP/mAP, CorLoc, concentration."""
     opts = options or EvalOptions()
     c = dataset.num_classes
-    keys: dict[str, int] = {}  # image id -> key; images sharing an id share their ground truth
-    image_keys: list[int] = []
     gts_by_class: list[dict[int, np.ndarray]] = [{} for _ in range(c)]
     # per image: the class ids, scores and voted boxes of its detections
     found = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 4)))]
     correct, positives = np.zeros(c), np.zeros(c)
     fractions: list[float] = []
-    for bag in dataset.images:
-        key = keys.setdefault(bag.id, len(keys))
-        image_keys.append(key)
+    for key, bag in enumerate(dataset.images):  # each image is its own key
         scores, p, v = _infer(params, bag, opts.mask_mode, opts.top_m)
         boxes = bag.boxes
         gt_classes = np.array([cls for cls, _ in bag.ground_truth], dtype=np.intp)
         gt_boxes = _boxes([box for _, box in bag.ground_truth])
         for j in set(gt_classes.tolist()):
-            earlier = gts_by_class[j].get(key, np.zeros((0, 4)))
-            gts_by_class[j][key] = np.concatenate((earlier, gt_boxes[gt_classes == j]))
+            gts_by_class[j][key] = gt_boxes[gt_classes == j]
         found.append(detect_arrays(scores, boxes, opts.nms_threshold, opts.vote_threshold, opts.score_floor))
         positive = np.flatnonzero(bag.labels)
         positives[positive] += 1
@@ -330,7 +325,7 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
             # weight concentration: importance mass on the top_m most probable regions
             fractions.append(float(v[np.argsort(-p[:, j], kind="stable")[: opts.top_m], j].sum()))
 
-    images = np.repeat(np.array(image_keys, dtype=np.intp), [len(f[0]) for f in found[1:]])
+    images = np.repeat(np.arange(len(dataset.images)), [len(f[0]) for f in found[1:]])
     classes, det_scores, det_boxes = (np.concatenate(part) for part in zip(*found))
     del found  # freed before the per-class arrays are built, so the two sets are never held at once
     curves = []

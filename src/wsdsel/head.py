@@ -11,10 +11,22 @@ the parameter buffer per pass. Selection is non-differentiable and treated
 as a constant during backward: gradients flow only through the regions
 selected in the forward pass.
 
+The parameters are one flat buffer of two rows, one per branch,
+`[w_cls, b_cls | w_imp, b_imp]`. Besides the four blocks, `HeadParams`
+views it as the stacked weights `w` (2, C, D) and biases `b` (2, C), so
+both branches run as one (2, N, C) stack: one batched matmul gives both
+branches' logits, the backward pass runs its elementwise work on the
+stacked pairs, and one batched matmul and one reduction write both
+branches' gradients. A batched matmul makes the same BLAS call per branch
+as a separate product would, so the stack gives the same bits.
+
 `image_step` is one image's forward and backward pass as the trainer runs
-it, writing the gradient into a caller's buffer and keeping nothing else.
-`forward_image` and `backward_image` are the same pass, split in two, as
-the public entry points that keep every intermediate.
+it. It computes in a `StepWork`, buffers sized once for the largest image,
+from per-image constants built once: `ImageLabels` and, per (m_pos, m_neg),
+`Budgets`. It allocates no (N, C) temporary and keeps nothing else.
+`forward_image` and `backward_image` are the same pass, split in two and
+run in a workspace of their own, as the public entry points that keep
+every intermediate.
 """
 
 from __future__ import annotations
@@ -32,11 +44,13 @@ class HeadParams:
     """Weights and biases of the two linear branches, in one flat buffer.
 
     w_cls/b_cls feed the class softmax, w_imp/b_imp the importance
-    branch. The four blocks are views, in that order and row-major, into
-    `flat`, one contiguous 1-D array of 2*C*D + 2*C entries, so an update
-    or a checkpoint read or write touches all of them at once. The same
-    container is used for gradients, which mirror the parameter shapes
-    block for block.
+    branch. `flat` is one contiguous 1-D array of two rows of C*D + C
+    entries, `[w_cls, b_cls | w_imp, b_imp]`, each weight row-major. The
+    four blocks are views into it, and so are the stacked `w` (2, C, D)
+    and `b` (2, C), row 0 the class branch and row 1 the importance
+    branch; nothing is copied, so an update or a checkpoint read or write
+    touches all of them at once. The same container is used for
+    gradients, which mirror the parameter shapes block for block.
     """
 
     NAMES = ("w_cls", "b_cls", "w_imp", "b_imp")
@@ -59,10 +73,11 @@ class HeadParams:
         if flat.shape != (2 * c * d + 2 * c,):
             raise ValueError(f"flat buffer has shape {flat.shape}, expected ({2 * c * d + 2 * c},)")
         self.flat = flat
-        self.w_cls = flat[: c * d].reshape(c, d)
-        self.b_cls = flat[c * d : c * d + c]
-        self.w_imp = flat[c * d + c : 2 * c * d + c].reshape(c, d)
-        self.b_imp = flat[2 * c * d + c :]
+        rows = flat.reshape(2, c * d + c)
+        self.w = rows[:, : c * d].reshape(2, c, d)
+        self.b = rows[:, c * d :]
+        self.w_cls, self.w_imp = self.w
+        self.b_cls, self.b_imp = self.b
 
     @property
     def num_classes(self) -> int:
@@ -84,6 +99,83 @@ class HeadParams:
         return HeadParams.from_flat(np.zeros_like(self.flat), self.num_classes, self.feat_dim)
 
 
+class ImageLabels:
+    """One image's label vector in the forms the pass reads: `pos` as bool, and y, -y and 1 - y as float64."""
+
+    def __init__(self, labels):
+        self.pos = np.asarray(labels, dtype=bool)
+        self.y = np.asarray(labels, dtype=np.float64)
+        self.neg_y = -self.y
+        self.not_y = 1.0 - self.y
+
+
+def _levels(counts: np.ndarray, n: int):
+    """How a masked softmax over `counts[j]` selected regions of class j groups the classes.
+
+    None when every class selects all n regions. Otherwise one (m, rows)
+    pair per distinct count m, where rows is the (C, 1) mask of the classes
+    that select m regions, or None when every class does.
+    """
+    levels = set(counts.tolist())
+    if levels == {n}:
+        return None
+    if len(levels) == 1:
+        return [(levels.pop(), None)]
+    return [(m, (counts == m)[:, None]) for m in levels]
+
+
+class Budgets:
+    """Selection budgets of one image of N regions at one (m_pos, m_neg), worked out once.
+
+    `counts[j]` is min(N, m_pos) for a positive class j and min(N, m_neg)
+    for a negative one; `levels` groups the classes by count (`_levels`),
+    and is None when every region is selected; `last` indexes each class's
+    count-th entry of a row-sorted (C, N) array.
+    """
+
+    def __init__(self, pos: np.ndarray, n: int, m_pos: int, m_neg: int):
+        if m_pos < 1 or m_neg < 1:
+            raise ValueError("region budgets must be >= 1")
+        self.counts = np.where(pos, min(m_pos, n), min(m_neg, n))
+        self.levels = _levels(self.counts, n)
+        self.last = (np.arange(len(self.counts)), self.counts - 1)
+
+
+class StepWork:
+    """The buffers one image's pass computes in, sized for up to `n_max` regions and reused from image to image.
+
+    `params` receives the float64 copy of the parameters and `grads` the
+    gradient, each a HeadParams over a float64 flat buffer; `cols` and `f`
+    are (C,) vectors. `at(n)` views the rest at N = n, each view
+    contiguous: the (2, N, C) stacks z (the two branches' logits, then p
+    and v), q and r (the backward pass); the (C, N) planes zt, key and srt
+    (transposes, the selection key and its sort); the (C, N) bool mask
+    and group (the selection mask and one budget level's part of it); and
+    rows, (N,).
+    """
+
+    def __init__(self, n_max: int, c: int, d: int):
+        size = 2 * c * d + 2 * c
+        self.params = HeadParams.from_flat(np.empty(size), c, d)
+        self.grads = HeadParams.from_flat(np.empty(size), c, d)
+        self.cols = np.empty(c)
+        self.f = np.empty(c)
+        self._stacks = np.empty((3, 2 * n_max * c))
+        self._planes = np.empty((3, c * n_max))
+        self._masks = np.empty((2, c * n_max), dtype=bool)
+        self._rows = np.empty(n_max)
+        self.n = None
+
+    def at(self, n: int) -> "StepWork":
+        if n != self.n:
+            c = len(self.cols)
+            self.z, self.q, self.r = (s[: 2 * n * c].reshape(2, n, c) for s in self._stacks)
+            self.zt, self.key, self.srt = (s[: c * n].reshape(c, n) for s in self._planes)
+            self.mask, self.group = (s[: c * n].reshape(c, n) for s in self._masks)
+            self.rows, self.n = self._rows[:n], n
+        return self
+
+
 @dataclass
 class ForwardTrace:
     """All intermediates of one image's forward pass.
@@ -103,22 +195,41 @@ class ForwardTrace:
 
 
 def class_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of (N, C) logits, stabilized by subtracting each row's max.
+    """Row-wise softmax of (N, C) logits, stabilized by subtracting each row's max."""
+    z = np.array(logits, dtype=np.float64)
+    return _softmax_rows(z, np.empty(z.shape[::-1]), np.empty(len(z)))
+
+
+def _softmax_rows(z: np.ndarray, zt: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (N, C) logits `z`, in place, with (C, N) and (N,) buffers.
 
     A max is exact in any order, so it is taken down the columns of the
-    contiguous (C, N) transpose, where numpy compares whole rows at a time;
-    along the short rows of the (N, C) array it runs one inner loop per row.
+    contiguous (C, N) transpose `zt`, where numpy compares whole rows at a
+    time; along the short rows of the (N, C) array it runs one inner loop
+    per row.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - np.ascontiguousarray(z.T).max(axis=0)[..., None])
-    return e / e.sum(axis=-1, keepdims=True)
+    np.copyto(zt, z.T)
+    np.maximum.reduce(zt, axis=0, out=rows)
+    np.subtract(z, rows[:, None], out=z)
+    np.exp(z, out=z)
+    np.add.reduce(z, axis=1, out=rows)
+    np.divide(z, rows[:, None], out=z)
+    return z
+
+
+def _linear(w64: HeadParams, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Both branches' logits on float64 (N, D) features, into the (2, N, C) stack z: one batched matmul, one bias add."""
+    np.matmul(x, w64.w.transpose(0, 2, 1), out=z)
+    z += w64.b[:, None, :]
+    return z
 
 
 def linear_outputs(params: HeadParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both branches on (N, D) features: class probabilities p and importance logits, each (N, C)."""
     x = np.asarray(feats, dtype=np.float64)
-    w = HeadParams.from_flat(params.flat.astype(np.float64, copy=False), params.num_classes, params.feat_dim)
-    return class_softmax(x @ w.w_cls.T + w.b_cls), x @ w.w_imp.T + w.b_imp
+    w64 = HeadParams.from_flat(params.flat.astype(np.float64, copy=False), params.num_classes, params.feat_dim)
+    z = _linear(w64, x, np.empty((2, len(x), params.num_classes)))
+    return class_softmax(z[0]), z[1]
 
 
 def select_regions(p: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int) -> np.ndarray:
@@ -131,29 +242,33 @@ def select_regions(p: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int) ->
     selection objective. NaN ranks below every number, as in a stable
     argsort of -p.
     """
-    return _select(np.asarray(p), np.asarray(labels, dtype=bool), m_pos, m_neg)[0].T
-
-
-def _select(p: np.ndarray, pos: np.ndarray, m_pos: int, m_neg: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (C, N) selection mask of (N, C) scores `p`, and the (C,) budgets it selects.
-
-    When every budget covers all N regions, the mask is all True. Otherwise
-    all classes are done at once on the (C, N) transpose: one sort along
-    regions gives each class's budget-th largest value t, and the mask is
-    every region above t plus, in index order, as many regions equal to t
-    as the budget still needs.
-    """
-    if m_pos < 1 or m_neg < 1:
-        raise ValueError("region budgets must be >= 1")
+    p = np.asarray(p)
     n, c = p.shape
-    budget = np.where(pos, min(m_pos, n), min(m_neg, n))
-    if min(budget.tolist()) == n:
-        return np.ones((c, n), dtype=bool), budget
-    key = np.negative(p.T, order="C")  # (C, N); ascending key = descending p
-    t = np.sort(key, axis=1)[np.arange(c), budget - 1]
-    h_t = key <= t[:, None]
-    if (h_t.sum(axis=1) == budget).all():  # no NaN threshold, and no tie at t crosses a budget
-        return h_t, budget
+    budgets = Budgets(np.asarray(labels, dtype=bool), n, m_pos, m_neg)
+    key, srt = np.empty((2, c, n), dtype=p.dtype)
+    h_t = _select(p, budgets, key, srt, np.empty((c, n), dtype=bool))
+    return np.ones((n, c), dtype=bool) if h_t is None else h_t.T
+
+
+def _select(p: np.ndarray, budgets: Budgets, key: np.ndarray, srt: np.ndarray, mask: np.ndarray):
+    """The (C, N) selection mask of (N, C) scores `p` under `budgets`; None when every region is selected.
+
+    All classes are done at once on the (C, N) transpose, computed in the
+    (C, N) buffers `key`, `srt` and `mask`: one sort along regions gives
+    each class's count-th largest value t, and the mask is every region
+    above t plus, in index order, as many regions equal to t as the count
+    still needs.
+    """
+    if budgets.levels is None:
+        return None
+    np.negative(p.T, out=key)  # (C, N); ascending key = descending p
+    np.copyto(srt, key)
+    srt.sort(axis=1)
+    t = srt[budgets.last]
+    h_t = np.less_equal(key, t[:, None], out=mask)
+    budget = budgets.counts
+    if np.logical_and.reduce(np.add.reduce(h_t, axis=1) == budget):  # no NaN threshold, no tie crossing a budget
+        return h_t
     short = np.isnan(t)
     if short.any():  # fewer than `budget` numbers: take them all, then NaNs in index order
         key[short] = np.isnan(key[short])
@@ -164,7 +279,7 @@ def _select(p: np.ndarray, pos: np.ndarray, m_pos: int, m_neg: int) -> tuple[np.
     extra = np.flatnonzero(tied.sum(axis=1) > need)
     if extra.size:  # more regions tie at t than the budget has places left
         tied[extra] &= np.cumsum(tied[extra], axis=1) <= need[extra, None]
-    return above | tied, budget
+    return above | tied
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -183,34 +298,40 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     counts = h.sum(axis=0)
     if counts.min() == 0:
         raise ValueError("masked_softmax requires at least one selected entry in every column")
-    v = _masked_softmax(z, h.T, counts)
+    levels = _levels(counts, len(z))
+    v = np.empty(z.shape)
+    _masked_softmax(z.T.copy(order="C"), h.T, levels, v, np.empty(z.shape[1]), np.empty(h.shape[::-1], dtype=bool))
     return v[:, 0] if column else v
 
 
-def _masked_softmax(z: np.ndarray, h_t: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Masked softmax of (N, C) logits under the (C, N) mask `h_t`, which selects counts[j] entries of class j.
+def _masked_softmax(zt: np.ndarray, h_t, levels, v: np.ndarray, cols: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Masked softmax of the contiguous (C, N) logits `zt` under the (C, N) mask `h_t`, into (N, C) `v`.
 
-    The classes that select the same count m form one contiguous (classes, m)
-    block of their selected logits, gathered class by class in region order,
-    so each row is summed exactly as a 1-D softmax over that selection would
-    sum it. When every region is selected, the block is the contiguous (C, N)
-    transpose itself. The result is C-ordered (N, C), the layout `aggregate`
-    and the backward pass take their per-class sums in.
+    `levels` groups the classes by their selected count (`_levels`); with
+    None every region is selected, `h_t` is not read, and the softmax runs
+    in place on `zt` with the (C,) buffer `cols`. Otherwise the classes
+    that select the same count m form one contiguous (classes, m) block of
+    their selected logits, gathered class by class in region order, so
+    each row is summed exactly as a 1-D softmax over that selection would
+    sum it; with more than one level, the (C, N) bool buffer `group`
+    holds one level's part of the mask. `v` is written whole, zero off the
+    mask.
     """
-    n, c = z.shape
-    levels = set(counts.tolist())
-    if levels == {n}:
-        z_t = np.ascontiguousarray(z.T)
-        e = np.exp(z_t - z_t.max(axis=1, keepdims=True))
-        v = np.empty((n, c))
-        np.divide(e, e.sum(axis=1, keepdims=True), out=v.T)
+    if levels is None:
+        np.maximum.reduce(zt, axis=1, out=cols)
+        np.subtract(zt, cols[:, None], out=zt)
+        np.exp(zt, out=zt)
+        np.add.reduce(zt, axis=1, out=cols)
+        np.divide(zt, cols[:, None], out=v.T)
         return v
-    v = np.zeros((n, c))
-    for m in levels:
-        group = h_t if len(levels) == 1 else h_t & (counts == m)[:, None]
-        block = z.T[group].reshape(-1, m)
-        e = np.exp(block - block.max(axis=1, keepdims=True))
-        v.T[group] = (e / e.sum(axis=1, keepdims=True)).ravel()
+    v.fill(0.0)
+    for m, rows in levels:
+        mine = h_t if rows is None else np.logical_and(h_t, rows, out=group)
+        block = zt[mine].reshape(-1, m)
+        block -= np.maximum.reduce(block, axis=1, keepdims=True)
+        np.exp(block, out=block)
+        block /= np.add.reduce(block, axis=1, keepdims=True)
+        v.T[mine] = block.ravel()
     return v
 
 
@@ -218,17 +339,26 @@ def aggregate(v_col: np.ndarray, p_col: np.ndarray, eps: float = EPS) -> float |
     """Importance-weighted sum of region probabilities, clamped to [eps, 1-eps].
 
     Two (N,) columns give a float; two (N, C) arrays give the (C,) scores of
-    all classes. Each class is one (1, N) @ (N, 1) product of a stacked
-    matmul, which numpy hands to the same strided BLAS dot as
-    np.dot(v[:, j], p[:, j]), so the scores are those bits. np.einsum and
-    (v * p).sum(0) add in another order, and np.vecdot needs numpy 2.0
-    while the package supports numpy>=1.24.
+    all classes.
     """
     v = np.asarray(v_col, dtype=np.float64)
     p = np.asarray(p_col, dtype=np.float64)
-    f = np.matmul(v.T[..., None, :], p.T[..., :, None]).reshape(v.shape[1:])
-    f = np.minimum(np.maximum(f, eps), 1.0 - eps)
+    f = _aggregate(v, p, eps, np.empty(v.shape[1:]))
     return float(f) if f.ndim == 0 else f
+
+
+def _aggregate(v: np.ndarray, p: np.ndarray, eps: float, f: np.ndarray) -> np.ndarray:
+    """The clamped scores of `aggregate` into `f`.
+
+    Each class is one (1, N) @ (N, 1) product of a stacked matmul, which
+    numpy hands to the same strided BLAS dot as np.dot(v[:, j], p[:, j]),
+    so the scores are those bits. np.einsum and (v * p).sum(0) add in
+    another order, and np.vecdot needs numpy 2.0 while the package
+    supports numpy>=1.24.
+    """
+    np.matmul(v.T[..., None, :], p.T[..., :, None], out=f[..., None, None])
+    np.maximum(f, eps, out=f)
+    return np.minimum(f, 1.0 - eps, out=f)
 
 
 def image_loss(labels: np.ndarray, f: np.ndarray) -> float:
@@ -236,9 +366,11 @@ def image_loss(labels: np.ndarray, f: np.ndarray) -> float:
 
     Expects f already clamped away from {0, 1}.
     """
-    y = np.asarray(labels, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    return float(-(y * np.log(f) + (1.0 - y) * np.log1p(-f)).sum())
+    return _loss(ImageLabels(labels), np.asarray(f, dtype=np.float64))
+
+
+def _loss(lab: ImageLabels, f: np.ndarray) -> float:
+    return float(-np.add.reduce(lab.y * np.log(f) + lab.not_y * np.log1p(-f)))
 
 
 def forward_image(
@@ -252,21 +384,43 @@ def forward_image(
     """Full forward pass for one image, retaining all intermediates."""
     x = np.asarray(feats, dtype=np.float64)
     y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[1] != params.feat_dim:
-        raise ValueError(f"features must be (N, {params.feat_dim}), got {x.shape}")
-    if y.shape != (params.num_classes,):
-        raise ValueError(f"labels must be ({params.num_classes},), got {y.shape}")
-    p, logits_imp, h_t, v, f, loss = _forward(params, x, y, m_pos, m_neg, eps)
-    return ForwardTrace(p=p, logits_imp=logits_imp, h=h_t.T, v=v, f=f, loss=loss)
+    c, d = params.num_classes, params.feat_dim
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"features must be (N, {d}), got {x.shape}")
+    if y.shape != (c,):
+        raise ValueError(f"labels must be ({c},), got {y.shape}")
+    n = len(x)
+    lab = ImageLabels(y)
+    budgets = Budgets(lab.pos, n, m_pos, m_neg)
+    work = StepWork(n, c, d)
+    z = _outputs(params, x, work)
+    logits_imp = z[1].copy()
+    h_t, f, loss = _weights(z, lab, budgets, eps, work)
+    h = np.ones((n, c), dtype=bool) if h_t is None else h_t.T
+    return ForwardTrace(p=z[0], logits_imp=logits_imp, h=h, v=z[1], f=f, loss=loss)
 
 
-def _forward(params: HeadParams, x: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int, eps: float):
-    """(p, logits_imp, (C, N) mask, v, f, loss) of one image with float64 features x."""
-    p, logits_imp = linear_outputs(params, x)
-    h_t, counts = _select(p, np.asarray(labels, dtype=bool), m_pos, m_neg)
-    v = _masked_softmax(logits_imp, h_t, counts)
-    f = aggregate(v, p, eps)
-    return p, logits_imp, h_t, v, f, image_loss(labels, f)
+def _outputs(params: HeadParams, x: np.ndarray, work: StepWork) -> np.ndarray:
+    """Both branches on float64 (N, D) features in `work`: the (2, N, C) stack of p and the importance logits."""
+    work.at(len(x))
+    np.copyto(work.params.flat, params.flat)
+    _softmax_rows(_linear(work.params, x, work.z)[0], work.zt, work.rows)
+    return work.z
+
+
+def _weights(z: np.ndarray, lab: ImageLabels, budgets: Budgets, eps: float, work: StepWork):
+    """Selection, masked softmax, aggregation and loss of one image: ((C, N) mask or None, f, loss).
+
+    z holds p and the importance logits (`_outputs`); the logits are copied
+    out to a (C, N) plane, and v is written over them in z[1].
+    """
+    p, v = z
+    work.at(len(p))
+    h_t = _select(p, budgets, work.key, work.srt, work.mask)
+    np.copyto(work.zt, v.T)
+    _masked_softmax(work.zt, h_t, budgets.levels, v, work.cols, work.group)
+    f = _aggregate(v, p, eps, work.f)
+    return h_t, f, _loss(lab, f)
 
 
 def loss_with_mask(
@@ -301,47 +455,49 @@ def backward_image(
     x = np.asarray(feats, dtype=np.float64)
     if x.shape != (trace.p.shape[0], params.feat_dim):
         raise ValueError("features do not match the trace/params shapes")
-    grads = HeadParams.from_flat(np.empty(params.flat.shape), params.num_classes, params.feat_dim)
-    return _backward(trace.p, trace.v, trace.f, x, labels, eps, grads)
+    work = StepWork(len(x), params.num_classes, params.feat_dim)
+    z = work.at(len(x)).z
+    z[0], z[1] = trace.p, trace.v
+    _backward(z, trace.f, x, ImageLabels(labels), eps, work)
+    return work.grads
 
 
-def _backward(p, v, f, x, labels, eps, out: HeadParams) -> HeadParams:
-    """Write the gradient of one image's loss into the float64 blocks of `out`, given its forward pass."""
-    y = np.asarray(labels, dtype=np.float64)
-    saturated = (f <= eps) | (f >= 1.0 - eps)
-    dl_df = np.where(saturated, 0.0, -y / f + (1.0 - y) / (1.0 - f))
-
-    dv = dl_df * p  # (N, C); only selected entries matter below
-    dp = dl_df * v  # zero off-mask since v is
-
-    # Masked softmax Jacobian per class column: zero off-mask by construction.
-    dz_imp = v * (dv - (v * dv).sum(axis=0, keepdims=True))
-    # Row softmax Jacobian over classes.
-    dz_cls = p * (dp - (p * dp).sum(axis=1, keepdims=True))
-
-    np.matmul(dz_cls.T, x, out=out.w_cls)
-    np.sum(dz_cls, axis=0, out=out.b_cls)
-    np.matmul(dz_imp.T, x, out=out.w_imp)
-    np.sum(dz_imp, axis=0, out=out.b_imp)
-    return out
+def _backward(z: np.ndarray, f: np.ndarray, x: np.ndarray, lab: ImageLabels, eps: float, work: StepWork):
+    """Write the gradient of one image's loss into `work.grads`, given the stack z = [p; v] and f."""
+    q, r, rows = work.at(len(x)).q, work.r, work.rows
+    dl_df = lab.neg_y / f + lab.not_y / (1.0 - f)
+    dl_df[(f <= eps) | (f >= 1.0 - eps)] = 0.0  # the clamp passes no gradient where it saturates
+    p, v = z
+    np.multiply(v, dl_df, out=q[0])  # dp, zero off-mask since v is
+    np.multiply(p, dl_df, out=q[1])  # dv
+    np.multiply(z, q, out=r)  # [p * dp; v * dv]
+    # The row softmax Jacobian sums over classes, the masked softmax Jacobian over regions.
+    np.add.reduce(r[0], axis=1, out=rows)
+    np.add.reduce(r[1], axis=0, out=work.cols)
+    q[0] -= rows[:, None]
+    q[1] -= work.cols
+    np.multiply(z, q, out=r)  # [dz_cls; dz_imp], dz_imp zero off-mask by construction
+    np.matmul(r.transpose(0, 2, 1), x, out=work.grads.w)
+    np.add.reduce(r, axis=1, out=work.grads.b)
 
 
 def image_step(
     params: HeadParams,
     feats: np.ndarray,
-    labels: np.ndarray,
-    m_pos: int,
-    m_neg: int,
+    labels: ImageLabels,
+    budgets: Budgets,
     eps: float,
-    grads: HeadParams,
+    work: StepWork,
 ) -> float:
-    """Forward and backward pass of one image: writes the gradient into float64 `grads`, returns the loss.
+    """Forward and backward pass of one image: writes the gradient into `work.grads`, returns the loss.
 
-    `feats` must be a float64 (N, D) array. Nothing else of the pass
-    outlives the call.
+    `feats` must be a float64 (N, D) array with N at most the workspace's
+    n_max, and `budgets` the image's at N. Nothing of the pass outlives
+    the call but the gradient.
     """
-    p, _, _, v, f, loss = _forward(params, feats, labels, m_pos, m_neg, eps)
-    _backward(p, v, f, feats, labels, eps, grads)
+    z = _outputs(params, feats, work)
+    _, f, loss = _weights(z, labels, budgets, eps, work)
+    _backward(z, f, feats, labels, eps, work)
     return loss
 
 

@@ -11,14 +11,20 @@ initialization.
 Each step is `head.image_step`, the forward and backward pass that
 `head.forward_image` and `head.backward_image` wrap as the public,
 tested entry points; it casts the parameters to float64 once and does
-all its math in float64. An epoch allocates three workspaces and reuses
-them for every image: an (N_max, D) float64 feature buffer that each
-image's first view is copied into, a flat float64 gradient buffer,
-wrapped as a `HeadParams` for `sgd_step`, that the backward pass writes
-into, and a flat float32 buffer that `sgd_step` builds each update in,
-with the epoch's learning rate, momentum and weight decay cast to float32
-once. Nothing else of a step outlives it, so the next image's temporaries
-reuse the same freed memory.
+all its math in float64. `train` builds, once per run, what the steps
+read besides the state:
+- each image's label constants (`head.ImageLabels`: y, -y and 1 - y as
+  float64, and the bool mask);
+- for each (image, m_pos, m_neg) a step sees, on first sight, its
+  `head.Budgets`: the per-class budget vector, the all-selected flag and
+  the classes grouped by budget;
+- the workspaces: a `head.StepWork` sized (N_max, C) for the largest
+  image, whose float64 gradient `sgd_step` reads; an (N_max, D) float64
+  feature buffer that each image's first view is copied into; and a flat
+  float32 buffer that `sgd_step` builds each update in.
+Each epoch casts its learning rate, momentum and weight decay to float32
+once. A step allocates no (N, C) temporary, so the next image reuses the
+same memory.
 
 Checkpoint format: magic "WSDC", then version, C, D as u32 LE, then the
 four parameter blocks and four velocity blocks (w_cls, b_cls, w_imp,
@@ -42,7 +48,7 @@ from wsdsel.data import Dataset
 from wsdsel.errors import ConfigError, DataError, TrainingError
 # forward_image is not called here, but stays in this namespace: perfbench's tracer test checks
 # that the tracer wraps it in every wsdsel module that holds it, this one included.
-from wsdsel.head import EPS, HeadParams, forward_image, image_step  # noqa: F401
+from wsdsel.head import EPS, Budgets, HeadParams, ImageLabels, StepWork, forward_image, image_step  # noqa: F401
 from wsdsel.schedule import PruneSchedule, pos_budget
 
 CHECKPOINT_MAGIC = b"WSDC"
@@ -158,24 +164,46 @@ def sgd_step(
     return state
 
 
+class _Run:
+    """What `train_epoch` reads besides the state, built once per run (see the module docstring)."""
+
+    def __init__(self, dataset: Dataset, params: HeadParams):
+        if not dataset.images:
+            raise DataError("dataset is empty")
+        if dataset.feat_dim != params.feat_dim or dataset.num_classes != params.num_classes:
+            raise DataError(
+                f"dataset (C={dataset.num_classes}, D={dataset.feat_dim}) does not match params "
+                f"(C={params.num_classes}, D={params.feat_dim})"
+            )
+        n_max = max(len(bag.views[0]) for bag in dataset.images)
+        self.work = StepWork(n_max, dataset.num_classes, dataset.feat_dim)
+        self.feats = np.empty((n_max, dataset.feat_dim))
+        self.update = np.empty_like(params.flat)
+        self.labels = [ImageLabels(bag.labels) for bag in dataset.images]
+        self._sizes = [len(bag.views[0]) for bag in dataset.images]
+        self._budgets: dict[tuple[int, int, int], Budgets] = {}
+
+    def budgets(self, idx: int, m_pos: int, m_neg: int) -> Budgets:
+        """Image `idx`'s budgets at (m_pos, m_neg), built the first time they are asked for."""
+        key = (idx, m_pos, m_neg)
+        budgets = self._budgets.get(key)
+        if budgets is None:
+            budgets = self._budgets[key] = Budgets(self.labels[idx].pos, self._sizes[idx], m_pos, m_neg)
+        return budgets
+
+
 def train_epoch(
     state: TrainState,
     dataset: Dataset,
     config: TrainConfig,
     on_step: Optional[StepHook] = None,
+    run: Optional[_Run] = None,
 ) -> TrainState:
-    """One pass over the dataset in a seeded shuffled order."""
-    if not dataset.images:
-        raise DataError("dataset is empty")
-    if dataset.feat_dim != state.params.feat_dim or dataset.num_classes != state.params.num_classes:
-        raise DataError(
-            f"dataset (C={dataset.num_classes}, D={dataset.feat_dim}) does not match params "
-            f"(C={state.params.num_classes}, D={state.params.feat_dim})"
-        )
+    """One pass over the dataset in a seeded shuffled order; `train` passes the run's constants in `run`."""
+    if run is None:
+        run = _Run(dataset, state.params)
     order = _shuffle_rng(config.seed, state.epoch).permutation(len(dataset.images))
-    feats = np.empty((max(len(bag.views[0]) for bag in dataset.images), dataset.feat_dim))
-    grads = HeadParams.from_flat(np.empty(state.params.flat.shape), dataset.num_classes, dataset.feat_dim)
-    coefficients, step = _sgd_coefficients(config, state.epoch), np.empty_like(state.params.flat)
+    coefficients = _sgd_coefficients(config, state.epoch)
     total = 0.0
     for idx in order:
         bag = dataset.images[idx]
@@ -185,11 +213,12 @@ def train_epoch(
         else:
             m_pos = pos_budget(state.epoch, n, config.schedule)
             m_neg = config.schedule.m_neg
-        x = feats[: len(bag.views[0])]
+        x = run.feats[: len(bag.views[0])]
         np.copyto(x, bag.views[0])
-        loss = image_step(state.params, x, bag.labels, m_pos, m_neg, config.epsilon, grads)
+        loss = image_step(state.params, x, run.labels[idx], run.budgets(idx, m_pos, m_neg),
+                          config.epsilon, run.work)
         try:
-            sgd_step(state, grads, config, coefficients, step)
+            sgd_step(state, run.work.grads, config, coefficients, run.update)
         except TrainingError as err:
             raise TrainingError(f"{err} (image {bag.id}, epoch {state.epoch})") from err
         total += loss
@@ -210,8 +239,10 @@ def train(
     if state is None:
         params = init_params(dataset.feat_dim, dataset.num_classes, config.seed)
         state = TrainState(params=params, velocity=params.zeros_like())
-    while state.epoch < config.total_epochs:
-        train_epoch(state, dataset, config, on_step)
+    if state.epoch < config.total_epochs:
+        run = _Run(dataset, state.params)
+        while state.epoch < config.total_epochs:
+            train_epoch(state, dataset, config, on_step, run)
     return state
 
 

@@ -338,6 +338,17 @@ class TestMalformedInputs:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_repeated_image_id(self, trained, tmp_path, capsys):
+        # Images that shared an id used to share their ground truth in the AP matching.
+        dataset, ckpt = trained
+        manifest = json.loads(dataset.read_text())
+        for record in manifest["images"]:
+            record["id"] = "im00000"
+        dataset.write_text(json.dumps(manifest))
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert "image 1 ('im00000'): id repeats image 0's" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("text", ["[1, 2, 3]", '"c d class_names images"'])
     def test_manifest_not_an_object(self, trained, tmp_path, text):
         dataset, ckpt = trained

@@ -205,6 +205,16 @@ class TestLoadValidation:
         with pytest.raises(DataError, match="im00002"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("first, second", [("dup", "dup"), ("7", 7)])
+    def test_repeated_id_rejected(self, tmp_path, first, second):
+        # ids compare as the text that names a sidecar, so 7 repeats "7"
+        _, path = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["images"][1]["id"], manifest["images"][3]["id"] = first, second
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=rf"image 3 \('{first}'\): id repeats image 1's"):
+            load_dataset(path)
+
     def test_degenerate_proposal_rejected(self, tmp_path):
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())

@@ -204,9 +204,18 @@ SIDECAR = binary_corruption("sidecar", MAGIC_BYTES + [(4, "<H"), (6, "<I"), (10,
 CHECKPOINT = binary_corruption("checkpoint", MAGIC_BYTES + [(4, "<I"), (8, "<I"), (12, "<I")], 16, lambda n: n - 4)
 
 
+def id_copy(source: int, target: int):
+    """Image `target`'s id replaced by image `source`'s."""
+    def edit(m):
+        m["images"][target]["id"] = m["images"][source]["id"]
+
+    return "manifest", f"copy image {source} id onto image {target}", lambda root: edit_manifest(root, edit)
+
+
 def corruption():
     return st.one_of(
         manifest_corruption(),
+        st.permutations(range(IMAGES)).map(lambda order: id_copy(order[0], order[1])),
         st.floats(0.0, 1.0, exclude_max=True).map(lambda s: ("manifest", f"truncate at {s:.3f}", truncate_manifest(s))),
         st.tuples(SIDECAR, st.integers(0, IMAGES - 1)).map(
             lambda t: ("sidecar", f"image {t[1]}: {t[0][1]}", lambda root: t[0][2](sorted((root / "ds_features").iterdir())[t[1]]))
@@ -215,7 +224,7 @@ def corruption():
     )
 
 
-def run_corrupted(pristine, case):
+def run_corrupted(pristine, case, exits=DOCUMENTED):
     target, description, corrupt = case
     note(f"{target}: {description}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -224,11 +233,11 @@ def run_corrupted(pristine, case):
         corrupt(root)
         dataset, report = str(root / "ds.json"), root / "report.json"
         code = main(["eval", "--dataset", dataset, "--checkpoint", str(root / "ckpt.wsdc"), "--out", str(report)])
-        assert code in DOCUMENTED, f"eval after {target} corruption ({description}) exited {code}"
+        assert code in exits, f"eval after {target} corruption ({description}) exited {code}"
         assert not report.exists()
         if target != "checkpoint":
             code = main(["train", "--dataset", dataset, "--out", str(root / "new.wsdc"), "--epochs", "1"])
-            assert code in DOCUMENTED, f"train after {target} corruption ({description}) exited {code}"
+            assert code in exits, f"train after {target} corruption ({description}) exited {code}"
 
 
 @given(corruption())
@@ -243,3 +252,10 @@ def test_corrupt_input_ends_in_a_documented_exit_code(pristine, capsys, case):
 def test_corrupt_box_coordinate_or_class_ends_in_a_documented_exit_code(pristine, capsys, case):
     run_corrupted(pristine, case)
     capsys.readouterr()
+
+
+@given(st.permutations(range(IMAGES)))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_repeated_image_id_ends_in_exit_data(pristine, capsys, order):
+    run_corrupted(pristine, id_copy(order[0], order[1]), exits={EXIT_DATA})
+    assert "id repeats image" in capsys.readouterr().err

@@ -162,7 +162,7 @@ class TestTrainingStep:
     @given(st.data(), st.integers(1, 4), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_forward_and_backward(self, data, distinct, cover):
-        rng, n, c, d, labels, m_pos, m_neg = data.draw(instances(cover=cover))
+        rng, n, c, d, labels, m_pos, m_neg = data.draw(instances(max_c=10, cover=cover))  # C >= 8: pairwise row sums
         params = random_params(rng, c, d, dtype=np.float32)
         check_step(params, feats_with_repeats(rng, n, d, distinct), labels, m_pos, m_neg)
 
@@ -235,6 +235,15 @@ TRAIN_RUNS = {
     "tied_varying_regions": (lambda: bag_dataset(np.random.default_rng(7), [3, 9, 16, 5, 16], 4, 3, 2),
                              dict(schedule=PruneSchedule(warmup_epochs=1, m_start=8, m_final=2, m_neg=3,
                                                          total_epochs=4))),
+    # the README walkthrough's shape and schedule: N=64, C=6, D=64, budgets 64, 32, 16, 8 with m_neg=16
+    "walkthrough_shape": (lambda: synth_dataset(6, 6, 64, 64, 11),
+                          dict(schedule=PruneSchedule(warmup_epochs=2, m_start=64, m_final=8, m_neg=16,
+                                                      total_epochs=8))),
+    # C=10 (row sums over classes are pairwise) and region counts that shrink and grow from image
+    # to image, so the step's workspace views are sliced shorter and longer again within an epoch
+    "many_classes_varying_regions": (lambda: bag_dataset(np.random.default_rng(8), [40, 7, 40, 1, 23], 10, 6, 5),
+                                     dict(schedule=PruneSchedule(warmup_epochs=1, m_start=32, m_final=4, m_neg=8,
+                                                                 total_epochs=5))),
     # N=2048, C=20, D=256: warmup, then budgets 1024 and 512, with m_neg=128
     "paper_shape": (lambda: synth_dataset(2, 20, 256, 2048, 0),
                     dict(schedule=PruneSchedule(warmup_epochs=1, m_start=1024, m_final=512, m_neg=128, total_epochs=3))),
