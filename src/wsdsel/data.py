@@ -284,11 +284,12 @@ def _context_box(rng: np.random.Generator, gt: Box, tries: int = 30) -> Box:
 
 
 def _background_boxes(rng: np.random.Generator, gt_boxes, count: int, tries: int = 20) -> np.ndarray:
-    """`_background_box(rng, gt_boxes)` `count` times, drawn in rounds (see the module docstring).
+    """`count` boxes, each with IoU below 0.3 with every ground-truth box, drawn in rounds (see the module docstring).
 
-    A try's verdict does not depend on its box, so a round hands out all its
-    tries in stream order: each box takes them up to its first accepted one
-    or its last one, and the next box starts after it.
+    Each box is rejection-sampled and keeps its last try if all `tries`
+    fail. A try's verdict does not depend on its box, so a round hands out
+    all its tries in stream order: each box takes them up to its first
+    accepted one or its last one, and the next box starts after it.
     """
     gt = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     out = np.empty((count, 4))
@@ -317,11 +318,6 @@ def _background_boxes(rng: np.random.Generator, gt_boxes, count: int, tries: int
             out[done] = cand[last]
             done, tried, pos = done + 1, 0, last + 1
     return out
-
-
-def _background_box(rng: np.random.Generator, gt_boxes, tries: int = 20) -> Box:
-    """A box with IoU below 0.3 with every ground-truth box, rejection-sampled; its last try if all `tries` fail."""
-    return tuple(_background_boxes(rng, gt_boxes, 1, tries)[0].tolist())
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:

@@ -26,11 +26,42 @@ from per-image constants built once: `ImageLabels` and, per (m_pos, m_neg),
 `Budgets`. It allocates no (N, C) temporary and keeps nothing else.
 `forward_image` and `backward_image` are the same pass, split in two and
 run in a workspace of their own, as the public entry points that keep
-every intermediate.
+every intermediate; eval's `linear_outputs` runs the same products.
+
+Branch split. The two branches share only the features until the
+aggregation f = sum(v * p), so at large shapes a pass runs them on two
+threads. A worker thread owned by the workspace (`_BranchWorker`) runs the
+importance branch's half while the calling thread runs the class
+branch's half, each into its own buffers of the `StepWork`:
+- forward: the worker computes x @ w_imp.T + b_imp into z[1]; the caller
+  computes x @ w_cls.T + b_cls into z[0] and its row softmax;
+- backward: the worker runs dv, v * dv, its sum over regions, dz_imp and
+  the w_imp and b_imp gradients; the caller runs dp, p * dp, its sum over
+  classes, dz_cls and the w_cls and b_cls gradients.
+Each half makes the BLAS call and the elementwise operations and
+reductions of its branch in the stack, so the split gives the same bits.
+numpy releases the interpreter lock inside its loops and BLAS calls, so
+the halves run on two cores. The split runs only when N*D*C reaches
+SPLIT_MIN = 2^20 and the process may run on at least two CPUs
+(`os.sched_getaffinity`). Below that, the handoff and the worker's
+wake-up cost more than the products save: on a 2-vCPU Xeon VM with one
+BLAS thread, a split step lost at N*D*C = 655k ((N, D, C) = (512, 64,
+20): 0.69-0.81 ms stacked, 0.80-1.46 ms split), was about even near 1M
+and won from 1.3M on; at the paper shape (2048, 256, 20) it took 5.1 ms
+against 6.8. The worker calls numpy only, never a wsdsel function:
+perfbench's tracer wraps module functions by name and keeps one span
+stack. If the worker has not woken by the time the caller's half ends,
+the caller runs the worker's half itself. An exception raised in the
+worker's half is re-raised in the caller once both halves are done.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import queue
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +69,65 @@ import numpy as np
 from wsdsel.errors import ConfigError
 
 EPS = 1e-12  # clamp on aggregated scores before the logs
+# The smallest N*D*C at which a pass runs its two branches on two threads (see the module docstring).
+SPLIT_MIN = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _BranchWorker:
+    """One daemon thread that runs a task beside the calling thread (see the module docstring).
+
+    Each task goes over a queue with a claim lock and a done lock of its
+    own, a lighter handoff than an executor's future. Whichever thread
+    takes the claim first runs the task: the worker when it wakes, or the
+    caller when its own half ends before the worker has woken, so a late
+    wake-up costs no more than running both halves here.
+    """
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, args=(self._tasks,), name="wsdsel-branch", daemon=True)
+        self._thread.start()
+
+    @staticmethod
+    def _serve(tasks):
+        while True:
+            item = tasks.get()
+            if item is None:
+                return
+            task, claim, done, errors = item
+            if claim.acquire(blocking=False):
+                try:
+                    task()
+                except BaseException as err:  # re-raised in the caller by `beside`
+                    errors.append(err)
+                done.release()
+
+    def beside(self, task, own):
+        """Run `task` on the worker and `own` here at the same time; return once both are done."""
+        claim, done, errors = threading.Lock(), threading.Lock(), []
+        done.acquire()
+        self._tasks.put((task, claim, done, errors))
+        try:
+            own()
+        finally:
+            stolen = claim.acquire(blocking=False)
+            if not stolen:  # the worker has the task: wait for it, also when `own` raised
+                done.acquire()
+        if stolen:
+            task()
+        elif errors:
+            raise errors[0]
+
+    def close(self):
+        self._tasks.put(None)
 
 
 class HeadParams:
@@ -152,6 +242,12 @@ class StepWork:
     (transposes, the selection key and its sort); the (C, N) bool mask
     and group (the selection mask and one budget level's part of it); and
     rows, (N,).
+
+    `at(n)` also sets `worker`: the workspace's `_BranchWorker`, started on
+    first use, when a pass at N = n splits its branches (N*D*C at least
+    SPLIT_MIN and at least two usable CPUs), else None. `_split` set to
+    True or False before the first pass forces the choice either way. The
+    worker's thread ends when the workspace is collected.
     """
 
     def __init__(self, n_max: int, c: int, d: int):
@@ -165,6 +261,10 @@ class StepWork:
         self._masks = np.empty((2, c * n_max), dtype=bool)
         self._rows = np.empty(n_max)
         self.n = None
+        self._split = None
+        # The fewest regions at which a pass splits, as N*D*C >= SPLIT_MIN; never on one CPU.
+        self._split_min = -(-SPLIT_MIN // (c * d)) if _usable_cpus() > 1 else math.inf
+        self._worker = None
 
     def at(self, n: int) -> "StepWork":
         if n != self.n:
@@ -173,6 +273,11 @@ class StepWork:
             self.zt, self.key, self.srt = (s[: c * n].reshape(c, n) for s in self._planes)
             self.mask, self.group = (s[: c * n].reshape(c, n) for s in self._masks)
             self.rows, self.n = self._rows[:n], n
+            split = n >= self._split_min if self._split is None else self._split
+            if split and self._worker is None:
+                self._worker = _BranchWorker()
+                weakref.finalize(self, self._worker.close)
+            self.worker = self._worker if split else None
         return self
 
 
@@ -217,18 +322,46 @@ def _softmax_rows(z: np.ndarray, zt: np.ndarray, rows: np.ndarray) -> np.ndarray
     return z
 
 
-def _linear(w64: HeadParams, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Both branches' logits on float64 (N, D) features, into the (2, N, C) stack z: one batched matmul, one bias add."""
+def _linear(w64: HeadParams, x: np.ndarray, z: np.ndarray, worker: _BranchWorker | None, softmax=None) -> np.ndarray:
+    """Both branches' logits on float64 (N, D) features, into the (2, N, C) stack z.
+
+    With `softmax`, the (C, N) and (N,) buffers of `_softmax_rows`, z[0]
+    then becomes its row softmax p in place. Without a worker, one batched
+    matmul and one bias add; with one, `_linear_split`.
+    """
+    if worker is not None:
+        return _linear_split(w64, x, z, worker, softmax)
     np.matmul(x, w64.w.transpose(0, 2, 1), out=z)
     z += w64.b[:, None, :]
+    if softmax is not None:
+        _softmax_rows(z[0], *softmax)
+    return z
+
+
+def _linear_split(w64: HeadParams, x: np.ndarray, z: np.ndarray, worker: _BranchWorker, softmax) -> np.ndarray:
+    """`_linear` on two threads: the same product and add per branch.
+
+    The worker writes the importance logits into z[1] while this thread
+    writes the class logits into z[0] and takes their softmax. (A function
+    of its own: closures in `_linear` would slow the one-thread path.)
+    """
+    (z_cls, z_imp), w_imp, b_imp = z, w64.w_imp.T, w64.b_imp
+
+    def classes():
+        np.add(np.matmul(x, w64.w_cls.T, out=z_cls), w64.b_cls, out=z_cls)
+        if softmax is not None:
+            _softmax_rows(z_cls, *softmax)
+
+    worker.beside(lambda: np.add(np.matmul(x, w_imp, out=z_imp), b_imp, out=z_imp), classes)
     return z
 
 
 def linear_outputs(params: HeadParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both branches on (N, D) features: class probabilities p and importance logits, each (N, C)."""
     x = np.asarray(feats, dtype=np.float64)
-    w64 = HeadParams.from_flat(params.flat.astype(np.float64, copy=False), params.num_classes, params.feat_dim)
-    z = _linear(w64, x, np.empty((2, len(x), params.num_classes)))
+    work = StepWork(len(x), params.num_classes, params.feat_dim).at(len(x))
+    np.copyto(work.params.flat, params.flat)
+    z = _linear(work.params, x, work.z, work.worker)
     return class_softmax(z[0]), z[1]
 
 
@@ -404,8 +537,7 @@ def _outputs(params: HeadParams, x: np.ndarray, work: StepWork) -> np.ndarray:
     """Both branches on float64 (N, D) features in `work`: the (2, N, C) stack of p and the importance logits."""
     work.at(len(x))
     np.copyto(work.params.flat, params.flat)
-    _softmax_rows(_linear(work.params, x, work.z)[0], work.zt, work.rows)
-    return work.z
+    return _linear(work.params, x, work.z, work.worker, (work.zt, work.rows))
 
 
 def _weights(z: np.ndarray, lab: ImageLabels, budgets: Budgets, eps: float, work: StepWork):
@@ -467,6 +599,8 @@ def _backward(z: np.ndarray, f: np.ndarray, x: np.ndarray, lab: ImageLabels, eps
     q, r, rows = work.at(len(x)).q, work.r, work.rows
     dl_df = lab.neg_y / f + lab.not_y / (1.0 - f)
     dl_df[(f <= eps) | (f >= 1.0 - eps)] = 0.0  # the clamp passes no gradient where it saturates
+    if work.worker is not None:
+        return _backward_split(z, dl_df, x, work)
     p, v = z
     np.multiply(v, dl_df, out=q[0])  # dp, zero off-mask since v is
     np.multiply(p, dl_df, out=q[1])  # dv
@@ -479,6 +613,35 @@ def _backward(z: np.ndarray, f: np.ndarray, x: np.ndarray, lab: ImageLabels, eps
     np.multiply(z, q, out=r)  # [dz_cls; dz_imp], dz_imp zero off-mask by construction
     np.matmul(r.transpose(0, 2, 1), x, out=work.grads.w)
     np.add.reduce(r, axis=1, out=work.grads.b)
+
+
+def _backward_split(z: np.ndarray, dl_df: np.ndarray, x: np.ndarray, work: StepWork):
+    """The operations of `_backward` branch by branch: the worker runs the importance chain, this thread the class chain.
+
+    A function of its own, as `_linear_split` is.
+    """
+    (p, v), (dp, dv), (dz_cls, dz_imp) = z, work.q, work.r
+    grads, rows, cols = work.grads, work.rows, work.cols
+
+    def importance():
+        np.multiply(p, dl_df, out=dv)
+        np.multiply(v, dv, out=dz_imp)
+        np.add.reduce(dz_imp, axis=0, out=cols)
+        np.subtract(dv, cols, out=dv)
+        np.multiply(v, dv, out=dz_imp)
+        np.matmul(dz_imp.T, x, out=grads.w_imp)
+        np.add.reduce(dz_imp, axis=0, out=grads.b_imp)
+
+    def classes():
+        np.multiply(v, dl_df, out=dp)
+        np.multiply(p, dp, out=dz_cls)
+        np.add.reduce(dz_cls, axis=1, out=rows)
+        np.subtract(dp, rows[:, None], out=dp)
+        np.multiply(p, dp, out=dz_cls)
+        np.matmul(dz_cls.T, x, out=grads.w_cls)
+        np.add.reduce(dz_cls, axis=0, out=grads.b_cls)
+
+    work.worker.beside(importance, classes)
 
 
 def image_step(

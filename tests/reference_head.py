@@ -85,34 +85,41 @@ def sgd_step(params: list, velocity: list, grads: list, lr: float, momentum: flo
         param += vel
 
 
+def steps(dataset, config):
+    """(epoch, image index, m_pos, m_neg) of every training step, in order.
+
+    Each epoch's order is drawn from the same (seed, epoch) stream the
+    trainer documents; budgets come from the schedule, or are N for the
+    baseline.
+    """
+    from wsdsel.schedule import pos_budget
+
+    for epoch in range(config.total_epochs):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, epoch)))
+        for idx in rng.permutation(len(dataset.images)):
+            n = dataset.images[idx].n_regions
+            if config.baseline:
+                yield epoch, idx, n, n
+            else:
+                yield epoch, idx, pos_budget(epoch, n, config.schedule), config.schedule.m_neg
+
+
 def train(dataset, config):
     """The training loop, one image and one class at a time: (params, velocity, loss history) as block lists.
 
-    Starts from `trainer.init_params` and draws each epoch's order from the
-    same (seed, epoch) stream the trainer documents; budgets come from the
-    schedule, or are N for the baseline.
+    Starts from `trainer.init_params` and runs the `steps` in order.
     """
-    from wsdsel.schedule import pos_budget
     from wsdsel.trainer import init_params
 
     init = init_params(dataset.feat_dim, dataset.num_classes, config.seed)
     params = [a.copy() for _, a in init.blocks()]
     velocity = [np.zeros_like(a) for a in params]
-    history = []
-    for epoch in range(config.total_epochs):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, epoch)))
-        total = 0.0
-        for idx in rng.permutation(len(dataset.images)):
-            bag = dataset.images[idx]
-            n = bag.n_regions
-            if config.baseline:
-                m_pos = m_neg = n
-            else:
-                m_pos, m_neg = pos_budget(epoch, n, config.schedule), config.schedule.m_neg
-            feats = bag.views[0]
-            p, _, v, f, loss = forward(params, feats, bag.labels, m_pos, m_neg, config.epsilon)
-            grads = backward(p, v, f, feats, bag.labels, config.epsilon)
-            sgd_step(params, velocity, grads, config.lr_at(epoch), config.momentum, config.weight_decay)
-            total += loss
-        history.append(total / len(dataset.images))
-    return params, velocity, history
+    totals = [0.0] * config.total_epochs
+    for epoch, idx, m_pos, m_neg in steps(dataset, config):
+        bag = dataset.images[idx]
+        feats = bag.views[0]
+        p, _, v, f, loss = forward(params, feats, bag.labels, m_pos, m_neg, config.epsilon)
+        grads = backward(p, v, f, feats, bag.labels, config.epsilon)
+        sgd_step(params, velocity, grads, config.lr_at(epoch), config.momentum, config.weight_decay)
+        totals[epoch] += loss
+    return params, velocity, [total / len(dataset.images) for total in totals]

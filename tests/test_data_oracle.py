@@ -98,14 +98,19 @@ def test_context_box_falls_back_to_a_cluster_box(seed, gt, monkeypatch):
     assert (got == gt) == (gt[2] - gt[0] < 1e-3)
 
 
+def background_box(rng, gt_boxes, tries=20):
+    """One background box, as a tuple, from the round-based sampler."""
+    return tuple(data._background_boxes(rng, gt_boxes, 1, tries)[0].tolist())
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_background_box_returns_its_last_try(seed):
     # The 20 tries of this seed, drawn ahead: each one overlaps itself, so every try is rejected.
     ahead = np.random.default_rng(seed)
-    tries = [data._background_box(ahead, [], tries=1) for _ in range(20)]
+    tries = [background_box(ahead, [], tries=1) for _ in range(20)]
     got, want = run_both(
         seed,
-        lambda rng: data._background_box(rng, tries),
+        lambda rng: background_box(rng, tries),
         lambda rng: ref._background_box(rng, [BBox(*t) for t in tries]),
     )
     assert got == tries[-1] == want.as_tuple()

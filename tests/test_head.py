@@ -1,11 +1,22 @@
+import functools
+import gc
+import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import reference_head as ref
+from wsdsel import head
+from wsdsel.data import SynthConfig, generate_synthetic
 from wsdsel.head import (
     EPS,
+    Budgets,
     HeadParams,
+    ImageLabels,
+    StepWork,
     aggregate,
     backward_image,
     class_softmax,
@@ -18,6 +29,8 @@ from wsdsel.head import (
     run_gradcheck,
     select_regions,
 )
+from wsdsel.schedule import PruneSchedule
+from wsdsel.trainer import TrainConfig, train
 
 from reference_eval import topm_indices
 
@@ -304,3 +317,110 @@ class TestGradcheckSuite:
         report = run_gradcheck(seed=1, instances=10, max_regions=1, max_classes=1, max_dim=1)
         assert report["passed"]
         assert report["max_rel_error"] < 1e-6
+
+
+def split_step(n, c, d, m_pos, m_neg):
+    """image_step's arguments for one random image, in a workspace forced to split its branches."""
+    rng = np.random.default_rng(n)
+    params = HeadParams(*(rng.normal(scale=0.05, size=s).astype(np.float32) for s in ((c, d), (c,), (c, d), (c,))))
+    feats = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
+    labels = ImageLabels((rng.random(c) < 0.3).astype(np.int64))
+    work = StepWork(n, c, d)
+    work._split = True
+    return params, feats, labels, Budgets(labels.pos, n, m_pos, m_neg), EPS, work
+
+
+class TestBranchSplit:
+    def test_worker_runs_no_wsdsel_function(self, monkeypatch):
+        # perfbench's tracer wraps wsdsel functions by name and keeps one span stack, so only the caller may run them
+        threads = set()
+
+        def recording(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "wsdsel":
+                for attr, fn in list(vars(module).items()):
+                    if inspect.isfunction(fn) and fn.__module__.startswith("wsdsel"):
+                        monkeypatch.setattr(module, attr, recording(fn))
+        args = split_step(2048, 20, 256, 512, 128)
+        head.image_step(*args)
+        assert args[-1].worker is not None
+        assert threads == {threading.get_ident()}
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        params, feats, labels, budgets, _, work = args = split_step(300, 10, 32, 75, 20)
+        caller, matmul, started = threading.get_ident(), np.matmul, threading.Event()
+
+        def failing_off_caller(*args, **kwargs):
+            if threading.get_ident() != caller:
+                started.set()
+                raise RuntimeError("worker half failed")
+            assert started.wait(timeout=10)  # so that the worker, not the caller, runs the importance half
+            return matmul(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", failing_off_caller)
+            with pytest.raises(RuntimeError, match="worker half failed"):
+                head.image_step(*args)
+        # the same workspace and worker give the reference bytes on the next step
+        loss = head.image_step(*args)
+        p, _, v, f, want = ref.forward([a for _, a in params.blocks()], feats, labels.y, 75, 20, EPS)
+        assert loss == want
+        for (_, got), want in zip(work.grads.blocks(), ref.backward(p, v, f, feats, labels.y, EPS)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, c, d", [(64, 6, 64), (128, 20, 64)])  # walkthrough and dense_eval set-up shapes
+    def test_small_shape_train_starts_no_thread(self, n, c, d):
+        dataset = generate_synthetic(SynthConfig(n_images=3, num_classes=c, feat_dim=d, proposals_per_image=n))
+        schedule = PruneSchedule(warmup_epochs=1, m_start=n, m_final=8, m_neg=16, total_epochs=3)
+        before = threading.active_count()
+        counts = []
+        train(dataset, TrainConfig(total_epochs=3, schedule=schedule), on_step=lambda *_: counts.append(
+            threading.active_count()))
+        assert len(counts) == 9 and set(counts) == {before}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_gate(self, monkeypatch, cpus):
+        monkeypatch.setattr(head, "_usable_cpus", lambda: cpus)
+        c, d = 20, 256
+        n_min = -(-head.SPLIT_MIN // (c * d))
+        work = StepWork(2048, c, d)
+        assert work.at(n_min - 1).worker is None
+        assert (work.at(n_min).worker is not None) == (cpus > 1)
+        assert (work.at(2048).worker is not None) == (cpus > 1)
+        forced = StepWork(2048, c, d)
+        forced._split = False
+        assert forced.at(2048).worker is None
+        forced = StepWork(64, 6, 64)
+        forced._split = True
+        assert forced.at(64).worker is not None
+
+    def test_caller_runs_a_task_the_worker_has_not_begun(self):
+        worker, gate = head._BranchWorker(), threading.Event()
+        blocked = threading.Lock()
+        blocked.acquire()
+        worker._tasks.put((lambda: gate.wait(timeout=10), threading.Lock(), blocked, []))  # keeps the worker busy
+        ran = []
+        worker.beside(lambda: ran.append(threading.get_ident()), lambda: None)
+        assert ran == [threading.get_ident()]
+        gate.set()
+        assert blocked.acquire(timeout=10)
+        worker.beside(lambda: ran.append("task"), lambda: ran.append("own"))
+        assert sorted(ran[1:]) == ["own", "task"]
+        worker.close()
+
+    def test_worker_thread_ends_with_its_workspace(self):
+        work = StepWork(4, 2, 3)
+        work._split = True
+        thread = work.at(4).worker._thread
+        assert thread.is_alive()
+        del work
+        gc.collect()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

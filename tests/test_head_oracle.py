@@ -5,6 +5,8 @@ pass, the SGD update and whole training runs are compared with
 `reference_head` on random instances chosen to hit the edges: tied class
 probabilities, budgets at or above N (every region selected), a single
 region, a single class, and positive and negative budgets that differ.
+Every step of the training runs is also compared in float64, on both
+paths of the head's branch split.
 """
 
 import numpy as np
@@ -14,9 +16,10 @@ from hypothesis import strategies as st
 
 import reference_head as ref
 from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
-from wsdsel.head import EPS, HeadParams, aggregate, backward_image, forward_image, masked_softmax, select_regions
+from wsdsel.head import (EPS, HeadParams, aggregate, backward_image, forward_image, image_step, masked_softmax,
+                         select_regions)
 from wsdsel.schedule import PruneSchedule
-from wsdsel.trainer import TrainConfig, TrainState, sgd_step, train
+from wsdsel.trainer import TrainConfig, TrainState, _Run, init_params, sgd_step, train
 
 
 def same(a, b) -> bool:
@@ -250,13 +253,17 @@ TRAIN_RUNS = {
 }
 
 
+def train_run(name):
+    """The dataset and config of one TRAIN_RUNS entry."""
+    make, overrides = TRAIN_RUNS[name]
+    config = TrainConfig(**{"learning_rate": 0.05, "total_epochs": overrides["schedule"].total_epochs,
+                            "lr_decay_epoch": None, **overrides})
+    return make(), config
+
+
 @pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
 def test_train_equals_reference_loop(name):
-    make, overrides = TRAIN_RUNS[name]
-    dataset = make()
-    schedule = overrides["schedule"]
-    config = TrainConfig(**{"learning_rate": 0.05, "total_epochs": schedule.total_epochs, "lr_decay_epoch": None,
-                            **overrides})
+    dataset, config = train_run(name)
     state = train(dataset, config)
     params, velocity, history = ref.train(dataset, config)
     for (_, got), want in zip(state.params.blocks(), params):
@@ -264,3 +271,29 @@ def test_train_equals_reference_loop(name):
     for (_, got), want in zip(state.velocity.blocks(), velocity):
         assert same(got, want)
     assert state.loss_history == history
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["stacked", "split"])
+@pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
+def test_steps_equal_reference_in_lockstep(name, split):
+    # Whole runs round every gradient into float32 parameters, which can absorb a one-ulp change in
+    # the float64 step; here every step's gradient and loss are compared before the SGD update, with
+    # the reference reading the trainer's parameters. `_split` forces one path of the branch split.
+    dataset, config = train_run(name)
+    params = init_params(dataset.feat_dim, dataset.num_classes, config.seed)
+    state = TrainState(params=params, velocity=params.zeros_like())
+    run = _Run(dataset, state.params)
+    run.work._split = split
+    for epoch, idx, m_pos, m_neg in ref.steps(dataset, config):
+        bag = dataset.images[idx]
+        feats = bag.views[0].astype(np.float64)
+        loss = image_step(state.params, feats, run.labels[idx], run.budgets(idx, m_pos, m_neg), config.epsilon,
+                          run.work)
+        assert (run.work.worker is not None) == split
+        p, _, v, f, want = ref.forward([a for _, a in state.params.blocks()], feats, bag.labels, m_pos, m_neg,
+                                       config.epsilon)
+        assert loss == want
+        for (_, got), want in zip(run.work.grads.blocks(), ref.backward(p, v, f, feats, bag.labels, config.epsilon)):
+            assert same(got, want)
+        state.epoch = epoch
+        sgd_step(state, run.work.grads, config)
