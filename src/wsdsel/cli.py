@@ -304,16 +304,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    config = resolve_config(GRADCHECK_KEYS, args)
-    report = run_gradcheck(
-        seed=config["seed"],
-        instances=config["instances"],
-        max_regions=config["max_regions"],
-        max_classes=config["max_classes"],
-        max_dim=config["max_dim"],
-        step=config["step"],
-        tolerance=config["tolerance"],
-    )
+    report = run_gradcheck(**resolve_config(GRADCHECK_KEYS, args))
     print(f"gradcheck: {report['instances']} instances, max relative error {report['max_rel_error']:.3e}")
     if report["passed"]:
         print(f"PASS (tolerance {report['tolerance']:.1e})")

@@ -30,9 +30,10 @@ every intermediate; eval's `linear_outputs` runs the same products.
 
 Branch split. The two branches share only the features until the
 aggregation f = sum(v * p), so at large shapes a pass runs them on two
-threads. A worker thread owned by the workspace (`_BranchWorker`) runs the
-importance branch's half while the calling thread runs the class
-branch's half, each into its own buffers of the `StepWork`:
+threads. The module's one worker thread (`_BranchWorker`), started at the
+first split pass in the process and never stopped, runs the importance
+branch's half while the calling thread runs the class branch's half, each
+into its own buffers of the caller's `StepWork`:
 - forward: the worker computes x @ w_imp.T + b_imp into z[1]; the caller
   computes x @ w_cls.T + b_cls into z[0] and its row softmax;
 - backward: the worker runs dv, v * dv, its sum over regions, dz_imp and
@@ -43,15 +44,12 @@ reductions of its branch in the stack, so the split gives the same bits.
 numpy releases the interpreter lock inside its loops and BLAS calls, so
 the halves run on two cores. The split runs only when N*D*C reaches
 SPLIT_MIN = 2^20 and the process may run on at least two CPUs
-(`os.sched_getaffinity`). Below that, the handoff and the worker's
-wake-up cost more than the products save: on a 2-vCPU Xeon VM with one
-BLAS thread, a split step lost at N*D*C = 655k ((N, D, C) = (512, 64,
-20): 0.69-0.81 ms stacked, 0.80-1.46 ms split), was about even near 1M
-and won from 1.3M on; at the paper shape (2048, 256, 20) it took 5.1 ms
-against 6.8. The worker calls numpy only, never a wsdsel function:
-perfbench's tracer wraps module functions by name and keeps one span
-stack. If the worker has not woken by the time the caller's half ends,
-the caller runs the worker's half itself. An exception raised in the
+(`os.sched_getaffinity`): below that, the handoff and the worker's
+wake-up cost more than the products save. The worker calls numpy only,
+never a wsdsel function: perfbench's tracer wraps module functions by
+name and keeps one span stack. If the worker has not begun a task by the
+time the caller's half ends, the caller runs it itself, so callers on
+several threads share the worker safely. An exception raised in the
 worker's half is re-raised in the caller once both halves are done.
 """
 
@@ -61,7 +59,6 @@ import math
 import os
 import queue
 import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,30 +85,33 @@ class _BranchWorker:
     own, a lighter handoff than an executor's future. Whichever thread
     takes the claim first runs the task: the worker when it wakes, or the
     caller when its own half ends before the worker has woken, so a late
-    wake-up costs no more than running both halves here.
+    wake-up costs no more than running both halves here. Between tasks
+    the thread holds no reference to the last one, so a finished pass's
+    buffers are freed with their workspace.
     """
 
     def __init__(self):
         self._tasks = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, args=(self._tasks,), name="wsdsel-branch", daemon=True)
-        self._thread.start()
+        self._started = threading.Lock()
+        self._thread = None
 
-    @staticmethod
-    def _serve(tasks):
+    def _serve(self):
         while True:
-            item = tasks.get()
-            if item is None:
-                return
-            task, claim, done, errors = item
+            task, claim, done, errors = self._tasks.get()
             if claim.acquire(blocking=False):
                 try:
                     task()
                 except BaseException as err:  # re-raised in the caller by `beside`
                     errors.append(err)
                 done.release()
+            del task, errors  # the closures hold the pass's workspace and features
 
     def beside(self, task, own):
         """Run `task` on the worker and `own` here at the same time; return once both are done."""
+        with self._started:
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._serve, name="wsdsel-branch", daemon=True)
+                self._thread.start()
         claim, done, errors = threading.Lock(), threading.Lock(), []
         done.acquire()
         self._tasks.put((task, claim, done, errors))
@@ -126,8 +126,10 @@ class _BranchWorker:
         elif errors:
             raise errors[0]
 
-    def close(self):
-        self._tasks.put(None)
+
+_WORKER = _BranchWorker()
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread: it starts its own, on a fresh queue
+    os.register_at_fork(after_in_child=_WORKER.__init__)
 
 
 class HeadParams:
@@ -243,11 +245,10 @@ class StepWork:
     and group (the selection mask and one budget level's part of it); and
     rows, (N,).
 
-    `at(n)` also sets `worker`: the workspace's `_BranchWorker`, started on
-    first use, when a pass at N = n splits its branches (N*D*C at least
-    SPLIT_MIN and at least two usable CPUs), else None. `_split` set to
-    True or False before the first pass forces the choice either way. The
-    worker's thread ends when the workspace is collected.
+    `at(n)` also sets `worker`: the module's one `_BranchWorker` when a
+    pass at N = n splits its branches (N*D*C at least SPLIT_MIN and at
+    least two usable CPUs), else None. `_split` set to True or False
+    before the first pass forces the choice either way.
     """
 
     def __init__(self, n_max: int, c: int, d: int):
@@ -264,7 +265,6 @@ class StepWork:
         self._split = None
         # The fewest regions at which a pass splits, as N*D*C >= SPLIT_MIN; never on one CPU.
         self._split_min = -(-SPLIT_MIN // (c * d)) if _usable_cpus() > 1 else math.inf
-        self._worker = None
 
     def at(self, n: int) -> "StepWork":
         if n != self.n:
@@ -274,10 +274,7 @@ class StepWork:
             self.mask, self.group = (s[: c * n].reshape(c, n) for s in self._masks)
             self.rows, self.n = self._rows[:n], n
             split = n >= self._split_min if self._split is None else self._split
-            if split and self._worker is None:
-                self._worker = _BranchWorker()
-                weakref.finalize(self, self._worker.close)
-            self.worker = self._worker if split else None
+            self.worker = _WORKER if split else None
         return self
 
 
@@ -721,10 +718,16 @@ def run_gradcheck(
     """Backward-vs-finite-difference suite over randomized small instances.
 
     Returns a report with the max relative error, the worst instance, and
-    a pass flag at `tolerance`. Both label polarities are exercised.
+    a pass flag at `tolerance`. Both label polarities are exercised. A NaN
+    error counts as the worst, so it fails the suite.
     """
-    if instances < 1:
-        raise ConfigError(f"instances must be >= 1, got {instances}")
+    for name, size in (("instances", instances), ("max_regions", max_regions), ("max_classes", max_classes),
+                       ("max_dim", max_dim)):
+        if size < 1:
+            raise ConfigError(f"{name} must be >= 1, got {size}")
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
     rng = np.random.default_rng(seed)
     worst_err = 0.0
     worst_desc = ""
@@ -746,7 +749,7 @@ def run_gradcheck(
         analytic = backward_image(trace, params, feats, labels)
         numeric = finite_diff_grads(params, feats, labels, m_pos, m_neg, step)
         err = gradient_agreement(analytic, numeric)
-        if err > worst_err:
+        if not (err <= worst_err or math.isnan(worst_err)):  # a NaN error replaces any number and stays
             worst_err = err
             worst_desc = f"instance {i}: N={n} C={c} D={d} m_pos={m_pos} m_neg={m_neg} labels={labels.tolist()}"
     return {

@@ -26,14 +26,14 @@ Each epoch casts its learning rate, momentum and weight decay to float32
 once. A step allocates no (N, C) temporary, so the next image reuses the
 same memory.
 
-A step whose N*D*C reaches `head.SPLIT_MIN` (2^20, the measured crossover)
-runs its two head branches on two threads when the process may use at
-least two CPUs (the `head` docstring has the measurements): the importance
-branch on a worker thread, which calls numpy only and which the run's
-`StepWork` starts at its first such step and stops when the run ends, and
-the class branch on the calling thread, with the bits of the one-thread
-step. The paper shape (N=2048, D=256, C=20) splits; the README
-walkthrough (N=64, D=64, C=6) never starts the thread.
+A step whose N*D*C reaches `head.SPLIT_MIN` (2^20) runs its two head
+branches on two threads when the process may use at least two CPUs (the
+`head` docstring says why): the importance branch on `head`'s one worker
+thread, which calls numpy only, starts at the first such step in the
+process and serves every later run, and the class branch on the calling
+thread, with the bits of the one-thread step. The paper shape (N=2048,
+D=256, C=20) splits; the README walkthrough (N=64, D=64, C=6) never
+starts the thread.
 
 Checkpoint format: magic "WSDC", then version, C, D as u32 LE, then the
 four parameter blocks and four velocity blocks (w_cls, b_cls, w_imp,

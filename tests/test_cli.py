@@ -382,6 +382,34 @@ class TestGradcheck:
         assert "instances" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("flag, value", [("--max-regions", "0"), ("--max-classes", "0"), ("--max-dim", "0"),
+                                             ("--step", "0"), ("--step", "nan"), ("--step", "inf"),
+                                             ("--tolerance", "0"), ("--tolerance", "nan"), ("--tolerance", "inf")])
+    def test_bad_option_exits_config(self, capsys, flag, value):
+        assert main(["gradcheck", "--instances", "2", flag, value]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert flag[2:].replace("-", "_") in captured.err
+        assert "Traceback" not in captured.err
+        assert "PASS" not in captured.out
+
+    def test_nan_gradient_mutation_fails(self, monkeypatch, capsys):
+        real, calls = wsdsel.head.backward_image, []
+
+        def one_nan(trace, params, feats, labels, eps=wsdsel.head.EPS):
+            grads = real(trace, params, feats, labels, eps)
+            calls.append(None)
+            if len(calls) == 3:
+                grads.flat[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(wsdsel.head, "backward_image", one_nan)
+        report = wsdsel.head.run_gradcheck(instances=6)
+        assert np.isnan(report["max_rel_error"]) and not report["passed"]
+        assert report["worst_instance"].startswith("instance 2:")  # the finite errors after it do not replace it
+        calls.clear()
+        assert main(["gradcheck", "--instances", "6"]) == EXIT_NUMERIC
+        assert "PASS" not in capsys.readouterr().out
+
     def test_sign_flip_mutation_fails(self, monkeypatch, capsys):
         real = wsdsel.head.backward_image
 

@@ -2,15 +2,18 @@ import functools
 import gc
 import inspect
 import math
+import os
 import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
 import reference_head as ref
 from wsdsel import head
-from wsdsel.data import SynthConfig, generate_synthetic
+from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
 from wsdsel.head import (
     EPS,
     Budgets,
@@ -30,7 +33,7 @@ from wsdsel.head import (
     select_regions,
 )
 from wsdsel.schedule import PruneSchedule
-from wsdsel.trainer import TrainConfig, train
+from wsdsel.trainer import TrainConfig, TrainState, init_params, train, train_epoch
 
 from reference_eval import topm_indices
 
@@ -403,6 +406,7 @@ class TestBranchSplit:
 
     def test_caller_runs_a_task_the_worker_has_not_begun(self):
         worker, gate = head._BranchWorker(), threading.Event()
+        assert worker._thread is None  # the thread starts at the first task, not when the worker is made
         blocked = threading.Lock()
         blocked.acquire()
         worker._tasks.put((lambda: gate.wait(timeout=10), threading.Lock(), blocked, []))  # keeps the worker busy
@@ -413,14 +417,88 @@ class TestBranchSplit:
         assert blocked.acquire(timeout=10)
         worker.beside(lambda: ran.append("task"), lambda: ran.append("own"))
         assert sorted(ran[1:]) == ["own", "task"]
-        worker.close()
 
-    def test_worker_thread_ends_with_its_workspace(self):
-        work = StepWork(4, 2, 3)
-        work._split = True
-        thread = work.at(4).worker._thread
-        assert thread.is_alive()
-        del work
-        gc.collect()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+    def test_paper_shape_entry_points_start_one_thread_at_most(self, monkeypatch):
+        monkeypatch.setattr(head, "_usable_cpus", lambda: 2)
+        n, c, d = 2048, 20, 256
+        assert StepWork(n, c, d).at(n).worker is not None  # these calls split their branches
+        rng = np.random.default_rng(5)
+        params, feats, labels = random_instance(rng, n, c, d)
+        dataset = Dataset(num_classes=c, feat_dim=d, class_names=[f"c{j}" for j in range(c)], images=[
+            ImageBag("im0", boxes=np.tile([0.1, 0.1, 0.5, 0.5], (n, 1)), views=[feats.astype(np.float32)],
+                     labels=labels)])
+        config = TrainConfig(total_epochs=3, schedule=PruneSchedule(warmup_epochs=1, m_start=512, m_final=128,
+                                                                    m_neg=128, total_epochs=3))
+        state = TrainState(init_params(d, c, 0), init_params(d, c, 0).zeros_like())
+        starts, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: (starts.append(thread.name), start(thread)))
+        for _ in range(3):
+            trace = forward_image(params, feats, labels, 512, 128)
+            backward_image(trace, params, feats, labels)
+            head.linear_outputs(params, feats)
+            train_epoch(state, dataset, config)
+        assert len(starts) <= 1
+        assert head._WORKER._thread.is_alive()
+
+    def test_worker_keeps_nothing_of_a_finished_step(self):
+        args = split_step(2048, 20, 256, 512, 128)
+        head.image_step(*args)
+        feats, work = weakref.ref(args[1]), weakref.ref(args[-1])
+        workers = [t for t in threading.enumerate() if t.name == "wsdsel-branch"]
+        del args
+        deadline = time.monotonic() + 10
+        while (feats() is not None or work() is not None) and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert feats() is None and work() is None
+        for thread in workers:  # the worker outlives the workspace it served
+            thread.join(timeout=0.2)
+            assert thread.is_alive()
+
+    def test_callers_on_several_threads_share_the_worker(self):
+        # more callers than this host's two cores, switching threads often, each in its own workspace
+        runs = [split_step(n, 10, 64, 75, 20) for n in (1024, 768, 512)]
+        assert runs[0][-1].at(1024).worker is runs[1][-1].at(768).worker is runs[2][-1].at(512).worker is not None
+        barrier, losses = threading.Barrier(len(runs)), [None] * len(runs)
+
+        def steps(i):
+            barrier.wait(timeout=10)
+            losses[i] = [head.image_step(*runs[i]) for _ in range(20)]
+
+        callers = [threading.Thread(target=steps, args=(i,)) for i in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for (params, feats, labels, _, _, work), got in zip(runs, losses):
+            p, _, v, f, want = ref.forward([a for _, a in params.blocks()], feats, labels.y, 75, 20, EPS)
+            assert got == [want] * 20
+            for (_, grad), want in zip(work.grads.blocks(), ref.backward(p, v, f, feats, labels.y, EPS)):
+                assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_starts_its_own_worker(self):
+        args = split_step(300, 10, 32, 75, 20)
+        head.image_step(*args)
+        pid = os.fork()
+        if pid == 0:  # the child: no test framework code runs here, only the exit code reports
+            code = 1
+            try:
+                fresh = head._WORKER._thread is None and head._WORKER._tasks.empty()
+                head.image_step(*args)
+                code = 0 if fresh and head._WORKER._thread.is_alive() else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
