@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import gc
 import inspect
@@ -379,7 +380,16 @@ class TestBranchSplit:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n, c, d", [(64, 6, 64), (128, 20, 64)])  # walkthrough and dense_eval set-up shapes
-    def test_small_shape_train_starts_no_thread(self, n, c, d):
+    def test_small_shape_train_starts_no_thread(self, monkeypatch, n, c, d):
+        # a fresh worker, since the shared one may already run after an earlier split pass in this process
+        worker, at, splits = head._BranchWorker(), StepWork.at, []
+
+        def recording_at(work, n):
+            splits.append(at(work, n).worker)
+            return work
+
+        monkeypatch.setattr(head, "_WORKER", worker)
+        monkeypatch.setattr(StepWork, "at", recording_at)
         dataset = generate_synthetic(SynthConfig(n_images=3, num_classes=c, feat_dim=d, proposals_per_image=n))
         schedule = PruneSchedule(warmup_epochs=1, m_start=n, m_final=8, m_neg=16, total_epochs=3)
         before = threading.active_count()
@@ -387,6 +397,8 @@ class TestBranchSplit:
         train(dataset, TrainConfig(total_epochs=3, schedule=schedule), on_step=lambda *_: counts.append(
             threading.active_count()))
         assert len(counts) == 9 and set(counts) == {before}
+        assert splits and set(splits) == {None}
+        assert worker._thread is None
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_gate(self, monkeypatch, cpus):
@@ -407,6 +419,12 @@ class TestBranchSplit:
     def test_caller_runs_a_task_the_worker_has_not_begun(self):
         worker, gate = head._BranchWorker(), threading.Event()
         assert worker._thread is None  # the thread starts at the first task, not when the worker is made
+
+        def serve():  # as the worker serves, but ends at a task with no claim lock, so no thread outlives the test
+            with contextlib.suppress(AttributeError):
+                head._BranchWorker._serve(worker)
+
+        worker._serve = serve
         blocked = threading.Lock()
         blocked.acquire()
         worker._tasks.put((lambda: gate.wait(timeout=10), threading.Lock(), blocked, []))  # keeps the worker busy
@@ -417,6 +435,9 @@ class TestBranchSplit:
         assert blocked.acquire(timeout=10)
         worker.beside(lambda: ran.append("task"), lambda: ran.append("own"))
         assert sorted(ran[1:]) == ["own", "task"]
+        worker._tasks.put((None, None, None, None))
+        worker._thread.join(timeout=10)
+        assert not worker._thread.is_alive()
 
     def test_paper_shape_entry_points_start_one_thread_at_most(self, monkeypatch):
         monkeypatch.setattr(head, "_usable_cpus", lambda: 2)
@@ -443,17 +464,15 @@ class TestBranchSplit:
     def test_worker_keeps_nothing_of_a_finished_step(self):
         args = split_step(2048, 20, 256, 512, 128)
         head.image_step(*args)
-        feats, work = weakref.ref(args[1]), weakref.ref(args[-1])
-        workers = [t for t in threading.enumerate() if t.name == "wsdsel-branch"]
+        feats, work, thread = weakref.ref(args[1]), weakref.ref(args[-1]), head._WORKER._thread
         del args
         deadline = time.monotonic() + 10
         while (feats() is not None or work() is not None) and time.monotonic() < deadline:
             gc.collect()
             time.sleep(0.01)
         assert feats() is None and work() is None
-        for thread in workers:  # the worker outlives the workspace it served
-            thread.join(timeout=0.2)
-            assert thread.is_alive()
+        thread.join(timeout=0.2)
+        assert thread.is_alive()  # the worker outlives the workspace it served
 
     def test_callers_on_several_threads_share_the_worker(self):
         # more callers than this host's two cores, switching threads often, each in its own workspace
