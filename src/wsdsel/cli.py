@@ -6,8 +6,8 @@ file over default. Each command writes a RunManifest JSON next to its
 outputs with the fully resolved configuration, so a run is reproducible
 from the manifest alone.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 2 configuration error (an output that cannot be
+written included), 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def _parse_bool(text: str) -> bool:
 def read_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as err:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     for lineno, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
@@ -361,6 +361,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TrainingError as err:
         print(f"training error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as err:  # every read wraps its OSError in a DataError or ConfigError, so this is a write
+        print(f"config error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -8,10 +8,13 @@ proportion to their best overlap with a ground-truth box, so loose boxes
 score deceptively well: the object/background ambiguity that region
 selection is meant to resolve.
 
-Proposals travel as arrays: the generator fills each image's proposals
-into one (N, 4) float64 array, `ImageBag.boxes`, which the loader fills
-from the manifest in one vectorized check and the writer formats row by
-row. `ImageBag.proposals` builds `BBox` objects from it only when asked.
+Boxes travel as arrays: each image's proposals are one (N, 4) float64
+array, `ImageBag.boxes`, and its ground truth a (G,) class array,
+`ImageBag.gt_classes`, beside a (G, 4) float64 array, `ImageBag.gt_boxes`.
+The generator and the loader fill them, `Dataset.validate` checks both box
+arrays alike, the writer formats them row by row and evaluation reads them
+as they are. `ImageBag.proposals` and `ImageBag.ground_truth` build `BBox`
+objects from them only when asked.
 
 The boxes of an image are drawn from its own generator in a fixed order,
 each by rejection sampling: the tight first box of each cluster, then the
@@ -49,27 +52,32 @@ import itertools
 import json
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from wsdsel.errors import ConfigError, DataError
-from wsdsel.geometry import BBox, iou, iou_matrix
+from wsdsel.geometry import BBox, box_array, iou, iou_matrix
 
 FEATURE_MAGIC = b"WSDF"
 FEATURE_VERSION = 1
 
 
 class ImageBag:
-    """One image: proposal boxes, per-region features (one or more views), labels.
+    """One image: proposal boxes, per-region features (one or more views), labels, ground truth.
 
     `boxes` holds the proposals as an (N, 4) float64 array of [x1, y1, x2,
     y2] rows; `proposals` builds them as `BBox`es on demand. A bag is made
     from either one: `ImageBag(id, boxes=array, ...)` keeps the array,
     `ImageBag(id, proposals=[BBox, ...], ...)` stacks the boxes into one.
-    Ground-truth annotations are carried for evaluation only; the trainer
-    never reads them.
+
+    The ground truth is given as (class, box) pairs, each box a `BBox` or
+    four numbers, and kept as `gt_classes`, a (G,) intp array, and
+    `gt_boxes`, a (G, 4) float64 array; `ground_truth` builds the pairs,
+    as (int, `BBox`), on demand. It is carried for evaluation only; the
+    trainer never reads it.
     """
 
     def __init__(
@@ -78,23 +86,27 @@ class ImageBag:
         *,
         views: list[np.ndarray],  # V arrays, each (N, D) float32
         labels: np.ndarray,  # (C,) ints in {0, 1}
-        ground_truth: list[tuple[int, BBox]] | None = None,
+        ground_truth: Iterable[tuple[int, BBox | Box]] | None = None,
         boxes: np.ndarray | None = None,
         proposals: list[BBox] | None = None,
     ):
         if (boxes is None) == (proposals is None):
             raise ValueError("an ImageBag takes its proposals as either `boxes` or `proposals`")
-        if boxes is None:
-            boxes = np.array([b.as_tuple() for b in proposals], dtype=np.float64).reshape(-1, 4)
         self.id = id
-        self.boxes = np.asarray(boxes, dtype=np.float64)
+        self.boxes = box_array(proposals) if boxes is None else np.asarray(boxes, dtype=np.float64)
         self.views = views
         self.labels = labels
-        self.ground_truth = [] if ground_truth is None else ground_truth
+        pairs = list(ground_truth or ())
+        self.gt_classes = np.array([c for c, _ in pairs], dtype=np.intp)
+        self.gt_boxes = box_array([b for _, b in pairs])
 
     @property
     def proposals(self) -> list[BBox]:
         return [BBox(*row) for row in self.boxes.tolist()]
+
+    @property
+    def ground_truth(self) -> list[tuple[int, BBox]]:
+        return [(c, BBox(*row)) for c, row in zip(self.gt_classes.tolist(), self.gt_boxes.tolist())]
 
     @property
     def n_regions(self) -> int:
@@ -117,17 +129,17 @@ class Dataset:
             n = bag.n_regions
             if n < 1:
                 raise DataError(f"image {bag.id}: no proposals")
-            boxes = bag.boxes
-            if boxes.shape != (n, 4):
-                raise DataError(f"image {bag.id}: proposal boxes have shape {boxes.shape}, expected ({n}, 4)")
-            if not np.isfinite(boxes).all():
-                raise DataError(f"image {bag.id}: non-finite proposal box coordinates")
-            degenerate = np.flatnonzero((boxes[:, 0] >= boxes[:, 2]) | (boxes[:, 1] >= boxes[:, 3]))
-            if degenerate.size:
-                row = degenerate[0]
-                raise DataError(
-                    f"image {bag.id}: degenerate proposal box {row} (non-positive area): {boxes[row].tolist()}"
-                )
+            if bag.boxes.shape != (n, 4):
+                raise DataError(f"image {bag.id}: proposal boxes have shape {bag.boxes.shape}, expected ({n}, 4)")
+            for what, boxes in (("proposal", bag.boxes), ("ground-truth", bag.gt_boxes)):
+                if not np.isfinite(boxes).all():
+                    raise DataError(f"image {bag.id}: non-finite {what} box coordinates")
+                ordered = boxes[:, :2] < boxes[:, 2:]  # x1 < x2, y1 < y2
+                if not ordered.all():
+                    row = np.argmin(ordered.all(axis=1))
+                    raise DataError(
+                        f"image {bag.id}: degenerate {what} box {row} (non-positive area): {boxes[row].tolist()}"
+                    )
             if bag.labels.shape != (self.num_classes,):
                 raise DataError(f"image {bag.id}: label vector has shape {bag.labels.shape}")
             if not np.isin(bag.labels, (0, 1)).all():
@@ -141,9 +153,9 @@ class Dataset:
                     )
                 if not np.isfinite(view).all():
                     raise DataError(f"image {bag.id}: non-finite feature values")
-            for class_id, _ in bag.ground_truth:
-                if not 0 <= class_id < self.num_classes:
-                    raise DataError(f"image {bag.id}: ground-truth class {class_id} out of range")
+            outside = np.flatnonzero((bag.gt_classes < 0) | (bag.gt_classes >= self.num_classes))
+            if outside.size:
+                raise DataError(f"image {bag.id}: ground-truth class {bag.gt_classes[outside[0]]} out of range")
 
 
 @dataclass(frozen=True)
@@ -387,8 +399,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
             views.append(noise.astype(np.float32))
         labels = np.zeros(cfg.num_classes, dtype=np.int64)
         labels[[c for c, _ in gt]] = 1
-        ground_truth = [(c, BBox(*b)) for c, b in gt]
-        images.append(ImageBag(id=f"im{i:05d}", boxes=boxes, views=views, labels=labels, ground_truth=ground_truth))
+        images.append(ImageBag(id=f"im{i:05d}", boxes=boxes, views=views, labels=labels, ground_truth=gt))
 
     ds = Dataset(num_classes=cfg.num_classes, feat_dim=cfg.feat_dim, class_names=class_names, images=images)
     ds.validate()
@@ -495,7 +506,9 @@ def save_dataset(ds: Dataset, path: str | Path):
                 "id": bag.id,
                 "labels": bag.labels.tolist(),
                 "proposals": "\0",
-                "ground_truth": [{"class": c, "box": list(b.as_tuple())} for c, b in bag.ground_truth],
+                "ground_truth": [
+                    {"class": c, "box": box} for c, box in zip(bag.gt_classes.tolist(), bag.gt_boxes.tolist())
+                ],
                 "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
                 "views": len(bag.views),
             }
@@ -584,10 +597,6 @@ def load_dataset(path: str | Path) -> Dataset:
         if any(type(c) is not int for c in classes):
             raise DataError(f"image {image_id}: ground-truth classes must be integers, got {classes!r}")
         gt_boxes = _boxes_from_json(gt_rows, f"image {image_id}: ground-truth boxes").tolist()
-        try:
-            gt = [(c, BBox(*box)) for c, box in zip(classes, gt_boxes)]
-        except ValueError as err:
-            raise DataError(f"image {image_id}: bad ground-truth box: {err}") from err
         labels = rec["labels"]
         if not isinstance(labels, list) or any(type(x) is not int or x not in (0, 1) for x in labels):
             raise DataError(f"image {image_id}: labels must be a list of 0/1 integers, got {labels!r}")
@@ -599,15 +608,12 @@ def load_dataset(path: str | Path) -> Dataset:
             raise DataError(
                 f"image {image_id}: manifest declares {rec['views']} views, sidecar has {len(views)}"
             )
-        images.append(
-            ImageBag(
-                id=str(image_id),
-                boxes=boxes,
-                views=views,
-                labels=np.asarray(labels, dtype=np.int64),
-                ground_truth=gt,
-            )
-        )
+        try:
+            bag = ImageBag(id=str(image_id), boxes=boxes, views=views, labels=np.asarray(labels, dtype=np.int64),
+                           ground_truth=zip(classes, gt_boxes))
+        except OverflowError as err:  # a class beyond the range of `gt_classes`
+            raise DataError(f"image {image_id}: ground-truth class out of range: {err}") from err
+        images.append(bag)
     ds = Dataset(num_classes=num_classes, feat_dim=feat_dim, class_names=class_names, images=images)
     ds.validate()
     return ds

@@ -24,7 +24,7 @@ import numpy as np
 
 from wsdsel.data import Dataset, ImageBag
 from wsdsel.errors import ConfigError
-from wsdsel.geometry import BBox, Detection, box_vote, iou, iou_matrix, nms  # noqa: F401  (perfbench's tracer reads evaluation.iou)
+from wsdsel.geometry import BBox, Detection, box_array, box_vote, iou, iou_matrix, nms  # noqa: F401  (perfbench's tracer reads evaluation.iou)
 from wsdsel.head import HeadParams, linear_outputs, masked_softmax, select_regions
 
 MASK_MODES = ("all", "top_mpt")
@@ -136,11 +136,6 @@ def infer_image(params: HeadParams, bag: ImageBag, mask_mode: str = "all", top_m
     return _infer(params, bag, mask_mode, top_m)[0]
 
 
-def _boxes(boxes: list[BBox]) -> np.ndarray:
-    """Boxes as an (N, 4) float64 array of [x1, y1, x2, y2] rows."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 def detect_arrays(
     scores: np.ndarray,
     boxes: np.ndarray,
@@ -170,7 +165,7 @@ def detect(
 ) -> list[Detection]:
     """Per-class NMS plus box voting over the pre-NMS candidate pool, as `Detection`s (see `detect_arrays`)."""
     classes, kept_scores, voted = detect_arrays(
-        np.asarray(scores), _boxes(proposals), nms_threshold, vote_threshold, score_floor
+        np.asarray(scores), box_array(proposals), nms_threshold, vote_threshold, score_floor
     )
     return [
         Detection(box=BBox(*box), class_id=j, score=score)
@@ -291,8 +286,8 @@ def voc_ap(
     curve = _pr_curve(
         np.array([keys.get(image_id, -1) for image_id, _, _ in dets], dtype=np.intp),
         np.array([score for _, score, _ in dets], dtype=np.float64),
-        _boxes([box for _, _, box in dets]),
-        {keys[image_id]: _boxes(boxes) for image_id, boxes in gts.items()},
+        box_array([box for _, _, box in dets]),
+        {keys[image_id]: box_array(boxes) for image_id, boxes in gts.items()},
         iou_threshold,
     )
     return curve.ap(protocol)
@@ -309,9 +304,7 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
     fractions: list[float] = []
     for key, bag in enumerate(dataset.images):  # each image is its own key
         scores, p, v = _infer(params, bag, opts.mask_mode, opts.top_m)
-        boxes = bag.boxes
-        gt_classes = np.array([cls for cls, _ in bag.ground_truth], dtype=np.intp)
-        gt_boxes = _boxes([box for _, box in bag.ground_truth])
+        boxes, gt_classes, gt_boxes = bag.boxes, bag.gt_classes, bag.gt_boxes
         for j in set(gt_classes.tolist()):
             gts_by_class[j][key] = gt_boxes[gt_classes == j]
         found.append(detect_arrays(scores, boxes, opts.nms_threshold, opts.vote_threshold, opts.score_floor))
@@ -371,8 +364,11 @@ def dump_pr_curves(curves: list[PRCurve], class_names: list[str], path: str | Pa
     The bytes are those of `csv.writer`: CRLF line ends, and a class name
     quoted where it must be. Each class is one `%` format, a row template
     repeated once per rank, applied to the class's (rank, score, recall,
-    precision) values interleaved, and one write.
+    precision) values interleaved, and one write. A missing directory of
+    `path` is created.
     """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("class,rank,score,recall,precision\r\n")
         for name, curve in zip(class_names, curves):

@@ -47,6 +47,11 @@ class Detection:
             raise ValueError(f"detection score must be finite and non-negative, got {self.score}")
 
 
+def box_array(boxes) -> np.ndarray:
+    """`BBox`es, or rows of four numbers x1, y1, x2, y2, as an (N, 4) float64 array."""
+    return np.array([tuple(b) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def iou(a, b) -> float:
     """Intersection-over-union of two boxes; symmetric, 0 when disjoint.
 

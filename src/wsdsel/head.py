@@ -26,7 +26,8 @@ from per-image constants built once: `ImageLabels` and, per (m_pos, m_neg),
 `Budgets`. It allocates no (N, C) temporary and keeps nothing else.
 `forward_image` and `backward_image` are the same pass, split in two and
 run in a workspace of their own, as the public entry points that keep
-every intermediate; eval's `linear_outputs` runs the same products.
+every intermediate; eval's `linear_outputs` runs the same linear layer
+and row softmax (`_outputs`).
 
 Branch split. The two branches share only the features until the
 aggregation f = sum(v * p), so at large shapes a pass runs them on two
@@ -319,19 +320,19 @@ def _softmax_rows(z: np.ndarray, zt: np.ndarray, rows: np.ndarray) -> np.ndarray
     return z
 
 
-def _linear(w64: HeadParams, x: np.ndarray, z: np.ndarray, worker: _BranchWorker | None, softmax=None) -> np.ndarray:
-    """Both branches' logits on float64 (N, D) features, into the (2, N, C) stack z.
+def _linear(w64: HeadParams, x: np.ndarray, z: np.ndarray, worker: _BranchWorker | None, softmax) -> np.ndarray:
+    """Both branches' logits on float64 (N, D) features, into the (2, N, C) stack z, then p in z[0].
 
-    With `softmax`, the (C, N) and (N,) buffers of `_softmax_rows`, z[0]
-    then becomes its row softmax p in place. Without a worker, one batched
-    matmul and one bias add; with one, `_linear_split`.
+    `softmax` holds the (C, N) and (N,) buffers of `_softmax_rows`, which
+    turns the class logits in z[0] into their row softmax p in place.
+    Without a worker, one batched matmul and one bias add; with one,
+    `_linear_split`.
     """
     if worker is not None:
         return _linear_split(w64, x, z, worker, softmax)
     np.matmul(x, w64.w.transpose(0, 2, 1), out=z)
     z += w64.b[:, None, :]
-    if softmax is not None:
-        _softmax_rows(z[0], *softmax)
+    _softmax_rows(z[0], *softmax)
     return z
 
 
@@ -346,8 +347,7 @@ def _linear_split(w64: HeadParams, x: np.ndarray, z: np.ndarray, worker: _Branch
 
     def classes():
         np.add(np.matmul(x, w64.w_cls.T, out=z_cls), w64.b_cls, out=z_cls)
-        if softmax is not None:
-            _softmax_rows(z_cls, *softmax)
+        _softmax_rows(z_cls, *softmax)
 
     worker.beside(lambda: np.add(np.matmul(x, w_imp, out=z_imp), b_imp, out=z_imp), classes)
     return z
@@ -356,10 +356,8 @@ def _linear_split(w64: HeadParams, x: np.ndarray, z: np.ndarray, worker: _Branch
 def linear_outputs(params: HeadParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both branches on (N, D) features: class probabilities p and importance logits, each (N, C)."""
     x = np.asarray(feats, dtype=np.float64)
-    work = StepWork(len(x), params.num_classes, params.feat_dim).at(len(x))
-    np.copyto(work.params.flat, params.flat)
-    z = _linear(work.params, x, work.z, work.worker)
-    return class_softmax(z[0]), z[1]
+    p, logits_imp = _outputs(params, x, StepWork(len(x), params.num_classes, params.feat_dim))
+    return p, logits_imp
 
 
 def select_regions(p: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int) -> np.ndarray:

@@ -184,12 +184,12 @@ class _Run:
                 f"dataset (C={dataset.num_classes}, D={dataset.feat_dim}) does not match params "
                 f"(C={params.num_classes}, D={params.feat_dim})"
             )
-        n_max = max(len(bag.views[0]) for bag in dataset.images)
+        n_max = max(bag.n_regions for bag in dataset.images)
         self.work = StepWork(n_max, dataset.num_classes, dataset.feat_dim)
         self.feats = np.empty((n_max, dataset.feat_dim))
         self.update = np.empty_like(params.flat)
+        self.images = dataset.images
         self.labels = [ImageLabels(bag.labels) for bag in dataset.images]
-        self._sizes = [len(bag.views[0]) for bag in dataset.images]
         self._budgets: dict[tuple[int, int, int], Budgets] = {}
 
     def budgets(self, idx: int, m_pos: int, m_neg: int) -> Budgets:
@@ -197,7 +197,7 @@ class _Run:
         key = (idx, m_pos, m_neg)
         budgets = self._budgets.get(key)
         if budgets is None:
-            budgets = self._budgets[key] = Budgets(self.labels[idx].pos, self._sizes[idx], m_pos, m_neg)
+            budgets = self._budgets[key] = Budgets(self.labels[idx].pos, self.images[idx].n_regions, m_pos, m_neg)
         return budgets
 
 
@@ -222,7 +222,7 @@ def train_epoch(
         else:
             m_pos = pos_budget(state.epoch, n, config.schedule)
             m_neg = config.schedule.m_neg
-        x = run.feats[: len(bag.views[0])]
+        x = run.feats[:n]
         np.copyto(x, bag.views[0])
         loss = image_step(state.params, x, run.labels[idx], run.budgets(idx, m_pos, m_neg),
                           config.epsilon, run.work)

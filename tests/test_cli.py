@@ -66,6 +66,13 @@ class TestSynth:
         assert rc == EXIT_CONFIG
         assert "bananas" in capsys.readouterr().err
 
+    def test_config_file_not_utf8_exits_config(self, small_dataset, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfeepochs = 1\n")
+        rc = main(["train", "--dataset", str(small_dataset), "--out", str(tmp_path / "c.wsdc"), "--config", str(cfg)])
+        assert rc == EXIT_CONFIG
+        assert "bad.cfg" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text("# comment\nn_images = 6\nnum_classes = 3\nfeat_dim = 8\nproposals_per_image = 16\n")
@@ -244,17 +251,17 @@ class TestEval:
         assert main(["synth", "--out", str(ds), *SMALL_SYNTH, "--n-views", "2"]) == EXIT_OK
         ckpt = tmp_path / "ckpt.wsdc"
         assert main(["train", "--dataset", str(ds), "--out", str(ckpt), *FAST_TRAIN]) == EXIT_OK
-        # every class_softmax call during eval is one application of the linear layer to one view
-        real = wsdsel.head.class_softmax
+        # every linear_outputs call during eval is one application of the linear layer to one view
+        real = wsdsel.head.linear_outputs
         calls = []
 
-        def counted(logits):
-            calls.append(logits.shape)
-            return real(logits)
+        def counted(params, feats):
+            calls.append(feats.shape)
+            return real(params, feats)
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "wsdsel" and getattr(module, "class_softmax", None) is real:
-                monkeypatch.setattr(module, "class_softmax", counted)
+            if name.split(".")[0] == "wsdsel" and getattr(module, "linear_outputs", None) is real:
+                monkeypatch.setattr(module, "linear_outputs", counted)
         assert run_eval(ds, ckpt, tmp_path / "r.json", "--both", "--pr-csv", str(tmp_path / "pr.csv")) == EXIT_OK
         assert len(calls) == 10 * 2
 
@@ -275,6 +282,30 @@ class TestEval:
         assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(ckpt),
                      "--out", str(path), "--mask-mode", "top_mpt", "--top-m", "4"]) == EXIT_OK
         assert 0.0 <= json.loads(path.read_text())["map"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("synth", "--out"), ("train", "--out"), ("eval", "--out"), ("eval", "--pr-csv")],
+)
+def test_output_that_cannot_be_written_exits_config(trained, tmp_path, capsys, command, flag):
+    dataset, ckpt = trained
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    inputs = {"synth": SMALL_SYNTH, "train": ["--dataset", str(dataset), *FAST_TRAIN],
+              "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt)]}[command]
+    # a flag given twice takes its last value, so `--out taken` overrides the first --out
+    assert main([command, *inputs, "--out", str(tmp_path / "out" / "x"), flag, str(taken)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and str(taken) in err
+
+
+def test_pr_csv_into_a_missing_directory_is_written(trained, tmp_path):
+    dataset, ckpt = trained
+    csv = tmp_path / "new" / "dir" / "pr.csv"
+    assert run_eval(dataset, ckpt, tmp_path / "r.json", "--pr-csv", str(csv)) == EXIT_OK
+    assert csv.read_text().startswith("class,rank,score,recall,precision")
+    assert (tmp_path / "r.json.manifest.json").exists()
 
 
 class TestMalformedInputs:

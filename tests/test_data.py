@@ -14,7 +14,9 @@ from wsdsel.data import (
     split_dataset,
 )
 from wsdsel.errors import ConfigError, DataError
+from wsdsel.evaluation import evaluate_map
 from wsdsel.geometry import BBox, iou
+from wsdsel.trainer import init_params
 
 SMALL = SynthConfig(n_images=12, num_classes=3, feat_dim=8, proposals_per_image=16, seed=7)
 
@@ -273,6 +275,40 @@ class TestLoadValidation:
             assert b.boxes.dtype == np.float64 and b.boxes.shape == (SMALL.proposals_per_image, 4)
             assert b.boxes.tobytes() == a.boxes.tobytes()
 
+    def test_loaded_ground_truth_keeps_its_arrays(self, tmp_path):
+        ds, path = self._saved(tmp_path)
+        for a, b in zip(ds.images, load_dataset(path).images):
+            assert b.gt_classes.dtype == a.gt_classes.dtype == np.intp
+            assert b.gt_boxes.dtype == a.gt_boxes.dtype == np.float64
+            assert b.gt_classes.tobytes() == a.gt_classes.tobytes() and b.gt_boxes.tobytes() == a.gt_boxes.tobytes()
+
+    def test_no_bbox_is_built_from_generator_to_report(self, tmp_path, monkeypatch):
+        built = []
+        real = BBox.__post_init__
+        monkeypatch.setattr(BBox, "__post_init__", lambda box: built.append(box) or real(box))
+        ds = generate_synthetic(SMALL)
+        save_dataset(ds, tmp_path / "ds.json")
+        loaded = load_dataset(tmp_path / "ds.json")
+        evaluate_map(loaded, init_params(SMALL.feat_dim, SMALL.num_classes, seed=0))
+        assert built == []
+
+    def test_hand_written_integer_coordinates_are_written_back_as_floats(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["images"][0]["ground_truth"][0]["box"] = [0, 0, 1, 1]
+        path.write_text(json.dumps(manifest))
+        save_dataset(load_dataset(path), tmp_path / "again" / "ds.json")
+        box = json.loads((tmp_path / "again" / "ds.json").read_text())["images"][0]["ground_truth"][0]["box"]
+        assert box == [0.0, 0.0, 1.0, 1.0] and {type(v) for v in box} == {float}  # written as 0.0, not 0
+
+    def test_ground_truth_class_beyond_the_array_range_rejected(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["images"][0]["ground_truth"][0]["class"] = 10**30
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="im00000: ground-truth class out of range"):
+            load_dataset(path)
+
     def test_view_count_mismatch_rejected(self, tmp_path):
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
@@ -303,17 +339,42 @@ class TestImageBag:
         with pytest.raises(ValueError):
             ImageBag(id="x", boxes=np.zeros((1, 4)), proposals=[BBox(0, 0, 1, 1)], views=views, labels=labels)
 
+    @pytest.mark.parametrize("where", ["proposal", "ground-truth"])
     @pytest.mark.parametrize(
         "row, match",
         [([0.5, 0.0, 0.5, 1.0], "degenerate"), ([0.0, 0.7, 1.0, 0.2], "degenerate"), ([0.0, np.nan, 1.0, 1.0], "non-finite"),
          ([0.0, 0.0, np.inf, 1.0], "non-finite")],
     )
-    def test_validate_checks_every_box(self, row, match):
-        boxes = np.array([[0.0, 0.0, 1.0, 1.0], row])
-        bag = ImageBag(id="x", boxes=boxes, views=[np.zeros((2, 1), np.float32)], labels=np.array([1]))
+    def test_validate_checks_every_box(self, row, match, where):
+        good = [0.0, 0.0, 1.0, 1.0]
+        boxes, gt = ([good, row], [good]) if where == "proposal" else ([good, good], [good, row])
+        bag = ImageBag(id="x", boxes=np.array(boxes), views=[np.zeros((2, 1), np.float32)], labels=np.array([1]),
+                       ground_truth=[(0, box) for box in gt])
         ds = Dataset(num_classes=1, feat_dim=1, class_names=["a"], images=[bag])
-        with pytest.raises(DataError, match=f"x.*{match}"):
+        with pytest.raises(DataError, match=f"x: {match} {where} box"):
             ds.validate()
+
+    @pytest.mark.parametrize("class_id", [-1, 2])
+    def test_validate_checks_ground_truth_classes(self, class_id):
+        bag = ImageBag(id="x", boxes=np.array([[0.0, 0.0, 1.0, 1.0]]), views=[np.zeros((1, 1), np.float32)],
+                       labels=np.array([1, 0]), ground_truth=[(0, (0.1, 0.1, 0.2, 0.2)), (class_id, (0.1, 0.1, 0.2, 0.2))])
+        ds = Dataset(num_classes=2, feat_dim=1, class_names=["a", "b"], images=[bag])
+        with pytest.raises(DataError, match=f"x: ground-truth class {class_id} out of range"):
+            ds.validate()
+
+    def test_ground_truth_pairs_of_bboxes_or_tuples_give_equal_arrays(self):
+        rows = [(0.1, 0.2, 0.3, 0.4), (0, 0, 1, 2)]
+        views, labels = [np.zeros((1, 1), np.float32)], np.array([1, 1, 1])
+        made = [ImageBag(id="x", boxes=np.zeros((1, 4)), views=views, labels=labels,
+                         ground_truth=[(c, box) for c, box in zip([2, 0], boxes)])
+                for boxes in (rows, [BBox(*row) for row in rows], iter(rows))]
+        for bag in made:
+            assert bag.gt_classes.dtype == np.intp and bag.gt_classes.tolist() == [2, 0]
+            assert bag.gt_boxes.dtype == np.float64 and bag.gt_boxes.shape == (2, 4)
+            assert bag.gt_boxes.tobytes() == made[0].gt_boxes.tobytes()
+            assert bag.ground_truth == [(2, BBox(*rows[0])), (0, BBox(*rows[1]))]
+        empty = ImageBag(id="x", boxes=np.zeros((1, 4)), views=views, labels=labels)
+        assert empty.gt_classes.shape == (0,) and empty.gt_boxes.shape == (0, 4) and empty.ground_truth == []
 
 
 class TestDatasetValidate:
