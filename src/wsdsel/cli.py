@@ -278,12 +278,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report.diagnostics[f"map_{other}"] = mean_ap
         report.diagnostics[f"per_class_ap_{other}"] = per_class
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report.to_json())
     outputs = {"report": str(out)}
-    if config["pr_csv"]:
+    if config["pr_csv"]:  # before the report, so that an eval that fails here leaves no report
         dump_pr_curves(report.curves, dataset.class_names, config["pr_csv"])
         outputs["pr_csv"] = config["pr_csv"]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(report.to_json())
     write_manifest(
         out,
         "eval",

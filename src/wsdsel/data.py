@@ -121,6 +121,14 @@ class Dataset:
     images: list[ImageBag]
 
     def validate(self):
+        """Raise a DataError that names the image at the first fault found.
+
+        Shapes and views are checked image by image. The box coordinates,
+        the 0/1 labels and the ground-truth classes of all images are
+        checked at once, over their concatenated arrays, and only if that
+        fails image by image, for the message. So where several images
+        fail, a shape or view fault is named before a value fault.
+        """
         if not self.images:
             raise DataError("dataset has no images")
         if len(self.class_names) != self.num_classes:
@@ -131,19 +139,8 @@ class Dataset:
                 raise DataError(f"image {bag.id}: no proposals")
             if bag.boxes.shape != (n, 4):
                 raise DataError(f"image {bag.id}: proposal boxes have shape {bag.boxes.shape}, expected ({n}, 4)")
-            for what, boxes in (("proposal", bag.boxes), ("ground-truth", bag.gt_boxes)):
-                if not np.isfinite(boxes).all():
-                    raise DataError(f"image {bag.id}: non-finite {what} box coordinates")
-                ordered = boxes[:, :2] < boxes[:, 2:]  # x1 < x2, y1 < y2
-                if not ordered.all():
-                    row = np.argmin(ordered.all(axis=1))
-                    raise DataError(
-                        f"image {bag.id}: degenerate {what} box {row} (non-positive area): {boxes[row].tolist()}"
-                    )
             if bag.labels.shape != (self.num_classes,):
                 raise DataError(f"image {bag.id}: label vector has shape {bag.labels.shape}")
-            if not np.isin(bag.labels, (0, 1)).all():
-                raise DataError(f"image {bag.id}: labels must be 0/1")
             if not bag.views:
                 raise DataError(f"image {bag.id}: no feature views")
             for view in bag.views:
@@ -153,9 +150,33 @@ class Dataset:
                     )
                 if not np.isfinite(view).all():
                     raise DataError(f"image {bag.id}: non-finite feature values")
-            outside = np.flatnonzero((bag.gt_classes < 0) | (bag.gt_classes >= self.num_classes))
-            if outside.size:
-                raise DataError(f"image {bag.id}: ground-truth class {bag.gt_classes[outside[0]]} out of range")
+        boxes = np.concatenate([bag.boxes for bag in self.images] + [bag.gt_boxes for bag in self.images])
+        classes = np.concatenate([bag.gt_classes for bag in self.images])
+        if not (
+            np.isfinite(boxes).all()
+            and (boxes[:, :2] < boxes[:, 2:]).all()  # x1 < x2, y1 < y2
+            and np.isin(np.concatenate([bag.labels for bag in self.images]), (0, 1)).all()
+            and ((classes >= 0) & (classes < self.num_classes)).all()
+        ):
+            for bag in self.images:  # the first image that fails names the fault
+                self._check_values(bag)
+
+    def _check_values(self, bag: ImageBag):
+        """The value checks of `validate` on one image, in their order, with their messages."""
+        for what, boxes in (("proposal", bag.boxes), ("ground-truth", bag.gt_boxes)):
+            if not np.isfinite(boxes).all():
+                raise DataError(f"image {bag.id}: non-finite {what} box coordinates")
+            ordered = boxes[:, :2] < boxes[:, 2:]  # x1 < x2, y1 < y2
+            if not ordered.all():
+                row = np.argmin(ordered.all(axis=1))
+                raise DataError(
+                    f"image {bag.id}: degenerate {what} box {row} (non-positive area): {boxes[row].tolist()}"
+                )
+        if not np.isin(bag.labels, (0, 1)).all():
+            raise DataError(f"image {bag.id}: labels must be 0/1")
+        outside = np.flatnonzero((bag.gt_classes < 0) | (bag.gt_classes >= self.num_classes))
+        if outside.size:
+            raise DataError(f"image {bag.id}: ground-truth class {bag.gt_classes[outside[0]]} out of range")
 
 
 @dataclass(frozen=True)
@@ -479,7 +500,9 @@ def save_dataset(ds: Dataset, path: str | Path):
 
     An image id names its sidecar file, so an id that is empty, `.` or `..`,
     holds `/`, `\\` or NUL, or repeats another is a DataError, raised before
-    anything is written.
+    anything is written. The manifest file is opened before any sidecar is
+    written, so a manifest path that cannot be opened leaves no sidecar,
+    and removed again if a sidecar cannot be written.
     """
     seen = set()
     for position, bag in enumerate(ds.images):
@@ -493,12 +516,15 @@ def save_dataset(ds: Dataset, path: str | Path):
     path.parent.mkdir(parents=True, exist_ok=True)
     feat_dir_name = path.stem + "_features"
     feat_dir = path.parent / feat_dir_name
-    feat_dir.mkdir(exist_ok=True)
-    for bag in ds.images:
-        _write_sidecar(feat_dir / f"{bag.id}.wsdf", bag.views)
-
     head = json.dumps({"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "images": []}, indent=1)
     with open(path, "w") as fh:
+        try:
+            feat_dir.mkdir(exist_ok=True)
+            for bag in ds.images:
+                _write_sidecar(feat_dir / f"{bag.id}.wsdf", bag.views)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
         fh.write(head.removesuffix("[]\n}"))
         separator = "[\n  "
         for bag in ds.images:

@@ -43,15 +43,19 @@ into its own buffers of the caller's `StepWork`:
 Each half makes the BLAS call and the elementwise operations and
 reductions of its branch in the stack, so the split gives the same bits.
 numpy releases the interpreter lock inside its loops and BLAS calls, so
-the halves run on two cores. The split runs only when N*D*C reaches
-SPLIT_MIN = 2^20 and the process may run on at least two CPUs
-(`os.sched_getaffinity`): below that, the handoff and the worker's
-wake-up cost more than the products save. The worker calls numpy only,
-never a wsdsel function: perfbench's tracer wraps module functions by
-name and keeps one span stack. If the worker has not begun a task by the
-time the caller's half ends, the caller runs it itself, so callers on
-several threads share the worker safely. An exception raised in the
-worker's half is re-raised in the caller once both halves are done.
+the halves run on two cores. Between the two products, selection, the
+masked softmax, aggregation and the loss run on the calling thread, and
+a training step hands the worker its `prefetch` task beside them: the
+trainer's copy of the next image's features into its second buffer.
+The split runs only when N*D*C reaches SPLIT_MIN = 2^20 and the process
+may run on at least two CPUs (`os.sched_getaffinity`): below that, the
+handoff and the worker's wake-up cost more than the products save. The
+worker calls numpy only, never a wsdsel function, and so must a prefetch
+task: perfbench's tracer wraps module functions by name and keeps one
+span stack. If the worker has not begun a task by the time the caller's
+half ends, the caller runs it itself, so callers on several threads
+share the worker safely. An exception raised in the worker's task is
+re-raised in the caller once both halves are done.
 """
 
 from __future__ import annotations
@@ -247,9 +251,9 @@ class StepWork:
     rows, (N,).
 
     `at(n)` also sets `worker`: the module's one `_BranchWorker` when a
-    pass at N = n splits its branches (N*D*C at least SPLIT_MIN and at
-    least two usable CPUs), else None. `_split` set to True or False
-    before the first pass forces the choice either way.
+    pass at N = n splits its branches (`splits(n)`: N*D*C at least
+    SPLIT_MIN and at least two usable CPUs), else None. `_split` set to
+    True or False before the first pass forces the choice either way.
     """
 
     def __init__(self, n_max: int, c: int, d: int):
@@ -274,9 +278,12 @@ class StepWork:
             self.zt, self.key, self.srt = (s[: c * n].reshape(c, n) for s in self._planes)
             self.mask, self.group = (s[: c * n].reshape(c, n) for s in self._masks)
             self.rows, self.n = self._rows[:n], n
-            split = n >= self._split_min if self._split is None else self._split
-            self.worker = _WORKER if split else None
+            self.worker = _WORKER if self.splits(n) else None
         return self
+
+    def splits(self, n: int) -> bool:
+        """Whether a pass at N = n runs its branches on two threads."""
+        return n >= self._split_min if self._split is None else self._split
 
 
 @dataclass
@@ -646,17 +653,42 @@ def image_step(
     budgets: Budgets,
     eps: float,
     work: StepWork,
+    prefetch=None,
 ) -> float:
     """Forward and backward pass of one image: writes the gradient into `work.grads`, returns the loss.
 
     `feats` must be a float64 (N, D) array with N at most the workspace's
     n_max, and `budgets` the image's at N. Nothing of the pass outlives
     the call but the gradient.
+
+    `prefetch`, a task of no arguments, runs during the pass on the worker
+    of a split pass, beside selection, the masked softmax, aggregation and
+    the loss, and after them on this thread otherwise; the trainer hands
+    it the next image's feature copy. Like the worker's halves it must
+    call numpy only and touch nothing the pass reads. It is done when the
+    call returns, and its exception is raised here.
     """
     z = _outputs(params, feats, work)
-    _, f, loss = _weights(z, labels, budgets, eps, work)
+    if prefetch is None:
+        _, f, loss = _weights(z, labels, budgets, eps, work)
+    else:
+        _, f, loss = _weights_beside(prefetch, z, labels, budgets, eps, work)
     _backward(z, f, feats, labels, eps, work)
     return loss
+
+
+def _weights_beside(prefetch, z: np.ndarray, lab: ImageLabels, budgets: Budgets, eps: float, work: StepWork):
+    """`_weights` with `prefetch` on the worker beside it, or after it without one.
+
+    A function of its own, as `_linear_split` is.
+    """
+    if work.worker is None:
+        weights = _weights(z, lab, budgets, eps, work)
+        prefetch()
+        return weights
+    weights = []
+    work.worker.beside(prefetch, lambda: weights.extend(_weights(z, lab, budgets, eps, work)))
+    return weights
 
 
 def finite_diff_grads(

@@ -19,9 +19,9 @@ read besides the state:
   `head.Budgets`: the per-class budget vector, the all-selected flag and
   the classes grouped by budget;
 - the workspaces: a `head.StepWork` sized (N_max, C) for the largest
-  image, whose float64 gradient `sgd_step` reads; an (N_max, D) float64
-  feature buffer that each image's first view is copied into; and a flat
-  float32 buffer that `sgd_step` builds each update in.
+  image, whose float64 gradient `sgd_step` reads; one or two (N_max, D)
+  float64 feature buffers (below); and a flat float32 buffer that
+  `sgd_step` builds each update in.
 Each epoch casts its learning rate, momentum and weight decay to float32
 once. A step allocates no (N, C) temporary, so the next image reuses the
 same memory.
@@ -35,6 +35,14 @@ thread, with the bits of the one-thread step. The paper shape (N=2048,
 D=256, C=20) splits; the README walkthrough (N=64, D=64, C=6) never
 starts the thread.
 
+A run whose largest image splits holds two feature buffers and takes
+turns with them: the first image of an epoch is copied (float32 to
+float64) into one on the calling thread, and each step hands `image_step`
+the copy of the next image into the other as its `prefetch`, which the
+worker runs beside the step's selection, or the step itself after it
+where that image's pass does not split. Any other run holds one buffer
+and copies each image into it before its step.
+
 Checkpoint format: magic "WSDC", then version, C, D as u32 LE, then the
 four parameter blocks and four velocity blocks (w_cls, b_cls, w_imp,
 b_imp) as row-major float32 LE, which is the parameter buffer followed by
@@ -44,6 +52,7 @@ written beside its target under a temporary name and renamed into place.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -187,6 +196,8 @@ class _Run:
         n_max = max(bag.n_regions for bag in dataset.images)
         self.work = StepWork(n_max, dataset.num_classes, dataset.feat_dim)
         self.feats = np.empty((n_max, dataset.feat_dim))
+        # Two arrays, not one (2, n_max, D) stack: the stack raised the process's peak memory more.
+        self.spare = np.empty((n_max, dataset.feat_dim)) if self.work.splits(n_max) else None
         self.update = np.empty_like(params.flat)
         self.images = dataset.images
         self.labels = [ImageLabels(bag.labels) for bag in dataset.images]
@@ -214,7 +225,11 @@ def train_epoch(
     order = _shuffle_rng(config.seed, state.epoch).permutation(len(dataset.images))
     coefficients = _sgd_coefficients(config, state.epoch)
     total = 0.0
-    for idx in order:
+    feats, spare = run.feats, run.spare
+    if spare is not None:  # each step's prefetch copies the next image's features into the other buffer
+        first = dataset.images[order[0]]
+        np.copyto(feats[: first.n_regions], first.views[0])
+    for step, idx in enumerate(order, 1):
         bag = dataset.images[idx]
         n = bag.n_regions
         if config.baseline:
@@ -222,10 +237,16 @@ def train_epoch(
         else:
             m_pos = pos_budget(state.epoch, n, config.schedule)
             m_neg = config.schedule.m_neg
-        x = run.feats[:n]
-        np.copyto(x, bag.views[0])
+        x = feats[:n]
+        prefetch = None
+        if spare is None:
+            np.copyto(x, bag.views[0])
+        elif step < len(order):
+            after = dataset.images[order[step]]
+            prefetch = functools.partial(np.copyto, spare[: after.n_regions], after.views[0])
+            feats, spare = spare, feats
         loss = image_step(state.params, x, run.labels[idx], run.budgets(idx, m_pos, m_neg),
-                          config.epsilon, run.work)
+                          config.epsilon, run.work, prefetch)
         try:
             sgd_step(state, run.work.grads, config, coefficients, run.update)
         except TrainingError as err:

@@ -294,10 +294,13 @@ def test_output_that_cannot_be_written_exits_config(trained, tmp_path, capsys, c
     taken.mkdir()
     inputs = {"synth": SMALL_SYNTH, "train": ["--dataset", str(dataset), *FAST_TRAIN],
               "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt)]}[command]
+    before = set(tmp_path.rglob("*"))
     # a flag given twice takes its last value, so `--out taken` overrides the first --out
     assert main([command, *inputs, "--out", str(tmp_path / "out" / "x"), flag, str(taken)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and str(taken) in err
+    # no sidecar, checkpoint, loss CSV or report is left behind, only the output directory made for it
+    assert set(tmp_path.rglob("*")) - before <= {tmp_path / "out"}
 
 
 def test_pr_csv_into_a_missing_directory_is_written(trained, tmp_path):

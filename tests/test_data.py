@@ -157,6 +157,16 @@ class TestRoundTrip:
             save_dataset(ds, tmp_path / "out" / "ds.json")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("taken", ["ds.json", "ds_features"])
+    def test_a_path_that_cannot_be_written_leaves_nothing(self, tmp_path, taken):
+        if taken == "ds.json":  # a directory where the manifest goes
+            (tmp_path / taken).mkdir()
+        else:  # a file where the sidecar directory goes
+            (tmp_path / taken).touch()
+        with pytest.raises(OSError):
+            save_dataset(generate_synthetic(SMALL), tmp_path / "ds.json")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [taken]
+
     def test_ids_are_names_not_paths(self, tmp_path):
         ds = generate_synthetic(SMALL)
         for bag, name in zip(ds.images, ["a.b", "...", " ", "caf\u00e9", "-x", "%s", "a:b"]):
@@ -388,3 +398,41 @@ class TestDatasetValidate:
         ds = Dataset(num_classes=2, feat_dim=5, class_names=["a", "b"], images=[bag])
         with pytest.raises(DataError, match="x.*view shape"):
             ds.validate()
+
+    @pytest.mark.parametrize("image", range(4))
+    @pytest.mark.parametrize("fault, message", [
+        ("proposal_nan", "non-finite proposal box coordinates"),
+        ("proposal_flat", "degenerate proposal box 1 (non-positive area): [0.5, 0.0, 0.5, 1.0]"),
+        ("truth_inf", "non-finite ground-truth box coordinates"),
+        ("truth_flat", "degenerate ground-truth box 0 (non-positive area): [0.0, 0.5, 1.0, 0.5]"),
+        ("label", "labels must be 0/1"),
+        ("truth_class", "ground-truth class 3 out of range"),
+    ])
+    def test_a_value_fault_names_its_image(self, image, fault, message):
+        # images of 3, 1, 4 and 2 regions, with 1, 0, 2 and 1 ground-truth boxes, so that the rows of
+        # the concatenated arrays fall to their images unevenly
+        good = [0.0, 0.0, 1.0, 1.0]
+        bags = [ImageBag(id=f"im{i}", boxes=np.array([good] * n), views=[np.zeros((n, 2), np.float32)],
+                         labels=np.array([1, 0, 1]), ground_truth=[(i % 3, good)] * g)
+                for i, (n, g) in enumerate([(3, 1), (1, 0), (4, 2), (2, 1)])]
+        bag = bags[image]
+        if fault.startswith("truth") and not len(bag.gt_boxes):
+            bag = ImageBag(id=bag.id, boxes=bag.boxes, views=bag.views, labels=bag.labels, ground_truth=[(0, good)])
+            bags[image] = bag
+        if fault == "proposal_nan":
+            bag.boxes[-1, 2] = np.nan
+        elif fault == "proposal_flat":
+            bag.boxes = np.concatenate([bag.boxes[:1], [[0.5, 0.0, 0.5, 1.0]], bag.boxes[1:]])
+            bag.views = [np.zeros((len(bag.boxes), 2), np.float32)]
+        elif fault == "truth_inf":
+            bag.gt_boxes[-1, 0] = -np.inf
+        elif fault == "truth_flat":
+            bag.gt_boxes[0] = [0.0, 0.5, 1.0, 0.5]
+        elif fault == "label":
+            bag.labels = np.array([1, 2, 0])
+        else:
+            bag.gt_classes[-1] = 3
+        ds = Dataset(num_classes=3, feat_dim=2, class_names=["a", "b", "c"], images=bags)
+        with pytest.raises(DataError) as err:
+            ds.validate()
+        assert str(err.value) == f"image im{image}: {message}"

@@ -34,7 +34,7 @@ from wsdsel.head import (
     select_regions,
 )
 from wsdsel.schedule import PruneSchedule
-from wsdsel.trainer import TrainConfig, TrainState, init_params, train, train_epoch
+from wsdsel.trainer import TrainConfig, TrainState, _Run, init_params, train, train_epoch
 
 from reference_eval import topm_indices
 
@@ -355,6 +355,20 @@ class TestBranchSplit:
         args = split_step(2048, 20, 256, 512, 128)
         head.image_step(*args)
         assert args[-1].worker is not None
+        # a paper-shape epoch, whose steps also hand the next image's feature copy to the worker
+        monkeypatch.setattr(head, "_usable_cpus", lambda: 2)
+        n, c, d = 2048, 20, 256
+        rng = np.random.default_rng(7)
+        dataset = Dataset(num_classes=c, feat_dim=d, class_names=[f"c{j}" for j in range(c)], images=[
+            ImageBag(f"im{i}", boxes=np.tile([0.1, 0.1, 0.5, 0.5], (n, 1)),
+                     views=[rng.normal(size=(n, d)).astype(np.float32)], labels=np.eye(c, dtype=np.int64)[i])
+            for i in range(3)])
+        config = TrainConfig(total_epochs=3, schedule=PruneSchedule(warmup_epochs=1, m_start=512, m_final=128,
+                                                                    m_neg=128, total_epochs=3))
+        state = TrainState(init_params(d, c, 0), init_params(d, c, 0).zeros_like())
+        run = _Run(dataset, state.params)
+        assert run.spare is not None
+        train_epoch(state, dataset, config, run=run)
         assert threads == {threading.get_ident()}
 
     def test_worker_error_reaches_caller(self, monkeypatch):

@@ -9,12 +9,17 @@ Every step of the training runs is also compared in float64, on both
 paths of the head's branch split.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_head as ref
+from wsdsel import head
 from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
 from wsdsel.head import (EPS, HeadParams, aggregate, backward_image, forward_image, image_step, masked_softmax,
                          select_regions)
@@ -261,9 +266,8 @@ def train_run(name):
     return make(), config
 
 
-@pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
-def test_train_equals_reference_loop(name):
-    dataset, config = train_run(name)
+def check_train(dataset, config):
+    """A whole `train` run against the reference loop: parameters, velocity and loss history."""
     state = train(dataset, config)
     params, velocity, history = ref.train(dataset, config)
     for (_, got), want in zip(state.params.blocks(), params):
@@ -271,6 +275,97 @@ def test_train_equals_reference_loop(name):
     for (_, got), want in zip(state.velocity.blocks(), velocity):
         assert same(got, want)
     assert state.loss_history == history
+
+
+def force_split(monkeypatch):
+    """Every pass of a workspace made from now on splits its branches, also on one CPU."""
+    monkeypatch.setattr(head, "SPLIT_MIN", 1)
+    monkeypatch.setattr(head, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
+def test_train_equals_reference_loop(name):
+    check_train(*train_run(name))
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
+def test_train_with_prefetch_equals_reference_loop(name, monkeypatch):
+    # With every pass split, each step's worker copies the next image's features into the run's
+    # second buffer, also where consecutive images change N.
+    force_split(monkeypatch)
+    dataset, config = train_run(name)
+    assert _Run(dataset, init_params(dataset.feat_dim, dataset.num_classes, 0)).spare is not None
+    check_train(dataset, config)
+
+
+@pytest.mark.parametrize("name", ["many_classes_varying_regions", "tied_varying_regions"])
+def test_train_with_prefetch_on_the_largest_images_equals_reference_loop(name, monkeypatch):
+    # Only the largest images split: a step that does not hands its prefetch to no worker and
+    # runs it itself, after selection.
+    dataset, config = train_run(name)
+    n_max = max(bag.n_regions for bag in dataset.images)
+    monkeypatch.setattr(head, "SPLIT_MIN", n_max * dataset.feat_dim * dataset.num_classes)
+    monkeypatch.setattr(head, "_usable_cpus", lambda: 2)
+    work = _Run(dataset, init_params(dataset.feat_dim, dataset.num_classes, 0)).work
+    assert {work.splits(bag.n_regions) for bag in dataset.images} == {False, True}
+    check_train(dataset, config)
+
+
+def test_prefetch_on_callers_sharing_the_worker_equals_reference_loop(monkeypatch):
+    # Three runs on three threads hand their copies to the one worker, with the interpreter switching
+    # threads every microsecond: a step that read a buffer its copy was still writing, or a copy that
+    # landed in another run's buffer, would change the bytes.
+    force_split(monkeypatch)
+    dataset, config = train_run("many_classes_varying_regions")
+    params, velocity, history = ref.train(dataset, config)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            states = [run.result(timeout=60) for run in [pool.submit(train, dataset, config) for _ in range(3)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for state in states:
+        assert all(same(got, want) for (_, got), want in zip(state.params.blocks(), params))
+        assert all(same(got, want) for (_, got), want in zip(state.velocity.blocks(), velocity))
+        assert state.loss_history == history
+
+
+def test_prefetch_error_reaches_train(monkeypatch):
+    force_split(monkeypatch)
+    dataset, config = train_run("tied_varying_regions")
+    caller, copyto, weights, started = threading.get_ident(), np.copyto, head._weights, threading.Event()
+
+    def failing_off_caller(*args, **kwargs):
+        if threading.get_ident() != caller:
+            started.set()
+            raise RuntimeError("prefetch failed")
+        return copyto(*args, **kwargs)
+
+    def weights_after_worker_begins(*args):
+        assert started.wait(timeout=10)  # so that the worker, not the caller, runs the prefetch
+        return weights(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "copyto", failing_off_caller)
+        patch.setattr(head, "_weights", weights_after_worker_begins)
+        with pytest.raises(RuntimeError, match="prefetch failed"):
+            train(dataset, config)
+    check_train(dataset, config)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["gated", "split"])
+def test_run_holds_a_second_feature_buffer_only_when_it_splits(forced, monkeypatch):
+    if forced:
+        force_split(monkeypatch)
+    dataset, _ = train_run("walkthrough_shape")
+    run = _Run(dataset, init_params(dataset.feat_dim, dataset.num_classes, 0))
+    assert run.feats.shape == (64, 64) and run.feats.dtype == np.float64
+    if forced:
+        assert run.spare.shape == run.feats.shape and run.spare.dtype == np.float64
+        assert not np.shares_memory(run.spare, run.feats)
+    else:
+        assert run.spare is None
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["stacked", "split"])
