@@ -17,24 +17,23 @@ as they are. `ImageBag.proposals` and `ImageBag.ground_truth` build `BBox`
 objects from them only when asked.
 
 The boxes of an image are drawn from its own generator in a fixed order,
-each by rejection sampling: the tight first box of each cluster, then the
-cluster's loose boxes, then the context boxes, then the background boxes.
-Each try of a loose or background box reads four consecutive doubles, so
-the tries of a run of such boxes form one stream of candidates, and the
-samplers draw that stream in rounds rather than four doubles at a time. A
-round holds one candidate for every box still needed, drawn with one
-`rng.random` call; since every such box takes at least one more try, no
-round reads past what the box-by-box loop would, and nothing is put back.
-The candidates are judged at once and handed to the boxes in stream
-order, with each box's try count carried across rounds, so a box gives up
-after exactly as many tries as it would alone: a loose box then becomes a
-copy of its ground truth (30 tries), a background box keeps its last try
-(20 tries). The boxes, and the generator state left behind, are the same
-bytes as one scalar loop per box. The tight boxes (k per image) stay
-scalar, and so do the context boxes: each one first calls
-`rng.integers(k)`, which reads the half of a 64-bit output that PCG64
-keeps buffered between the double draws, so drawing them in any other
-order would move the stream.
+each by rejection sampling: the clusters object by object (a tight first
+box, then loose boxes), then the context boxes, then the background boxes.
+Each try of a cluster or background box reads four consecutive doubles, so
+the tries of the image's cluster boxes form one stream of candidates, and
+those of its background boxes another; the samplers draw each stream in
+rounds rather than four doubles at a time. A round holds one candidate for
+every box still needed, drawn with one `rng.random` call; since every such
+box takes at least one more try, no round reads past what the box-by-box
+loop would, and nothing is put back. The candidates are judged at once and
+handed to the boxes in stream order, with each box's try count carried
+across rounds, so a box gives up after exactly as many tries as it would
+alone: a cluster box then becomes a copy of its ground truth (30 tries), a
+background box keeps its last try (20 tries). The boxes, and the generator
+state left behind, are the same bytes as one scalar loop per box. Only the
+context boxes stay scalar: each one first calls `rng.integers(k)`, which
+reads the half of a 64-bit output that PCG64 keeps buffered between the
+double draws, so drawing them in any other order would move the stream.
 
 File formats
 ------------
@@ -234,10 +233,10 @@ def _random_gt_box(rng: np.random.Generator) -> Box:
     return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
-def _jitter(box: Box, scale, u):
+def _jitter(box, scale, u):
     """`box` moved and resized at relative magnitude `scale` by uniforms u = (ux, uy, uw, uh), clipped to the canvas.
 
-    Works alike on floats (one try) and on arrays (one try per element).
+    Each coordinate, scale and uniform is an array with one element per try.
     """
     x1, y1, x2, y2 = box
     w, h = x2 - x1, y2 - y1
@@ -251,47 +250,36 @@ def _jitter(box: Box, scale, u):
     return x1, y1, np.minimum(1.0, cx + w / 2), np.minimum(1.0, cy + h / 2)
 
 
-def _jittered(rng: np.random.Generator, box: Box, scale: float) -> Box | None:
-    """Random translation and resize of `box` at relative magnitude `scale`; None if it comes out degenerate."""
-    x1, y1, x2, y2 = map(float, _jitter(box, scale, rng.random(4).tolist()))
-    if x2 - x1 < 1e-3 or y2 - y1 < 1e-3:
-        return None
-    return (x1, y1, x2, y2)
+def _cluster_boxes(rng: np.random.Generator, gt, scales, min_iou, tries: int = 30) -> np.ndarray:
+    """A jittered copy of each row of `gt` (M, 4), drawn in rounds (see the module docstring).
 
-
-def _cluster_box(rng: np.random.Generator, gt: Box, scale: float, min_iou: float = 0.0, tries: int = 30) -> Box:
-    """A jittered copy of `gt`, rejection-sampled until iou >= min_iou (at min_iou <= 0, any box passes)."""
-    for _ in range(tries):
-        cand = _jittered(rng, gt, scale)
-        if cand is not None and (min_iou <= 0.0 or iou(cand, gt) >= min_iou):
-            return cand
-    return gt
-
-
-def _loose_boxes(rng: np.random.Generator, gt: Box, scales: np.ndarray, tries: int = 30) -> np.ndarray:
-    """`_cluster_box(rng, gt, scale)` for each of `scales` in turn, drawn in rounds (see the module docstring).
-
-    A try is judged at its own box's scale, so a round takes its tries up to
-    the first degenerate one and carries the rest into the next round,
-    shifted onto the boxes they then belong to.
+    Box i is rejection-sampled at relative magnitude `scales[i]` until a try
+    is not degenerate and has IoU >= `min_iou[i]` with `gt[i]` (at a
+    `min_iou` of 0 or less, any box that is not degenerate passes); after
+    `tries` failed tries it is a copy of `gt[i]`. A try is judged at its own
+    box, so a round takes its tries up to the first rejected one and carries
+    the rest into the next round, shifted onto the boxes they then belong to.
     """
-    count = len(scales)
+    count = len(gt)
     out = np.empty((count, 4))
     done = tried = 0  # boxes finished; rejected tries of box `done`
     u = np.empty((0, 4))  # tries drawn for the boxes from `done` on
     while done < count:
         if len(u) < count - done:
             u = np.concatenate((u, rng.random((count - done - len(u), 4))))
-        cand = np.stack(_jitter(gt, scales[done:], u.T), axis=1)
-        degenerate = (cand[:, 2] - cand[:, 0] < 1e-3) | (cand[:, 3] - cand[:, 1] < 1e-3)
-        r = int(degenerate.argmax()) if degenerate.any() else len(cand)
+        cand = np.stack(_jitter(gt[done:].T, scales[done:], u.T), axis=1)
+        rejected = (cand[:, 2] - cand[:, 0] < 1e-3) | (cand[:, 3] - cand[:, 1] < 1e-3)
+        judged = np.flatnonzero(min_iou[done:] > 0.0)
+        ious = iou_matrix(cand[judged], gt[done:][judged]).diagonal()  # each entry is `iou`'s, bit for bit
+        rejected[judged] |= ious < min_iou[done:][judged]
+        r = int(rejected.argmax()) if rejected.any() else len(cand)
         out[done : done + r] = cand[:r]
         done += r
         if done == count:
             break
         tried = tried + 1 if r == 0 else 1
         if tried == tries:  # every try failed: the ground-truth copy
-            out[done] = gt
+            out[done] = gt[done]
             done, tried = done + 1, 0
         u = u[r + 1 :]
     return out
@@ -313,7 +301,7 @@ def _context_box(rng: np.random.Generator, gt: Box, tries: int = 30) -> Box:
         cand = (x1, y1, x2, y2)
         if iou(cand, gt) < 0.5:
             return cand
-    return _cluster_box(rng, gt, scale=0.8)
+    return tuple(_cluster_boxes(rng, np.array([gt]), np.array([0.8]), np.zeros(1))[0].tolist())
 
 
 def _background_boxes(rng: np.random.Generator, gt_boxes, count: int, tries: int = 20) -> np.ndarray:
@@ -376,24 +364,21 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
         gt = [(int(rng.integers(cfg.num_classes)), _random_gt_box(rng)) for _ in range(k)]
         gt_boxes = [b for _, b in gt]
 
-        # Per-object clusters spanning tight to loose overlap; the first
+        # Per-object clusters spanning tight to loose overlap, object by object; the first
         # member is forced tight so a correct localization always exists.
         # Clusters and context boxes never hold more than n boxes (SynthConfig checks it).
         proposals = np.empty((n, 4))
-        cluster_total = max(k, (n - n_context) // 2)
-        per_obj = cluster_total // k
-        loose_scales = 0.08 + 0.62 * np.arange(1, per_obj) / per_obj
-        row = 0
-        for gt_box in gt_boxes:
-            proposals[row] = _cluster_box(rng, gt_box, scale=0.05, min_iou=0.7)
-            proposals[row + 1 : row + per_obj] = _loose_boxes(rng, gt_box, loose_scales)
-            row += per_obj
-        n_cluster = row
+        per_obj = max(k, (n - n_context) // 2) // k
+        n_cluster = k * per_obj
+        scales = np.tile(np.append(0.05, 0.08 + 0.62 * np.arange(1, per_obj) / per_obj), k)
+        min_iou = np.tile(np.append(0.7, np.zeros(per_obj - 1)), k)
+        gt_array = np.array(gt_boxes)
+        proposals[:n_cluster] = _cluster_boxes(rng, np.repeat(gt_array, per_obj, axis=0), scales, min_iou)
         # One at a time: each context box's rng.integers call reads a buffered half of the
         # generator's 64-bit output between the double draws, so batching would move the stream.
         for row in range(n_cluster, n_cluster + n_context):
             proposals[row] = _context_box(rng, gt_boxes[int(rng.integers(k))])
-        proposals[n_cluster + n_context :] = _background_boxes(rng, gt_boxes, n - n_cluster - n_context)
+        proposals[n_cluster + n_context :] = _background_boxes(rng, gt_array, n - n_cluster - n_context)
         is_context = np.zeros(n, dtype=bool)
         is_context[n_cluster : n_cluster + n_context] = True
 
@@ -402,7 +387,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
         is_context = is_context[perm]
 
         # Each region's best IoU with a ground-truth box of each class.
-        ious = iou_matrix(boxes, np.array(gt_boxes))
+        ious = iou_matrix(boxes, gt_array)
         overlap = np.zeros((n, cfg.num_classes))
         for t, (class_id, _) in enumerate(gt):
             np.maximum(overlap[:, class_id], ious[:, t], out=overlap[:, class_id])
@@ -501,8 +486,10 @@ def save_dataset(ds: Dataset, path: str | Path):
     An image id names its sidecar file, so an id that is empty, `.` or `..`,
     holds `/`, `\\` or NUL, or repeats another is a DataError, raised before
     anything is written. The manifest file is opened before any sidecar is
-    written, so a manifest path that cannot be opened leaves no sidecar,
-    and removed again if a sidecar cannot be written.
+    written, so a manifest path that cannot be opened leaves no sidecar. If
+    a sidecar cannot be written, the manifest, every sidecar path this call
+    wrote or was writing and the features directory, if this call made it,
+    are removed again.
     """
     seen = set()
     for position, bag in enumerate(ds.images):
@@ -518,11 +505,19 @@ def save_dataset(ds: Dataset, path: str | Path):
     feat_dir = path.parent / feat_dir_name
     head = json.dumps({"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "images": []}, indent=1)
     with open(path, "w") as fh:
+        made_dir = not feat_dir.exists()
+        written = []
         try:
             feat_dir.mkdir(exist_ok=True)
             for bag in ds.images:
-                _write_sidecar(feat_dir / f"{bag.id}.wsdf", bag.views)
+                written.append(feat_dir / f"{bag.id}.wsdf")
+                _write_sidecar(written[-1], bag.views)
         except BaseException:
+            for sidecar in written:
+                if sidecar.is_file():  # not a directory that stood where the sidecar goes
+                    sidecar.unlink()
+            if made_dir and feat_dir.is_dir():
+                feat_dir.rmdir()
             path.unlink(missing_ok=True)
             raise
         fh.write(head.removesuffix("[]\n}"))

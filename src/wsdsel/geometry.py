@@ -170,12 +170,10 @@ def box_vote(
         layers = np.zeros((counts.max(), len(block), 5))
         layers[slot, rows, 0] = weights
         layers[slot, rows, 1:] = weights[:, None] * boxes[idx]
-        # Adding the layers one by one sums each row's voters in index order,
-        # as a scalar loop would, so the voted boxes do not depend on how
-        # numpy groups a plain sum.
-        sums = layers[0].copy()
-        for layer in layers[1:]:
-            sums += layer
+        # A reduction over the leading axis adds the layers one by one, so each
+        # row's voters are summed in index order, as a scalar loop would sum
+        # them; numpy groups a sum pairwise only along the contiguous axis.
+        sums = np.add.reduce(layers, axis=0)
         total = sums[:, :1]
         np.divide(sums[:, 1:], total, out=out[lo : lo + step], where=total > 0.0)
     return out

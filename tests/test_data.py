@@ -157,15 +157,31 @@ class TestRoundTrip:
             save_dataset(ds, tmp_path / "out" / "ds.json")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("taken", ["ds.json", "ds_features"])
+    @pytest.mark.parametrize("taken", ["ds.json", "ds_features", "ds_features/im00002.wsdf"])
     def test_a_path_that_cannot_be_written_leaves_nothing(self, tmp_path, taken):
-        if taken == "ds.json":  # a directory where the manifest goes
-            (tmp_path / taken).mkdir()
-        else:  # a file where the sidecar directory goes
+        if taken == "ds_features":  # a file where the sidecar directory goes
             (tmp_path / taken).touch()
+        else:  # a directory where the manifest or the third image's sidecar goes
+            (tmp_path / taken).mkdir(parents=True)
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
         with pytest.raises(OSError):
             save_dataset(generate_synthetic(SMALL), tmp_path / "ds.json")
-        assert sorted(p.name for p in tmp_path.rglob("*")) == [taken]
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+    def test_a_failed_save_removes_only_what_it_wrote(self, tmp_path):
+        ds = generate_synthetic(SMALL)
+        save_dataset(ds, tmp_path / "ds.json")
+        (tmp_path / "ds.json").unlink()
+        (tmp_path / "ds_features" / "im00002.wsdf").unlink()
+        (tmp_path / "ds_features" / "im00002.wsdf").mkdir()
+        (tmp_path / "ds_features" / "other.wsdf").write_bytes(b"kept")
+        with pytest.raises(OSError):
+            save_dataset(ds, tmp_path / "ds.json")
+        # The two sidecars written before the failure are gone; what the call did not write stays.
+        assert sorted(p.name for p in (tmp_path / "ds_features").iterdir()) == (
+            ["im00002.wsdf"] + [f"im{i:05d}.wsdf" for i in range(3, len(ds.images))] + ["other.wsdf"]
+        )
+        assert not (tmp_path / "ds.json").exists()
 
     def test_ids_are_names_not_paths(self, tmp_path):
         ds = generate_synthetic(SMALL)

@@ -66,8 +66,9 @@ def run_both(seed, production, reference):
     return got, want
 
 
-def as_tuple(box):
-    return None if box is None else tuple(box)
+def cluster_box(rng, gt, scale, min_iou=0.0, tries=30):
+    """One box, as a tuple, from the round-based cluster sampler."""
+    return tuple(data._cluster_boxes(rng, np.array([gt]), np.array([scale]), np.array([min_iou]), tries)[0].tolist())
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -76,7 +77,7 @@ def test_cluster_box_falls_back_to_the_ground_truth_copy(seed):
     # No jittered box is identical to the ground truth, so all 30 tries fail.
     got, want = run_both(
         seed,
-        lambda rng: data._cluster_box(rng, gt, scale=0.3, min_iou=1.0),
+        lambda rng: cluster_box(rng, gt, scale=0.3, min_iou=1.0),
         lambda rng: ref._cluster_box(rng, BBox(*gt), scale=0.3, min_iou=1.0),
     )
     assert got == gt == want.as_tuple()
@@ -88,12 +89,17 @@ def test_context_box_falls_back_to_a_cluster_box(seed, gt, monkeypatch):
     # Around the whole canvas every context box clips to IoU 1; around a 1e-4 box every
     # context box is degenerate, and so is every loose jitter, down to the ground-truth copy.
     fallbacks = []
-    cluster_box = data._cluster_box
-    monkeypatch.setattr(data, "_cluster_box", lambda *a, **kw: fallbacks.append(kw) or cluster_box(*a, **kw))
+    cluster_boxes = data._cluster_boxes
+
+    def recorded(rng, rows, scales, min_iou, *rest):
+        fallbacks.append((rows.tolist(), scales.tolist(), min_iou.tolist(), rest))
+        return cluster_boxes(rng, rows, scales, min_iou, *rest)
+
+    monkeypatch.setattr(data, "_cluster_boxes", recorded)
     got, want = run_both(
         seed, lambda rng: data._context_box(rng, gt), lambda rng: ref._context_box(rng, BBox(*gt))
     )
-    assert fallbacks == [{"scale": 0.8}]
+    assert fallbacks == [([list(gt)], [0.8], [0.0], ())]
     assert got == want.as_tuple()
     assert (got == gt) == (gt[2] - gt[0] < 1e-3)
 
@@ -120,13 +126,15 @@ def test_background_box_returns_its_last_try(seed):
 @pytest.mark.parametrize("scale", [0.05, 0.4, 0.8])
 def test_jitter_and_rejection_helpers_equal_reference(seed, scale):
     gt = (0.02, 0.6, 0.3, 0.95)
+    # One try: the reference's jittered box, or None where it comes out degenerate and the
+    # sampler falls back to the ground-truth copy.
     got, want = run_both(
-        seed, lambda rng: data._jittered(rng, gt, scale), lambda rng: ref._jittered(rng, BBox(*gt), scale)
+        seed, lambda rng: cluster_box(rng, gt, scale, tries=1), lambda rng: ref._jittered(rng, BBox(*gt), scale)
     )
-    assert as_tuple(got) == as_tuple(want)
+    assert got == (gt if want is None else want.as_tuple())
     got, want = run_both(
         seed,
-        lambda rng: data._cluster_box(rng, gt, scale, min_iou=0.7),
+        lambda rng: cluster_box(rng, gt, scale, min_iou=0.7),
         lambda rng: ref._cluster_box(rng, BBox(*gt), scale, min_iou=0.7),
     )
     assert got == want.as_tuple()

@@ -1,11 +1,12 @@
 """The generator's round-based samplers and the template manifest writer, held to the scalar code byte for byte.
 
-`data._loose_boxes` and `data._background_boxes` draw the tries of many
+`data._cluster_boxes` and `data._background_boxes` draw the tries of many
 boxes per `rng.random` call. These tests reach the paths the default
-configs never take (degenerate tries inside a round, the 30-try and 20-try
-fallbacks, a box whose tries span two rounds) with hand-made ground truth,
-and compare each sampler with one `reference_data` loop per box: the boxes
-as float64 bytes and the generator state left behind.
+configs never take (degenerate tries inside a round, tight boxes rejected
+inside a round, the 30-try and 20-try fallbacks, a box whose tries span two
+rounds) with hand-made ground truth, and compare each sampler with one
+`reference_data` loop per box: the boxes as float64 bytes and the generator
+state left behind.
 """
 
 import json
@@ -57,13 +58,46 @@ def production(seed, sample):
     return boxes, rec.draws, rec.rng.bit_generator.state
 
 
-def loose_both(seed, gt, scales):
-    got, rounds, got_state = production(seed, lambda rng: data._loose_boxes(rng, gt, np.array(scales)))
-    want, tries, want_state = reference_loop(seed, lambda rng, i: ref._cluster_box(rng, BBox(*gt), scales[i]),
-                                             len(scales))
+def rounds_of(tries, copied):
+    """The doubles each round of the cluster sampler draws, given each box's tries and whether it became its copy.
+
+    A round judges one try for each box still needed, in stream order, up to
+    its first rejected try; it draws four doubles for each of those tries
+    that no earlier round drew.
+    """
+    stream = []  # (accepted, ends its box) for each try, in stream order
+    for t, is_copy in zip(tries, copied):
+        stream += [(False, False)] * (t - 1) + [(not is_copy, True)]
+    rounds, pos, drawn, done = [], 0, 0, 0
+    while done < len(tries):
+        need = len(tries) - done
+        if drawn - pos < need:
+            rounds.append(4 * (need - (drawn - pos)))
+            drawn = pos + need
+        for accepted, ends in stream[pos : pos + need]:
+            pos, done = pos + 1, done + ends
+            if not accepted:
+                break
+    return rounds
+
+
+def cluster_both(seed, gts, scales, min_ious):
+    """`data._cluster_boxes` against one `reference_data._cluster_box` per box: (doubles per round, tries per box)."""
+    got, rounds, got_state = production(
+        seed, lambda rng: data._cluster_boxes(rng, np.array(gts).reshape(-1, 4), np.array(scales), np.array(min_ious))
+    )
+    want, tries, want_state = reference_loop(
+        seed, lambda rng, i: ref._cluster_box(rng, BBox(*gts[i]), scales[i], min_ious[i]), len(scales)
+    )
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     assert got_state == want_state
+    copied = [t == 30 and tuple(box) == tuple(gt) for t, box, gt in zip(tries, got.tolist(), gts)]
+    assert rounds == rounds_of(tries, copied)
     return rounds, tries
+
+
+def loose_both(seed, gt, scales):
+    return cluster_both(seed, [gt] * len(scales), scales, [0.0] * len(scales))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -90,6 +124,22 @@ def test_loose_boxes_of_an_ordinary_box(scales):
     rounds, tries = loose_both(7, (0.1, 0.2, 0.35, 0.5), scales)
     assert tries == [1] * len(scales)
     assert rounds == ([4 * len(scales)] if scales else [])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_several_objects_in_one_call(seed):
+    # Three clusters of four, tight box first, as the generator lays them out. The second
+    # object's tight box is jittered wide enough that tries fall under IoU 0.7; the third's
+    # must match its ground truth exactly, which no try does, so it becomes its copy.
+    gts = [(0.1, 0.2, 0.35, 0.5), (0.5, 0.55, 0.8, 0.9), (0.6, 0.1, 0.85, 0.3)]
+    loose = [0.08 + 0.62 * j / 4 for j in range(1, 4)]
+    scales = [0.05, *loose, 0.3, *loose, 0.3, *loose]
+    min_ious = [0.7, 0, 0, 0, 0.7, 0, 0, 0, 1.0, 0, 0, 0]
+    rows = [g for g in gts for _ in range(4)]
+    rounds, tries = cluster_both(seed, rows, scales, min_ious)
+    assert tries[8] == 30  # the ground-truth copy
+    assert tries[4] > 1  # rejected on its first try, judged after the first cluster's boxes in round one
+    assert [t for i, t in enumerate(tries) if i not in (4, 8)] == [1] * 10  # a loose or small tight jitter is never rejected here
 
 
 def crowded_gt():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wsdsel.data import SynthConfig, generate_synthetic
 from wsdsel.geometry import BBox, Detection, box_vote, iou, iou_matrix, nms
 
 from reference_eval import greedy_nms_indices, grid_iou
@@ -101,6 +102,15 @@ class TestIoU:
         want = np.array([[iou(x, y) for y in b] for x in a], dtype=np.float64)
         assert got.shape == (len(a), len(b))
         assert got.tobytes() == want.tobytes()
+
+    def test_matrix_is_exactly_symmetric(self):
+        # Entries are built from min, max and a commutative sum of the two areas, so swapping
+        # the operands transposes the matrix bit for bit; blocked or one-triangle IoU relies on it.
+        cfg = SynthConfig(n_images=2, num_classes=20, feat_dim=2, proposals_per_image=1024, seed=4)
+        a, b = (bag.boxes for bag in generate_synthetic(cfg).images)
+        square = iou_matrix(b, b)
+        assert square.tobytes() == square.T.tobytes()
+        assert iou_matrix(a, b).tobytes() == iou_matrix(b, a).T.tobytes()
 
 
 class TestNMS:
