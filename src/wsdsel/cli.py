@@ -55,7 +55,7 @@ SYNTH_KEYS = [
     Key("distractor_strength", float, 2.0, "scale of the shared scene-context direction"),
     Key("n_views", int, 1, "feature views per image"),
     Key("seed", int, 0, "generation seed"),
-    Key("train_split", int, 0, "if > 0, write <out>-train/<out>-test datasets split at this index"),
+    Key("train_split", int, 0, "if > 0, write <out>-train/<out>-test datasets split at this index (< n_images)"),
 ]
 
 TRAIN_KEYS = [
@@ -176,10 +176,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = resolve_config(SYNTH_KEYS, args)
     split_at = config.pop("train_split")
     cfg = SynthConfig(**config)
+    if split_at and not 0 < split_at < cfg.n_images:  # checked before any image is generated
+        raise ConfigError(f"train_split must be 0 (no split) or in (0, {cfg.n_images}), got {split_at}")
     ds = generate_synthetic(cfg)
     out = Path(args.out)
     outputs = {}
-    if split_at > 0:
+    if split_at:
         train_ds, test_ds = split_dataset(ds, split_at)
         train_path = out.parent / (out.stem + "-train.json")
         test_path = out.parent / (out.stem + "-test.json")

@@ -35,6 +35,27 @@ context boxes stay scalar: each one first calls `rng.integers(k)`, which
 reads the half of a 64-bit output that PCG64 keeps buffered between the
 double draws, so drawing them in any other order would move the stream.
 
+Feature split. Once an image's boxes are drawn, its features are a block
+of numpy calls on its own generator: the signal `overlap @ prototypes`,
+the distractor added to the context rows, then per view a normal fill, a
+scale, an add and a float32 cast. Every image has a generator of its own,
+so two images' blocks can run at the same time and draw the same bytes.
+When N*D*views reaches FEATURE_SPLIT_MIN = 2^16 and the process may run on
+at least two CPUs (`head._usable_cpus`), `generate_synthetic` samples the
+boxes of images i and i+1, then runs image i's block on the head's one
+worker thread (`head._WORKER`, through `beside`) while the calling thread
+runs image i+1's; with an odd image count the last image runs on the
+caller. Below the gate, the handoff and the worker's wake-up cost more
+than the block saves: the walkthrough and dense_eval shapes stay serial.
+`_FEATURE_SPLIT` set to True or False forces the choice either way. The
+caller keeps all box sampling and allocates the float32 views; the block
+calls numpy only, never a wsdsel function (perfbench's tracer keeps one
+span stack), and allocates nothing: each thread has its own signal buffer
+and noise chunk. The noise is drawn in chunks of NOISE_CHUNK entries
+(whole rows), which read the normal stream in the same order as one fill
+of the whole view, so the bytes stay the same while the chunk stays in
+cache.
+
 File formats
 ------------
 Dataset manifest (JSON): top level {c, d, class_names, images: [{id,
@@ -49,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import struct
 from collections.abc import Iterable
@@ -57,11 +79,18 @@ from pathlib import Path
 
 import numpy as np
 
+from wsdsel import head
 from wsdsel.errors import ConfigError, DataError
 from wsdsel.geometry import BBox, box_array, iou, iou_matrix
 
 FEATURE_MAGIC = b"WSDF"
 FEATURE_VERSION = 1
+# The smallest per-image N*D*views at which generation draws features on two threads (see the module docstring).
+FEATURE_SPLIT_MIN = 1 << 16
+# True or False forces the feature split on or off; None leaves it to the gate.
+_FEATURE_SPLIT = None
+# Noise entries drawn per chunk: 256 KB of float64 per thread, a buffer that stays in cache.
+NOISE_CHUNK = 1 << 15
 
 
 class ImageBag:
@@ -198,8 +227,10 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.objects_max < self.objects_min:
             raise ConfigError("objects_max must be >= objects_min")
-        if self.noise_sigma <= 0:
-            raise ConfigError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
+            raise ConfigError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
+        if not math.isfinite(self.distractor_strength):
+            raise ConfigError(f"distractor_strength must be finite, got {self.distractor_strength}")
         if not 0.0 <= self.context_fraction < 1.0:
             raise ConfigError(f"context_fraction must be in [0, 1), got {self.context_fraction}")
         n_context = round(self.context_fraction * self.proposals_per_image)
@@ -341,6 +372,55 @@ def _background_boxes(rng: np.random.Generator, gt_boxes, count: int, tries: int
     return out
 
 
+def _sample_image(cfg: SynthConfig, i: int) -> tuple[ImageBag, tuple]:
+    """Image `i` with its boxes, labels and ground truth, and what its features are drawn from.
+
+    The bag's views are allocated and left unfilled. The second item is
+    (rng, overlap, is_context, views): the image's generator, positioned at
+    its noise, each region's best IoU with a ground-truth box of each
+    class, (N, C), the (N,) context mask, and the views to fill.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, i)))
+    n = cfg.proposals_per_image
+    n_context = round(cfg.context_fraction * n)
+    k = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
+    gt = [(int(rng.integers(cfg.num_classes)), _random_gt_box(rng)) for _ in range(k)]
+    gt_boxes = [b for _, b in gt]
+
+    # Per-object clusters spanning tight to loose overlap, object by object; the first
+    # member is forced tight so a correct localization always exists.
+    # Clusters and context boxes never hold more than n boxes (SynthConfig checks it).
+    proposals = np.empty((n, 4))
+    per_obj = max(k, (n - n_context) // 2) // k
+    n_cluster = k * per_obj
+    scales = np.tile(np.append(0.05, 0.08 + 0.62 * np.arange(1, per_obj) / per_obj), k)
+    min_iou = np.tile(np.append(0.7, np.zeros(per_obj - 1)), k)
+    gt_array = np.array(gt_boxes)
+    proposals[:n_cluster] = _cluster_boxes(rng, np.repeat(gt_array, per_obj, axis=0), scales, min_iou)
+    # One at a time: each context box's rng.integers call reads a buffered half of the
+    # generator's 64-bit output between the double draws, so batching would move the stream.
+    for row in range(n_cluster, n_cluster + n_context):
+        proposals[row] = _context_box(rng, gt_boxes[int(rng.integers(k))])
+    proposals[n_cluster + n_context :] = _background_boxes(rng, gt_array, n - n_cluster - n_context)
+    is_context = np.zeros(n, dtype=bool)
+    is_context[n_cluster : n_cluster + n_context] = True
+
+    perm = rng.permutation(n)
+    boxes = proposals[perm]
+    is_context = is_context[perm]
+
+    # Each region's best IoU with a ground-truth box of each class.
+    ious = iou_matrix(boxes, gt_array)
+    overlap = np.zeros((n, cfg.num_classes))
+    for t, (class_id, _) in enumerate(gt):
+        np.maximum(overlap[:, class_id], ious[:, t], out=overlap[:, class_id])
+    views = [np.empty((n, cfg.feat_dim), dtype=np.float32) for _ in range(cfg.n_views)]
+    labels = np.zeros(cfg.num_classes, dtype=np.int64)
+    labels[[c for c, _ in gt]] = 1
+    bag = ImageBag(id=f"im{i:05d}", boxes=boxes, views=views, labels=labels, ground_truth=gt)
+    return bag, (rng, overlap, is_context, views)
+
+
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
     """Deterministic synthetic dataset; a pure function of the config.
 
@@ -352,60 +432,41 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     context_dir = _unit_rows(proto_rng, (cfg.feat_dim,))
     class_names = [f"class{i:02d}" for i in range(cfg.num_classes)]
 
-    n = cfg.proposals_per_image
-    n_context = round(cfg.context_fraction * n)
-    # Each image's signal and each view's noise go into these two buffers: fresh (N, D) float64
-    # temporaries per image fragment the heap between the float32 views that stay, and raise peak RSS.
-    signal, noise = np.empty((n, cfg.feat_dim)), np.empty((n, cfg.feat_dim))
-    images = []
-    for i in range(cfg.n_images):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, i)))
-        k = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
-        gt = [(int(rng.integers(cfg.num_classes)), _random_gt_box(rng)) for _ in range(k)]
-        gt_boxes = [b for _, b in gt]
+    n, d = cfg.proposals_per_image, cfg.feat_dim
+    distractor = cfg.distractor_strength * context_dir
+    split = _FEATURE_SPLIT
+    if split is None:  # the gate (see the module docstring)
+        split = n * d * cfg.n_views >= FEATURE_SPLIT_MIN and head._usable_cpus() > 1
+    rows = max(1, NOISE_CHUNK // d)
+    # One signal buffer and one noise chunk per thread: fresh (N, D) float64 temporaries per image
+    # fragment the heap between the float32 views that stay, and raise peak RSS.
+    buffers = [(np.empty((n, d)), np.empty((min(rows, n), d))) for _ in range(1 + split)]
 
-        # Per-object clusters spanning tight to loose overlap, object by object; the first
-        # member is forced tight so a correct localization always exists.
-        # Clusters and context boxes never hold more than n boxes (SynthConfig checks it).
-        proposals = np.empty((n, 4))
-        per_obj = max(k, (n - n_context) // 2) // k
-        n_cluster = k * per_obj
-        scales = np.tile(np.append(0.05, 0.08 + 0.62 * np.arange(1, per_obj) / per_obj), k)
-        min_iou = np.tile(np.append(0.7, np.zeros(per_obj - 1)), k)
-        gt_array = np.array(gt_boxes)
-        proposals[:n_cluster] = _cluster_boxes(rng, np.repeat(gt_array, per_obj, axis=0), scales, min_iou)
-        # One at a time: each context box's rng.integers call reads a buffered half of the
-        # generator's 64-bit output between the double draws, so batching would move the stream.
-        for row in range(n_cluster, n_cluster + n_context):
-            proposals[row] = _context_box(rng, gt_boxes[int(rng.integers(k))])
-        proposals[n_cluster + n_context :] = _background_boxes(rng, gt_array, n - n_cluster - n_context)
-        is_context = np.zeros(n, dtype=bool)
-        is_context[n_cluster : n_cluster + n_context] = True
-
-        perm = rng.permutation(n)
-        boxes = proposals[perm]
-        is_context = is_context[perm]
-
-        # Each region's best IoU with a ground-truth box of each class.
-        ious = iou_matrix(boxes, gt_array)
-        overlap = np.zeros((n, cfg.num_classes))
-        for t, (class_id, _) in enumerate(gt):
-            np.maximum(overlap[:, class_id], ious[:, t], out=overlap[:, class_id])
+    # A closure, not a module function, since it may run on the worker (see the module docstring).
+    def features(rng, overlap, is_context, views, signal, noise):
         np.matmul(overlap, prototypes, out=signal)
-        signal[is_context] += cfg.distractor_strength * context_dir
+        np.add(signal, distractor, out=signal, where=is_context[:, None])  # signal[is_context] += distractor
+        # signal + sigma * rng.normal(size=(n, d)), chunk by chunk, cast to float32. normal() at loc 0, scale 1
+        # is 0.0 + 1.0 * z, the same double as z except for z = -0.0 (odds 2**-53 a draw), and even that sum
+        # only differs where the signal entry is -0.0 too.
+        for view in views:
+            for start in range(0, n, rows):
+                chunk = noise[: min(rows, n - start)]
+                rng.standard_normal(out=chunk)
+                chunk *= cfg.noise_sigma
+                np.add(signal[start : start + len(chunk)], chunk, out=chunk)
+                np.copyto(view[start : start + len(chunk)], chunk)
 
-        # signal + sigma * rng.normal(size=(n, d)), in place. normal() at loc 0, scale 1 is 0.0 + 1.0 * z,
-        # the same double as z except for z = -0.0 (odds 2**-53 a draw), and even that sum only
-        # differs where the signal entry is -0.0 too.
-        views = []
-        for _ in range(cfg.n_views):
-            rng.standard_normal(out=noise)
-            noise *= cfg.noise_sigma
-            np.add(signal, noise, out=noise)
-            views.append(noise.astype(np.float32))
-        labels = np.zeros(cfg.num_classes, dtype=np.int64)
-        labels[[c for c, _ in gt]] = 1
-        images.append(ImageBag(id=f"im{i:05d}", boxes=boxes, views=views, labels=labels, ground_truth=gt))
+    images = []
+    for i in range(0, cfg.n_images, 1 + split):
+        bag, draw = _sample_image(cfg, i)
+        images.append(bag)
+        if split and i + 1 < cfg.n_images:
+            after, after_draw = _sample_image(cfg, i + 1)
+            images.append(after)
+            head._WORKER.beside(lambda: features(*draw, *buffers[1]), lambda: features(*after_draw, *buffers[0]))
+        else:
+            features(*draw, *buffers[0])
 
     ds = Dataset(num_classes=cfg.num_classes, feat_dim=cfg.feat_dim, class_names=class_names, images=images)
     ds.validate()
@@ -416,9 +477,9 @@ def split_dataset(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
     """Split by image index into (first n_train, remainder)."""
     if not 0 < n_train < len(ds.images):
         raise ConfigError(f"n_train must be in (0, {len(ds.images)}), got {n_train}")
-    head = Dataset(ds.num_classes, ds.feat_dim, list(ds.class_names), ds.images[:n_train])
-    tail = Dataset(ds.num_classes, ds.feat_dim, list(ds.class_names), ds.images[n_train:])
-    return head, tail
+    first = Dataset(ds.num_classes, ds.feat_dim, list(ds.class_names), ds.images[:n_train])
+    rest = Dataset(ds.num_classes, ds.feat_dim, list(ds.class_names), ds.images[n_train:])
+    return first, rest
 
 
 def _write_sidecar(path: Path, views: list[np.ndarray]):

@@ -32,9 +32,9 @@ and row softmax (`_outputs`).
 Branch split. The two branches share only the features until the
 aggregation f = sum(v * p), so at large shapes a pass runs them on two
 threads. The module's one worker thread (`_BranchWorker`), started at the
-first split pass in the process and never stopped, runs the importance
-branch's half while the calling thread runs the class branch's half, each
-into its own buffers of the caller's `StepWork`:
+first task handed to it in the process and never stopped, runs the
+importance branch's half while the calling thread runs the class branch's
+half, each into its own buffers of the caller's `StepWork`:
 - forward: the worker computes x @ w_imp.T + b_imp into z[1]; the caller
   computes x @ w_cls.T + b_cls into z[0] and its row softmax;
 - backward: the worker runs dv, v * dv, its sum over regions, dz_imp and
@@ -55,7 +55,9 @@ task: perfbench's tracer wraps module functions by name and keeps one
 span stack. If the worker has not begun a task by the time the caller's
 half ends, the caller runs it itself, so callers on several threads
 share the worker safely. An exception raised in the worker's task is
-re-raised in the caller once both halves are done.
+re-raised in the caller once both halves are done. The first task may also
+come from `data.generate_synthetic`, whose feature split at paper-scale
+shapes hands the same worker one image's feature draws (see `wsdsel.data`).
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import wsdsel.cli
 import wsdsel.head
 from wsdsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from wsdsel.data import load_dataset
@@ -87,6 +88,20 @@ class TestSynth:
         test_ds = load_dataset(tmp_path / "ds-test.json")
         assert len(train_ds.images) == 7
         assert len(test_ds.images) == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--noise-sigma", "nan"],
+        ["--distractor-strength", "inf"],
+        ["--train-split", "10"],  # as many as the images: no test set
+        ["--train-split", "-3"],
+    ])
+    def test_bad_setting_exits_config_before_generating(self, tmp_path, capsys, monkeypatch, flags):
+        generated = []
+        monkeypatch.setattr(wsdsel.cli, "generate_synthetic", generated.append)
+        assert main(["synth", "--out", str(tmp_path / "ds.json"), *SMALL_SYNTH, *flags]) == EXIT_CONFIG
+        assert generated == []
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from wsdsel import data, head
 from wsdsel.data import (
     Dataset,
     ImageBag,
@@ -30,9 +31,18 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             SynthConfig(objects_min=3, objects_max=1)
 
-    def test_rejects_bad_noise(self):
-        with pytest.raises(ConfigError):
-            SynthConfig(noise_sigma=0.0)
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_noise(self, sigma):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            SynthConfig(noise_sigma=sigma)
+
+    @pytest.mark.parametrize("strength", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_distractor_strength(self, strength):
+        with pytest.raises(ConfigError, match="distractor_strength"):
+            SynthConfig(distractor_strength=strength)
+
+    def test_takes_any_finite_distractor_strength(self):
+        assert SynthConfig(distractor_strength=-0.5).distractor_strength == -0.5
 
     def test_rejects_bad_context_fraction(self):
         with pytest.raises(ConfigError):
@@ -85,6 +95,54 @@ class TestGenerateSynthetic:
         assert not np.array_equal(bag.views[0], bag.views[1])
         corr = np.corrcoef(bag.views[0].ravel(), bag.views[1].ravel())[0, 1]
         assert corr > 0.1
+
+
+class RecordingWorker:
+    """Stands in for the head's branch worker: counts the tasks handed to it and runs them on the caller."""
+
+    def __init__(self):
+        self.tasks = 0
+
+    def beside(self, task, own):
+        self.tasks += 1
+        own()
+        task()
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    recording = RecordingWorker()
+    monkeypatch.setattr(head, "_WORKER", recording)
+    return recording
+
+
+class TestFeatureSplit:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("shape", [
+        dict(),  # walkthrough: the generator defaults, N*D = 4096
+        dict(num_classes=20, feat_dim=64, proposals_per_image=128, n_views=2),  # dense_eval: 8192 * 2 views
+    ], ids=["walkthrough", "dense_eval"])
+    def test_small_shapes_never_hand_a_task_to_the_worker(self, monkeypatch, worker, cpus, shape):
+        monkeypatch.setattr(head, "_usable_cpus", lambda: cpus)
+        generate_synthetic(SynthConfig(n_images=5, **shape))
+        assert worker.tasks == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_only_two_cpus_split_a_shape_over_the_gate(self, monkeypatch, worker, cpus):
+        monkeypatch.setattr(head, "_usable_cpus", lambda: cpus)
+        cfg = SynthConfig(n_images=5, num_classes=20, feat_dim=256, proposals_per_image=256)
+        assert cfg.proposals_per_image * cfg.feat_dim >= data.FEATURE_SPLIT_MIN
+        split = generate_synthetic(cfg)
+        assert (worker.tasks > 0) == (cpus > 1)
+        monkeypatch.setattr(data, "_FEATURE_SPLIT", False)
+        for a, b in zip(split.images, generate_synthetic(cfg).images):
+            assert [v.tobytes() for v in a.views] == [v.tobytes() for v in b.views]
+
+    def test_forced_split_hands_tasks_at_any_shape(self, monkeypatch, worker):
+        monkeypatch.setattr(head, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(data, "_FEATURE_SPLIT", True)
+        generate_synthetic(SynthConfig(n_images=5))
+        assert worker.tasks > 0
 
 
 class TestSplit:

@@ -23,6 +23,9 @@ CONFIGS = {
     # many objects per image: clusters of one box each, background boxes tested against 12 objects
     "crowded": dict(n_images=20, num_classes=3, feat_dim=4, proposals_per_image=40, objects_min=12, objects_max=12,
                     context_fraction=0.25),
+    # over the feature-split gate by itself, with an odd image count, and with two noise chunks
+    # per view, the second one short (N*D = 49152 against NOISE_CHUNK = 32768)
+    "split_gate": dict(n_images=3, num_classes=5, feat_dim=96, proposals_per_image=512, n_views=2),
 }
 
 
@@ -38,11 +41,22 @@ def assert_same_dataset(got, want):
         assert repr(a.ground_truth) == repr(b.ground_truth)
 
 
+@pytest.mark.parametrize("split", [True, False], ids=["split", "serial"])
 @pytest.mark.parametrize("seed", [0, 1, 3])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_generator_equals_reference(name, seed):
+def test_generator_equals_reference(name, seed, split, monkeypatch):
+    # the feature split forced on and off: two threads draw the same bytes as one
+    monkeypatch.setattr(data, "_FEATURE_SPLIT", split)
     cfg = SynthConfig(seed=seed, **CONFIGS[name])
     assert_same_dataset(generate_synthetic(cfg), ref.generate_synthetic(cfg))
+
+
+def test_split_gate_config_crosses_the_gate():
+    cfg = SynthConfig(**CONFIGS["split_gate"])
+    assert cfg.proposals_per_image * cfg.feat_dim * cfg.n_views >= data.FEATURE_SPLIT_MIN
+    assert cfg.n_images % 2 == 1
+    rows = data.NOISE_CHUNK // cfg.feat_dim
+    assert rows < cfg.proposals_per_image < 2 * rows
 
 
 @pytest.mark.parametrize("name", ["walkthrough", "two_views", "crowded"])

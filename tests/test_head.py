@@ -369,6 +369,8 @@ class TestBranchSplit:
         run = _Run(dataset, state.params)
         assert run.spare is not None
         train_epoch(state, dataset, config, run=run)
+        # paper-shape generation, which hands image feature draws to the worker
+        generate_synthetic(SynthConfig(n_images=3, num_classes=c, feat_dim=d, proposals_per_image=n))
         assert threads == {threading.get_ident()}
 
     def test_worker_error_reaches_caller(self, monkeypatch):
@@ -472,6 +474,7 @@ class TestBranchSplit:
             backward_image(trace, params, feats, labels)
             head.linear_outputs(params, feats)
             train_epoch(state, dataset, config)
+            generate_synthetic(SynthConfig(n_images=2, num_classes=c, feat_dim=d, proposals_per_image=n))
         assert len(starts) <= 1
         assert head._WORKER._thread.is_alive()
 
