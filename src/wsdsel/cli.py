@@ -268,11 +268,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     opts = EvalOptions(**{f.name: config[f.name] for f in fields(EvalOptions)})
     dataset = load_dataset(args.dataset)
     state = load_checkpoint(args.checkpoint)
-    if state.params.num_classes != dataset.num_classes or state.params.feat_dim != dataset.feat_dim:
-        raise DataError(
-            f"checkpoint (C={state.params.num_classes}, D={state.params.feat_dim}) does not match "
-            f"dataset (C={dataset.num_classes}, D={dataset.feat_dim})"
-        )
     report = evaluate_map(dataset, state.params, opts)
     if config["both"]:
         other = "area" if opts.ap_protocol == "eleven_point" else "eleven_point"

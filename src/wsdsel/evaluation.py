@@ -5,10 +5,13 @@ The importance weights v default to an unmasked softmax over all regions
 (labels are unknown at test time); a label-free top-M mask by class
 probability is available for ablation.
 
-`evaluate_map` is one pass: each view of an image goes through the head
-once, detection runs once per image over one IoU matrix shared by all
-classes, and CorLoc, weight concentration, AP under either protocol and
-the PR-curve CSV are all computed from those results.
+`evaluate_map` is one pass: it checks the dataset against the params and
+builds one `StepWork` sized for the largest image (`StepWork.sized_for`,
+as training does). Each view of an image goes through the training step's
+forward stages in it once; detection runs once per image over one IoU
+matrix shared by all classes, and not at all for an image where no region
+reaches the score floor; and CorLoc, weight concentration, AP under either
+protocol and the PR-curve CSV are all computed from those results.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from wsdsel.data import Dataset, ImageBag
 from wsdsel.errors import ConfigError
 from wsdsel.geometry import BBox, Detection, box_array, box_vote, iou, iou_matrix, nms  # noqa: F401  (perfbench's tracer reads evaluation.iou)
-from wsdsel.head import HeadParams, linear_outputs, masked_softmax, select_regions
+from wsdsel.head import Budgets, HeadParams, StepWork, _masked_softmax, _outputs, _select
 
 MASK_MODES = ("all", "top_mpt")
 AP_PROTOCOLS = ("eleven_point", "area")
@@ -111,19 +114,30 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _infer(params: HeadParams, bag: ImageBag, mask_mode: str, top_m: int):
-    """One image through the head, each view once: test scores v*p, p, and the all-mask v, view-averaged."""
+def _infer(params: HeadParams, bag: ImageBag, mask_mode: str, top_m: int, work: StepWork):
+    """One image through the head in `work`, each view once: test scores v*p, p, and the all-mask v, view-averaged.
+
+    Each view runs the training step's stages: `_outputs` gives p and the
+    importance logits in the stack z. Under "top_mpt" every class keeps
+    its top_m regions by probability, as if every label were positive:
+    `_select` and the masked softmax over that selection, which gathers
+    it and so leaves the logits in `work.zt`, give v in `work.q[0]`. Then
+    the all-mask softmax runs in place and writes v_all over the logits in
+    z[1]. Under "all", or with top_m >= N, `_select` returns None and v
+    is v_all.
+    """
     if mask_mode not in MASK_MODES:
         raise ValueError(f"unknown mask_mode {mask_mode!r}, expected one of {MASK_MODES}")
     shape = (bag.n_regions, params.num_classes)
+    budget = top_m if mask_mode == "top_mpt" else shape[0]
+    budgets = Budgets(np.ones(shape[1], dtype=bool), shape[0], budget, budget)
     total, p_sum, v_sum = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     for feats in bag.views:
-        p, logits_imp = linear_outputs(params, feats)
-        v_all = masked_softmax(logits_imp, np.ones(shape, dtype=bool))
-        if mask_mode == "all":
-            v = v_all
-        else:  # top_mpt: each class keeps its top-M regions by probability, as if every label were positive
-            v = masked_softmax(logits_imp, select_regions(p, np.ones(shape[1]), top_m, top_m))
+        p, v_all = _outputs(params, np.asarray(feats, dtype=np.float64), work)
+        h_t = _select(p, budgets, work.key, work.srt, work.mask)
+        np.copyto(work.zt, v_all.T)
+        v = v_all if h_t is None else _masked_softmax(work.zt, h_t, budgets.levels, work.q[0], work.cols, work.group)
+        _masked_softmax(work.zt, None, None, v_all, work.cols, work.group)
         total += v * p
         p_sum += p
         v_sum += v_all
@@ -133,7 +147,7 @@ def _infer(params: HeadParams, bag: ImageBag, mask_mode: str, top_m: int):
 
 def infer_image(params: HeadParams, bag: ImageBag, mask_mode: str = "all", top_m: int = 128) -> np.ndarray:
     """Per-region per-class confidence scores v*p, averaged over views."""
-    return _infer(params, bag, mask_mode, top_m)[0]
+    return _infer(params, bag, mask_mode, top_m, StepWork(bag.n_regions, params.num_classes, params.feat_dim))[0]
 
 
 def detect_arrays(
@@ -147,10 +161,13 @@ def detect_arrays(
 
     `scores` is (N, C) and `boxes` the (N, 4) proposals; the candidates of a
     class are the regions scoring at least `score_floor`. One IoU matrix
-    serves every class. Returns the detections' class ids, scores and voted
-    (K, 4) boxes, class by class and each class in descending score order.
+    serves every class, and is not built when no region is a candidate.
+    Returns the detections' class ids, scores and voted (K, 4) boxes, class
+    by class and each class in descending score order.
     """
     candidates = scores >= score_floor
+    if not candidates.any():
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 4))
     ious = iou_matrix(boxes, boxes)
     kept = nms(ious, scores, nms_threshold, candidates)
     return kept[1], scores[kept], box_vote(kept, ious, boxes, scores, vote_threshold, candidates)
@@ -294,16 +311,20 @@ def voc_ap(
 
 
 def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | None = None) -> EvalReport:
-    """Full pipeline in one pass over the images: inference, detection, AP/mAP, CorLoc, concentration."""
+    """Full pipeline in one pass over the images: inference, detection, AP/mAP, CorLoc, concentration.
+
+    Raises DataError for an empty dataset or one whose C or D differs from the params'.
+    """
     opts = options or EvalOptions()
+    work = StepWork.sized_for(dataset, params)
     c = dataset.num_classes
     gts_by_class: list[dict[int, np.ndarray]] = [{} for _ in range(c)]
     # per image: the class ids, scores and voted boxes of its detections
-    found = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 4)))]
+    found = []
     correct, positives = np.zeros(c), np.zeros(c)
     fractions: list[float] = []
     for key, bag in enumerate(dataset.images):  # each image is its own key
-        scores, p, v = _infer(params, bag, opts.mask_mode, opts.top_m)
+        scores, p, v = _infer(params, bag, opts.mask_mode, opts.top_m, work)
         boxes, gt_classes, gt_boxes = bag.boxes, bag.gt_classes, bag.gt_boxes
         for j in set(gt_classes.tolist()):
             gts_by_class[j][key] = gt_boxes[gt_classes == j]
@@ -314,11 +335,12 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
         tops = boxes[np.argmax(scores[:, positive], axis=0)]
         hits = (iou_matrix(tops, gt_boxes) >= opts.iou_threshold) & (gt_classes == positive[:, None])
         correct[positive] += hits.any(axis=1)
-        for j in positive:
-            # weight concentration: importance mass on the top_m most probable regions
-            fractions.append(float(v[np.argsort(-p[:, j], kind="stable")[: opts.top_m], j].sum()))
+        # Weight concentration: each positive class's importance mass on its top_m most probable
+        # regions, gathered into one contiguous row per class so that each row sums as a 1-D sum.
+        top = np.argsort(-p[:, positive], axis=0, kind="stable")[: opts.top_m]
+        fractions.extend(np.add.reduce(np.take_along_axis(v[:, positive], top, axis=0).T.copy(), axis=1))
 
-    images = np.repeat(np.arange(len(dataset.images)), [len(f[0]) for f in found[1:]])
+    images = np.repeat(np.arange(len(dataset.images)), [len(f[0]) for f in found])
     classes, det_scores, det_boxes = (np.concatenate(part) for part in zip(*found))
     del found  # freed before the per-class arrays are built, so the two sets are never held at once
     curves = []

@@ -26,8 +26,9 @@ from per-image constants built once: `ImageLabels` and, per (m_pos, m_neg),
 `Budgets`. It allocates no (N, C) temporary and keeps nothing else.
 `forward_image` and `backward_image` are the same pass, split in two and
 run in a workspace of their own, as the public entry points that keep
-every intermediate; eval's `linear_outputs` runs the same linear layer
-and row softmax (`_outputs`).
+every intermediate. Eval runs the forward stages (`_outputs`, `_select`,
+`_masked_softmax`) in one workspace too, and `StepWork.sized_for` is the
+one check, for training and eval alike, that a dataset fits the params.
 
 Branch split. The two branches share only the features until the
 aggregation f = sum(v * p), so at large shapes a pass runs them on two
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wsdsel.errors import ConfigError
+from wsdsel.errors import ConfigError, DataError
 
 EPS = 1e-12  # clamp on aggregated scores before the logs
 # The smallest N*D*C at which a pass runs its two branches on two threads (see the module docstring).
@@ -258,6 +259,20 @@ class StepWork:
     True or False before the first pass forces the choice either way.
     """
 
+    @classmethod
+    def sized_for(cls, dataset, params: HeadParams) -> "StepWork":
+        """A workspace for every image of `dataset` under `params`, sized for its largest image.
+
+        Raises DataError for a dataset without images or whose class count
+        or feature dimension differs from the params'.
+        """
+        if not dataset.images:
+            raise DataError("dataset is empty")
+        if dataset.feat_dim != params.feat_dim or dataset.num_classes != params.num_classes:
+            raise DataError(f"dataset (C={dataset.num_classes}, D={dataset.feat_dim}) does not match params "
+                            f"(C={params.num_classes}, D={params.feat_dim})")
+        return cls(max(bag.n_regions for bag in dataset.images), params.num_classes, params.feat_dim)
+
     def __init__(self, n_max: int, c: int, d: int):
         size = 2 * c * d + 2 * c
         self.params = HeadParams.from_flat(np.empty(size), c, d)
@@ -268,7 +283,7 @@ class StepWork:
         self._planes = np.empty((3, c * n_max))
         self._masks = np.empty((2, c * n_max), dtype=bool)
         self._rows = np.empty(n_max)
-        self.n = None
+        self.n_max, self.n = n_max, None
         self._split = None
         # The fewest regions at which a pass splits, as N*D*C >= SPLIT_MIN; never on one CPU.
         self._split_min = -(-SPLIT_MIN // (c * d)) if _usable_cpus() > 1 else math.inf

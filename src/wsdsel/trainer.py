@@ -186,15 +186,8 @@ class _Run:
     """What `train_epoch` reads besides the state, built once per run (see the module docstring)."""
 
     def __init__(self, dataset: Dataset, params: HeadParams):
-        if not dataset.images:
-            raise DataError("dataset is empty")
-        if dataset.feat_dim != params.feat_dim or dataset.num_classes != params.num_classes:
-            raise DataError(
-                f"dataset (C={dataset.num_classes}, D={dataset.feat_dim}) does not match params "
-                f"(C={params.num_classes}, D={params.feat_dim})"
-            )
-        n_max = max(bag.n_regions for bag in dataset.images)
-        self.work = StepWork(n_max, dataset.num_classes, dataset.feat_dim)
+        self.work = StepWork.sized_for(dataset, params)
+        n_max = self.work.n_max
         self.feats = np.empty((n_max, dataset.feat_dim))
         # Two arrays, not one (2, n_max, D) stack: the stack raised the process's peak memory more.
         self.spare = np.empty((n_max, dataset.feat_dim)) if self.work.splits(n_max) else None

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import wsdsel.cli
+import wsdsel.evaluation
 import wsdsel.head
 from wsdsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from wsdsel.data import load_dataset
 from wsdsel.head import HeadParams
-from wsdsel.trainer import init_params, load_checkpoint, save_checkpoint
+from wsdsel.trainer import TrainState, init_params, load_checkpoint, save_checkpoint
 
 SMALL_SYNTH = ["--n-images", "10", "--num-classes", "3", "--feat-dim", "8", "--proposals-per-image", "16"]
 FAST_TRAIN = ["--epochs", "4", "--warmup-epochs", "1", "--m-start", "8", "--m-final", "4",
@@ -266,19 +267,25 @@ class TestEval:
         assert main(["synth", "--out", str(ds), *SMALL_SYNTH, "--n-views", "2"]) == EXIT_OK
         ckpt = tmp_path / "ckpt.wsdc"
         assert main(["train", "--dataset", str(ds), "--out", str(ckpt), *FAST_TRAIN]) == EXIT_OK
-        # every linear_outputs call during eval is one application of the linear layer to one view
-        real = wsdsel.head.linear_outputs
-        calls = []
+        # every _outputs call during eval is one application of the linear layer to one view,
+        # and every one of them computes in the one workspace the eval builds
+        real, real_init = wsdsel.evaluation._outputs, wsdsel.head.StepWork.__init__
+        calls, works = [], []
 
-        def counted(params, feats):
-            calls.append(feats.shape)
-            return real(params, feats)
+        def counted(params, x, work):
+            calls.append((x.shape, id(work)))
+            return real(params, x, work)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "wsdsel" and getattr(module, "linear_outputs", None) is real:
-                monkeypatch.setattr(module, "linear_outputs", counted)
+        def counted_init(work, *args):
+            works.append(args)
+            real_init(work, *args)
+
+        monkeypatch.setattr(wsdsel.evaluation, "_outputs", counted)
+        monkeypatch.setattr(wsdsel.head.StepWork, "__init__", counted_init)
         assert run_eval(ds, ckpt, tmp_path / "r.json", "--both", "--pr-csv", str(tmp_path / "pr.csv")) == EXIT_OK
         assert len(calls) == 10 * 2
+        assert len(works) == 1
+        assert len({work for _, work in calls}) == 1
 
     def test_dimension_mismatch_exits_data(self, trained, tmp_path):
         dataset, _ = trained
@@ -290,6 +297,16 @@ class TestEval:
         rc = main(["eval", "--dataset", str(dataset), "--checkpoint", str(other),
                    "--out", str(tmp_path / "r.json")])
         assert rc == EXIT_DATA
+
+    def test_checkpoint_of_other_classes_exits_data_and_writes_no_report(self, trained, tmp_path, capsys):
+        # same D, one class more: a shape that numpy would evaluate without complaint
+        dataset, _ = trained
+        other = tmp_path / "other.wsdc"
+        params = init_params(8, 4, 0)
+        save_checkpoint(TrainState(params=params, velocity=params.zeros_like()), other)
+        assert run_eval(dataset, other, tmp_path / "r.json") == EXIT_DATA
+        assert "does not match" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_top_mpt_mask_mode_runs(self, trained, tmp_path):
         dataset, ckpt = trained

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsdsel import evaluation
+from wsdsel import evaluation, head
 from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
 from wsdsel.evaluation import (
     EvalOptions,
@@ -17,8 +17,9 @@ from wsdsel.evaluation import (
     voc_ap,
     weight_concentration,
 )
+from wsdsel.errors import DataError
 from wsdsel.geometry import BBox, Detection, iou, iou_matrix
-from wsdsel.head import HeadParams, class_softmax, masked_softmax
+from wsdsel.head import HeadParams, StepWork, class_softmax, masked_softmax
 from wsdsel.trainer import init_params
 
 from reference_eval import greedy_nms_indices, match_detections, reference_ap, reference_corloc
@@ -96,6 +97,32 @@ class TestInferImage:
         scores = infer_image(params, bag_with(feats, [1, 1]), mask_mode="top_mpt", top_m=2)
         assert ((scores > 0).sum(axis=0) == 2).all()
 
+    @pytest.mark.parametrize("mask_mode", ["all", "top_mpt"])
+    def test_one_workspace_equals_public_wrappers_bit_for_bit(self, mask_mode):
+        # Images of several N (ties included) share one workspace sized for the largest; each view
+        # must give the bits of the public linear layer, selection and masked softmax composed.
+        rng = np.random.default_rng(3)
+        c, d = 4, 5
+        params = HeadParams(*(rng.normal(size=s).astype(np.float32) for s in ((c, d), c, (c, d), c)))
+        work = StepWork(40, c, d)
+        for n, n_views, top_m in [(40, 1, 7), (9, 3, 2), (17, 2, 17), (5, 2, 1), (40, 2, 39), (12, 1, 1000)]:
+            views = [rng.normal(size=(n, d)).astype(np.float32) for _ in range(n_views)]
+            views[-1][n // 2 :] = views[-1][: n - n // 2]  # repeated regions tie in p
+            bag = ImageBag(id="i", proposals=[BBox(0, 0, 1, 1)] * n, views=views, labels=np.ones(c),
+                           ground_truth=[])
+            total, p_sum, v_sum = np.zeros((n, c)), np.zeros((n, c)), np.zeros((n, c))
+            for feats in views:
+                p, logits = head.linear_outputs(params, feats)
+                v_all = masked_softmax(logits, np.ones((n, c), dtype=bool))
+                v = v_all if mask_mode == "all" else masked_softmax(
+                    logits, head.select_regions(p, np.ones(c), top_m, top_m))
+                total += v * p
+                p_sum += p
+                v_sum += v_all
+            got = evaluation._infer(params, bag, mask_mode, top_m, work)
+            for a, b in zip(got, (total / n_views, p_sum / n_views, v_sum / n_views)):
+                assert a.tobytes() == b.tobytes()
+
     def test_unknown_mask_mode(self):
         params = HeadParams(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
         with pytest.raises(ValueError):
@@ -107,6 +134,30 @@ class TestDetect:
         scores = np.full((3, 2), 1e-6)
         props = [BBox(0, 0, 1, 1), BBox(2, 2, 3, 3), BBox(4, 4, 5, 5)]
         assert detect(scores, props) == []
+
+    def test_no_candidate_builds_no_iou_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("IoU matrix built for an image without candidates")
+
+        monkeypatch.setattr(evaluation, "iou_matrix", refuse)
+        boxes = np.array([[0, 0, 1, 1], [2, 2, 3, 3], [0, 0, 2, 2]], dtype=float)
+        classes, scores, voted = evaluation.detect_arrays(np.full((3, 2), 1e-6), boxes)
+        assert (classes.dtype, classes.shape) == (np.intp, (0,))
+        assert (scores.dtype, scores.shape) == (np.float64, (0,))
+        assert (voted.dtype, voted.shape) == (np.float64, (0, 4))
+
+    def test_eval_without_candidates_builds_no_proposal_iou_matrix(self, monkeypatch):
+        ds = generate_synthetic(SynthConfig(n_images=3, num_classes=2, feat_dim=6, proposals_per_image=10, seed=47))
+        real = evaluation.iou_matrix
+
+        def no_square(a, b):
+            assert a is not b, "IoU matrix of the proposals built for an image without candidates"
+            return real(a, b)
+
+        monkeypatch.setattr(evaluation, "iou_matrix", no_square)
+        report = evaluate_map(ds, init_params(6, 2, 0), EvalOptions(score_floor=2.0))
+        assert report.diagnostics["n_detections"] == 0
+        assert report.diagnostics["classes_without_candidates"] == [0, 1]
 
     def test_single_region_keeps_original_box(self):
         props = [BBox(0, 0, 4, 4)]
@@ -495,6 +546,94 @@ class TestEvaluateMap:
         parsed = json.loads(report.to_json(), parse_constant=reject)
         assert parsed["diagnostics"]["weight_concentration"] is None
         assert parsed["mean_corloc"] is None
+
+    def test_concentration_equals_a_per_class_sum_bit_for_bit(self):
+        # One image per case, every class positive: the report holds the mean of the classes' fractions,
+        # each summed on its own as a 1-D sum. The floor keeps detection out of it.
+        rng = np.random.default_rng(71)
+        c, d = 3, 4
+        for _ in range(100):
+            n = int(rng.integers(2, 300))
+            k = int(rng.integers(1, n + 1))
+            labels = np.ones(c, dtype=np.int64)
+            bag = ImageBag(id="i", proposals=[BBox(0, 0, 1, 1)] * n, views=[rng.normal(size=(n, d))],
+                           labels=labels, ground_truth=[])
+            params = HeadParams(*(rng.normal(scale=rng.uniform(0.1, 3), size=s) for s in ((c, d), c, (c, d), c)))
+            ds = Dataset(num_classes=c, feat_dim=d, class_names=["a", "b", "c"], images=[bag])
+            _, p, v = evaluation._infer(params, bag, "all", k, StepWork(n, c, d))
+            want = float(np.mean([v[np.argsort(-p[:, j], kind="stable")[:k], j].sum() for j in range(c)]))
+            report = evaluate_map(ds, params, EvalOptions(top_m=k, score_floor=2.0))
+            assert report.diagnostics["weight_concentration"] == want
+
+    @pytest.mark.parametrize("case", ["empty", "other_classes", "other_dim"])
+    def test_dataset_that_does_not_fit_the_params_raises(self, case):
+        ds = generate_synthetic(SynthConfig(n_images=3, num_classes=3, feat_dim=6, proposals_per_image=8, seed=41))
+        params = init_params(6, 3, 0)
+        if case == "empty":
+            ds = Dataset(ds.num_classes, ds.feat_dim, ds.class_names, [])
+        elif case == "other_classes":
+            params = init_params(6, 4, 0)
+        else:
+            params = init_params(5, 3, 0)
+        message = "empty" if case == "empty" else "does not match"
+        with pytest.raises(DataError, match=message):
+            evaluate_map(ds, params)
+        with pytest.raises(DataError, match=message):
+            corloc(ds, params, mask_mode="top_mpt", top_m=4)
+        with pytest.raises(DataError, match=message):
+            weight_concentration(params, ds, k=4)
+
+    def test_runs_the_step_stages_in_one_workspace(self, monkeypatch):
+        ds = generate_synthetic(SynthConfig(n_images=4, num_classes=3, feat_dim=8, proposals_per_image=12,
+                                            n_views=2, seed=53))
+        params = init_params(8, 3, 0)
+        real_init, works = StepWork.__init__, []
+
+        def counted_init(work, *args):
+            works.append(args)
+            real_init(work, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval called a public head wrapper")
+
+        monkeypatch.setattr(StepWork, "__init__", counted_init)
+        for name in ("linear_outputs", "masked_softmax", "select_regions"):
+            real = getattr(head, name)
+            for module in (head, evaluation):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, refuse)
+        for mode in ("all", "top_mpt"):
+            works.clear()
+            evaluate_map(ds, params, EvalOptions(mask_mode=mode, top_m=4))
+            assert works == [(12, 3, 8)]
+
+    @pytest.mark.parametrize("n_views", [1, 2])
+    def test_top_mpt_with_budget_of_every_region_equals_all(self, tmp_path, n_views):
+        ds = generate_synthetic(SynthConfig(n_images=4, num_classes=3, feat_dim=8, proposals_per_image=12,
+                                            n_views=n_views, seed=59))
+        base = init_params(8, 3, 1)
+        params = HeadParams.from_flat(base.flat * 40, 3, 8)  # scores well above the floor
+        for top_m in (12, 13, 1000):
+            got, want = (evaluate_map(ds, params, EvalOptions(mask_mode=mode, top_m=top_m))
+                         for mode in ("top_mpt", "all"))
+            assert got.to_json() == want.to_json()
+            assert want.diagnostics["n_detections"] > 0
+            evaluation.dump_pr_curves(got.curves, ds.class_names, tmp_path / "got.csv")
+            evaluation.dump_pr_curves(want.curves, ds.class_names, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_paper_shape_report_equal_with_branch_split_on_and_off(self, monkeypatch):
+        ds = generate_synthetic(SynthConfig(n_images=2, num_classes=20, feat_dim=256, proposals_per_image=2048,
+                                            seed=61))
+        base = init_params(256, 20, 2)
+        params = HeadParams.from_flat(base.flat * 30, 20, 256)
+        reports = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(head, "_usable_cpus", lambda: cpus)
+            assert StepWork.sized_for(ds, params).splits(2048) == (cpus == 2)
+            # top_mpt runs both masked softmaxes: v from the selection, and v_all for the concentration
+            reports[cpus] = evaluate_map(ds, params, EvalOptions(mask_mode="top_mpt", top_m=128)).to_json()
+        assert reports[2] == reports[1]
 
     def test_report_json_round_trips(self):
         import json
