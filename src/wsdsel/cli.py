@@ -13,6 +13,7 @@ written included), 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -167,8 +168,23 @@ def write_manifest(out_path: Path, command: str, config: dict, inputs: dict, out
     }
     path = out_path.parent / (out_path.name + ".manifest.json")
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _removed_on_failure():
+    """Collect the paths a command writes; if it fails before its manifest is written, remove them."""
+    written = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -245,17 +261,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     state = train(dataset, train_config)
     out = Path(args.out)
-    save_checkpoint(state, out)
     loss_csv = out.parent / (out.stem + "_loss.csv")
-    _write_loss_csv(loss_csv, state, train_config)
-    write_manifest(
-        out,
-        "train",
-        config,
-        {"dataset": str(args.dataset)},
-        {"checkpoint": str(out), "loss_history": str(loss_csv)},
-        started,
-    )
+    with _removed_on_failure() as written:
+        save_checkpoint(state, out)
+        written.append(out)
+        _write_loss_csv(loss_csv, state, train_config)
+        written.append(loss_csv)
+        write_manifest(out, "train", config, {"dataset": str(args.dataset)},
+                       {"checkpoint": str(out), "loss_history": str(loss_csv)}, started)
     final = state.loss_history[-1] if state.loss_history else float("nan")
     print(f"trained {state.epoch} epochs on {len(dataset.images)} images; final mean loss {final:.6f}")
     print(f"wrote {out} and {loss_csv}")
@@ -276,19 +289,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report.diagnostics[f"per_class_ap_{other}"] = per_class
     out = Path(args.out)
     outputs = {"report": str(out)}
-    if config["pr_csv"]:  # before the report, so that an eval that fails here leaves no report
-        dump_pr_curves(report.curves, dataset.class_names, config["pr_csv"])
-        outputs["pr_csv"] = config["pr_csv"]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report.to_json())
-    write_manifest(
-        out,
-        "eval",
-        config,
-        {"dataset": str(args.dataset), "checkpoint": str(args.checkpoint)},
-        outputs,
-        started,
-    )
+    with _removed_on_failure() as written:
+        if config["pr_csv"]:  # before the report, so that an eval that fails here leaves no report
+            dump_pr_curves(report.curves, dataset.class_names, config["pr_csv"])
+            outputs["pr_csv"] = config["pr_csv"]
+            written.append(config["pr_csv"])
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(report.to_json())
+        written.append(out)
+        write_manifest(out, "eval", config, {"dataset": str(args.dataset), "checkpoint": str(args.checkpoint)},
+                       outputs, started)
     print(f"mAP {report.map:.4f}  mean CorLoc {report.mean_corloc:.4f}  ({report.n_images} images)")
     print(f"wrote {out}")
     if report.diagnostics["n_detections"] == 0:

@@ -40,21 +40,20 @@ of numpy calls on its own generator: the signal `overlap @ prototypes`,
 the distractor added to the context rows, then per view a normal fill, a
 scale, an add and a float32 cast. Every image has a generator of its own,
 so two images' blocks can run at the same time and draw the same bytes.
-When N*D*views reaches FEATURE_SPLIT_MIN = 2^16 and the process may run on
-at least two CPUs (`head._usable_cpus`), `generate_synthetic` samples the
-boxes of images i and i+1, then runs image i's block on the head's one
-worker thread (`head._WORKER`, through `beside`) while the calling thread
-runs image i+1's; with an odd image count the last image runs on the
-caller. Below the gate, the handoff and the worker's wake-up cost more
-than the block saves: the walkthrough and dense_eval shapes stay serial.
-`_FEATURE_SPLIT` set to True or False forces the choice either way. The
-caller keeps all box sampling and allocates the float32 views; the block
-calls numpy only, never a wsdsel function (perfbench's tracer keeps one
-span stack), and allocates nothing: each thread has its own signal buffer
-and noise chunk. The noise is drawn in chunks of NOISE_CHUNK entries
-(whole rows), which read the normal stream in the same order as one fill
-of the whole view, so the bytes stay the same while the chunk stays in
-cache.
+Where the head's gate, `head._worker_for(N*D*views, FEATURE_SPLIT_MIN)`,
+gives its worker (N*D*views of at least 2^16 on at least two usable
+CPUs), `generate_synthetic` samples the boxes of images i and i+1, then
+runs image i's block on that worker thread (through `beside`) while the
+calling thread runs image i+1's; with an odd image count the last image
+runs on the caller. Below the gate, the handoff and the worker's wake-up
+cost more than the block saves: the walkthrough and dense_eval shapes
+stay serial. The caller keeps all box sampling and allocates the float32
+views; the block calls numpy only, never a wsdsel function (perfbench's
+tracer keeps one span stack), and allocates nothing: each thread has its
+own signal buffer and noise chunk. The noise is drawn in chunks of
+NOISE_CHUNK entries (whole rows), which read the normal stream in the same
+order as one fill of the whole view, so the bytes stay the same while the
+chunk stays in cache.
 
 File formats
 ------------
@@ -87,8 +86,6 @@ FEATURE_MAGIC = b"WSDF"
 FEATURE_VERSION = 1
 # The smallest per-image N*D*views at which generation draws features on two threads (see the module docstring).
 FEATURE_SPLIT_MIN = 1 << 16
-# True or False forces the feature split on or off; None leaves it to the gate.
-_FEATURE_SPLIT = None
 # Noise entries drawn per chunk: 256 KB of float64 per thread, a buffer that stays in cache.
 NOISE_CHUNK = 1 << 15
 
@@ -225,6 +222,8 @@ class SynthConfig:
         for name in ("n_images", "num_classes", "feat_dim", "proposals_per_image", "objects_min", "objects_max", "n_views"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.objects_max < self.objects_min:
             raise ConfigError("objects_max must be >= objects_min")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
@@ -434,9 +433,8 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
 
     n, d = cfg.proposals_per_image, cfg.feat_dim
     distractor = cfg.distractor_strength * context_dir
-    split = _FEATURE_SPLIT
-    if split is None:  # the gate (see the module docstring)
-        split = n * d * cfg.n_views >= FEATURE_SPLIT_MIN and head._usable_cpus() > 1
+    worker = head._worker_for(n * d * cfg.n_views, FEATURE_SPLIT_MIN)
+    split = worker is not None
     rows = max(1, NOISE_CHUNK // d)
     # One signal buffer and one noise chunk per thread: fresh (N, D) float64 temporaries per image
     # fragment the heap between the float32 views that stay, and raise peak RSS.
@@ -464,7 +462,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
         if split and i + 1 < cfg.n_images:
             after, after_draw = _sample_image(cfg, i + 1)
             images.append(after)
-            head._WORKER.beside(lambda: features(*draw, *buffers[1]), lambda: features(*after_draw, *buffers[0]))
+            worker.beside(lambda: features(*draw, *buffers[1]), lambda: features(*after_draw, *buffers[0]))
         else:
             features(*draw, *buffers[0])
 

@@ -48,17 +48,17 @@ the halves run on two cores. Between the two products, selection, the
 masked softmax, aggregation and the loss run on the calling thread, and
 a training step hands the worker its `prefetch` task beside them: the
 trainer's copy of the next image's features into its second buffer.
-The split runs only when N*D*C reaches SPLIT_MIN = 2^20 and the process
-may run on at least two CPUs (`os.sched_getaffinity`): below that, the
-handoff and the worker's wake-up cost more than the products save. The
-worker calls numpy only, never a wsdsel function, and so must a prefetch
-task: perfbench's tracer wraps module functions by name and keeps one
-span stack. If the worker has not begun a task by the time the caller's
-half ends, the caller runs it itself, so callers on several threads
-share the worker safely. An exception raised in the worker's task is
-re-raised in the caller once both halves are done. The first task may also
-come from `data.generate_synthetic`, whose feature split at paper-scale
-shapes hands the same worker one image's feature draws (see `wsdsel.data`).
+A pass splits where the one gate, `_worker_for(N*D*C, SPLIT_MIN)`, gives
+the worker: at N*D*C of at least 2^20 on at least two usable CPUs
+(`os.sched_getaffinity`). Below that, the handoff and the worker's
+wake-up cost more than the products save. The worker calls numpy only,
+never a wsdsel function, and so must a prefetch task: perfbench's tracer
+wraps module functions by name and keeps one span stack. If the worker
+has not begun a task by the time the caller's half ends, the caller runs
+it itself, so callers on several threads share the worker safely. An
+exception raised in the worker's task is re-raised in the caller once
+both halves are done. The first task may also come from `data.generate_synthetic`, whose feature split, behind the same
+gate, hands the worker one image's feature draws (see `wsdsel.data`).
 """
 
 from __future__ import annotations
@@ -138,6 +138,11 @@ class _BranchWorker:
 _WORKER = _BranchWorker()
 if hasattr(os, "register_at_fork"):  # a forked child has no worker thread: it starts its own, on a fresh queue
     os.register_at_fork(after_in_child=_WORKER.__init__)
+
+
+def _worker_for(size: int, minimum: int) -> _BranchWorker | None:
+    """The worker for a task of `size` whose split pays from `minimum` on: `_WORKER` on two or more CPUs, else None."""
+    return _WORKER if size >= minimum and _usable_cpus() > 1 else None
 
 
 class HeadParams:
@@ -253,10 +258,9 @@ class StepWork:
     and group (the selection mask and one budget level's part of it); and
     rows, (N,).
 
-    `at(n)` also sets `worker`: the module's one `_BranchWorker` when a
-    pass at N = n splits its branches (`splits(n)`: N*D*C at least
-    SPLIT_MIN and at least two usable CPUs), else None. `_split` set to
-    True or False before the first pass forces the choice either way.
+    `at(n)` also sets `worker`, `_worker_for(N*D*C, SPLIT_MIN)`: the
+    module's one `_BranchWorker` when a pass at N = n splits its branches,
+    else None.
     """
 
     @classmethod
@@ -284,9 +288,6 @@ class StepWork:
         self._masks = np.empty((2, c * n_max), dtype=bool)
         self._rows = np.empty(n_max)
         self.n_max, self.n = n_max, None
-        self._split = None
-        # The fewest regions at which a pass splits, as N*D*C >= SPLIT_MIN; never on one CPU.
-        self._split_min = -(-SPLIT_MIN // (c * d)) if _usable_cpus() > 1 else math.inf
 
     def at(self, n: int) -> "StepWork":
         if n != self.n:
@@ -295,12 +296,8 @@ class StepWork:
             self.zt, self.key, self.srt = (s[: c * n].reshape(c, n) for s in self._planes)
             self.mask, self.group = (s[: c * n].reshape(c, n) for s in self._masks)
             self.rows, self.n = self._rows[:n], n
-            self.worker = _WORKER if self.splits(n) else None
+            self.worker = _worker_for(n * c * self.params.feat_dim, SPLIT_MIN)
         return self
-
-    def splits(self, n: int) -> bool:
-        """Whether a pass at N = n runs its branches on two threads."""
-        return n >= self._split_min if self._split is None else self._split
 
 
 @dataclass
@@ -637,30 +634,22 @@ def _backward(z: np.ndarray, f: np.ndarray, x: np.ndarray, lab: ImageLabels, eps
 def _backward_split(z: np.ndarray, dl_df: np.ndarray, x: np.ndarray, work: StepWork):
     """The operations of `_backward` branch by branch: the worker runs the importance chain, this thread the class chain.
 
-    A function of its own, as `_linear_split` is.
+    Both are one chain on swapped operands; the class chain sums over
+    classes into `rows` as (N, 1), the importance chain over regions into
+    `cols` as (1, C). A function of its own, as `_linear_split` is.
     """
-    (p, v), (dp, dv), (dz_cls, dz_imp) = z, work.q, work.r
-    grads, rows, cols = work.grads, work.rows, work.cols
+    q, r, grads = work.q, work.r, work.grads
 
-    def importance():
-        np.multiply(p, dl_df, out=dv)
-        np.multiply(v, dv, out=dz_imp)
-        np.add.reduce(dz_imp, axis=0, out=cols)
-        np.subtract(dv, cols, out=dv)
-        np.multiply(v, dv, out=dz_imp)
-        np.matmul(dz_imp.T, x, out=grads.w_imp)
-        np.add.reduce(dz_imp, axis=0, out=grads.b_imp)
+    def chain(i: int, total: np.ndarray, axis: int):
+        np.multiply(z[1 - i], dl_df, out=q[i])  # dp = v * dl_df, dv = p * dl_df
+        np.multiply(z[i], q[i], out=r[i])
+        np.add.reduce(r[i], axis=axis, keepdims=True, out=total)
+        np.subtract(q[i], total, out=q[i])
+        np.multiply(z[i], q[i], out=r[i])  # dz_cls or dz_imp
+        np.matmul(r[i].T, x, out=grads.w[i])
+        np.add.reduce(r[i], axis=0, out=grads.b[i])
 
-    def classes():
-        np.multiply(v, dl_df, out=dp)
-        np.multiply(p, dp, out=dz_cls)
-        np.add.reduce(dz_cls, axis=1, out=rows)
-        np.subtract(dp, rows[:, None], out=dp)
-        np.multiply(p, dp, out=dz_cls)
-        np.matmul(dz_cls.T, x, out=grads.w_cls)
-        np.add.reduce(dz_cls, axis=0, out=grads.b_cls)
-
-    work.worker.beside(importance, classes)
+    work.worker.beside(lambda: chain(1, work.cols[None, :], 0), lambda: chain(0, work.rows[:, None], 1))
 
 
 def image_step(
@@ -772,6 +761,8 @@ def run_gradcheck(
                        ("max_dim", max_dim)):
         if size < 1:
             raise ConfigError(f"{name} must be >= 1, got {size}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     for name, value in (("step", step), ("tolerance", tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and > 0, got {value}")

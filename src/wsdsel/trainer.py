@@ -19,7 +19,7 @@ read besides the state:
   `head.Budgets`: the per-class budget vector, the all-selected flag and
   the classes grouped by budget;
 - the workspaces: a `head.StepWork` sized (N_max, C) for the largest
-  image, whose float64 gradient `sgd_step` reads; one or two (N_max, D)
+  image, whose float64 gradient `sgd_step` reads; two (N_max, D)
   float64 feature buffers (below); and a flat float32 buffer that
   `sgd_step` builds each update in.
 Each epoch casts its learning rate, momentum and weight decay to float32
@@ -35,13 +35,11 @@ thread, with the bits of the one-thread step. The paper shape (N=2048,
 D=256, C=20) splits; the README walkthrough (N=64, D=64, C=6) never
 starts the thread.
 
-A run whose largest image splits holds two feature buffers and takes
-turns with them: the first image of an epoch is copied (float32 to
-float64) into one on the calling thread, and each step hands `image_step`
-the copy of the next image into the other as its `prefetch`, which the
-worker runs beside the step's selection, or the step itself after it
-where that image's pass does not split. Any other run holds one buffer
-and copies each image into it before its step.
+A run takes turns with its two feature buffers: the first image of an
+epoch is copied (float32 to float64) into one on the calling thread, and
+each step hands `image_step` the copy of the next image into the other as
+its `prefetch`, which the worker runs beside the step's selection, or the
+step itself after it where that image's pass does not split.
 
 Checkpoint format: magic "WSDC", then version, C, D as u32 LE, then the
 four parameter blocks and four velocity blocks (w_cls, b_cls, w_imp,
@@ -103,8 +101,9 @@ class TrainConfig:
             raise ConfigError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.lr_decay_factor <= 0:
             raise ConfigError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
-        if self.total_epochs < 0:
-            raise ConfigError(f"total_epochs must be >= 0, got {self.total_epochs}")
+        for name in ("total_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.total_epochs > self.schedule.total_epochs:
             raise ConfigError(
                 f"total_epochs {self.total_epochs} exceeds the schedule horizon {self.schedule.total_epochs}"
@@ -188,9 +187,8 @@ class _Run:
     def __init__(self, dataset: Dataset, params: HeadParams):
         self.work = StepWork.sized_for(dataset, params)
         n_max = self.work.n_max
-        self.feats = np.empty((n_max, dataset.feat_dim))
         # Two arrays, not one (2, n_max, D) stack: the stack raised the process's peak memory more.
-        self.spare = np.empty((n_max, dataset.feat_dim)) if self.work.splits(n_max) else None
+        self.feats, self.spare = np.empty((n_max, dataset.feat_dim)), np.empty((n_max, dataset.feat_dim))
         self.update = np.empty_like(params.flat)
         self.images = dataset.images
         self.labels = [ImageLabels(bag.labels) for bag in dataset.images]
@@ -218,10 +216,9 @@ def train_epoch(
     order = _shuffle_rng(config.seed, state.epoch).permutation(len(dataset.images))
     coefficients = _sgd_coefficients(config, state.epoch)
     total = 0.0
-    feats, spare = run.feats, run.spare
-    if spare is not None:  # each step's prefetch copies the next image's features into the other buffer
-        first = dataset.images[order[0]]
-        np.copyto(feats[: first.n_regions], first.views[0])
+    feats, spare = run.feats, run.spare  # each step's prefetch copies the next image's features into `spare`
+    first = dataset.images[order[0]]
+    np.copyto(feats[: first.n_regions], first.views[0])
     for step, idx in enumerate(order, 1):
         bag = dataset.images[idx]
         n = bag.n_regions
@@ -232,9 +229,7 @@ def train_epoch(
             m_neg = config.schedule.m_neg
         x = feats[:n]
         prefetch = None
-        if spare is None:
-            np.copyto(x, bag.views[0])
-        elif step < len(order):
+        if step < len(order):
             after = dataset.images[order[step]]
             prefetch = functools.partial(np.copyto, spare[: after.n_regions], after.views[0])
             feats, spare = spare, feats

@@ -95,6 +95,7 @@ class TestSynth:
         ["--distractor-strength", "inf"],
         ["--train-split", "10"],  # as many as the images: no test set
         ["--train-split", "-3"],
+        ["--seed", "-1"],
     ])
     def test_bad_setting_exits_config_before_generating(self, tmp_path, capsys, monkeypatch, flags):
         generated = []
@@ -162,6 +163,7 @@ class TestTrain:
             ["--weight-decay", "nan"],
             ["--weight-decay", "inf"],
             ["--momentum", "nan"],
+            ["--seed", "-3"],
         ],
     )
     def test_bad_option_exits_config(self, small_dataset, tmp_path, capsys, flags):
@@ -318,20 +320,25 @@ class TestEval:
 
 @pytest.mark.parametrize(
     "command, flag",
-    [("synth", "--out"), ("train", "--out"), ("eval", "--out"), ("eval", "--pr-csv")],
+    # flag None: the manifest's own path is taken, after every other output of the run is written
+    [("synth", "--out"), ("train", "--out"), ("eval", "--out"), ("eval", "--pr-csv"), ("train", None),
+     ("eval", None)],
 )
 def test_output_that_cannot_be_written_exits_config(trained, tmp_path, capsys, command, flag):
     dataset, ckpt = trained
-    taken = tmp_path / "taken"
-    taken.mkdir()
+    taken = tmp_path / "taken" if flag else tmp_path / "out" / "x.manifest.json"
+    taken.mkdir(parents=True)
     inputs = {"synth": SMALL_SYNTH, "train": ["--dataset", str(dataset), *FAST_TRAIN],
-              "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt)]}[command]
+              "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt),
+                       "--pr-csv", str(tmp_path / "out" / "pr.csv")]}[command]
     before = set(tmp_path.rglob("*"))
     # a flag given twice takes its last value, so `--out taken` overrides the first --out
-    assert main([command, *inputs, "--out", str(tmp_path / "out" / "x"), flag, str(taken)]) == EXIT_CONFIG
+    taking = [flag, str(taken)] if flag else []
+    assert main([command, *inputs, "--out", str(tmp_path / "out" / "x"), *taking]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and str(taken) in err
-    # no sidecar, checkpoint, loss CSV or report is left behind, only the output directory made for it
+    # no sidecar, checkpoint, loss CSV, PR CSV, report or manifest temporary is left behind, only the
+    # output directory made for them
     assert set(tmp_path.rglob("*")) - before <= {tmp_path / "out"}
 
 
@@ -450,7 +457,8 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("flag, value", [("--max-regions", "0"), ("--max-classes", "0"), ("--max-dim", "0"),
                                              ("--step", "0"), ("--step", "nan"), ("--step", "inf"),
-                                             ("--tolerance", "0"), ("--tolerance", "nan"), ("--tolerance", "inf")])
+                                             ("--tolerance", "0"), ("--tolerance", "nan"), ("--tolerance", "inf"),
+                                             ("--seed", "-2")])
     def test_bad_option_exits_config(self, capsys, flag, value):
         assert main(["gradcheck", "--instances", "2", flag, value]) == EXIT_CONFIG
         captured = capsys.readouterr()

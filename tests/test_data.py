@@ -134,13 +134,13 @@ class TestFeatureSplit:
         assert cfg.proposals_per_image * cfg.feat_dim >= data.FEATURE_SPLIT_MIN
         split = generate_synthetic(cfg)
         assert (worker.tasks > 0) == (cpus > 1)
-        monkeypatch.setattr(data, "_FEATURE_SPLIT", False)
+        monkeypatch.setattr(head, "_usable_cpus", lambda: 1)
         for a, b in zip(split.images, generate_synthetic(cfg).images):
             assert [v.tobytes() for v in a.views] == [v.tobytes() for v in b.views]
 
     def test_forced_split_hands_tasks_at_any_shape(self, monkeypatch, worker):
-        monkeypatch.setattr(head, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(data, "_FEATURE_SPLIT", True)
+        monkeypatch.setattr(head, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(data, "FEATURE_SPLIT_MIN", 1)
         generate_synthetic(SynthConfig(n_images=5))
         assert worker.tasks > 0
 

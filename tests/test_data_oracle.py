@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference_data as ref
-from wsdsel import data
+from wsdsel import data, head
 from wsdsel.data import SynthConfig, generate_synthetic, save_dataset
 from wsdsel.geometry import BBox
 
@@ -45,8 +45,9 @@ def assert_same_dataset(got, want):
 @pytest.mark.parametrize("seed", [0, 1, 3])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_generator_equals_reference(name, seed, split, monkeypatch):
-    # the feature split forced on and off: two threads draw the same bytes as one
-    monkeypatch.setattr(data, "_FEATURE_SPLIT", split)
+    # the feature split forced on and off through the gate's inputs: two threads draw the same bytes as one
+    monkeypatch.setattr(data, "FEATURE_SPLIT_MIN", 1)
+    monkeypatch.setattr(head, "_usable_cpus", lambda: 2 if split else 1)
     cfg = SynthConfig(seed=seed, **CONFIGS[name])
     assert_same_dataset(generate_synthetic(cfg), ref.generate_synthetic(cfg))
 

@@ -630,7 +630,7 @@ class TestEvaluateMap:
         reports = {}
         for cpus in (2, 1):
             monkeypatch.setattr(head, "_usable_cpus", lambda: cpus)
-            assert StepWork.sized_for(ds, params).splits(2048) == (cpus == 2)
+            assert (StepWork.sized_for(ds, params).at(2048).worker is not None) == (cpus == 2)
             # top_mpt runs both masked softmaxes: v from the selection, and v_all for the concentration
             reports[cpus] = evaluate_map(ds, params, EvalOptions(mask_mode="top_mpt", top_m=128)).to_json()
         assert reports[2] == reports[1]

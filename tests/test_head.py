@@ -14,7 +14,7 @@ import pytest
 
 import reference_head as ref
 from wsdsel import head
-from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
+from wsdsel.data import FEATURE_SPLIT_MIN, Dataset, ImageBag, SynthConfig, generate_synthetic
 from wsdsel.head import (
     EPS,
     Budgets,
@@ -37,6 +37,7 @@ from wsdsel.schedule import PruneSchedule
 from wsdsel.trainer import TrainConfig, TrainState, _Run, init_params, train, train_epoch
 
 from reference_eval import topm_indices
+from test_data import RecordingWorker
 
 
 def random_instance(rng, n=None, c=None, d=None):
@@ -323,15 +324,31 @@ class TestGradcheckSuite:
         assert report["max_rel_error"] < 1e-6
 
 
-def split_step(n, c, d, m_pos, m_neg):
-    """image_step's arguments for one random image, in a workspace forced to split its branches."""
+def split_step(monkeypatch, n, c, d, m_pos, m_neg):
+    """image_step's arguments for one random image; from here on every pass splits its branches, also on one CPU."""
+    monkeypatch.setattr(head, "SPLIT_MIN", 1)
+    monkeypatch.setattr(head, "_usable_cpus", lambda: 2)
     rng = np.random.default_rng(n)
     params = HeadParams(*(rng.normal(scale=0.05, size=s).astype(np.float32) for s in ((c, d), (c,), (c, d), (c,))))
     feats = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
     labels = ImageLabels((rng.random(c) < 0.3).astype(np.int64))
     work = StepWork(n, c, d)
-    work._split = True
     return params, feats, labels, Budgets(labels.pos, n, m_pos, m_neg), EPS, work
+
+
+def generator_picks(n, worker):
+    """Whether generating images of n regions, 64 features and one view hands the worker a task."""
+    before = worker.tasks
+    generate_synthetic(SynthConfig(n_images=2, num_classes=2, feat_dim=64, proposals_per_image=n))
+    return worker.tasks > before
+
+
+# Per caller of head._worker_for: whether it picked the worker at n regions, and the n at which
+# its task size is exactly its minimum: N*D*C = SPLIT_MIN at C=16, D=256, N*D*views = FEATURE_SPLIT_MIN at D=64.
+GATED_CALLERS = {
+    "StepWork.at": (lambda n, worker: StepWork(n, 16, 256).at(n).worker is worker, head.SPLIT_MIN // (16 * 256)),
+    "generate_synthetic": (generator_picks, FEATURE_SPLIT_MIN // 64),
+}
 
 
 class TestBranchSplit:
@@ -352,7 +369,7 @@ class TestBranchSplit:
                 for attr, fn in list(vars(module).items()):
                     if inspect.isfunction(fn) and fn.__module__.startswith("wsdsel"):
                         monkeypatch.setattr(module, attr, recording(fn))
-        args = split_step(2048, 20, 256, 512, 128)
+        args = split_step(monkeypatch, 2048, 20, 256, 512, 128)
         head.image_step(*args)
         assert args[-1].worker is not None
         # a paper-shape epoch, whose steps also hand the next image's feature copy to the worker
@@ -374,7 +391,7 @@ class TestBranchSplit:
         assert threads == {threading.get_ident()}
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        params, feats, labels, budgets, _, work = args = split_step(300, 10, 32, 75, 20)
+        params, feats, labels, budgets, _, work = args = split_step(monkeypatch, 300, 10, 32, 75, 20)
         caller, matmul, started = threading.get_ident(), np.matmul, threading.Event()
 
         def failing_off_caller(*args, **kwargs):
@@ -425,12 +442,17 @@ class TestBranchSplit:
         assert work.at(n_min - 1).worker is None
         assert (work.at(n_min).worker is not None) == (cpus > 1)
         assert (work.at(2048).worker is not None) == (cpus > 1)
-        forced = StepWork(2048, c, d)
-        forced._split = False
-        assert forced.at(2048).worker is None
-        forced = StepWork(64, 6, 64)
-        forced._split = True
-        assert forced.at(64).worker is not None
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("caller", sorted(GATED_CALLERS))
+    def test_each_caller_picks_the_worker_from_its_minimum(self, monkeypatch, caller, cpus):
+        # both callers go through the one gate, each at its own minimum size
+        worker = RecordingWorker()
+        monkeypatch.setattr(head, "_WORKER", worker)
+        monkeypatch.setattr(head, "_usable_cpus", lambda: cpus)
+        picks, n_min = GATED_CALLERS[caller]
+        assert not picks(n_min - 1, worker)
+        assert picks(n_min, worker) == (cpus > 1)
 
     def test_caller_runs_a_task_the_worker_has_not_begun(self):
         worker, gate = head._BranchWorker(), threading.Event()
@@ -478,8 +500,8 @@ class TestBranchSplit:
         assert len(starts) <= 1
         assert head._WORKER._thread.is_alive()
 
-    def test_worker_keeps_nothing_of_a_finished_step(self):
-        args = split_step(2048, 20, 256, 512, 128)
+    def test_worker_keeps_nothing_of_a_finished_step(self, monkeypatch):
+        args = split_step(monkeypatch, 2048, 20, 256, 512, 128)
         head.image_step(*args)
         feats, work, thread = weakref.ref(args[1]), weakref.ref(args[-1]), head._WORKER._thread
         del args
@@ -491,9 +513,9 @@ class TestBranchSplit:
         thread.join(timeout=0.2)
         assert thread.is_alive()  # the worker outlives the workspace it served
 
-    def test_callers_on_several_threads_share_the_worker(self):
-        # more callers than this host's two cores, switching threads often, each in its own workspace
-        runs = [split_step(n, 10, 64, 75, 20) for n in (1024, 768, 512)]
+    def test_callers_on_several_threads_share_the_worker(self, monkeypatch):
+        # more callers than two cores, switching threads often, each in its own workspace
+        runs = [split_step(monkeypatch, n, 10, 64, 75, 20) for n in (1024, 768, 512)]
         assert runs[0][-1].at(1024).worker is runs[1][-1].at(768).worker is runs[2][-1].at(512).worker is not None
         barrier, losses = threading.Barrier(len(runs)), [None] * len(runs)
 
@@ -519,8 +541,8 @@ class TestBranchSplit:
                 assert grad.tobytes() == want.tobytes()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-    def test_forked_child_starts_its_own_worker(self):
-        args = split_step(300, 10, 32, 75, 20)
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        args = split_step(monkeypatch, 300, 10, 32, 75, 20)
         head.image_step(*args)
         pid = os.fork()
         if pid == 0:  # the child: no test framework code runs here, only the exit code reports

@@ -307,7 +307,7 @@ def test_train_with_prefetch_on_the_largest_images_equals_reference_loop(name, m
     monkeypatch.setattr(head, "SPLIT_MIN", n_max * dataset.feat_dim * dataset.num_classes)
     monkeypatch.setattr(head, "_usable_cpus", lambda: 2)
     work = _Run(dataset, init_params(dataset.feat_dim, dataset.num_classes, 0)).work
-    assert {work.splits(bag.n_regions) for bag in dataset.images} == {False, True}
+    assert {work.at(bag.n_regions).worker is not None for bag in dataset.images} == {False, True}
     check_train(dataset, config)
 
 
@@ -354,31 +354,32 @@ def test_prefetch_error_reaches_train(monkeypatch):
     check_train(dataset, config)
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["gated", "split"])
-def test_run_holds_a_second_feature_buffer_only_when_it_splits(forced, monkeypatch):
-    if forced:
-        force_split(monkeypatch)
-    dataset, _ = train_run("walkthrough_shape")
+@pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
+def test_run_holds_two_feature_buffers_at_every_shape(name):
+    # whether or not its passes split, a run takes turns with two buffers sized for its largest image
+    dataset, _ = train_run(name)
     run = _Run(dataset, init_params(dataset.feat_dim, dataset.num_classes, 0))
-    assert run.feats.shape == (64, 64) and run.feats.dtype == np.float64
-    if forced:
-        assert run.spare.shape == run.feats.shape and run.spare.dtype == np.float64
-        assert not np.shares_memory(run.spare, run.feats)
-    else:
-        assert run.spare is None
+    n_max = max(bag.n_regions for bag in dataset.images)
+    assert run.feats.shape == (n_max, dataset.feat_dim) and run.feats.dtype == np.float64
+    assert run.spare.shape == run.feats.shape and run.spare.dtype == np.float64
+    assert not np.shares_memory(run.spare, run.feats)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["stacked", "split"])
 @pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
-def test_steps_equal_reference_in_lockstep(name, split):
+def test_steps_equal_reference_in_lockstep(name, split, monkeypatch):
     # Whole runs round every gradient into float32 parameters, which can absorb a one-ulp change in
     # the float64 step; here every step's gradient and loss are compared before the SGD update, with
-    # the reference reading the trainer's parameters. `_split` forces one path of the branch split.
+    # the reference reading the trainer's parameters. The gate's own inputs force one path of the
+    # branch split: every pass splits, or one usable CPU keeps every pass stacked.
+    if split:
+        force_split(monkeypatch)
+    else:
+        monkeypatch.setattr(head, "_usable_cpus", lambda: 1)
     dataset, config = train_run(name)
     params = init_params(dataset.feat_dim, dataset.num_classes, config.seed)
     state = TrainState(params=params, velocity=params.zeros_like())
     run = _Run(dataset, state.params)
-    run.work._split = split
     for epoch, idx, m_pos, m_neg in ref.steps(dataset, config):
         bag = dataset.images[idx]
         feats = bag.views[0].astype(np.float64)
