@@ -27,7 +27,7 @@ from wsdsel.data import SynthConfig, generate_synthetic, load_dataset, save_data
 from wsdsel.errors import ConfigError, DataError, TrainingError
 from wsdsel.evaluation import EvalOptions, ap_by_class, dump_pr_curves, evaluate_map
 from wsdsel.head import run_gradcheck
-from wsdsel.schedule import PruneSchedule, pos_budget
+from wsdsel.schedule import PruneSchedule
 from wsdsel.trainer import TrainConfig, TrainState, load_checkpoint, save_checkpoint, train
 
 EXIT_OK = 0
@@ -177,13 +177,13 @@ def write_manifest(out_path: Path, command: str, config: dict, inputs: dict, out
 
 @contextlib.contextmanager
 def _removed_on_failure():
-    """Collect the paths a command writes; if it fails before its manifest is written, remove them."""
+    """Collect the paths a command writes, a directory it made after its files; remove them if it fails."""
     written = []
     try:
         yield written
     except BaseException:
-        for path in written:
-            Path(path).unlink(missing_ok=True)
+        for path in map(Path, written):
+            path.rmdir() if path.is_dir() else path.unlink(missing_ok=True)
         raise
 
 
@@ -196,35 +196,33 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError(f"train_split must be 0 (no split) or in (0, {cfg.n_images}), got {split_at}")
     ds = generate_synthetic(cfg)
     out = Path(args.out)
-    outputs = {}
     if split_at:
         train_ds, test_ds = split_dataset(ds, split_at)
-        train_path = out.parent / (out.stem + "-train.json")
-        test_path = out.parent / (out.stem + "-test.json")
-        save_dataset(train_ds, train_path)
-        save_dataset(test_ds, test_path)
-        outputs = {"train_dataset": str(train_path), "test_dataset": str(test_path)}
+        saves = {"train_dataset": (train_ds, out.parent / (out.stem + "-train.json")),
+                 "test_dataset": (test_ds, out.parent / (out.stem + "-test.json"))}
     else:
-        save_dataset(ds, out)
-        outputs = {"dataset": str(out)}
+        saves = {"dataset": (ds, out)}
+    outputs = {name: str(path) for name, (_, path) in saves.items()}
     config["train_split"] = split_at
-    write_manifest(out, "synth", config, {}, outputs, started)
+    with _removed_on_failure() as written:
+        for dataset, path in saves.values():
+            written.extend(save_dataset(dataset, path))
+        write_manifest(out, "synth", config, {}, outputs, started)
     print(f"wrote {', '.join(outputs.values())} ({len(ds.images)} images)")
     return EXIT_OK
 
 
 def _build_train_config(config: dict[str, Any]) -> TrainConfig:
-    schedule_epochs = config["schedule_epochs"]
-    if schedule_epochs <= 0:
-        schedule_epochs = max(config["epochs"], config["warmup_epochs"] + 1)
+    if config["schedule_epochs"] < 0:
+        raise ConfigError("schedule_epochs must be >= 0 (0 means max(epochs, warmup_epochs + 1)), "
+                          f"got {config['schedule_epochs']}")
     schedule = PruneSchedule(
         warmup_epochs=config["warmup_epochs"],
         m_start=config["m_start"],
         m_final=config["m_final"],
         m_neg=config["m_neg"],
-        total_epochs=schedule_epochs,
+        total_epochs=config["schedule_epochs"] or max(config["epochs"], config["warmup_epochs"] + 1),
     )
-    decay_epoch = config["lr_decay_epoch"]
     return TrainConfig(
         learning_rate=config["learning_rate"],
         momentum=config["momentum"],
@@ -233,7 +231,7 @@ def _build_train_config(config: dict[str, Any]) -> TrainConfig:
         seed=config["seed"],
         schedule=schedule,
         epsilon=config["epsilon"],
-        lr_decay_epoch=None if decay_epoch < 0 else decay_epoch,
+        lr_decay_epoch=None if config["lr_decay_epoch"] == -1 else config["lr_decay_epoch"],
         lr_decay_factor=config["lr_decay_factor"],
         baseline=config["baseline"],
     )
@@ -242,14 +240,7 @@ def _build_train_config(config: dict[str, Any]) -> TrainConfig:
 def _write_loss_csv(path: Path, state: TrainState, config: TrainConfig):
     lines = ["epoch,mean_loss,m_pos,m_neg"]
     for epoch, loss in enumerate(state.loss_history):
-        if config.baseline:
-            m_pos = m_neg = "n"
-        else:
-            m_neg = str(config.schedule.m_neg)
-            if epoch < config.schedule.warmup_epochs:
-                m_pos = "n"
-            else:
-                m_pos = str(pos_budget(epoch, 0, config.schedule))
+        m_pos, m_neg = ("n" if m is None else m for m in config.budgets(epoch))
         lines.append(f"{epoch},{loss!r},{m_pos},{m_neg}")
     path.write_text("\n".join(lines) + "\n")
 

@@ -534,7 +534,7 @@ def _proposals_json(boxes: np.ndarray) -> str:
     return "[\n" + ",\n".join([_ROW] * len(boxes)) % tuple(boxes.ravel().tolist()) + "\n   ]"
 
 
-def save_dataset(ds: Dataset, path: str | Path):
+def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
     """Write the manifest JSON at `path` plus one feature sidecar per image.
 
     The manifest's bytes are those of json.dump(indent=1). Its list of image
@@ -548,7 +548,8 @@ def save_dataset(ds: Dataset, path: str | Path):
     written, so a manifest path that cannot be opened leaves no sidecar. If
     a sidecar cannot be written, the manifest, every sidecar path this call
     wrote or was writing and the features directory, if this call made it,
-    are removed again.
+    are removed again. It returns the paths it wrote: the manifest, the
+    sidecars and, if this call made it, the features directory.
     """
     seen = set()
     for position, bag in enumerate(ds.images):
@@ -597,6 +598,7 @@ def save_dataset(ds: Dataset, path: str | Path):
             fh.write(f'{separator}{before}"proposals": {_proposals_json(bag.boxes)}{after}')
             separator = ",\n  "
         fh.write("\n ]\n}\n" if ds.images else "[]\n}\n")
+    return [path, *written, *([feat_dir] if made_dir else [])]
 
 
 def _positive_int(value, what: str) -> int:

@@ -49,10 +49,11 @@ def epochs_per_halving(schedule: PruneSchedule) -> float:
     return (schedule.total_epochs - schedule.warmup_epochs) / schedule.halving_levels
 
 
-def pos_budget(epoch: int, n_regions: int, schedule: PruneSchedule) -> int:
+def pos_budget(epoch: int, n_regions: int | None, schedule: PruneSchedule) -> int | None:
     """Positive region budget for one image at the given epoch.
 
-    Warmup epochs use all `n_regions`; afterwards the budget is
+    Warmup epochs use all `n_regions`, returned as given (a None count,
+    every region of whichever image, stays None); afterwards the budget is
     max(m_final, m_start / 2^level) where the level advances every
     `epochs_per_halving` epochs (continuous-index flooring, exact in
     integer arithmetic).

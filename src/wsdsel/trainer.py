@@ -23,8 +23,9 @@ read besides the state:
   float64 feature buffers (below); and a flat float32 buffer that
   `sgd_step` builds each update in.
 Each epoch casts its learning rate, momentum and weight decay to float32
-once. A step allocates no (N, C) temporary, so the next image reuses the
-same memory.
+once and takes its (m_pos, m_neg) from `TrainConfig.budgets`, where None
+means every region: each step puts its image's N in place of a None. A
+step allocates no (N, C) temporary, so the next image reuses the memory.
 
 A step whose N*D*C reaches `head.SPLIT_MIN` (2^20) runs its two head
 branches on two threads when the process may use at least two CPUs (the
@@ -101,8 +102,8 @@ class TrainConfig:
             raise ConfigError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.lr_decay_factor <= 0:
             raise ConfigError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
-        for name in ("total_epochs", "seed"):
-            if getattr(self, name) < 0:
+        for name in ("total_epochs", "seed", "lr_decay_epoch"):  # lr_decay_epoch None: no decay
+            if (getattr(self, name) or 0) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.total_epochs > self.schedule.total_epochs:
             raise ConfigError(
@@ -113,6 +114,12 @@ class TrainConfig:
         if self.lr_decay_epoch is not None and epoch >= self.lr_decay_epoch:
             return self.learning_rate * self.lr_decay_factor
         return self.learning_rate
+
+    def budgets(self, epoch: int) -> tuple[Optional[int], Optional[int]]:
+        """(m_pos, m_neg) at `epoch`, None meaning every region; both None under `baseline`."""
+        if self.baseline:
+            return None, None
+        return pos_budget(epoch, None, self.schedule), self.schedule.m_neg
 
 
 @dataclass
@@ -215,6 +222,7 @@ def train_epoch(
         run = _Run(dataset, state.params)
     order = _shuffle_rng(config.seed, state.epoch).permutation(len(dataset.images))
     coefficients = _sgd_coefficients(config, state.epoch)
+    m_pos, m_neg = config.budgets(state.epoch)
     total = 0.0
     feats, spare = run.feats, run.spare  # each step's prefetch copies the next image's features into `spare`
     first = dataset.images[order[0]]
@@ -222,18 +230,14 @@ def train_epoch(
     for step, idx in enumerate(order, 1):
         bag = dataset.images[idx]
         n = bag.n_regions
-        if config.baseline:
-            m_pos = m_neg = n
-        else:
-            m_pos = pos_budget(state.epoch, n, config.schedule)
-            m_neg = config.schedule.m_neg
+        pos, neg = n if m_pos is None else m_pos, n if m_neg is None else m_neg
         x = feats[:n]
         prefetch = None
         if step < len(order):
             after = dataset.images[order[step]]
             prefetch = functools.partial(np.copyto, spare[: after.n_regions], after.views[0])
             feats, spare = spare, feats
-        loss = image_step(state.params, x, run.labels[idx], run.budgets(idx, m_pos, m_neg),
+        loss = image_step(state.params, x, run.labels[idx], run.budgets(idx, pos, neg),
                           config.epsilon, run.work, prefetch)
         try:
             sgd_step(state, run.work.grads, config, coefficients, run.update)
@@ -241,7 +245,7 @@ def train_epoch(
             raise TrainingError(f"{err} (image {bag.id}, epoch {state.epoch})") from err
         total += loss
         if on_step is not None:
-            on_step(bag.id, state.epoch, m_pos, m_neg, loss)
+            on_step(bag.id, state.epoch, pos, neg, loss)
     state.loss_history.append(total / len(dataset.images))
     state.epoch += 1
     return state

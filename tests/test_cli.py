@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -8,10 +10,13 @@ import pytest
 import wsdsel.cli
 import wsdsel.evaluation
 import wsdsel.head
-from wsdsel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from wsdsel.data import load_dataset
-from wsdsel.head import HeadParams
-from wsdsel.trainer import TrainState, init_params, load_checkpoint, save_checkpoint
+from wsdsel.cli import (EVAL_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, GRADCHECK_KEYS, SYNTH_KEYS,
+                        TRAIN_KEYS, _build_train_config, _write_loss_csv, main, resolve_config)
+from wsdsel.data import SynthConfig, load_dataset
+from wsdsel.evaluation import EvalOptions
+from wsdsel.head import HeadParams, run_gradcheck
+from wsdsel.schedule import PruneSchedule
+from wsdsel.trainer import TrainConfig, TrainState, init_params, load_checkpoint, save_checkpoint
 
 SMALL_SYNTH = ["--n-images", "10", "--num-classes", "3", "--feat-dim", "8", "--proposals-per-image", "16"]
 FAST_TRAIN = ["--epochs", "4", "--warmup-epochs", "1", "--m-start", "8", "--m-final", "4",
@@ -90,6 +95,20 @@ class TestSynth:
         assert len(train_ds.images) == 7
         assert len(test_ds.images) == 3
 
+    def test_failed_test_half_removes_the_train_half(self, tmp_path, capsys):
+        taken = tmp_path / "ds-test.json"
+        taken.mkdir()
+        assert main(["synth", "--out", str(tmp_path / "ds.json"), *SMALL_SYNTH, "--train-split", "7"]) == EXIT_CONFIG
+        assert str(taken) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken]
+
+    def test_failed_manifest_keeps_a_features_directory_the_run_did_not_make(self, tmp_path):
+        (tmp_path / "ds.json.manifest.json").mkdir()
+        (tmp_path / "ds_features").mkdir()
+        (tmp_path / "ds_features" / "notes.txt").write_text("kept\n")
+        assert main(["synth", "--out", str(tmp_path / "ds.json"), *SMALL_SYNTH]) == EXIT_CONFIG
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["ds.json.manifest.json", "ds_features", "notes.txt"]
+
     @pytest.mark.parametrize("flags", [
         ["--noise-sigma", "nan"],
         ["--distractor-strength", "inf"],
@@ -123,6 +142,23 @@ class TestTrain:
         assert len(rows) == 5
         budgets = [r.split(",")[2] for r in rows[1:]]
         assert budgets == ["n", "8", "8", "4"]  # warmup then halving trace
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_loss_csv_rows_are_the_configs_budgets(self, tmp_path, baseline):
+        # the README walkthrough's arms, with one logged loss per epoch of the 40-epoch schedule
+        flags = ["--learning-rate", "3e-3"] + (["--baseline"] if baseline else
+                                               ["--m-start", "64", "--m-final", "8", "--m-neg", "16"])
+        config = _build_train_config(resolve_config(TRAIN_KEYS, wsdsel.cli.build_parser().parse_args(
+            ["train", "--dataset", "d.json", "--out", "c.wsdc", *flags])))
+        params = init_params(4, 2, seed=0)
+        state = TrainState(params, params.zeros_like(), epoch=40, loss_history=[0.5 + e for e in range(40)])
+        _write_loss_csv(tmp_path / "loss.csv", state, config)
+        rows = (tmp_path / "loss.csv").read_text().splitlines()
+        assert rows[0] == "epoch,mean_loss,m_pos,m_neg"
+        assert rows[1:] == [f"{e},{0.5 + e!r},{'n' if p is None else p},{'n' if m is None else m}"
+                            for e, (p, m) in enumerate(map(config.budgets, range(40)))]
+        assert rows[1] == ("0,0.5,n,n" if baseline else "0,0.5,n,16")
+        assert rows[-1] == ("39,39.5,n,n" if baseline else "39,39.5,8,16")
 
     def test_baseline_logs_constant_budgets(self, small_dataset, tmp_path):
         ckpt = tmp_path / "b.wsdc"
@@ -164,6 +200,8 @@ class TestTrain:
             ["--weight-decay", "inf"],
             ["--momentum", "nan"],
             ["--seed", "-3"],
+            ["--lr-decay-epoch", "-5"],  # only -1 turns decay off
+            ["--lr-decay-epoch", "-2"],
         ],
     )
     def test_bad_option_exits_config(self, small_dataset, tmp_path, capsys, flags):
@@ -172,6 +210,18 @@ class TestTrain:
         assert rc == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_negative_schedule_epochs_states_the_rule(self, small_dataset, tmp_path, capsys):
+        ckpt = tmp_path / "c.wsdc"
+        rc = main(["train", "--dataset", str(small_dataset), "--out", str(ckpt), *FAST_TRAIN, "--schedule-epochs", "-3"])
+        assert rc == EXIT_CONFIG
+        assert "schedule_epochs must be >= 0 (0 means max(epochs, warmup_epochs + 1))" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_lr_decay_epoch_minus_one_turns_decay_off(self):
+        args = wsdsel.cli.build_parser().parse_args(["train", "--dataset", "d.json", "--out", "c.wsdc",
+                                                     "--lr-decay-epoch", "-1"])
+        assert _build_train_config(resolve_config(TRAIN_KEYS, args)).lr_decay_epoch is None
 
 
 class TestEval:
@@ -321,11 +371,12 @@ class TestEval:
 @pytest.mark.parametrize(
     "command, flag",
     # flag None: the manifest's own path is taken, after every other output of the run is written
-    [("synth", "--out"), ("train", "--out"), ("eval", "--out"), ("eval", "--pr-csv"), ("train", None),
-     ("eval", None)],
+    [("synth", "--out"), ("train", "--out"), ("eval", "--out"), ("eval", "--pr-csv"), ("synth", None),
+     ("synth --train-split 7", None), ("train", None), ("eval", None)],
 )
 def test_output_that_cannot_be_written_exits_config(trained, tmp_path, capsys, command, flag):
     dataset, ckpt = trained
+    command, *extra = command.split()
     taken = tmp_path / "taken" if flag else tmp_path / "out" / "x.manifest.json"
     taken.mkdir(parents=True)
     inputs = {"synth": SMALL_SYNTH, "train": ["--dataset", str(dataset), *FAST_TRAIN],
@@ -334,12 +385,44 @@ def test_output_that_cannot_be_written_exits_config(trained, tmp_path, capsys, c
     before = set(tmp_path.rglob("*"))
     # a flag given twice takes its last value, so `--out taken` overrides the first --out
     taking = [flag, str(taken)] if flag else []
-    assert main([command, *inputs, "--out", str(tmp_path / "out" / "x"), *taking]) == EXIT_CONFIG
+    assert main([command, *inputs, *extra, "--out", str(tmp_path / "out" / "x"), *taking]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and str(taken) in err
-    # no sidecar, checkpoint, loss CSV, PR CSV, report or manifest temporary is left behind, only the
-    # output directory made for them
+    # no dataset, sidecar, features directory, checkpoint, loss CSV, PR CSV, report or manifest temporary
+    # is left behind, only the output directory made for them
     assert set(tmp_path.rglob("*")) - before <= {tmp_path / "out"}
+
+
+def _dataclass_defaults(cls) -> dict:
+    instance = cls()
+    return {f.name: getattr(instance, f.name) for f in dataclasses.fields(cls)}
+
+
+def _train_defaults() -> dict:
+    config = _dataclass_defaults(TrainConfig)
+    del config["schedule"]
+    config["epochs"] = config.pop("total_epochs")  # epsilon's default is head.EPS
+    schedule = _dataclass_defaults(PruneSchedule)
+    del schedule["total_epochs"]  # the CLI derives it from schedule_epochs, below
+    return {**config, **schedule}
+
+
+@pytest.mark.parametrize(
+    "keys, cli_only, library",
+    [
+        (SYNTH_KEYS, {"train_split"}, lambda: _dataclass_defaults(SynthConfig)),
+        # schedule_epochs 0 means max(epochs, warmup_epochs + 1), not PruneSchedule's total_epochs
+        (TRAIN_KEYS, {"schedule_epochs"}, _train_defaults),
+        (EVAL_KEYS, {"both", "pr_csv"}, lambda: _dataclass_defaults(EvalOptions)),
+        (GRADCHECK_KEYS, set(), lambda: {n: p.default for n, p in inspect.signature(run_gradcheck).parameters.items()}),
+    ],
+    ids=["synth", "train", "eval", "gradcheck"],
+)
+def test_cli_defaults_are_the_librarys(keys, cli_only, library):
+    # every key but the CLI-only ones is a library setting, with the same default of the same type
+    assert cli_only <= {key.name for key in keys}
+    cli = {key.name: (type(key.default), key.default) for key in keys if key.name not in cli_only}
+    assert cli == {name: (type(value), value) for name, value in library().items()}
 
 
 def test_pr_csv_into_a_missing_directory_is_written(trained, tmp_path):

@@ -140,6 +140,22 @@ class TestTrainConfig:
         assert config.lr_at(3) == pytest.approx(0.1)
         assert config.lr_at(5) == pytest.approx(0.1)
 
+    def test_negative_lr_decay_epoch_rejected(self):
+        for epoch in (-1, -5):
+            with pytest.raises(ConfigError, match="lr_decay_epoch"):
+                TrainConfig(lr_decay_epoch=epoch)
+        assert TrainConfig(lr_decay_epoch=None).lr_at(39) == TrainConfig().learning_rate  # None: no decay
+        assert TrainConfig(lr_decay_epoch=0).lr_at(0) == pytest.approx(1e-4)
+
+    def test_budgets_of_the_readme_schedule(self):
+        # warmup on every region for 20 epochs, then 64 -> 8 halving every 5 epochs, 16 hard negatives
+        schedule = PruneSchedule(warmup_epochs=20, m_start=64, m_final=8, m_neg=16, total_epochs=40)
+        config = TrainConfig(schedule=schedule)
+        expected = [None] * 20 + [64] * 5 + [32] * 5 + [16] * 5 + [8] * 5
+        assert [config.budgets(epoch) for epoch in range(40)] == [(m_pos, 16) for m_pos in expected]
+        baseline = TrainConfig(schedule=schedule, baseline=True)
+        assert [baseline.budgets(epoch) for epoch in range(40)] == [(None, None)] * 40
+
 
 class TestTrainEpoch:
     def _config(self, **kw):
