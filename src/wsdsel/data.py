@@ -30,10 +30,23 @@ handed to the boxes in stream order, with each box's try count carried
 across rounds, so a box gives up after exactly as many tries as it would
 alone: a cluster box then becomes a copy of its ground truth (30 tries), a
 background box keeps its last try (20 tries). The boxes, and the generator
-state left behind, are the same bytes as one scalar loop per box. Only the
-context boxes stay scalar: each one first calls `rng.integers(k)`, which
-reads the half of a 64-bit output that PCG64 keeps buffered between the
-double draws, so drawing them in any other order would move the stream.
+state left behind, are the same bytes as one scalar loop per box.
+
+The context boxes read theirs from raw outputs instead. A box-by-box loop
+calls `rng.integers(k)` for the object a box surrounds, then tries three
+doubles at a time. PCG64 makes such a 32-bit draw from the low half
+of a new 64-bit output and holds the high half for the next one, so the
+integers fall between the doubles, every other box reading a new output.
+`_context_boxes` draws a block of outputs with `random_raw` and rebuilds
+both as numpy does: a double is (output >> 11) * 2**-53, and
+`integers(k)` is Lemire's multiply of a 32-bit half by k, the high word
+of the product, drawn again where its low word is below (2**32 - k) % k
+(at k = 1 nothing is read). The try from every offset in the block around
+every object is made and judged at once, on arrays; a walk then reads
+each box's integer and looks up its tries, in stream order. The generator
+is left where the loop would leave it, the held half included; a box
+whose 30 tries fail (a loose cluster box instead) is drawn by numpy
+itself from that point.
 
 Feature split. Once an image's boxes are drawn, its features are a block
 of numpy calls on its own generator: the signal `overlap @ prototypes`,
@@ -315,23 +328,87 @@ def _cluster_boxes(rng: np.random.Generator, gt, scales, min_iou, tries: int = 3
     return out
 
 
-def _context_box(rng: np.random.Generator, gt: Box, tries: int = 30) -> Box:
-    """An oversized box around `gt`: contains most of it, IoU below 0.5."""
-    gx1, gy1, gx2, gy2 = gt
-    for _ in range(tries):
-        uf, ux, uy = rng.random(3).tolist()
-        f = _uniform(1.5, 2.4, uf)
-        w, h = (gx2 - gx1) * f, (gy2 - gy1) * f
-        cx = (gx1 + gx2) / 2 + _uniform(-0.15, 0.15, ux) * w
-        cy = (gy1 + gy2) / 2 + _uniform(-0.15, 0.15, uy) * h
-        x1, x2 = max(0.0, cx - w / 2), min(1.0, cx + w / 2)
-        y1, y2 = max(0.0, cy - h / 2), min(1.0, cy + h / 2)
-        if x2 - x1 < 1e-3 or y2 - y1 < 1e-3:
-            continue
-        cand = (x1, y1, x2, y2)
-        if iou(cand, gt) < 0.5:
-            return cand
-    return tuple(_cluster_boxes(rng, np.array([gt]), np.array([0.8]), np.zeros(1))[0].tolist())
+def _restore(bitgen, state: dict, read: int, held: int, word: int):
+    """Set `bitgen` (PCG64) to `state` moved on by `read` raw outputs, holding the 32-bit half `word` if `held`."""
+    state["has_uint32"], state["uinteger"] = held, word
+    bitgen.state = state
+    bitgen.random_raw(read)  # steps the LCG only: the held half stays
+
+
+def _context_boxes(rng: np.random.Generator, gt: np.ndarray, count: int, tries: int = 30) -> np.ndarray:
+    """`count` oversized boxes around rows of `gt` (K, 4), read from blocks of raw outputs (see the module docstring).
+
+    Box by box, the stream is that of `rng.integers(K)`, which picks the
+    row, then up to `tries` tries of `rng.random(3)`: a try is kept if it is
+    not degenerate and its IoU with the row is below 0.5. A box whose tries
+    all fail is a `_cluster_boxes` box around its row at scale 0.8.
+
+    A block holds four outputs for each box left (three for a try, at most
+    one for its integer) and `slack` more. The try from every offset in it
+    around every row is made and judged at once; a walk then reads each
+    box's integer from the outputs and looks up its tries, three outputs
+    apart. The generator is then set (`_restore`) where the box-by-box
+    loop would be: after the last box, at a box whose reads run past the
+    block, which begins the next one, or after a box's last failed try,
+    for its fallback.
+    """
+    k, out = len(gt), np.empty((count, 4))
+    bitgen = rng.bit_generator
+    size, center = gt[:, 2:] - gt[:, :2], (gt[:, :2] + gt[:, 2:]) / 2
+    # IoU <= (smaller area) / (larger area), also as `iou` rounds it: a try over 2.001 times its row's area passes.
+    near_area = 2.001 * (size[:, 0] * size[:, 1])
+    gt_rows, redraw_below = gt.tolist(), (2**32 - k) % k  # numpy's Lemire method draws again below it
+    done, slack = 0, 3 * tries
+    while done < count:
+        state = bitgen.state
+        held, word = state["has_uint32"], state["uinteger"]  # PCG64's buffered 32-bit half
+        raw = bitgen.random_raw(4 * (count - done) + slack)
+        # The try from each offset around each row: (T, K, 2) arrays, then (T*K, 4) rows, the row index fastest.
+        u = (raw >> np.uint64(11)) * 2.0**-53  # rng.random's double from each output
+        s = _uniform(-0.15, 0.15, u)
+        wh = _uniform(1.5, 2.4, u[:-2])[:, None, None] * size
+        c = center + np.concatenate((s[1:-1, None], s[2:, None]), axis=1)[:, None] * wh
+        wh /= 2  # half the width and height
+        lo, hi = np.maximum(0.0, c - wh), np.minimum(1.0, c + wh)
+        span = hi - lo
+        cand = np.concatenate((lo, hi), axis=2).reshape(-1, 4)
+        # Per try: 0 kept, 1 degenerate, 2 judged by its IoU (3, both: degenerate).
+        verdict = (np.minimum(span[..., 0], span[..., 1]) < 1e-3) + 2 * (span[..., 0] * span[..., 1] <= near_area)
+        verdict, words = verdict.ravel().tolist(), raw.tolist()
+        pos, kept, fallback = 0, [], -1  # the next output to read; the kept tries; the row of a box to fall back
+        for box in range(done, count):
+            begin = pos, held, word
+            try:  # a read past the block is an IndexError
+                row = 0
+                while k > 1:  # rng.integers(k): the high word of a 32-bit half times k, unless the low one is too low
+                    if held:
+                        half, held = word, 0
+                    else:
+                        half, held, word = words[pos] & 0xFFFFFFFF, 1, words[pos] >> 32
+                        pos += 1
+                    row, low = divmod(half * k, 2**32)
+                    if low >= redraw_below:
+                        break
+                for at in range(pos * k + row, (pos + 3 * tries) * k + row, 3 * k):  # its tries' rows in `cand`
+                    if not verdict[at] or verdict[at] == 2 and iou(cand[at].tolist(), gt_rows[row]) < 0.5:
+                        pos = at // k + 3
+                        break
+                else:
+                    pos, fallback = pos + 3 * tries, row
+            except IndexError:  # the box begins the next block, a larger one if it began this one
+                pos, held, word = begin
+                slack *= 2 if box == done else 1
+                break
+            if fallback >= 0:
+                break
+            kept.append(at)
+        out[done : done + len(kept)] = cand[kept]
+        done += len(kept)
+        _restore(bitgen, state, pos, held, word)
+        if fallback >= 0:
+            out[done] = _cluster_boxes(rng, gt[fallback][None], np.array([0.8]), np.zeros(1))[0]
+            done += 1
+    return out
 
 
 def _background_boxes(rng: np.random.Generator, gt_boxes, count: int, tries: int = 20) -> np.ndarray:
@@ -396,10 +473,9 @@ def _sample_image(cfg: SynthConfig, i: int) -> tuple[ImageBag, tuple]:
     min_iou = np.tile(np.append(0.7, np.zeros(per_obj - 1)), k)
     gt_array = np.array(gt_boxes)
     proposals[:n_cluster] = _cluster_boxes(rng, np.repeat(gt_array, per_obj, axis=0), scales, min_iou)
-    # One at a time: each context box's rng.integers call reads a buffered half of the
-    # generator's 64-bit output between the double draws, so batching would move the stream.
-    for row in range(n_cluster, n_cluster + n_context):
-        proposals[row] = _context_box(rng, gt_boxes[int(rng.integers(k))])
+    # From blocks of raw outputs: each context box's rng.integers(k) reads a 32-bit half
+    # between the double draws of the tries, so both are rebuilt from the one stream.
+    proposals[n_cluster : n_cluster + n_context] = _context_boxes(rng, gt_array, n_context)
     proposals[n_cluster + n_context :] = _background_boxes(rng, gt_array, n - n_cluster - n_context)
     is_context = np.zeros(n, dtype=bool)
     is_context[n_cluster : n_cluster + n_context] = True

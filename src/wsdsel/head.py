@@ -57,8 +57,9 @@ wraps module functions by name and keeps one span stack. If the worker
 has not begun a task by the time the caller's half ends, the caller runs
 it itself, so callers on several threads share the worker safely. An
 exception raised in the worker's task is re-raised in the caller once
-both halves are done. The first task may also come from `data.generate_synthetic`, whose feature split, behind the same
-gate, hands the worker one image's feature draws (see `wsdsel.data`).
+both halves are done. The first task may also come from
+`data.generate_synthetic`, whose feature split, behind the same gate,
+hands the worker one image's feature draws (see `wsdsel.data`).
 """
 
 from __future__ import annotations

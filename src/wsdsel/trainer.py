@@ -102,6 +102,17 @@ class TrainConfig:
             raise ConfigError(f"epsilon must be in (0, 0.5), got {self.epsilon}")
         if self.lr_decay_factor <= 0:
             raise ConfigError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
+        # SGD runs in float32 (`_sgd_coefficients`): every rate it uses must be one, a learning rate above 0.
+        largest = float(np.finfo(np.float32).max)
+        learning_rates = {"learning_rate": self.learning_rate}
+        if self.lr_decay_epoch is not None:
+            learning_rates["learning_rate * lr_decay_factor"] = self.learning_rate * self.lr_decay_factor
+        for name, value in {**learning_rates, "weight_decay": self.weight_decay}.items():
+            if value > largest:
+                raise ConfigError(f"{name} must be at most {largest:.7g} (SGD runs in float32), got {value}")
+        for name, value in learning_rates.items():
+            if np.float32(value) == 0:
+                raise ConfigError(f"{name} must be > 0 in float32 (SGD runs in it), got {value}")
         for name in ("total_epochs", "seed", "lr_decay_epoch"):  # lr_decay_epoch None: no decay
             if (getattr(self, name) or 0) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")

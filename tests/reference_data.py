@@ -74,6 +74,11 @@ def _context_box(rng: np.random.Generator, gt: BBox, tries: int = 30) -> BBox:
     return _cluster_box(rng, gt, scale=0.8)
 
 
+def _context_boxes(rng: np.random.Generator, gt_boxes: list[BBox], count: int) -> list[BBox]:
+    """`count` context boxes, each around the ground-truth box that its own `rng.integers` call picks."""
+    return [_context_box(rng, gt_boxes[int(rng.integers(len(gt_boxes)))]) for _ in range(count)]
+
+
 def _background_box(rng: np.random.Generator, gt_boxes: list[BBox], tries: int = 20) -> BBox:
     cand = None
     for _ in range(tries):
@@ -120,9 +125,8 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
                 scale = 0.08 + 0.62 * (j + 1) / per_obj
                 proposals.append(_cluster_box(rng, gt_box, scale=scale))
                 is_context.append(False)
-        for _ in range(n_context):
-            anchor = gt_boxes[int(rng.integers(k))]
-            proposals.append(_context_box(rng, anchor))
+        for box in _context_boxes(rng, gt_boxes, n_context):
+            proposals.append(box)
             is_context.append(True)
         while len(proposals) < n:
             proposals.append(_background_box(rng, gt_boxes))

@@ -198,6 +198,10 @@ class TestTrain:
             ["--learning-rate", "inf"],
             ["--weight-decay", "nan"],
             ["--weight-decay", "inf"],
+            ["--learning-rate", "1e308"],  # finite, but not as the float32 SGD runs in
+            ["--weight-decay", "1e39"],
+            ["--lr-decay-factor", "1e300"],
+            ["--learning-rate", "1e-50"],  # 0 in float32
             ["--momentum", "nan"],
             ["--seed", "-3"],
             ["--lr-decay-epoch", "-5"],  # only -1 turns decay off

@@ -23,6 +23,8 @@ CONFIGS = {
     # many objects per image: clusters of one box each, background boxes tested against 12 objects
     "crowded": dict(n_images=20, num_classes=3, feat_dim=4, proposals_per_image=40, objects_min=12, objects_max=12,
                     context_fraction=0.25),
+    # ~300 context boxes an image: boxes that try again within a block, after either half of an output
+    "context_heavy": dict(n_images=4, num_classes=3, feat_dim=4, proposals_per_image=512, context_fraction=0.6),
     # over the feature-split gate by itself, with an odd image count, and with two noise chunks
     # per view, the second one short (N*D = 49152 against NOISE_CHUNK = 32768)
     "split_gate": dict(n_images=3, num_classes=5, feat_dim=96, proposals_per_image=512, n_views=2),
@@ -112,7 +114,9 @@ def test_context_box_falls_back_to_a_cluster_box(seed, gt, monkeypatch):
 
     monkeypatch.setattr(data, "_cluster_boxes", recorded)
     got, want = run_both(
-        seed, lambda rng: data._context_box(rng, gt), lambda rng: ref._context_box(rng, BBox(*gt))
+        seed,
+        lambda rng: tuple(data._context_boxes(rng, np.array([gt]), 1)[0].tolist()),
+        lambda rng: ref._context_box(rng, BBox(*gt)),
     )
     assert fallbacks == [([list(gt)], [0.8], [0.0], ())]
     assert got == want.as_tuple()

@@ -1,12 +1,14 @@
-"""The generator's round-based samplers and the template manifest writer, held to the scalar code byte for byte.
+"""The generator's batched samplers and the template manifest writer, held to the scalar code byte for byte.
 
 `data._cluster_boxes` and `data._background_boxes` draw the tries of many
-boxes per `rng.random` call. These tests reach the paths the default
-configs never take (degenerate tries inside a round, tight boxes rejected
-inside a round, the 30-try and 20-try fallbacks, a box whose tries span two
-rounds) with hand-made ground truth, and compare each sampler with one
-`reference_data` loop per box: the boxes as float64 bytes and the generator
-state left behind.
+boxes per `rng.random` call, and `data._context_boxes` reads its boxes'
+integers and tries from blocks of raw outputs. These tests reach the paths
+the default configs never take (degenerate tries inside a round, tight
+boxes rejected inside a round, the 30-try and 20-try fallbacks, a box whose
+tries span two rounds or two blocks, a held 32-bit half, an integer drawn
+again) with hand-made ground truth and generator states, and compare each
+sampler with one `reference_data` loop per box: the boxes as float64 bytes
+and the generator state left behind.
 """
 
 import json
@@ -172,6 +174,88 @@ def test_background_boxes_equal_reference(seed, gt):
     want, _, want_state = reference_loop(seed, lambda rng, i: ref._background_box(rng, gt_boxes), 25)
     assert got.tobytes() == want.tobytes()
     assert got_state == want_state
+
+
+def held_over(seed, held, word):
+    """A generator of `seed` that holds the 32-bit half `word` if `held`, as PCG64 does between `integers` calls."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = held, word
+    rng.bit_generator.state = state
+    return rng
+
+
+def context_both(seed, gts, count, held=0, word=0):
+    """`data._context_boxes` against the box-by-box loop of `reference_data` from equal generator states."""
+    rng_got, rng_want = held_over(seed, held, word), held_over(seed, held, word)
+    got = data._context_boxes(rng_got, np.array(gts, dtype=np.float64).reshape(-1, 4), count)
+    boxes = ref._context_boxes(rng_want, [BBox(*g) for g in gts], count)
+    want = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+ORDINARY = [(0.1, 0.2, 0.35, 0.5), (0.5, 0.55, 0.8, 0.9), (0.6, 0.1, 0.85, 0.3)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("held", [0, 1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_context_boxes_from_either_held_half(seed, held, k):
+    # Where the generator holds a half, the first box's integer reads it and the second box's a new output.
+    context_both(seed, ORDINARY[:k], 25, held, word=2**31 + 12345 * seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_context_box_integer_drawn_again(seed):
+    # numpy's Lemire method draws again where (x * k) mod 2**32 < (2**32 - k) % k: at k = 3 that is x = 0 alone.
+    assert (0 * 3) % 2**32 < (2**32 - 3) % 3 == 1
+    rng = held_over(seed, 1, 0)
+    before = rng.bit_generator.state["state"]["state"]
+    rng.integers(3)
+    after = rng.bit_generator.state
+    assert after["has_uint32"] == 1 and after["state"]["state"] != before  # the held 0, then a new output
+    context_both(seed, ORDINARY, 10, held=1, word=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_object_draws_no_integer(seed):
+    rng = held_over(seed, 1, 777)
+    state = rng.bit_generator.state
+    assert rng.integers(1) == 0 and rng.bit_generator.state == state
+    context_both(seed, ORDINARY[:1], 25, held=1, word=777)  # the held half is still there after the boxes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_context_box_that_exhausts_its_tries(seed, monkeypatch):
+    # Around the whole canvas every try clips to IoU 1: each box picking it falls back after 30 tries.
+    fallbacks = []
+    cluster_boxes = data._cluster_boxes
+
+    def recorded(rng, rows, *rest):
+        fallbacks.append(rows.tolist())
+        return cluster_boxes(rng, rows, *rest)
+
+    monkeypatch.setattr(data, "_cluster_boxes", recorded)
+    context_both(seed, [(0.0, 0.0, 1.0, 1.0), ORDINARY[0]], 12, held=seed % 2, word=99)
+    assert fallbacks and all(rows == [[0.0, 0.0, 1.0, 1.0]] for rows in fallbacks)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 2])
+def test_context_tries_past_a_block(seed, k, monkeypatch):
+    # Half the tries around a box in the canvas corner fail: 150 boxes take ~150 extra tries, more than a
+    # block holds beyond one try a box, so the boxes span several blocks.
+    blocks = []
+    restore = data._restore
+
+    def recorded(bitgen, state, read, *rest):
+        blocks.append(read)
+        restore(bitgen, state, read, *rest)
+
+    monkeypatch.setattr(data, "_restore", recorded)
+    context_both(seed, [(0.0, 0.0, 0.6, 0.7), (0.0, 0.3, 0.6, 1.0)][:k], 150, held=1, word=2**32 - 1)
+    assert len(blocks) > 1
 
 
 @st.composite

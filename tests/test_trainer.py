@@ -147,6 +147,23 @@ class TestTrainConfig:
         assert TrainConfig(lr_decay_epoch=None).lr_at(39) == TrainConfig().learning_rate  # None: no decay
         assert TrainConfig(lr_decay_epoch=0).lr_at(0) == pytest.approx(1e-4)
 
+    def test_rates_outside_float32_rejected(self):
+        # SGD runs in float32: a rate that overflows it, or a learning rate that rounds to 0 in it, is a config error
+        for kwargs, key in [
+            (dict(learning_rate=1e308), "learning_rate"),
+            (dict(weight_decay=1e39), "weight_decay"),
+            (dict(learning_rate=1e-3, lr_decay_factor=1e300), "learning_rate \\* lr_decay_factor"),
+            (dict(learning_rate=1e-50), "learning_rate must be > 0 in float32"),
+            (dict(learning_rate=1e-30, lr_decay_factor=1e-20), "learning_rate \\* lr_decay_factor must be > 0"),
+        ]:
+            with pytest.raises(ConfigError, match=key):
+                TrainConfig(**kwargs)
+        largest, smallest = np.finfo(np.float32).max, np.finfo(np.float32).smallest_subnormal
+        TrainConfig(learning_rate=float(largest), lr_decay_factor=1.0, weight_decay=float(largest))
+        TrainConfig(learning_rate=float(smallest), lr_decay_factor=1.0)
+        TrainConfig(lr_decay_epoch=None, lr_decay_factor=1e300)  # no decay: the product is never used
+        TrainConfig(lr_decay_epoch=None, learning_rate=1e-30, lr_decay_factor=1e-20)
+
     def test_budgets_of_the_readme_schedule(self):
         # warmup on every region for 20 epochs, then 64 -> 8 halving every 5 epochs, 16 hard negatives
         schedule = PruneSchedule(warmup_epochs=20, m_start=64, m_final=8, m_neg=16, total_epochs=40)
