@@ -23,10 +23,6 @@ class BBox:
         if self.x1 >= self.x2 or self.y1 >= self.y2:
             raise ValueError(f"degenerate box (non-positive area): {self}")
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 

@@ -27,8 +27,10 @@ from per-image constants built once: `ImageLabels` and, per (m_pos, m_neg),
 `forward_image` and `backward_image` are the same pass, split in two and
 run in a workspace of their own, as the public entry points that keep
 every intermediate. Eval runs the forward stages (`_outputs`, `_select`,
-`_masked_softmax`) in one workspace too, and `StepWork.sized_for` is the
-one check, for training and eval alike, that a dataset fits the params.
+`_masked_softmax`) in one workspace too, and so does `finite_diff_grads`
+for each perturbed loss (`_outputs`, `_masked_softmax` under its frozen
+mask, `_aggregate`, `_loss`). `StepWork.sized_for` is the one check, for
+training and eval alike, that a dataset fits the params.
 
 Branch split. The two branches share only the features until the
 aggregation f = sum(v * p), so at large shapes a pass runs them on two
@@ -305,14 +307,13 @@ class StepWork:
 class ForwardTrace:
     """All intermediates of one image's forward pass.
 
-    p: (N, C) region class probabilities; logits_imp: (N, C) importance
-    logits; h: (N, C) boolean selection mask; v: (N, C) importance weights
-    (zero off-mask, each class column sums to 1 over selected entries);
-    f: (C,) aggregated image scores clamped to [eps, 1-eps]; loss: scalar.
+    p: (N, C) region class probabilities; h: (N, C) boolean selection
+    mask; v: (N, C) importance weights (zero off-mask, each class column
+    sums to 1 over selected entries); f: (C,) aggregated image scores
+    clamped to [eps, 1-eps]; loss: scalar.
     """
 
     p: np.ndarray
-    logits_imp: np.ndarray
     h: np.ndarray
     v: np.ndarray
     f: np.ndarray
@@ -373,13 +374,6 @@ def _linear_split(w64: HeadParams, x: np.ndarray, z: np.ndarray, worker: _Branch
 
     worker.beside(lambda: np.add(np.matmul(x, w_imp, out=z_imp), b_imp, out=z_imp), classes)
     return z
-
-
-def linear_outputs(params: HeadParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both branches on (N, D) features: class probabilities p and importance logits, each (N, C)."""
-    x = np.asarray(feats, dtype=np.float64)
-    p, logits_imp = _outputs(params, x, StepWork(len(x), params.num_classes, params.feat_dim))
-    return p, logits_imp
 
 
 def select_regions(p: np.ndarray, labels: np.ndarray, m_pos: int, m_neg: int) -> np.ndarray:
@@ -485,20 +479,8 @@ def _masked_softmax(zt: np.ndarray, h_t, levels, v: np.ndarray, cols: np.ndarray
     return v
 
 
-def aggregate(v_col: np.ndarray, p_col: np.ndarray, eps: float = EPS) -> float | np.ndarray:
-    """Importance-weighted sum of region probabilities, clamped to [eps, 1-eps].
-
-    Two (N,) columns give a float; two (N, C) arrays give the (C,) scores of
-    all classes.
-    """
-    v = np.asarray(v_col, dtype=np.float64)
-    p = np.asarray(p_col, dtype=np.float64)
-    f = _aggregate(v, p, eps, np.empty(v.shape[1:]))
-    return float(f) if f.ndim == 0 else f
-
-
 def _aggregate(v: np.ndarray, p: np.ndarray, eps: float, f: np.ndarray) -> np.ndarray:
-    """The clamped scores of `aggregate` into `f`.
+    """Clamped importance-weighted sums of region probabilities into `f`: (C,) of (N, C) inputs, 0-d of (N,) ones.
 
     Each class is one (1, N) @ (N, 1) product of a stacked matmul, which
     numpy hands to the same strided BLAS dot as np.dot(v[:, j], p[:, j]),
@@ -511,15 +493,8 @@ def _aggregate(v: np.ndarray, p: np.ndarray, eps: float, f: np.ndarray) -> np.nd
     return np.minimum(f, 1.0 - eps, out=f)
 
 
-def image_loss(labels: np.ndarray, f: np.ndarray) -> float:
-    """Per-class binary cross entropy summed over classes.
-
-    Expects f already clamped away from {0, 1}.
-    """
-    return _loss(ImageLabels(labels), np.asarray(f, dtype=np.float64))
-
-
 def _loss(lab: ImageLabels, f: np.ndarray) -> float:
+    """Per-class binary cross entropy summed over classes, of scores `f` already clamped away from {0, 1}."""
     return float(-np.add.reduce(lab.y * np.log(f) + lab.not_y * np.log1p(-f)))
 
 
@@ -544,10 +519,9 @@ def forward_image(
     budgets = Budgets(lab.pos, n, m_pos, m_neg)
     work = StepWork(n, c, d)
     z = _outputs(params, x, work)
-    logits_imp = z[1].copy()
     h_t, f, loss = _weights(z, lab, budgets, eps, work)
     h = np.ones((n, c), dtype=bool) if h_t is None else h_t.T
-    return ForwardTrace(p=z[0], logits_imp=logits_imp, h=h, v=z[1], f=f, loss=loss)
+    return ForwardTrace(p=z[0], h=h, v=z[1], f=f, loss=loss)
 
 
 def _outputs(params: HeadParams, x: np.ndarray, work: StepWork) -> np.ndarray:
@@ -570,22 +544,6 @@ def _weights(z: np.ndarray, lab: ImageLabels, budgets: Budgets, eps: float, work
     _masked_softmax(work.zt, h_t, budgets.levels, v, work.cols, work.group)
     f = _aggregate(v, p, eps, work.f)
     return h_t, f, _loss(lab, f)
-
-
-def loss_with_mask(
-    params: HeadParams,
-    feats: np.ndarray,
-    labels: np.ndarray,
-    h: np.ndarray,
-    eps: float = EPS,
-) -> float:
-    """Loss of the forward pass with the selection mask frozen to `h`.
-
-    This is the smooth function that backward_image differentiates; it is
-    also what the finite-difference oracle perturbs.
-    """
-    p, logits_imp = linear_outputs(params, feats)
-    return image_loss(labels, aggregate(masked_softmax(logits_imp, h), p, eps))
 
 
 def backward_image(
@@ -707,28 +665,34 @@ def finite_diff_grads(
     step: float = 1e-4,
     eps: float = EPS,
 ) -> HeadParams:
-    """Central-difference gradients of the image loss, entry by entry.
+    """Central-difference gradients of the image loss, entry by entry; `step` must be finite and > 0.
 
     The selection mask is frozen to the base forward pass's mask for every
     perturbed evaluation, so this differentiates the same smooth function
-    as backward_image.
+    as backward_image, with the training step's stages in one workspace.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    base = forward_image(params, feats, labels, m_pos, m_neg, eps)
-    h = base.h
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    h_t = forward_image(params, feats, labels, m_pos, m_neg, eps).h.T
+    x = np.asarray(feats, dtype=np.float64)
+    lab = ImageLabels(labels)
+    levels = _levels(np.add.reduce(h_t, axis=1), len(x))
+    work = StepWork(len(x), params.num_classes, params.feat_dim)
+    theta = HeadParams.from_flat(params.flat.astype(np.float64), params.num_classes, params.feat_dim)
 
-    def loss_at(p: HeadParams) -> float:
-        return loss_with_mask(p, feats, labels, h, eps)
+    def loss_at() -> float:
+        p, v = _outputs(theta, x, work)
+        np.copyto(work.zt, v.T)
+        _masked_softmax(work.zt, h_t, levels, v, work.cols, work.group)
+        return _loss(lab, _aggregate(v, p, eps, work.f))
 
-    work = HeadParams.from_flat(params.flat.astype(np.float64), params.num_classes, params.feat_dim)
-    grads = work.zeros_like()
-    for i, orig in enumerate(work.flat.tolist()):
-        work.flat[i] = orig + step
-        hi = loss_at(work)
-        work.flat[i] = orig - step
-        lo = loss_at(work)
-        work.flat[i] = orig
+    grads = theta.zeros_like()
+    for i, orig in enumerate(theta.flat.tolist()):
+        theta.flat[i] = orig + step
+        hi = loss_at()
+        theta.flat[i] = orig - step
+        lo = loss_at()
+        theta.flat[i] = orig
         grads.flat[i] = (hi - lo) / (2.0 * step)
     return grads
 
@@ -736,9 +700,12 @@ def finite_diff_grads(
 def gradient_agreement(analytic: HeadParams, numeric: HeadParams, floor: float = 1e-3) -> float:
     """Max relative discrepancy between two gradient sets.
 
-    Per entry: |a - n| / max(|a|, |n|, floor); the floor keeps near-zero
-    entries from inflating the ratio beyond finite-difference resolution.
+    Per entry: |a - n| / max(|a|, |n|, floor); the floor, finite and > 0,
+    keeps near-zero entries from inflating the ratio beyond
+    finite-difference resolution.
     """
+    if not (math.isfinite(floor) and floor > 0):
+        raise ValueError(f"floor must be finite and > 0, got {floor}")
     a, n = analytic.flat, numeric.flat
     return float((np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)).max())
 

@@ -1,11 +1,11 @@
 """Per-class reference implementations of the training step, used as oracles by the tests.
 
-Top-M selection, the masked softmax, the optimizer update and the
-training loop built from them are written here the plain way, one class
-column, one parameter block or one image at a time, independent of the
-whole-matrix code in `wsdsel.head` and `wsdsel.trainer` that they
-cross-check. The tests hold the two to equal
-bytes, not to a tolerance.
+Top-M selection, the masked softmax, the forward pass (also with a frozen
+selection mask), the optimizer update and the training loop built from
+them are written here the plain way, one class column, one parameter
+block or one image at a time, independent of the whole-matrix code in
+`wsdsel.head` and `wsdsel.trainer` that they cross-check. The tests hold
+the two to equal bytes, not to a tolerance.
 """
 
 from __future__ import annotations
@@ -45,21 +45,36 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return v
 
 
-def forward(blocks, feats: np.ndarray, labels, m_pos: int, m_neg: int, eps: float):
-    """One image's forward pass from the four blocks: (p, h, v, f, loss)."""
+def outputs(blocks, feats: np.ndarray):
+    """The two linear branches on (N, D) features: class probabilities p and importance logits, each (N, C)."""
     w_cls, b_cls, w_imp, b_imp = blocks
     x = np.asarray(feats, dtype=np.float64)
     z = x @ w_cls.T.astype(np.float64) + b_cls.astype(np.float64)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
-    logits_imp = x @ w_imp.T.astype(np.float64) + b_imp.astype(np.float64)
-    h = select_regions(p, labels, m_pos, m_neg)
-    v = masked_softmax(logits_imp, h)
+    return p, x @ w_imp.T.astype(np.float64) + b_imp.astype(np.float64)
+
+
+def scores(v, p, labels, eps: float):
+    """Each class's clamped dot of its v and p columns, and the summed binary cross entropy: (f, loss)."""
     f = np.array([min(max(float(np.dot(v[:, j], p[:, j])), eps), 1.0 - eps) for j in range(p.shape[1])])
     y = np.asarray(labels, dtype=np.float64)
-    loss = float(-(y * np.log(f) + (1.0 - y) * np.log1p(-f)).sum())
-    return p, h, v, f, loss
+    return f, float(-(y * np.log(f) + (1.0 - y) * np.log1p(-f)).sum())
+
+
+def forward(blocks, feats: np.ndarray, labels, m_pos: int, m_neg: int, eps: float):
+    """One image's forward pass from the four blocks: (p, h, v, f, loss)."""
+    p, logits_imp = outputs(blocks, feats)
+    h = select_regions(p, labels, m_pos, m_neg)
+    v = masked_softmax(logits_imp, h)
+    return (p, h, v, *scores(v, p, labels, eps))
+
+
+def loss_with_mask(blocks, feats: np.ndarray, labels, h: np.ndarray, eps: float) -> float:
+    """The loss of `forward` with the (N, C) selection mask frozen to `h`, the function `backward` differentiates."""
+    p, logits_imp = outputs(blocks, feats)
+    return scores(masked_softmax(logits_imp, h), p, labels, eps)[1]
 
 
 def backward(p, v, f, feats: np.ndarray, labels, eps: float):

@@ -1,8 +1,11 @@
 import dataclasses
 import inspect
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,3 +602,22 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+def readme_commands() -> list[list[str]]:
+    """Every `wsdsel ...` line in the README's code blocks, `\\` continuations joined, split as a shell would."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("wsdsel ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[1] for argv in commands} == {"synth", "train", "eval", "gradcheck"}
+    parser = wsdsel.cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

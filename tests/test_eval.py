@@ -100,7 +100,8 @@ class TestInferImage:
     @pytest.mark.parametrize("mask_mode", ["all", "top_mpt"])
     def test_one_workspace_equals_public_wrappers_bit_for_bit(self, mask_mode):
         # Images of several N (ties included) share one workspace sized for the largest; each view
-        # must give the bits of the public linear layer, selection and masked softmax composed.
+        # must give the bits of the linear stage in a workspace of its own, then the public selection
+        # and masked softmax, composed.
         rng = np.random.default_rng(3)
         c, d = 4, 5
         params = HeadParams(*(rng.normal(size=s).astype(np.float32) for s in ((c, d), c, (c, d), c)))
@@ -112,7 +113,7 @@ class TestInferImage:
                            ground_truth=[])
             total, p_sum, v_sum = np.zeros((n, c)), np.zeros((n, c)), np.zeros((n, c))
             for feats in views:
-                p, logits = head.linear_outputs(params, feats)
+                p, logits = head._outputs(params, feats.astype(np.float64), StepWork(n, c, d))
                 v_all = masked_softmax(logits, np.ones((n, c), dtype=bool))
                 v = v_all if mask_mode == "all" else masked_softmax(
                     logits, head.select_regions(p, np.ones(c), top_m, top_m))
@@ -597,7 +598,7 @@ class TestEvaluateMap:
             raise AssertionError("eval called a public head wrapper")
 
         monkeypatch.setattr(StepWork, "__init__", counted_init)
-        for name in ("linear_outputs", "masked_softmax", "select_regions"):
+        for name in ("class_softmax", "masked_softmax", "select_regions"):
             real = getattr(head, name)
             for module in (head, evaluation):
                 if getattr(module, name, None) is real:

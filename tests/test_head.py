@@ -21,14 +21,13 @@ from wsdsel.head import (
     HeadParams,
     ImageLabels,
     StepWork,
-    aggregate,
+    _aggregate,
+    _loss,
     backward_image,
     class_softmax,
     finite_diff_grads,
     forward_image,
     gradient_agreement,
-    image_loss,
-    loss_with_mask,
     masked_softmax,
     run_gradcheck,
     select_regions,
@@ -143,16 +142,21 @@ class TestMaskedSoftmax:
         np.testing.assert_allclose(v.sum(), 1.0, atol=1e-12)
 
 
+def column_score(v, p) -> float:
+    """`_aggregate` of one (N,) column pair into a 0-d score."""
+    return float(_aggregate(v, p, EPS, np.empty(())))
+
+
 class TestAggregate:
     def test_point_mass(self):
-        assert aggregate(np.array([1.0, 0.0]), np.array([0.7, 0.2])) == pytest.approx(0.7)
+        assert column_score(np.array([1.0, 0.0]), np.array([0.7, 0.2])) == pytest.approx(0.7)
 
     def test_dot_product(self):
-        assert aggregate(np.array([0.5, 0.5]), np.array([0.4, 0.8])) == pytest.approx(0.6)
+        assert column_score(np.array([0.5, 0.5]), np.array([0.4, 0.8])) == pytest.approx(0.6)
 
     def test_clamped_into_open_interval(self):
-        assert aggregate(np.array([1.0]), np.array([1.0])) == 1.0 - EPS
-        assert aggregate(np.array([1.0]), np.array([0.0])) == EPS
+        assert column_score(np.array([1.0]), np.array([1.0])) == 1.0 - EPS
+        assert column_score(np.array([1.0]), np.array([0.0])) == EPS
 
     def test_convex_combination_in_unit_interval(self):
         rng = np.random.default_rng(7)
@@ -160,21 +164,21 @@ class TestAggregate:
             n = int(rng.integers(1, 20))
             v = rng.dirichlet(np.ones(n))
             p = rng.random(n)
-            assert 0.0 <= aggregate(v, p) <= 1.0
+            assert 0.0 <= column_score(v, p) <= 1.0
 
 
 class TestImageLoss:
     def test_perfect_positive(self):
-        assert image_loss(np.array([1]), np.array([1.0 - EPS])) == pytest.approx(0.0, abs=1e-9)
+        assert _loss(ImageLabels(np.array([1])), np.array([1.0 - EPS])) == pytest.approx(0.0, abs=1e-9)
 
     def test_perfect_negative(self):
-        assert image_loss(np.array([0]), np.array([EPS])) == pytest.approx(0.0, abs=1e-9)
+        assert _loss(ImageLabels(np.array([0])), np.array([EPS])) == pytest.approx(0.0, abs=1e-9)
 
     def test_coin_flip(self):
-        assert image_loss(np.array([1]), np.array([0.5])) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert _loss(ImageLabels(np.array([1])), np.array([0.5])) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_sums_over_classes(self):
-        got = image_loss(np.array([1, 0]), np.array([0.5, 0.5]))
+        got = _loss(ImageLabels(np.array([1, 0])), np.array([0.5, 0.5]))
         assert got == pytest.approx(2 * math.log(2.0), rel=1e-12)
 
 
@@ -278,7 +282,7 @@ class TestBackwardImage:
             stepped = HeadParams(
                 *(arr - lr * g for (_, arr), (_, g) in zip(params.blocks(), grads.blocks()))
             )
-            new_loss = loss_with_mask(stepped, feats, labels, trace.h)
+            new_loss = ref.loss_with_mask([a for _, a in stepped.blocks()], feats, labels, trace.h, EPS)
             assert new_loss <= trace.loss + 1e-12
 
 
@@ -292,8 +296,16 @@ class TestFiniteDifferences:
 
     def test_rejects_bad_step(self):
         params = HeadParams(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-        with pytest.raises(ValueError):
-            finite_diff_grads(params, np.ones((1, 1)), np.array([1]), 1, 1, step=0.0)
+        for step in (0.0, -1e-4, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="step"):
+                finite_diff_grads(params, np.ones((1, 1)), np.array([1]), 1, 1, step=step)
+
+    def test_agreement_rejects_bad_floor(self):
+        zero = HeadParams(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        assert gradient_agreement(zero, zero) == 0.0
+        for floor in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="floor"):
+                gradient_agreement(zero, zero, floor=floor)
 
     def test_error_shrinks_quadratically_with_step(self):
         rng = np.random.default_rng(23)
@@ -494,7 +506,6 @@ class TestBranchSplit:
         for _ in range(3):
             trace = forward_image(params, feats, labels, 512, 128)
             backward_image(trace, params, feats, labels)
-            head.linear_outputs(params, feats)
             train_epoch(state, dataset, config)
             generate_synthetic(SynthConfig(n_images=2, num_classes=c, feat_dim=d, proposals_per_image=n))
         assert len(starts) <= 1

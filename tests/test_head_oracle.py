@@ -1,10 +1,11 @@
 """The whole-matrix training step equals the per-class reference byte for byte.
 
 Selection, the masked softmax, the aggregation, the forward and backward
-pass, the SGD update and whole training runs are compared with
-`reference_head` on random instances chosen to hit the edges: tied class
-probabilities, budgets at or above N (every region selected), a single
-region, a single class, and positive and negative budgets that differ.
+pass, gradcheck's finite differences, the SGD update and whole training
+runs are compared with `reference_head` on random instances chosen to
+hit the edges: tied class probabilities, budgets at or above N (every
+region selected), a single region, a single class, and positive and
+negative budgets that differ.
 Every step of the training runs is also compared in float64, on both
 paths of the head's branch split.
 """
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 import reference_head as ref
 from wsdsel import head
 from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
-from wsdsel.head import (EPS, HeadParams, aggregate, backward_image, forward_image, image_step, masked_softmax,
-                         select_regions)
+from wsdsel.head import (EPS, HeadParams, _aggregate, backward_image, finite_diff_grads, forward_image, image_step,
+                         masked_softmax, select_regions)
 from wsdsel.schedule import PruneSchedule
 from wsdsel.trainer import TrainConfig, TrainState, _Run, init_params, sgd_step, train
 
@@ -181,8 +182,8 @@ class TestTrainingStep:
         v = np.asarray(rng.dirichlet(np.ones(n), size=c).T, order=order)
         p = np.asarray(rng.dirichlet(np.ones(c), size=n), order=order)
         columns = [min(max(float(np.dot(v[:, j], p[:, j])), EPS), 1.0 - EPS) for j in range(c)]
-        assert same(aggregate(v, p), np.array(columns))
-        assert [aggregate(v[:, j], p[:, j]) for j in range(c)] == columns
+        assert same(_aggregate(v, p, EPS, np.empty(c)), np.array(columns))
+        assert [float(_aggregate(v[:, j], p[:, j], EPS, np.empty(()))) for j in range(c)] == columns
 
     @given(instances())
     @settings(max_examples=100, deadline=None)
@@ -193,6 +194,50 @@ class TestTrainingStep:
         config = TrainConfig(learning_rate=float(rng.uniform(1e-3, 1.0)), momentum=float(rng.uniform(0.0, 0.99)),
                              weight_decay=float(rng.uniform(0.0, 0.1)), total_epochs=1)
         check_sgd(params, grads_seq, config)
+
+
+def ref_central_differences(params, feats, labels, h, step):
+    """Central differences of `ref.loss_with_mask` under the frozen mask h, one float64 flat entry at a time."""
+    flat = params.flat.astype(np.float64)
+    blocks = [a for _, a in HeadParams.from_flat(flat, params.num_classes, params.feat_dim).blocks()]
+    grads = np.zeros_like(flat)
+    for i, orig in enumerate(flat.tolist()):
+        flat[i] = orig + step
+        hi = ref.loss_with_mask(blocks, feats, labels, h, EPS)
+        flat[i] = orig - step
+        lo = ref.loss_with_mask(blocks, feats, labels, h, EPS)
+        flat[i] = orig
+        grads[i] = (hi - lo) / (2.0 * step)
+    return grads
+
+
+def check_finite_differences(params, feats, labels, m_pos, m_neg, step):
+    h = ref.forward([a for _, a in params.blocks()], feats, labels, m_pos, m_neg, EPS)[1]
+    got = finite_diff_grads(params, feats, labels, m_pos, m_neg, step)
+    assert same(got.flat, ref_central_differences(params, feats, labels, h, step))
+
+
+class TestFiniteDifferences:
+    """gradcheck's finite differences equal a plain central-difference loop over the reference's frozen-mask loss."""
+
+    @given(st.data(), st.booleans(), st.booleans(), st.sampled_from([1e-4, 1e-3, 3e-2]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_instances(self, data, cover, float32_params, step):
+        rng, n, c, d, labels, m_pos, m_neg = data.draw(instances(max_n=12, max_c=4, max_d=4, cover=cover))
+        params = random_params(rng, c, d, dtype=np.float32 if float32_params else np.float64)
+        feats = rng.normal(size=(n, d)).astype(np.float64 if float32_params else np.float32)
+        check_finite_differences(params, feats, labels, m_pos, m_neg, step)
+
+    @pytest.mark.parametrize("n, labels, m_pos, m_neg", [
+        (1, [1], 1, 1), (1, [0], 1, 1), (1, [1, 0, 1], 2, 5),  # one region
+        (7, [1], 3, 9), (7, [0], 9, 3), (7, [0], 7, 7),  # one class, budgets below, at and above N
+        (9, [1, 0, 0, 1], 4, 2), (9, [1, 1, 1, 1], 9, 2), (9, [0, 0, 0, 0], 3, 12), (6, [1, 0, 1], 6, 6),
+    ])
+    def test_edges(self, n, labels, m_pos, m_neg):
+        rng = np.random.default_rng(n * 10 + len(labels))
+        labels = np.array(labels)
+        params = random_params(rng, len(labels), 3)
+        check_finite_differences(params, rng.normal(size=(n, 3)), labels, m_pos, m_neg, 1e-4)
 
 
 def test_paper_shape_two_images():
