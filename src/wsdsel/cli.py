@@ -6,6 +6,10 @@ file over default. Each command writes a RunManifest JSON next to its
 outputs with the fully resolved configuration, so a run is reproducible
 from the manifest alone.
 
+Every output except a feature sidecar is written beside its path and
+renamed into place (`data.replaced`), text as UTF-8; a failed `synth`,
+`train` or `eval` removes what it wrote (`data.removed_on_failure`).
+
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written included), 3 data error, 4 numerical failure.
 """
@@ -13,9 +17,7 @@ written included), 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -23,7 +25,8 @@ from pathlib import Path
 from typing import Any, Optional
 
 from wsdsel import __version__
-from wsdsel.data import SynthConfig, generate_synthetic, load_dataset, save_dataset, split_dataset
+from wsdsel.data import (SynthConfig, generate_synthetic, load_dataset, removed_on_failure, replaced, save_dataset,
+                         split_dataset)
 from wsdsel.errors import ConfigError, DataError, TrainingError
 from wsdsel.evaluation import EvalOptions, ap_by_class, dump_pr_curves, evaluate_map
 from wsdsel.head import run_gradcheck
@@ -166,25 +169,8 @@ def write_manifest(out_path: Path, command: str, config: dict, inputs: dict, out
         "version": __version__,
         "duration_s": round(time.time() - started, 3),
     }
-    path = out_path.parent / (out_path.name + ".manifest.json")
-    tmp = path.with_suffix(".tmp")
-    try:
-        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-@contextlib.contextmanager
-def _removed_on_failure():
-    """Collect the paths a command writes, a directory it made after its files; remove them if it fails."""
-    written = []
-    try:
-        yield written
-    except BaseException:
-        for path in map(Path, written):
-            path.rmdir() if path.is_dir() else path.unlink(missing_ok=True)
-        raise
+    with replaced(out_path.parent / (out_path.name + ".manifest.json")) as fh:
+        fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -204,7 +190,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         saves = {"dataset": (ds, out)}
     outputs = {name: str(path) for name, (_, path) in saves.items()}
     config["train_split"] = split_at
-    with _removed_on_failure() as written:
+    with removed_on_failure() as written:
         for dataset, path in saves.values():
             written.extend(save_dataset(dataset, path))
         write_manifest(out, "synth", config, {}, outputs, started)
@@ -242,7 +228,8 @@ def _write_loss_csv(path: Path, state: TrainState, config: TrainConfig):
     for epoch, loss in enumerate(state.loss_history):
         m_pos, m_neg = ("n" if m is None else m for m in config.budgets(epoch))
         lines.append(f"{epoch},{loss!r},{m_pos},{m_neg}")
-    path.write_text("\n".join(lines) + "\n")
+    with replaced(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -253,7 +240,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     state = train(dataset, train_config)
     out = Path(args.out)
     loss_csv = out.parent / (out.stem + "_loss.csv")
-    with _removed_on_failure() as written:
+    with removed_on_failure() as written:
         save_checkpoint(state, out)
         written.append(out)
         _write_loss_csv(loss_csv, state, train_config)
@@ -280,13 +267,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report.diagnostics[f"per_class_ap_{other}"] = per_class
     out = Path(args.out)
     outputs = {"report": str(out)}
-    with _removed_on_failure() as written:
+    with removed_on_failure() as written:
         if config["pr_csv"]:  # before the report, so that an eval that fails here leaves no report
             dump_pr_curves(report.curves, dataset.class_names, config["pr_csv"])
             outputs["pr_csv"] = config["pr_csv"]
             written.append(config["pr_csv"])
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json())
+        with replaced(out) as fh:
+            fh.write(report.to_json())
         written.append(out)
         write_manifest(out, "eval", config, {"dataset": str(args.dataset), "checkpoint": str(args.checkpoint)},
                        outputs, started)

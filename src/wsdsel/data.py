@@ -76,10 +76,21 @@ labels, proposals, ground_truth, feature_file, views}]}, with proposals as
 
 Feature sidecar (binary, one per image): magic "WSDF", version as u16 LE,
 then V, N, D as u32 LE, then V*N*D row-major float32 LE.
+
+Writing outputs
+---------------
+Every output of `synth`, `train` and `eval` except a feature sidecar (the
+dataset manifest, checkpoint, loss CSV, report, PR CSV and run manifest)
+is written through `replaced`: beside its path under a temporary name,
+then renamed into place, so a failed write leaves the previous file as it
+was. Text is UTF-8, whatever the locale. A command, and `save_dataset`
+for its own files, records what it wrote in `removed_on_failure`, which
+removes it again if a later step fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -556,6 +567,42 @@ def split_dataset(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
     return first, rest
 
 
+@contextlib.contextmanager
+def replaced(path: str | Path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside `path`, text as UTF-8, and rename it onto `path` when the block ends cleanly.
+
+    The parent directory is made if missing. If the block or the rename
+    fails, the temporary file is removed and `path` is left as it was.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if "b" not in mode:
+        open_kwargs.setdefault("encoding", "utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def removed_on_failure():
+    """Yield a list for the paths a call writes; if the block fails, remove them, last first, and re-raise.
+
+    A recorded directory (one the call made, recorded before its files) is
+    removed with `rmdir`, a file with `unlink`.
+    """
+    written = []
+    try:
+        yield written
+    except BaseException:
+        for path in map(Path, reversed(written)):
+            path.rmdir() if path.is_dir() else path.unlink(missing_ok=True)
+        raise
+
+
 def _write_sidecar(path: Path, views: list[np.ndarray]):
     v = len(views)
     n, d = views[0].shape
@@ -620,12 +667,10 @@ def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
 
     An image id names its sidecar file, so an id that is empty, `.` or `..`,
     holds `/`, `\\` or NUL, or repeats another is a DataError, raised before
-    anything is written. The manifest file is opened before any sidecar is
-    written, so a manifest path that cannot be opened leaves no sidecar. If
-    a sidecar cannot be written, the manifest, every sidecar path this call
-    wrote or was writing and the features directory, if this call made it,
-    are removed again. It returns the paths it wrote: the manifest, the
-    sidecars and, if this call made it, the features directory.
+    anything is written. The sidecars are written in place and then the
+    manifest through `replaced`, in one `removed_on_failure`; it returns what
+    that recorded: the features directory if this call made it, the
+    sidecars, then the manifest.
     """
     seen = set()
     for position, bag in enumerate(ds.images):
@@ -636,45 +681,39 @@ def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
             raise DataError(f"image {position} ({name!r}): id repeats an earlier image's")
         seen.add(name)
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     feat_dir_name = path.stem + "_features"
     feat_dir = path.parent / feat_dir_name
     head = json.dumps({"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "images": []}, indent=1)
-    with open(path, "w") as fh:
-        made_dir = not feat_dir.exists()
-        written = []
-        try:
-            feat_dir.mkdir(exist_ok=True)
-            for bag in ds.images:
-                written.append(feat_dir / f"{bag.id}.wsdf")
-                _write_sidecar(written[-1], bag.views)
-        except BaseException:
-            for sidecar in written:
-                if sidecar.is_file():  # not a directory that stood where the sidecar goes
-                    sidecar.unlink()
-            if made_dir and feat_dir.is_dir():
-                feat_dir.rmdir()
-            path.unlink(missing_ok=True)
-            raise
-        fh.write(head.removesuffix("[]\n}"))
-        separator = "[\n  "
+    with removed_on_failure() as written:
+        if not feat_dir.exists():
+            written.append(feat_dir)
+        feat_dir.mkdir(parents=True, exist_ok=True)
         for bag in ds.images:
-            record = {
-                "id": bag.id,
-                "labels": bag.labels.tolist(),
-                "proposals": "\0",
-                "ground_truth": [
-                    {"class": c, "box": box} for c, box in zip(bag.gt_classes.tolist(), bag.gt_boxes.tolist())
-                ],
-                "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
-                "views": len(bag.views),
-            }
-            # Indented two levels deeper: the record sits in the manifest's "images" list.
-            before, after = json.dumps(record, indent=1).replace("\n", "\n  ").split(_PROPOSALS_SLOT)
-            fh.write(f'{separator}{before}"proposals": {_proposals_json(bag.boxes)}{after}')
-            separator = ",\n  "
-        fh.write("\n ]\n}\n" if ds.images else "[]\n}\n")
-    return [path, *written, *([feat_dir] if made_dir else [])]
+            sidecar = feat_dir / f"{bag.id}.wsdf"
+            if not sidecar.is_dir():  # a directory standing there is not this call's to remove
+                written.append(sidecar)
+            _write_sidecar(sidecar, bag.views)
+        with replaced(path) as fh:
+            fh.write(head.removesuffix("[]\n}"))
+            separator = "[\n  "
+            for bag in ds.images:
+                record = {
+                    "id": bag.id,
+                    "labels": bag.labels.tolist(),
+                    "proposals": "\0",
+                    "ground_truth": [
+                        {"class": c, "box": box} for c, box in zip(bag.gt_classes.tolist(), bag.gt_boxes.tolist())
+                    ],
+                    "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
+                    "views": len(bag.views),
+                }
+                # Indented two levels deeper: the record sits in the manifest's "images" list.
+                before, after = json.dumps(record, indent=1).replace("\n", "\n  ").split(_PROPOSALS_SLOT)
+                fh.write(f'{separator}{before}"proposals": {_proposals_json(bag.boxes)}{after}')
+                separator = ",\n  "
+            fh.write("\n ]\n}\n" if ds.images else "[]\n}\n")
+        written.append(path)  # only once in place: a failed write leaves what stood at `path`
+    return written
 
 
 def _positive_int(value, what: str) -> int:
@@ -716,7 +755,7 @@ def load_dataset(path: str | Path) -> Dataset:
     """
     path = Path(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as err:  # ValueError: not JSON, or not UTF-8
         raise DataError(f"cannot load dataset manifest {path}: {err}") from err

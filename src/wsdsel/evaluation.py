@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wsdsel.data import Dataset, ImageBag
+from wsdsel.data import Dataset, ImageBag, replaced
 from wsdsel.errors import ConfigError
 from wsdsel.geometry import BBox, Detection, box_array, box_vote, iou, iou_matrix, nms  # noqa: F401  (perfbench's tracer reads evaluation.iou)
 from wsdsel.head import Budgets, HeadParams, StepWork, _masked_softmax, _outputs, _select
@@ -386,12 +386,10 @@ def dump_pr_curves(curves: list[PRCurve], class_names: list[str], path: str | Pa
     The bytes are those of `csv.writer`: CRLF line ends, and a class name
     quoted where it must be. Each class is one `%` format, a row template
     repeated once per rank, applied to the class's (rank, score, recall,
-    precision) values interleaved, and one write. A missing directory of
-    `path` is created.
+    precision) values interleaved, and one write. The file is UTF-8,
+    written through `data.replaced`, which also makes a missing directory.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with replaced(path, newline="") as fh:
         fh.write("class,rank,score,recall,precision\r\n")
         for name, curve in zip(class_names, curves):
             n = len(curve.scores)

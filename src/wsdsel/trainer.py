@@ -45,15 +45,18 @@ step itself after it where that image's pass does not split.
 Checkpoint format: magic "WSDC", then version, C, D as u32 LE, then the
 four parameter blocks and four velocity blocks (w_cls, b_cls, w_imp,
 b_imp) as row-major float32 LE, which is the parameter buffer followed by
-the velocity buffer, then the completed-epoch index as u32 LE. The file is
-written beside its target under a temporary name and renamed into place.
+the velocity buffer, then the completed-epoch index as u32 LE. Like every
+output but a feature sidecar, the file is written through `data.replaced`:
+beside its target under a temporary name, then renamed into place, so a
+failed write leaves the previous checkpoint as it was (text outputs are
+UTF-8). If a later write of the `train` command fails, the command removes
+the checkpoint again (`data.removed_on_failure`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,7 +64,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from wsdsel.data import Dataset
+from wsdsel.data import Dataset, replaced
 from wsdsel.errors import ConfigError, DataError, TrainingError
 # forward_image is not called here, but stays in this namespace: perfbench's tracer test checks
 # that the tracer wraps it in every wsdsel module that holds it, this one included.
@@ -280,20 +283,13 @@ def train(
 
 
 def save_checkpoint(state: TrainState, path: str | Path):
-    """Write the checkpoint to a temporary file beside `path`, then rename it into place."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write the checkpoint through `data.replaced`: beside `path`, then renamed into place."""
     header = CHECKPOINT_MAGIC + struct.pack("<III", CHECKPOINT_VERSION, state.params.num_classes, state.params.feat_dim)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(state.params.flat.astype("<f4").tobytes())
-            fh.write(state.velocity.flat.astype("<f4").tobytes())
-            fh.write(struct.pack("<I", state.epoch))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replaced(path, "wb") as fh:
+        fh.write(header)
+        fh.write(state.params.flat.astype("<f4").tobytes())
+        fh.write(state.velocity.flat.astype("<f4").tobytes())
+        fh.write(struct.pack("<I", state.epoch))
 
 
 def load_checkpoint(path: str | Path) -> TrainState:

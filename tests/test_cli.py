@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -15,7 +16,7 @@ import wsdsel.evaluation
 import wsdsel.head
 from wsdsel.cli import (EVAL_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, GRADCHECK_KEYS, SYNTH_KEYS,
                         TRAIN_KEYS, _build_train_config, _write_loss_csv, main, resolve_config)
-from wsdsel.data import SynthConfig, load_dataset
+from wsdsel.data import SynthConfig, load_dataset, save_dataset
 from wsdsel.evaluation import EvalOptions
 from wsdsel.head import HeadParams, run_gradcheck
 from wsdsel.schedule import PruneSchedule
@@ -398,6 +399,67 @@ def test_output_that_cannot_be_written_exits_config(trained, tmp_path, capsys, c
     # no dataset, sidecar, features directory, checkpoint, loss CSV, PR CSV, report or manifest temporary
     # is left behind, only the output directory made for them
     assert set(tmp_path.rglob("*")) - before <= {tmp_path / "out"}
+
+
+def _tree(root: Path) -> dict:
+    """Every path under `root` with its bytes, None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("synth", "ds.json"),  # fails in its third image record
+    ("synth", "ds.json.manifest.json"),
+    ("synth --train-split 7", "ds-test.json"),  # after the train half is saved
+    ("train", "ckpt.wsdc"),
+    ("train", "ckpt_loss.csv"),
+    ("train", "ckpt.wsdc.manifest.json"),
+    ("eval", "pr.csv"),
+    ("eval", "r.json"),
+    ("eval", "r.json.manifest.json"),
+])
+def test_a_write_that_fails_partway_leaves_nothing(trained, tmp_path, capsys, monkeypatch, full_disk, command, name):
+    dataset, ckpt = trained
+    command, *extra = command.split()
+    out = tmp_path / "out"
+    argv = {"synth": [*SMALL_SYNTH, "--out", str(out / "ds.json")],
+            "train": ["--dataset", str(dataset), *FAST_TRAIN, "--out", str(out / "ckpt.wsdc")],
+            "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt), "--pr-csv", str(out / "pr.csv"),
+                     "--out", str(out / "r.json")]}[command]
+    out.mkdir()
+    (out / name).write_bytes(b"previous\n")
+    before = _tree(tmp_path)
+    # `dataset` is a SMALL_SYNTH manifest too, so its third record starts at the same offset
+    full_disk(name, dataset.read_text().index('"id": "im00002"') if name == "ds.json" else 40)
+    assert main([command, *argv, *extra]) == EXIT_CONFIG
+    assert "No space left on device" in capsys.readouterr().err
+    # no partial file, no other output of the run, no temporary; the previous file is as it was
+    assert _tree(tmp_path) == before
+    monkeypatch.undo()
+    assert main([command, *argv, *extra]) == EXIT_OK
+    assert (out / name).read_bytes() != b"previous\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["escaped-manifest", "raw-utf8-manifest"])
+def test_eval_under_a_non_utf8_locale_writes_utf8(trained, tmp_path, raw):
+    dataset, ckpt = trained
+    ds = load_dataset(dataset)
+    ds.class_names[0] = "caf\u00e9 \u6570"
+    path = tmp_path / "named.json"
+    save_dataset(ds, path)
+    if raw:  # the name as UTF-8 bytes, not as json's \u escapes
+        path.write_bytes(path.read_bytes().replace(json.dumps(ds.class_names[0]).encode(),
+                                                   f'"{ds.class_names[0]}"'.encode()))
+        assert ds.class_names[0].encode() in path.read_bytes()
+    assert run_eval(path, ckpt, tmp_path / "want.json", "--pr-csv", str(tmp_path / "want.csv")) == EXIT_OK
+    locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-m", "wsdsel.cli", "eval", "--dataset", str(path), "--checkpoint",
+                           str(ckpt), "--out", str(tmp_path / "got.json"), "--pr-csv", str(tmp_path / "got.csv")],
+                          capture_output=True, text=True, env={**os.environ, **locale})
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert "\ncaf\u00e9 \u6570," in (tmp_path / "got.csv").read_text(encoding="utf-8")
 
 
 def _dataclass_defaults(cls) -> dict:

@@ -650,7 +650,7 @@ class TestEvaluateMap:
 class TestPrCurveCsv:
     @staticmethod
     def csv_writer_rows(curves, class_names, path):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["class", "rank", "score", "recall", "precision"])
             for name, curve in zip(class_names, curves):

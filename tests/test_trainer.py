@@ -299,34 +299,12 @@ class TestCheckpoint:
             assert x.tobytes() == y.tobytes()
         np.testing.assert_array_equal(full.loss_history[3:], resumed.loss_history)
 
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, full_disk):
         ds = toy_dataset()
         path = tmp_path / "ckpt.wsdc"
         save_checkpoint(train(ds, self._config(1)), path)
         before = path.read_bytes()
-        real_open = open
-
-        class FailingFile:
-            """Takes the first 40 bytes, then fails as a full disk would."""
-
-            def __init__(self, *args):
-                self.fh = real_open(*args)
-                self.room = 40
-
-            def write(self, data):
-                if len(data) > self.room:
-                    self.fh.write(data[: self.room])
-                    raise OSError(28, "No space left on device")
-                self.room -= len(data)
-                return self.fh.write(data)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        monkeypatch.setattr("wsdsel.trainer.open", FailingFile, raising=False)
+        full_disk("ckpt.wsdc")  # the first 40 bytes, then a full disk
         with pytest.raises(OSError):
             save_checkpoint(train(ds, self._config(2)), path)
         assert path.read_bytes() == before
