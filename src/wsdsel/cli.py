@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -159,13 +160,22 @@ def _add_key_flags(parser: argparse.ArgumentParser, keys: list[Key]):
             parser.add_argument(flag, type=key.type, default=None, help=key.help)
 
 
+def _os_text(value):
+    """A path string as a run manifest records it: its OS bytes read as UTF-8, an undecodable byte as \\xNN.
+
+    Under a non-UTF-8 locale a name's bytes reach `sys.argv` as surrogate
+    escapes, which the manifest would otherwise record as lone surrogates.
+    """
+    return os.fsencode(value).decode("utf-8", "backslashreplace") if isinstance(value, str) else value
+
+
 def write_manifest(out_path: Path, command: str, config: dict, inputs: dict, outputs: dict, started: float):
     manifest = {
         "command": command,
-        "config": config,
+        "config": {key: _os_text(value) for key, value in config.items()},
         "seed": config.get("seed"),
-        "inputs": inputs,
-        "outputs": outputs,
+        "inputs": {key: _os_text(path) for key, path in inputs.items()},
+        "outputs": {key: _os_text(path) for key, path in outputs.items()},
         "version": __version__,
         "duration_s": round(time.time() - started, 3),
     }

@@ -14,7 +14,10 @@ array, `ImageBag.boxes`, and its ground truth a (G,) class array,
 The generator and the loader fill them, `Dataset.validate` checks both box
 arrays alike, the writer formats them row by row and evaluation reads them
 as they are. `ImageBag.proposals` and `ImageBag.ground_truth` build `BBox`
-objects from them only when asked.
+objects from them only when asked. The loader makes each record's
+proposals an array as soon as the JSON decoder has parsed that record, so
+a load never holds every coordinate as a Python float; what it still holds
+at its peak is the manifest's text, about twice its size while decoded.
 
 The boxes of an image are drawn from its own generator in a fixed order,
 each by rejection sampling: the clusters object by object (a tight first
@@ -722,12 +725,12 @@ def _positive_int(value, what: str) -> int:
     return value
 
 
-def _boxes_from_json(rows, what: str) -> np.ndarray:
+def _boxes_from_json(rows, what: str, numbers: frozenset = frozenset({int, float})) -> np.ndarray:
     """JSON [x1, y1, x2, y2] rows as an (N, 4) float64 array; anything but four numbers a row is a DataError.
 
     Only JSON numbers count: `np.array(rows, float)` alone would also take
-    `true` as 1.0 and "0.5" as 0.5. Finite, ordered coordinates are checked
-    by the caller.
+    `true` as 1.0 and "0.5" as 0.5; `numbers` narrows them further. Finite,
+    ordered coordinates are checked by the caller.
     """
     if not isinstance(rows, list):
         raise DataError(f"{what} must be a list of [x1, y1, x2, y2] rows, got {type(rows).__name__}")
@@ -739,7 +742,7 @@ def _boxes_from_json(rows, what: str) -> np.ndarray:
         raise DataError(f"{what}: every row must be a list of four numbers")
     coords = list(itertools.chain.from_iterable(rows))
     kinds = set(map(type, coords))
-    if not kinds <= {int, float}:
+    if not kinds <= numbers:
         raise DataError(f"{what}: coordinates must be numbers, found {sorted(k.__name__ for k in kinds)}")
     try:
         return np.array(coords, dtype=np.float64).reshape(-1, 4)
@@ -752,13 +755,38 @@ def load_dataset(path: str | Path) -> Dataset:
 
     Every image's id must differ from every other's as text (`str(id)`),
     the rule `save_dataset` writes by.
+
+    Each record's proposals become an array while the manifest is decoded:
+    once an object holding a "proposals" list of float rows is parsed, the
+    list is swapped for its (N, 4) array, so a load never holds every
+    coordinate as a Python float. Its peak is the manifest's text, about
+    twice its size while it is decoded (bytes and str), plus the arrays it
+    returns. A list left as it is (integer coordinates, or rows that
+    `_boxes_from_json` rejects) is checked in the record loop, in the same
+    order and with the same message; an object other than an image record
+    gets its list back.
     """
     path = Path(path)
+    swapped = []
+
+    def proposals_as_array(obj: dict) -> dict:
+        if "proposals" in obj:
+            # Floats only, so that `tolist()` gives an object other than a record its list back as it was.
+            with contextlib.suppress(DataError):
+                obj["proposals"] = _boxes_from_json(obj["proposals"], "proposals", frozenset({float}))
+                swapped.append(obj)
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            manifest = json.load(fh, object_hook=proposals_as_array)
     except (OSError, ValueError) as err:  # ValueError: not JSON, or not UTF-8
         raise DataError(f"cannot load dataset manifest {path}: {err}") from err
+    listed = manifest.get("images") if isinstance(manifest, dict) else None
+    record_ids = set(map(id, listed)) if isinstance(listed, list) else set()
+    for obj in swapped:
+        if id(obj) not in record_ids:
+            obj["proposals"] = obj["proposals"].tolist()
 
     if not isinstance(manifest, dict):
         raise DataError(f"dataset manifest {path} must be a JSON object, got {type(manifest).__name__}")
@@ -785,7 +813,9 @@ def load_dataset(path: str | Path) -> Dataset:
         missing = [key for key in ("proposals", "labels", "feature_file", "views") if key not in rec]
         if missing:
             raise DataError(f"image {image_id}: record missing {', '.join(missing)}")
-        boxes = _boxes_from_json(rec["proposals"], f"image {image_id}: proposals")
+        boxes = rec["proposals"]
+        if not isinstance(boxes, np.ndarray):
+            boxes = _boxes_from_json(boxes, f"image {image_id}: proposals")
         records = rec.get("ground_truth", [])
         try:
             classes, gt_rows = [g["class"] for g in records], [g["box"] for g in records]

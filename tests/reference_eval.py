@@ -82,8 +82,9 @@ def ap_from_labels(labels: list[bool], npos: int, protocol: str) -> float:
         points.append((tp / npos, tp / (tp + fp)))
     if protocol == "eleven_point":
         total = 0.0
-        for level in range(11):
-            r = level / 10.0
+        # py-faster-rcnn's voc_eval levels: 0.3, 0.6 and 0.7 are the doubles just above those
+        # tenths (0.30000000000000004, ...), so a recall of exactly 3/5 misses the 0.6 level.
+        for r in np.arange(0.0, 1.1, 0.1):
             candidates = [p for rec, p in points if rec >= r]
             total += max(candidates) if candidates else 0.0
         return total / 11.0

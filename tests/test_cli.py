@@ -453,13 +453,26 @@ def test_eval_under_a_non_utf8_locale_writes_utf8(trained, tmp_path, raw):
         assert ds.class_names[0].encode() in path.read_bytes()
     assert run_eval(path, ckpt, tmp_path / "want.json", "--pr-csv", str(tmp_path / "want.csv")) == EXIT_OK
     locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    got_csv = tmp_path / "\u6570.csv"  # reaches the run's sys.argv as surrogate escapes
     proc = subprocess.run([sys.executable, "-m", "wsdsel.cli", "eval", "--dataset", str(path), "--checkpoint",
-                           str(ckpt), "--out", str(tmp_path / "got.json"), "--pr-csv", str(tmp_path / "got.csv")],
+                           str(ckpt), "--out", str(tmp_path / "got.json"), "--pr-csv", str(got_csv)],
                           capture_output=True, text=True, env={**os.environ, **locale})
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert got_csv.read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
-    assert "\ncaf\u00e9 \u6570," in (tmp_path / "got.csv").read_text(encoding="utf-8")
+    assert "\ncaf\u00e9 \u6570," in got_csv.read_text(encoding="utf-8")
+    run = json.loads((tmp_path / "got.json.manifest.json").read_text(encoding="utf-8"))
+    assert run["outputs"]["pr_csv"] == run["config"]["pr_csv"] == str(got_csv)
+    assert run["inputs"] == {"dataset": str(path), "checkpoint": str(ckpt)}
+
+
+def test_run_manifest_writes_an_undecodable_name_byte_as_an_escape(trained, tmp_path):
+    dataset, ckpt = trained
+    pr_csv = os.fsdecode(bytes(tmp_path) + b"/pr-\xff.csv")  # no UTF-8 text holds the byte 0xff
+    assert run_eval(dataset, ckpt, tmp_path / "r.json", "--pr-csv", pr_csv) == EXIT_OK
+    assert os.path.exists(pr_csv)
+    run = json.loads((tmp_path / "r.json.manifest.json").read_text(encoding="utf-8"))
+    assert run["outputs"]["pr_csv"] == run["config"]["pr_csv"] == f"{tmp_path}/pr-\\xff.csv"
 
 
 def _dataclass_defaults(cls) -> dict:

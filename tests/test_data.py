@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,26 @@ from wsdsel.geometry import BBox, iou
 from wsdsel.trainer import init_params
 
 SMALL = SynthConfig(n_images=12, num_classes=3, feat_dim=8, proposals_per_image=16, seed=7)
+
+
+def _faults(message: str, *edits):
+    """A manifest edit that makes every one of `edits` and returns the load's expected message."""
+    def edit(manifest: dict) -> str:
+        for one in edits:
+            one(manifest)
+        return message
+    return edit
+
+
+def _bad_proposals(image: int):
+    return lambda m: m["images"][image]["proposals"][0].__setitem__(2, "0.9")
+
+
+def _stray_proposals(manifest: dict):
+    manifest["proposals"] = [[True]]
+    for record in manifest["images"]:
+        for obj in record["ground_truth"]:
+            obj["proposals"] = [[0.0, 0.0, 1.0, 1.0]]
 
 
 class TestSynthConfig:
@@ -249,6 +271,23 @@ class TestRoundTrip:
         assert [bag.id for bag in load_dataset(tmp_path / "ds.json").images] == [bag.id for bag in ds.images]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.json", "ds_features"]
 
+    def test_load_peaks_at_the_manifest_text_and_the_arrays_it_returns(self, tmp_path):
+        # Decoding holds the manifest's bytes and its str at once, so twice its size is the floor;
+        # proposals that lived as Python floats until the whole manifest was parsed would add
+        # about 1.8 times the size again (a 24-byte float per coordinate, in 4-element lists).
+        cfg = SynthConfig(n_images=8, num_classes=3, feat_dim=4, proposals_per_image=2048, seed=5)
+        save_dataset(generate_synthetic(cfg), tmp_path / "ds.json")
+        text = (tmp_path / "ds.json").stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(tmp_path / "ds.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(bag.boxes.nbytes + sum(view.nbytes for view in bag.views) for bag in loaded.images)
+        slack = 256 * 1024  # per-record lists, dicts, ids and the ground truth
+        assert peak <= 2 * text + arrays + slack, (peak, text, arrays)
+
 
 class TestLoadValidation:
     def _saved(self, tmp_path):
@@ -330,14 +369,37 @@ class TestLoadValidation:
             lambda m: m["images"][0]["ground_truth"][0].__setitem__("class", None),
             lambda m: m["images"][0]["ground_truth"][0].pop("box"),
             lambda m: m["images"][0].__setitem__("ground_truth", [[0, [0.1, 0.1, 0.2, 0.2]]]),
+            # More than one fault: the checks run record by record in their order, so the first
+            # fault in that order is reported, whatever was decoded first.
+            pytest.param(_faults("image im00000: record missing views", _bad_proposals(0),
+                                 lambda m: m["images"][0].pop("views")), id="bad-proposals-no-views"),
+            pytest.param(_faults("image im00000: proposals", _bad_proposals(0), _bad_proposals(1)),
+                         id="two-bad-proposals"),
+            pytest.param(_faults("image im00000: ground-truth classes", _bad_proposals(1),
+                                 lambda m: m["images"][0]["ground_truth"][0].update({"class": 1.5})),
+                         id="bad-class-then-bad-proposals"),
+            pytest.param(_faults(r"image 1 \('im00000'\): id repeats image 0's", _bad_proposals(1),
+                                 lambda m: m["images"][1].update(id="im00000")), id="repeated-id-bad-proposals"),
+            pytest.param(_faults("manifest key 'c' must be a positive integer", _bad_proposals(0),
+                                 lambda m: m.update(c=0)), id="bad-c-bad-proposals"),
+            # "proposals" outside an image record: the top level's and a ground-truth object's are
+            # not read, and one inside another value shows in its message as the list it was.
+            pytest.param(_faults(re.escape("image im00000: labels must be a list of 0/1 integers, got "
+                                           "{'proposals': [[0.0, 0.0, 1, 1.0]]}"), _stray_proposals,
+                                 lambda m: m["images"][0].update(labels={"proposals": [[0.0, 0.0, 1, 1.0]]})),
+                         id="stray-proposals-in-labels"),
+            pytest.param(_faults(re.escape("image im00002: feature_file must be a path string, got "
+                                           "{'proposals': [[0.5, 0.25, 1.0, 1.0]]}"), _stray_proposals,
+                                 lambda m: m["images"][2].update(feature_file={"proposals": [[0.5, 0.25, 1.0, 1.0]]})),
+                         id="stray-proposals-in-feature-file"),
         ],
     )
     def test_non_number_or_misshapen_coordinates_and_classes_rejected(self, tmp_path, edit):
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
-        edit(manifest)
+        message = edit(manifest)  # an edit made by `_faults` returns the message it expects
         path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="im00000"):
+        with pytest.raises(DataError, match=message if isinstance(message, str) else "im00000"):
             load_dataset(path)
 
     @pytest.mark.parametrize(

@@ -330,6 +330,15 @@ class TestVocAp:
         assert ap == pytest.approx(28.0 / 33.0, abs=1e-12)
         assert ap == pytest.approx(reference_ap(dets, gts, 0.5, "eleven_point", iou), abs=1e-12)
 
+    def test_a_recall_of_exactly_six_tenths_misses_the_level_above_it(self):
+        # The levels are np.linspace(0, 1, 11), as in py-faster-rcnn's voc_eval, and the seventh
+        # is 0.6000000000000001: recall 3/5 reaches levels 0.0-0.5 only.
+        gt = [BBox(10 * k, 0, 10 * k + 5, 5) for k in range(5)]
+        dets = [("a", 0.9 - 0.1 * k, box) for k, box in enumerate(gt[:3])]
+        ap = voc_ap(dets, {"a": gt}, protocol="eleven_point")
+        assert ap == 6.0 / 11.0
+        assert ap == reference_ap(dets, {"a": gt}, 0.5, "eleven_point", iou)
+
     def test_area_protocol(self):
         dets, gts = eleven_point_fixture()
         ap = voc_ap(dets, gts, protocol="area")
@@ -454,11 +463,13 @@ class TestEvaluateMap:
         assert 0.0 <= report.mean_corloc <= 1.0
         assert report.n_images == 6
 
-    def test_matches_bruteforce_reference(self):
+    @pytest.mark.parametrize("protocol", ["eleven_point", "area"])
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_bruteforce_reference(self, seed, protocol):
         ds = generate_synthetic(SynthConfig(n_images=5, num_classes=2, feat_dim=6,
-                                            proposals_per_image=10, seed=13))
+                                            proposals_per_image=10, seed=seed))
         params = init_params(6, 2, seed=3)
-        opts = EvalOptions()
+        opts = EvalOptions(ap_protocol=protocol)
         report = evaluate_map(ds, params, opts)
 
         dets_by_class = {j: [] for j in range(2)}
@@ -470,7 +481,7 @@ class TestEvaluateMap:
             for det in detect(scores, bag.proposals):
                 dets_by_class[det.class_id].append((bag.id, det.score, det.box))
         ref_aps = [
-            reference_ap(dets_by_class[j], gts_by_class[j], 0.5, "eleven_point", iou) for j in range(2)
+            reference_ap(dets_by_class[j], gts_by_class[j], 0.5, protocol, iou) for j in range(2)
         ]
         np.testing.assert_allclose(report.per_class_ap, ref_aps, atol=1e-12)
         assert report.map == pytest.approx(float(np.mean(ref_aps)), abs=1e-12)
