@@ -14,10 +14,11 @@ array, `ImageBag.boxes`, and its ground truth a (G,) class array,
 The generator and the loader fill them, `Dataset.validate` checks both box
 arrays alike, the writer formats them row by row and evaluation reads them
 as they are. `ImageBag.proposals` and `ImageBag.ground_truth` build `BBox`
-objects from them only when asked. The loader makes each record's
-proposals an array as soon as the JSON decoder has parsed that record, so
-a load never holds every coordinate as a Python float; what it still holds
-at its peak is the manifest's text, about twice its size while decoded.
+objects from them only when asked. The loader reads the manifest a piece
+at a time and decodes it one image record at a time, making each record's
+proposals an array as soon as that record is parsed, so a load holds one
+record's text, and its coordinates as Python floats, at a time: never the
+whole manifest's.
 
 The boxes of an image are drawn from its own generator in a fixed order,
 each by rejection sampling: the clusters object by object (a tight first
@@ -93,7 +94,9 @@ removes it again if a later step fails.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
+import errno
 import itertools
 import json
 import math
@@ -115,6 +118,8 @@ FEATURE_VERSION = 1
 FEATURE_SPLIT_MIN = 1 << 16
 # Noise entries drawn per chunk: 256 KB of float64 per thread, a buffer that stays in cache.
 NOISE_CHUNK = 1 << 15
+# Bytes of manifest text a load reads at a time, at the least (see `_decoded`).
+MANIFEST_PIECE = 1 << 16
 
 
 class ImageBag:
@@ -575,13 +580,19 @@ def replaced(path: str | Path, mode: str = "w", **open_kwargs):
     """Open a temporary file beside `path`, text as UTF-8, and rename it onto `path` when the block ends cleanly.
 
     The parent directory is made if missing. If the block or the rename
-    fails, the temporary file is removed and `path` is left as it was.
+    fails, the temporary file is removed and `path` is left as it was. A
+    path the filesystem encoding cannot encode (a name read as text under
+    an ASCII locale) cannot be written: an OSError, before anything is made.
     """
     path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        os.fsencode(tmp)
+    except UnicodeEncodeError as err:
+        raise OSError(errno.EILSEQ, f"the filesystem encoding cannot encode the name ({err.reason})", str(path)) from err
     path.parent.mkdir(parents=True, exist_ok=True)
     if "b" not in mode:
         open_kwargs.setdefault("encoding", "utf-8")
-    tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, mode, **open_kwargs) as fh:
             yield fh
@@ -750,21 +761,123 @@ def _boxes_from_json(rows, what: str, numbers: frozenset = frozenset({int, float
         raise DataError(f"{what}: {err}") from err
 
 
+def _decoded(fh, hook) -> dict | None:
+    """The JSON object in the bytes `fh` reads, decoded one value at a time, or None.
+
+    The object is the one json.load(..., object_hook=hook) returns for the
+    same file opened as UTF-8 text, which is how `load_dataset` decodes the
+    text this walk does not take whole.
+
+    The walk takes the top-level object's keys and values itself, and the
+    elements of an array value one by one; each key, value or element goes
+    to one `raw_decode` of a window of the text. The window is read at
+    least MANIFEST_PIECE bytes at a time, dropping what was decoded, so it
+    holds at most one value's text beside what was read past it. A value is
+    taken once the ',', ':' or closing bracket that must follow it is in
+    the window; until then the window grows to twice its size and the value
+    is decoded again. Before each value it is filled to the longest value
+    yet, so a list of like records decodes each record once. The hook may
+    also see objects inside a value that ran past the window; they are
+    dropped with it.
+
+    Text the walk does not take whole (not UTF-8, not JSON, a BOM, trailing
+    data, a top level that is not an object) gives None, and json.load
+    says why.
+    """
+    decode = json.JSONDecoder(object_hook=hook).raw_decode
+    # Newlines stay untranslated: outside a string they are whitespace either way, and a string cannot hold one.
+    utf8 = codecs.getincrementaldecoder("utf-8")()
+    space = json.decoder.WHITESPACE.match
+    text, at, ended, longest = "", 0, False, 0  # the window, the next character in it, the file read, a value's length
+
+    def more(least: int):
+        nonlocal text, at, ended
+        text, at = text[at:], 0
+        raw = fh.read(max(MANIFEST_PIECE, least))
+        ended = not raw
+        text += utf8.decode(raw, final=ended)
+
+    def peek() -> str:
+        """The next character after whitespace, with `at` on it; "" at the end of the text."""
+        nonlocal at
+        while (at := space(text, at).end()) == len(text) and not ended:
+            more(0)
+        return text[at : at + 1]
+
+    def expect(chars: str) -> str:
+        nonlocal at
+        char = peek()
+        if not char or char not in chars:
+            raise ValueError(f"expected one of {chars!r}")
+        at += 1
+        return char
+
+    def value(closers: str):
+        """The value after whitespace and the one of `closers` after it, with `at` past that."""
+        nonlocal at, longest
+        peek()
+        if len(text) - at < longest and not ended:
+            more(longest - (len(text) - at))
+        while True:
+            try:
+                obj, end = decode(text, at)
+                stop = space(text, end).end()
+                if stop < len(text) and text[stop] in closers:
+                    longest = max(longest, (stop - at) * 9 // 8 + 1)  # room for a slightly longer record
+                    at = stop + 1
+                    return obj, text[stop]
+            except json.JSONDecodeError:
+                pass
+            if ended:
+                raise ValueError("not one JSON object")
+            more(len(text) - at)
+
+    def members(close: str, member) -> list:
+        """The `member()`s of the object or array just opened, up to `close`, with `at` past it."""
+        nonlocal at
+        found, closer = [], ","
+        if peek() == close:
+            at, closer = at + 1, close
+        while closer == ",":
+            item, closer = member()
+            found.append(item)
+        return found
+
+    def pair():
+        nonlocal at
+        if peek() != '"':
+            raise ValueError("expected a key")
+        key, _ = value(":")
+        if peek() == "[":  # an array value, element by element
+            at += 1
+            return (key, members("]", lambda: value(",]"))), expect(",}")
+        obj, closer = value(",}")
+        return (key, obj), closer
+
+    try:
+        expect("{")
+        manifest = hook(dict(members("}", pair)))
+        return None if peek() else manifest
+    except ValueError:  # the walk's, or invalid UTF-8 as the text is read
+        return None
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load and fully validate a dataset; errors name the offending image.
 
     Every image's id must differ from every other's as text (`str(id)`),
     the rule `save_dataset` writes by.
 
-    Each record's proposals become an array while the manifest is decoded:
-    once an object holding a "proposals" list of float rows is parsed, the
-    list is swapped for its (N, 4) array, so a load never holds every
-    coordinate as a Python float. Its peak is the manifest's text, about
-    twice its size while it is decoded (bytes and str), plus the arrays it
-    returns. A list left as it is (integer coordinates, or rows that
-    `_boxes_from_json` rejects) is checked in the record loop, in the same
-    order and with the same message; an object other than an image record
-    gets its list back.
+    The manifest is decoded one image record at a time (`_decoded`), and
+    each record's proposals become an array as it is: once an object
+    holding a "proposals" list of float rows is parsed, the list is swapped
+    for its (N, 4) array. So a load holds one record's text at a time, and
+    that record's coordinates as Python floats, beside the arrays it
+    returns. Text the piecewise decoder does not take whole is decoded by
+    json.load, which raises as it always did. A list left as it is (integer
+    coordinates, or rows that `_boxes_from_json` rejects) is checked in the
+    record loop, in the same order and with the same message; an object
+    other than an image record gets its list back.
     """
     path = Path(path)
     swapped = []
@@ -778,8 +891,12 @@ def load_dataset(path: str | Path) -> Dataset:
         return obj
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh, object_hook=proposals_as_array)
+        with open(path, "rb") as fh:
+            manifest = _decoded(fh, proposals_as_array)
+        if manifest is None:
+            swapped.clear()
+            with open(path, encoding="utf-8") as fh:
+                manifest = json.load(fh, object_hook=proposals_as_array)
     except (OSError, ValueError) as err:  # ValueError: not JSON, or not UTF-8
         raise DataError(f"cannot load dataset manifest {path}: {err}") from err
     listed = manifest.get("images") if isinstance(manifest, dict) else None

@@ -466,6 +466,21 @@ def test_eval_under_a_non_utf8_locale_writes_utf8(trained, tmp_path, raw):
     assert run["inputs"] == {"dataset": str(path), "checkpoint": str(ckpt)}
 
 
+def test_an_output_name_the_filesystem_encoding_cannot_hold_is_not_written(trained, tmp_path):
+    # Read from a UTF-8 config file, the name holds the character itself, not surrogate escapes,
+    # and an ASCII filesystem encoding cannot encode it: an output that cannot be written.
+    dataset, ckpt = trained
+    (tmp_path / "cfg.txt").write_text(f"pr_csv = {tmp_path}/数-cfg.csv\n", encoding="utf-8")
+    before = _tree(tmp_path)
+    locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-m", "wsdsel.cli", "eval", "--dataset", str(dataset), "--checkpoint",
+                           str(ckpt), "--out", str(tmp_path / "r.json"), "--config", str(tmp_path / "cfg.txt")],
+                          capture_output=True, text=True, env={**os.environ, **locale})
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "config error: cannot write output" in proc.stderr and "Traceback" not in proc.stderr
+    assert _tree(tmp_path) == before  # no PR CSV, report, run manifest or temporary file
+
+
 def test_run_manifest_writes_an_undecodable_name_byte_as_an_escape(trained, tmp_path):
     dataset, ckpt = trained
     pr_csv = os.fsdecode(bytes(tmp_path) + b"/pr-\xff.csv")  # no UTF-8 text holds the byte 0xff

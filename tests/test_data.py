@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -288,6 +289,24 @@ class TestRoundTrip:
         slack = 256 * 1024  # per-record lists, dicts, ids and the ground truth
         assert peak <= 2 * text + arrays + slack, (peak, text, arrays)
 
+    def test_load_holds_one_record_text_at_a_time(self, tmp_path):
+        # The same manifest as above (1.80 MB, 8 records of about 225 KB). Decoded one record at a
+        # time, the load holds a window of about one record's text, and that record's rows as Python
+        # floats until they become its array (about twice its text), beside the arrays it returns.
+        cfg = SynthConfig(n_images=8, num_classes=3, feat_dim=4, proposals_per_image=2048, seed=5)
+        save_dataset(generate_synthetic(cfg), tmp_path / "ds.json")
+        records = json.loads((tmp_path / "ds.json").read_text())["images"]
+        # The writer lays a record out as json.dumps(indent=1) does, two levels deeper.
+        record = max(len(json.dumps(rec, indent=1).replace("\n", "\n  ")) for rec in records)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(tmp_path / "ds.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(bag.boxes.nbytes + sum(view.nbytes for view in bag.views) for bag in loaded.images)
+        assert peak <= arrays + 3 * record + 256 * 1024, (peak, record, arrays)
+
 
 class TestLoadValidation:
     def _saved(self, tmp_path):
@@ -466,6 +485,126 @@ class TestLoadValidation:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("piece", [data.MANIFEST_PIECE, 97])
+    @pytest.mark.parametrize("damage, says", [
+        pytest.param(lambda raw: raw[: raw.index(b'"id": "im00003"') + 40], "Expecting", id="truncated-mid-record"),
+        pytest.param(lambda raw: raw + b' {"c": 3}\n', "Extra data", id="trailing-data"),
+        pytest.param(lambda raw: b"\xef\xbb\xbf" + raw, "Unexpected UTF-8 BOM", id="utf8-bom"),
+        pytest.param(lambda raw: raw.replace(b"im00005", b"im\xff0005", 1), "can't decode byte 0xff in position",
+                     id="invalid-utf8"),
+        pytest.param(lambda raw: b"[" + raw + b"]", "must be a JSON object, got list", id="top-level-list"),
+        pytest.param(lambda raw: raw.replace(b'"c":', b'3:', 1), "Expecting property name", id="key-not-a-string"),
+    ])
+    def test_text_that_is_not_one_json_object_fails_as_json_load_does(self, tmp_path, monkeypatch, damage, says,
+                                                                      piece):
+        # The message is json.load's, as it was before the manifest was decoded piece by piece:
+        # an invalid byte, for one, is named by its position in the whole file.
+        monkeypatch.setattr(data, "MANIFEST_PIECE", piece)
+        _, path = self._saved(tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+            message = f"dataset manifest {path} must be a JSON object, got {type(manifest).__name__}"
+        except ValueError as err:
+            message = f"cannot load dataset manifest {path}: {err}"
+        with pytest.raises(DataError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == message and says in message
+
+
+WALKTHROUGH_SHAPE = SynthConfig(n_images=4, seed=3)  # the generator defaults: N=64, C=6, D=64
+DENSE_EVAL_SHAPE = SynthConfig(n_images=3, num_classes=20, feat_dim=64, proposals_per_image=128, n_views=2, seed=201)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("json.load decoded a manifest that the piecewise walk should take whole")
+
+
+def _layout(name: str, text: str) -> str:
+    """A writer's manifest text laid out another way; every layout decodes to the same dataset."""
+    manifest = json.loads(text)
+    if name == "images-first":
+        return json.dumps({"images": manifest.pop("images"), **manifest}, indent=1)
+    if name == "duplicate-keys":  # the first of each pair sets the key's place, the last its value
+        head, tail = text.split("{", 1)
+        text = f'{head}{{"images": [], "class_names": [{{"id": "gone"}}], "c": "first", {tail}'
+        return text.rstrip().removesuffix("}") + f', "c": {manifest["c"]}}}\n'
+    if name == "extra-whitespace":
+        return " \r\n\t" + json.dumps(manifest, indent=" \t", separators=(" \r\n,\t", "\n : ")) + "\n\r\n \t"
+    if name == "stray-proposals":  # objects other than image records holding proposals, which the load ignores
+        _stray_proposals(manifest)
+        return json.dumps(manifest, indent=1)
+    return text
+
+
+def _same_dataset(got: Dataset, want: Dataset):
+    assert (got.num_classes, got.feat_dim, got.class_names) == (want.num_classes, want.feat_dim, want.class_names)
+    assert len(got.images) == len(want.images)
+    for a, b in zip(got.images, want.images):
+        assert a.id == b.id
+        for name in ("boxes", "labels", "gt_classes", "gt_boxes"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        assert [view.tobytes() for view in a.views] == [view.tobytes() for view in b.views]
+
+
+class TestManifestDecoder:
+    """The piecewise decoder takes a manifest whole and builds what json.load builds from it."""
+
+    def _check(self, path, monkeypatch):
+        tag = lambda obj: ("hooked", obj)  # shows which objects the hook saw, in the tree it returns
+        with open(path, encoding="utf-8") as fh:
+            want = json.load(fh, object_hook=tag)
+        with open(path, "rb") as fh:
+            assert repr(data._decoded(fh, tag)) == repr(want)
+        with monkeypatch.context() as patched:
+            patched.setattr(json, "load", _refuse)
+            piecewise = load_dataset(path)
+        with monkeypatch.context() as patched:
+            patched.setattr(data, "_decoded", lambda fh, hook: None)  # json.load, as before
+            whole = load_dataset(path)
+        _same_dataset(piecewise, whole)
+
+    # A piece of 256 bytes is shorter than every record at both shapes.
+    @pytest.mark.parametrize("piece", [data.MANIFEST_PIECE, 256])
+    @pytest.mark.parametrize("layout", ["writer", "images-first", "duplicate-keys", "extra-whitespace",
+                                        "stray-proposals"])
+    @pytest.mark.parametrize("cfg", [WALKTHROUGH_SHAPE, DENSE_EVAL_SHAPE], ids=["walkthrough", "dense-eval"])
+    def test_builds_what_json_load_builds(self, tmp_path, monkeypatch, cfg, layout, piece):
+        monkeypatch.setattr(data, "MANIFEST_PIECE", piece)
+        path = tmp_path / "ds.json"
+        save_dataset(generate_synthetic(cfg), path)
+        path.write_text(_layout(layout, path.read_text()))
+        self._check(path, monkeypatch)
+
+    # Each token is a value of its own: a top-level value, or an element of the top-level "class_names".
+    @pytest.mark.parametrize("token", ["true", '"class00"', "-1.2345678901e+34"], ids=["true", "string", "number"])
+    def test_a_token_across_a_piece_boundary(self, tmp_path, monkeypatch, token):
+        path = tmp_path / "ds.json"
+        save_dataset(generate_synthetic(WALKTHROUGH_SHAPE), path)
+        text = json.dumps({"note": True, "scale": -1.2345678901e34, **json.loads(path.read_text())}, indent=1)
+        path.write_text(text)
+        start = text.index(token)
+        for cut in range(start + 1, start + len(token)):  # the first piece read ends inside the token
+            monkeypatch.setattr(data, "MANIFEST_PIECE", cut)
+            self._check(path, monkeypatch)
+
+    def test_like_records_are_decoded_once_the_window_has_grown(self, tmp_path, monkeypatch):
+        # A value that does not fit doubles the window, and each later value finds it filled to the
+        # longest one yet: only the first record, about 30 pieces long, is decoded more than once.
+        monkeypatch.setattr(data, "MANIFEST_PIECE", 256)
+        cfg = SynthConfig(n_images=12, seed=3)
+        path = tmp_path / "ds.json"
+        save_dataset(generate_synthetic(cfg), path)
+        record = max(len(json.dumps(rec, indent=1)) for rec in json.loads(path.read_text())["images"])
+        calls = []
+        real = json.JSONDecoder.raw_decode
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", lambda self, s, idx=0: calls.append(idx) or real(self, s, idx))
+        load_dataset(path)
+        values = 4 + 2 + cfg.num_classes + cfg.n_images  # the keys, c and d, the class names, the records
+        assert values < len(calls) <= values + math.ceil(math.log2(record / 256)) + 2
 
 
 class TestImageBag:
