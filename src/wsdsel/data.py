@@ -15,10 +15,10 @@ The generator and the loader fill them, `Dataset.validate` checks both box
 arrays alike, the writer formats them row by row and evaluation reads them
 as they are. `ImageBag.proposals` and `ImageBag.ground_truth` build `BBox`
 objects from them only when asked. The loader reads the manifest a piece
-at a time and decodes it one image record at a time, making each record's
-proposals an array as soon as that record is parsed, so a load holds one
-record's text, and its coordinates as Python floats, at a time: never the
-whole manifest's.
+at a time, and its decoder hands each image record over as soon as it is
+decoded, to have its proposals made an array: a load holds one record's
+text, and its coordinates as Python numbers, at a time, never the whole
+manifest's.
 
 The boxes of an image are drawn from its own generator in a fixed order,
 each by rejection sampling: the clusters object by object (a tight first
@@ -582,7 +582,8 @@ def replaced(path: str | Path, mode: str = "w", **open_kwargs):
     The parent directory is made if missing. If the block or the rename
     fails, the temporary file is removed and `path` is left as it was. A
     path the filesystem encoding cannot encode (a name read as text under
-    an ASCII locale) cannot be written: an OSError, before anything is made.
+    an ASCII locale) or that holds a NUL cannot be written: an OSError,
+    before anything is made.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -590,6 +591,8 @@ def replaced(path: str | Path, mode: str = "w", **open_kwargs):
         os.fsencode(tmp)
     except UnicodeEncodeError as err:
         raise OSError(errno.EILSEQ, f"the filesystem encoding cannot encode the name ({err.reason})", str(path)) from err
+    if "\0" in str(tmp):
+        raise OSError(errno.EINVAL, "a file name cannot hold a NUL byte", str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     if "b" not in mode:
         open_kwargs.setdefault("encoding", "utf-8")
@@ -633,7 +636,7 @@ def _read_sidecar(path: Path, image_id: str) -> list[np.ndarray]:
             # The floats are read straight into the one array the views share: no copy, no zero fill.
             payload = np.empty(max(0, os.fstat(fh.fileno()).st_size - len(raw)), dtype=np.uint8)
             payload = payload[: fh.readinto(payload)]
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
         raise DataError(f"image {image_id}: cannot read feature sidecar {path}: {err}") from err
     if raw[:4] != FEATURE_MAGIC:
         raise DataError(f"image {image_id}: bad sidecar magic {raw[:4]!r}")
@@ -736,12 +739,12 @@ def _positive_int(value, what: str) -> int:
     return value
 
 
-def _boxes_from_json(rows, what: str, numbers: frozenset = frozenset({int, float})) -> np.ndarray:
+def _boxes_from_json(rows, what: str) -> np.ndarray:
     """JSON [x1, y1, x2, y2] rows as an (N, 4) float64 array; anything but four numbers a row is a DataError.
 
     Only JSON numbers count: `np.array(rows, float)` alone would also take
-    `true` as 1.0 and "0.5" as 0.5; `numbers` narrows them further. Finite,
-    ordered coordinates are checked by the caller.
+    `true` as 1.0 and "0.5" as 0.5. Finite, ordered coordinates are checked
+    by the caller.
     """
     if not isinstance(rows, list):
         raise DataError(f"{what} must be a list of [x1, y1, x2, y2] rows, got {type(rows).__name__}")
@@ -753,7 +756,7 @@ def _boxes_from_json(rows, what: str, numbers: frozenset = frozenset({int, float
         raise DataError(f"{what}: every row must be a list of four numbers")
     coords = list(itertools.chain.from_iterable(rows))
     kinds = set(map(type, coords))
-    if not kinds <= numbers:
+    if not kinds <= {int, float}:
         raise DataError(f"{what}: coordinates must be numbers, found {sorted(k.__name__ for k in kinds)}")
     try:
         return np.array(coords, dtype=np.float64).reshape(-1, 4)
@@ -761,12 +764,13 @@ def _boxes_from_json(rows, what: str, numbers: frozenset = frozenset({int, float
         raise DataError(f"{what}: {err}") from err
 
 
-def _decoded(fh, hook) -> dict | None:
+def _decoded(fh, record) -> dict | None:
     """The JSON object in the bytes `fh` reads, decoded one value at a time, or None.
 
-    The object is the one json.load(..., object_hook=hook) returns for the
-    same file opened as UTF-8 text, which is how `load_dataset` decodes the
-    text this walk does not take whole.
+    The object is the one json.load returns for the same file opened as
+    UTF-8 text, except that each element of its top-level "images" array is
+    what `record` returns for it. `record` sees each element once, after the
+    walk has taken it whole, and nothing else.
 
     The walk takes the top-level object's keys and values itself, and the
     elements of an array value one by one; each key, value or element goes
@@ -776,15 +780,13 @@ def _decoded(fh, hook) -> dict | None:
     taken once the ',', ':' or closing bracket that must follow it is in
     the window; until then the window grows to twice its size and the value
     is decoded again. Before each value it is filled to the longest value
-    yet, so a list of like records decodes each record once. The hook may
-    also see objects inside a value that ran past the window; they are
-    dropped with it.
+    yet, so a list of like records decodes each record once.
 
     Text the walk does not take whole (not UTF-8, not JSON, a BOM, trailing
     data, a top level that is not an object) gives None, and json.load
     says why.
     """
-    decode = json.JSONDecoder(object_hook=hook).raw_decode
+    decode = json.JSONDecoder().raw_decode
     # Newlines stay untranslated: outside a string they are whitespace either way, and a string cannot hold one.
     utf8 = codecs.getincrementaldecoder("utf-8")()
     space = json.decoder.WHITESPACE.match
@@ -812,25 +814,24 @@ def _decoded(fh, hook) -> dict | None:
         at += 1
         return char
 
-    def value(closers: str):
-        """The value after whitespace and the one of `closers` after it, with `at` past that."""
+    def value(closers: str, convert=None):
+        """The value after whitespace, `convert`ed if given, and the one of `closers` after it, with `at` past that."""
         nonlocal at, longest
         peek()
         if len(text) - at < longest and not ended:
             more(longest - (len(text) - at))
         while True:
-            try:
+            with contextlib.suppress(json.JSONDecodeError):
                 obj, end = decode(text, at)
                 stop = space(text, end).end()
                 if stop < len(text) and text[stop] in closers:
-                    longest = max(longest, (stop - at) * 9 // 8 + 1)  # room for a slightly longer record
-                    at = stop + 1
-                    return obj, text[stop]
-            except json.JSONDecodeError:
-                pass
+                    break
             if ended:
                 raise ValueError("not one JSON object")
             more(len(text) - at)
+        longest = max(longest, (stop - at) * 9 // 8 + 1)  # room for a slightly longer record
+        at = stop + 1
+        return (convert(obj) if convert else obj), text[stop]
 
     def members(close: str, member) -> list:
         """The `member()`s of the object or array just opened, up to `close`, with `at` past it."""
@@ -850,13 +851,13 @@ def _decoded(fh, hook) -> dict | None:
         key, _ = value(":")
         if peek() == "[":  # an array value, element by element
             at += 1
-            return (key, members("]", lambda: value(",]"))), expect(",}")
+            return (key, members("]", lambda: value(",]", record if key == "images" else None))), expect(",}")
         obj, closer = value(",}")
         return (key, obj), closer
 
     try:
         expect("{")
-        manifest = hook(dict(members("}", pair)))
+        manifest = dict(members("}", pair))
         return None if peek() else manifest
     except ValueError:  # the walk's, or invalid UTF-8 as the text is read
         return None
@@ -868,42 +869,31 @@ def load_dataset(path: str | Path) -> Dataset:
     Every image's id must differ from every other's as text (`str(id)`),
     the rule `save_dataset` writes by.
 
-    The manifest is decoded one image record at a time (`_decoded`), and
-    each record's proposals become an array as it is: once an object
-    holding a "proposals" list of float rows is parsed, the list is swapped
-    for its (N, 4) array. So a load holds one record's text at a time, and
-    that record's coordinates as Python floats, beside the arrays it
-    returns. Text the piecewise decoder does not take whole is decoded by
-    json.load, which raises as it always did. A list left as it is (integer
-    coordinates, or rows that `_boxes_from_json` rejects) is checked in the
-    record loop, in the same order and with the same message; an object
-    other than an image record gets its list back.
+    The manifest is decoded one image record at a time (`_decoded`), which
+    hands each element of "images" over as soon as it is decoded: a record's
+    "proposals" rows then become its (N, 4) array. So a load holds one
+    record's text, and its coordinates as Python numbers, at a time beside
+    the arrays it returns. Text the piecewise decoder does not take whole is
+    decoded by json.load, which raises as it always did or gives a top level
+    that is not an object. Rows that `_boxes_from_json` rejects are left for
+    the record loop, which checks them in its order, with its message.
     """
     path = Path(path)
-    swapped = []
 
-    def proposals_as_array(obj: dict) -> dict:
-        if "proposals" in obj:
-            # Floats only, so that `tolist()` gives an object other than a record its list back as it was.
+    def proposals_as_array(rec):
+        if isinstance(rec, dict) and "proposals" in rec:
             with contextlib.suppress(DataError):
-                obj["proposals"] = _boxes_from_json(obj["proposals"], "proposals", frozenset({float}))
-                swapped.append(obj)
-        return obj
+                rec["proposals"] = _boxes_from_json(rec["proposals"], "proposals")
+        return rec
 
     try:
         with open(path, "rb") as fh:
             manifest = _decoded(fh, proposals_as_array)
         if manifest is None:
-            swapped.clear()
             with open(path, encoding="utf-8") as fh:
-                manifest = json.load(fh, object_hook=proposals_as_array)
-    except (OSError, ValueError) as err:  # ValueError: not JSON, or not UTF-8
+                manifest = json.load(fh)
+    except (OSError, ValueError, RecursionError) as err:  # not JSON or not UTF-8; nested deeper than json goes
         raise DataError(f"cannot load dataset manifest {path}: {err}") from err
-    listed = manifest.get("images") if isinstance(manifest, dict) else None
-    record_ids = set(map(id, listed)) if isinstance(listed, list) else set()
-    for obj in swapped:
-        if id(obj) not in record_ids:
-            obj["proposals"] = obj["proposals"].tolist()
 
     if not isinstance(manifest, dict):
         raise DataError(f"dataset manifest {path} must be a JSON object, got {type(manifest).__name__}")

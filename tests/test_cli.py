@@ -481,6 +481,16 @@ def test_an_output_name_the_filesystem_encoding_cannot_hold_is_not_written(train
     assert _tree(tmp_path) == before  # no PR CSV, report, run manifest or temporary file
 
 
+def test_an_output_name_holding_a_nul_is_not_written(trained, tmp_path, capsys):
+    # No file name holds a NUL, and a --config file's value can.
+    dataset, ckpt = trained
+    (tmp_path / "cfg.txt").write_text(f"pr_csv = {tmp_path}/a\0b.csv\n", encoding="utf-8")
+    before = _tree(tmp_path)
+    assert run_eval(dataset, ckpt, tmp_path / "r.json", "--config", str(tmp_path / "cfg.txt")) == EXIT_CONFIG
+    assert "config error: cannot write output" in capsys.readouterr().err
+    assert _tree(tmp_path) == before  # no PR CSV, report, run manifest or temporary file
+
+
 def test_run_manifest_writes_an_undecodable_name_byte_as_an_escape(trained, tmp_path):
     dataset, ckpt = trained
     pr_csv = os.fsdecode(bytes(tmp_path) + b"/pr-\xff.csv")  # no UTF-8 text holds the byte 0xff
@@ -601,6 +611,28 @@ class TestMalformedInputs:
         assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
         assert "image 1 ('im00000'): id repeats image 0's" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("where", ["images", "proposals", "c"])
+    def test_manifest_nested_deeper_than_json_decodes(self, trained, tmp_path, capsys, where):
+        dataset, ckpt = trained
+        manifest = json.loads(dataset.read_text())
+        if where == "proposals":
+            manifest["images"][0]["proposals"] = "deep"
+        else:
+            manifest[where] = "deep"
+        dataset.write_text(json.dumps(manifest).replace('"deep"', "[" * 100_000 + "]" * 100_000))
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert "cannot load dataset manifest" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_feature_file_holding_a_nul_names_the_image(self, small_dataset, tmp_path, capsys):
+        manifest = json.loads(small_dataset.read_text())
+        manifest["images"][1]["feature_file"] = "ds_features/im\u000000001.wsdf"
+        small_dataset.write_text(json.dumps(manifest))
+        rc = main(["train", "--dataset", str(small_dataset), "--out", str(tmp_path / "c.wsdc"), *FAST_TRAIN])
+        assert rc == EXIT_DATA
+        assert "image im00001: cannot read feature sidecar" in capsys.readouterr().err
+        assert not (tmp_path / "c.wsdc").exists()
 
     @pytest.mark.parametrize("text", ["[1, 2, 3]", '"c d class_names images"'])
     def test_manifest_not_an_object(self, trained, tmp_path, text):

@@ -554,16 +554,19 @@ class TestManifestDecoder:
     """The piecewise decoder takes a manifest whole and builds what json.load builds from it."""
 
     def _check(self, path, monkeypatch):
-        tag = lambda obj: ("hooked", obj)  # shows which objects the hook saw, in the tree it returns
+        seen = []
+        tag = lambda obj: seen.append(obj) or ("record", obj)  # shows which values the walk handed over, and where
         with open(path, encoding="utf-8") as fh:
-            want = json.load(fh, object_hook=tag)
+            want = json.load(fh)
+        want["images"] = [("record", obj) for obj in want["images"]]
         with open(path, "rb") as fh:
             assert repr(data._decoded(fh, tag)) == repr(want)
+        assert len(seen) == len(want["images"])  # each image record once, however often it was decoded
         with monkeypatch.context() as patched:
             patched.setattr(json, "load", _refuse)
             piecewise = load_dataset(path)
         with monkeypatch.context() as patched:
-            patched.setattr(data, "_decoded", lambda fh, hook: None)  # json.load, as before
+            patched.setattr(data, "_decoded", lambda fh, record: None)  # json.load, as before
             whole = load_dataset(path)
         _same_dataset(piecewise, whole)
 
@@ -590,6 +593,15 @@ class TestManifestDecoder:
         for cut in range(start + 1, start + len(token)):  # the first piece read ends inside the token
             monkeypatch.setattr(data, "MANIFEST_PIECE", cut)
             self._check(path, monkeypatch)
+
+    def test_a_record_decoded_again_is_handed_over_once(self, tmp_path, monkeypatch):
+        # The first piece ends just after the first record's closing brace, before the comma that must
+        # follow it: the record decodes whole, is decoded again once the window has grown, and `_check`
+        # requires that `record` saw it once.
+        path = tmp_path / "ds.json"
+        save_dataset(generate_synthetic(WALKTHROUGH_SHAPE), path)
+        monkeypatch.setattr(data, "MANIFEST_PIECE", path.read_text().index("\n  },\n") + len("\n  }"))
+        self._check(path, monkeypatch)
 
     def test_like_records_are_decoded_once_the_window_has_grown(self, tmp_path, monkeypatch):
         # A value that does not fit doubles the window, and each later value finds it filled to the
