@@ -101,6 +101,7 @@ import itertools
 import json
 import math
 import os
+import reprlib
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -120,6 +121,14 @@ FEATURE_SPLIT_MIN = 1 << 16
 NOISE_CHUNK = 1 << 15
 # Bytes of manifest text a load reads at a time, at the least (see `_decoded`).
 MANIFEST_PIECE = 1 << 16
+# `Dataset.validate` checks box values over runs of whole images holding at
+# most this many box rows, so its copies stay bounded however many images a
+# dataset has; an image with more rows makes a run alone.
+VALIDATE_ROWS = 1 << 16
+# What a load message shows of a bad manifest value: lists are cut after 20
+# items (a 20-class label vector shows whole) and nesting after 6 levels.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlist = 20
 
 
 class ImageBag:
@@ -180,11 +189,13 @@ class Dataset:
     def validate(self):
         """Raise a DataError that names the image at the first fault found.
 
-        Shapes and views are checked image by image. The box coordinates,
-        the 0/1 labels and the ground-truth classes of all images are
-        checked at once, over their concatenated arrays, and only if that
-        fails image by image, for the message. So where several images
-        fail, a shape or view fault is named before a value fault.
+        Shapes and views are checked image by image. Then the box
+        coordinates, the 0/1 labels and the ground-truth classes are
+        checked over runs of whole images in order, each run holding at most
+        VALIDATE_ROWS box rows (`_runs`): once over the run's concatenated
+        arrays, and only if that fails image by image, for the message. So
+        where several images fail, a shape or view fault is named before a
+        value fault, and the first image with a value fault names it.
         """
         if not self.images:
             raise DataError("dataset has no images")
@@ -207,16 +218,17 @@ class Dataset:
                     )
                 if not np.isfinite(view).all():
                     raise DataError(f"image {bag.id}: non-finite feature values")
-        boxes = np.concatenate([bag.boxes for bag in self.images] + [bag.gt_boxes for bag in self.images])
-        classes = np.concatenate([bag.gt_classes for bag in self.images])
-        if not (
-            np.isfinite(boxes).all()
-            and (boxes[:, :2] < boxes[:, 2:]).all()  # x1 < x2, y1 < y2
-            and np.isin(np.concatenate([bag.labels for bag in self.images]), (0, 1)).all()
-            and ((classes >= 0) & (classes < self.num_classes)).all()
-        ):
-            for bag in self.images:  # the first image that fails names the fault
-                self._check_values(bag)
+        for run in _runs(self.images, VALIDATE_ROWS):
+            boxes = np.concatenate([bag.boxes for bag in run] + [bag.gt_boxes for bag in run])
+            classes = np.concatenate([bag.gt_classes for bag in run])
+            if not (
+                np.isfinite(boxes).all()
+                and (boxes[:, :2] < boxes[:, 2:]).all()  # x1 < x2, y1 < y2
+                and np.isin(np.concatenate([bag.labels for bag in run]), (0, 1)).all()
+                and ((classes >= 0) & (classes < self.num_classes)).all()
+            ):
+                for bag in run:  # the first image that fails names the fault
+                    self._check_values(bag)
 
     def _check_values(self, bag: ImageBag):
         """The value checks of `validate` on one image, in their order, with their messages."""
@@ -234,6 +246,24 @@ class Dataset:
         outside = np.flatnonzero((bag.gt_classes < 0) | (bag.gt_classes >= self.num_classes))
         if outside.size:
             raise DataError(f"image {bag.id}: ground-truth class {bag.gt_classes[outside[0]]} out of range")
+
+
+def _runs(images: list[ImageBag], limit: int):
+    """`images` in order, as lists of consecutive whole images holding at most `limit` box rows each.
+
+    An image's rows are its proposal and ground-truth boxes; an image with
+    more than `limit` rows makes a run alone.
+    """
+    run, rows = [], 0
+    for bag in images:
+        size = len(bag.boxes) + len(bag.gt_boxes)
+        if run and rows + size > limit:
+            yield run
+            run, rows = [], 0
+        run.append(bag)
+        rows += size
+    if run:
+        yield run
 
 
 @dataclass(frozen=True)
@@ -904,7 +934,7 @@ def load_dataset(path: str | Path) -> Dataset:
     feat_dim = _positive_int(manifest["d"], "manifest key 'd'")
     class_names = manifest["class_names"]
     if not isinstance(class_names, list) or not all(isinstance(name, str) for name in class_names):
-        raise DataError(f"manifest key 'class_names' must be a list of strings, got {class_names!r}")
+        raise DataError(f"manifest key 'class_names' must be a list of strings, got {_SHOWN.repr(class_names)}")
 
     if not isinstance(manifest["images"], list):
         raise DataError(f"manifest key 'images' must be a list, got {type(manifest['images']).__name__}")
@@ -929,14 +959,16 @@ def load_dataset(path: str | Path) -> Dataset:
         except (TypeError, KeyError) as err:
             raise DataError(f"image {image_id}: bad ground-truth record: {err}") from err
         if any(type(c) is not int for c in classes):
-            raise DataError(f"image {image_id}: ground-truth classes must be integers, got {classes!r}")
+            raise DataError(f"image {image_id}: ground-truth classes must be integers, got {_SHOWN.repr(classes)}")
         gt_boxes = _boxes_from_json(gt_rows, f"image {image_id}: ground-truth boxes").tolist()
         labels = rec["labels"]
         if not isinstance(labels, list) or any(type(x) is not int or x not in (0, 1) for x in labels):
-            raise DataError(f"image {image_id}: labels must be a list of 0/1 integers, got {labels!r}")
+            raise DataError(f"image {image_id}: labels must be a list of 0/1 integers, got {_SHOWN.repr(labels)}")
         n_views = _positive_int(rec["views"], f"image {image_id}: views")
         if not isinstance(rec["feature_file"], str):
-            raise DataError(f"image {image_id}: feature_file must be a path string, got {rec['feature_file']!r}")
+            raise DataError(
+                f"image {image_id}: feature_file must be a path string, got {_SHOWN.repr(rec['feature_file'])}"
+            )
         views = _read_sidecar(path.parent / rec["feature_file"], image_id)
         if len(views) != n_views:
             raise DataError(

@@ -8,8 +8,9 @@ probability is available for ablation.
 `evaluate_map` is one pass: it checks the dataset against the params and
 builds one `StepWork` sized for the largest image (`StepWork.sized_for`,
 as training does). Each view of an image goes through the training step's
-forward stages in it once; detection runs once per image over one IoU
-matrix shared by all classes, and not at all for an image where no region
+forward stages in it once; detection runs once per image over two bool
+overlap masks shared by all classes (`overlap_masks`; no float IoU matrix
+of the proposals is built), and not at all for an image where no region
 reaches the score floor; and CorLoc, weight concentration, AP under either
 protocol and the PR-curve CSV are all computed from those results.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from wsdsel.data import Dataset, ImageBag, replaced
 from wsdsel.errors import ConfigError
-from wsdsel.geometry import BBox, Detection, box_array, box_vote, iou, iou_matrix, nms  # noqa: F401  (perfbench's tracer reads evaluation.iou)
+from wsdsel.geometry import BBox, Detection, box_array, box_vote, iou, iou_matrix, nms, overlap_masks  # noqa: F401  (perfbench's tracer reads evaluation.iou)
 from wsdsel.head import Budgets, HeadParams, StepWork, _masked_softmax, _outputs, _select
 
 MASK_MODES = ("all", "top_mpt")
@@ -160,17 +161,19 @@ def detect_arrays(
     """Per-class NMS plus box voting over the pre-NMS candidate pool, all classes at once.
 
     `scores` is (N, C) and `boxes` the (N, 4) proposals; the candidates of a
-    class are the regions scoring at least `score_floor`. One IoU matrix
-    serves every class, and is not built when no region is a candidate.
+    class are the regions scoring at least `score_floor`. Every class shares
+    the two bool (N, N) masks of `overlap_masks`, built block by block with
+    no float (N, N) IoU matrix: NMS reads IoU > nms_threshold and voting
+    IoU >= vote_threshold. No mask is built when no region is a candidate.
     Returns the detections' class ids, scores and voted (K, 4) boxes, class
     by class and each class in descending score order.
     """
     candidates = scores >= score_floor
     if not candidates.any():
         return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 4))
-    ious = iou_matrix(boxes, boxes)
-    kept = nms(ious, scores, nms_threshold, candidates)
-    return kept[1], scores[kept], box_vote(kept, ious, boxes, scores, vote_threshold, candidates)
+    overlaps, voting = overlap_masks(boxes, nms_threshold, vote_threshold)
+    kept = nms(overlaps, scores, candidates)
+    return kept[1], scores[kept], box_vote(kept, voting, boxes, scores, candidates)
 
 
 def detect(

@@ -79,9 +79,34 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 
 
-# Voting works on blocks of kept rows with at most this many (row, region)
-# entries, so its temporaries stay bounded however many regions an image has.
+# Detection works on blocks of at most this many (row, region) entries: the
+# IoU rows of the mask pass and the kept rows of voting, so its temporaries
+# stay bounded however many regions an image has.
 VOTE_BLOCK = 1 << 18
+
+
+def overlap_masks(boxes: np.ndarray, nms_threshold: float, vote_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two relations detection reads, IoU > nms_threshold and IoU >= vote_threshold, as (N, N) bool arrays.
+
+    `boxes` is (N, 4). No float (N, N) IoU matrix is built: each block of
+    rows [lo, hi) takes `iou_matrix(boxes[lo:hi], boxes[lo:])`, at most
+    VOTE_BLOCK entries, and compares it into columns lo: of those rows.
+    IoU entries are exactly symmetric, so the block's transpose gives rows
+    hi: of columns lo:hi the same bits as a whole matrix would.
+    """
+    if not 0.0 < nms_threshold <= 1.0:
+        raise ValueError(f"nms threshold must be in (0, 1], got {nms_threshold}")
+    n = len(boxes)
+    overlaps, voting = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool)
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, VOTE_BLOCK // (n - lo)))
+        block = iou_matrix(boxes[lo:hi], boxes[lo:])
+        for mask, compare, limit in ((overlaps, np.greater, nms_threshold), (voting, np.greater_equal, vote_threshold)):
+            compare(block, limit, out=mask[lo:hi, lo:])
+            mask[hi:, lo:hi] = mask[lo:hi, hi:].T
+        lo = hi
+    return overlaps, voting
 
 
 def _columns(scores: np.ndarray, candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -93,31 +118,30 @@ def _columns(scores: np.ndarray, candidates: np.ndarray | None) -> tuple[np.ndar
     return cols, np.asarray(candidates, dtype=bool).reshape(cols.shape)
 
 
-def nms(ious: np.ndarray, scores: np.ndarray, threshold: float, candidates: np.ndarray | None = None):
+def nms(overlaps: np.ndarray, scores: np.ndarray, candidates: np.ndarray | None = None):
     """Greedy non-maximum suppression, every class on its own; returns the kept entries as an index into `scores`.
 
-    `ious` is the (N, N) IoU matrix of N regions and `scores` their (N, C)
-    class scores; a 1-D `scores` is one class. `candidates`, shaped like
-    `scores` (default: every entry), marks the entries that take part.
-    Within a class, candidates are visited in descending score order (ties
-    broken by index); one is removed iff its IoU with an already-kept,
-    higher-scored candidate of the class exceeds `threshold`. For 1-D
-    scores the result is the kept region indices in visiting order; for
-    2-D it is a (regions, classes) pair of arrays, class by class and each
-    class in visiting order. Either way `scores[kept]` are the kept scores.
+    `overlaps` is the (N, N) bool relation IoU > threshold of N regions, as
+    `overlap_masks` gives it, and `scores` their (N, C) class scores; a 1-D
+    `scores` is one class. `candidates`, shaped like `scores` (default:
+    every entry), marks the entries that take part. Within a class,
+    candidates are visited in descending score order (ties broken by
+    index); one is removed iff it overlaps an already-kept, higher-scored
+    candidate of the class. For 1-D scores the result is the kept region
+    indices in visiting order; for 2-D it is a (regions, classes) pair of
+    arrays, class by class and each class in visiting order. Either way
+    `scores[kept]` are the kept scores.
 
-    Each row of `ious > threshold` is packed into one Python int, bit i set
-    when region i overlaps it. A class's walk then keeps a candidate whose
-    bit is clear in the class's suppression int and ORs the kept row into
-    it, so the walk costs one int test per candidate.
+    Each row of `overlaps` is packed into one Python int, bit i set when
+    region i overlaps it. A class's walk then keeps a candidate whose bit
+    is clear in the class's suppression int and ORs the kept row into it,
+    so the walk costs one int test per candidate.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"nms threshold must be in (0, 1], got {threshold}")
     cols, live = _columns(scores, candidates)
     # One stable sort per class; non-candidates rank last and are never kept.
     order = np.argsort(np.where(live, -cols, np.inf), axis=0, kind="stable").T
     live = np.take_along_axis(live.T, order, axis=1)
-    rows = [int.from_bytes(row, "little") for row in np.packbits(ious > threshold, axis=1, bitorder="little")]
+    rows = [int.from_bytes(row, "little") for row in np.packbits(overlaps, axis=1, bitorder="little")]
     regions, counts = [], []
     for ranked, is_live in zip(order, live):
         suppressed, before = 0, len(regions)
@@ -132,44 +156,37 @@ def nms(ious: np.ndarray, scores: np.ndarray, threshold: float, candidates: np.n
 
 def box_vote(
     kept,
-    ious: np.ndarray,
+    voting: np.ndarray,
     boxes: np.ndarray,
     scores: np.ndarray,
-    vote_threshold: float,
     candidates: np.ndarray | None = None,
 ) -> np.ndarray:
     """Refine kept entries by score-weighted averaging of the boxes overlapping them.
 
     `kept` indexes `scores` as `nms` returns it, and `scores`/`candidates`
-    are shaped as for `nms`; `boxes` is (N, 4). For a kept region k of
-    class j, every candidate i of class j with ious[k, i] >= vote_threshold
+    are shaped as for `nms`; `boxes` is (N, 4) and `voting` the (N, N) bool
+    relation IoU >= vote threshold, as `overlap_masks` gives it. For a kept
+    region k of class j, every candidate i of class j with voting[k, i]
     votes with weight scores[i, j]. Returns one row per kept entry. A kept
     region votes for itself, so the voter set is never empty; if all voter
     scores are zero its own box is returned unchanged.
+
+    `np.bincount` adds each row's entries one by one in input order, and
+    `flatnonzero` lists a row's voters in index order, so the weight and
+    each weighted coordinate are summed as a scalar loop over the voters
+    would sum them.
     """
     cols, live = _columns(scores, candidates)
     regions, classes = (kept, np.zeros(len(kept), dtype=np.intp)) if np.ndim(scores) == 1 else kept
-    close = ious >= vote_threshold
     live_by_class = np.ascontiguousarray(live.T)
     out = boxes[regions]
     n = len(boxes)
     step = max(1, VOTE_BLOCK // max(n, 1))
     for lo in range(0, len(regions), step):
         block, block_classes = regions[lo : lo + step], classes[lo : lo + step]
-        voters = close[block] & live_by_class[block_classes]
-        rows, idx = np.divmod(np.flatnonzero(voters), n)
-        # Each row's voters packed to the front in index order, layer by layer:
-        # (weight, weight * box) of every row's first voter, then its second...
-        counts = np.bincount(rows, minlength=len(block))
-        slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows, idx = np.divmod(np.flatnonzero(voting[block] & live_by_class[block_classes]), n)
         weights = cols[idx, block_classes[rows]]
-        layers = np.zeros((counts.max(), len(block), 5))
-        layers[slot, rows, 0] = weights
-        layers[slot, rows, 1:] = weights[:, None] * boxes[idx]
-        # A reduction over the leading axis adds the layers one by one, so each
-        # row's voters are summed in index order, as a scalar loop would sum
-        # them; numpy groups a sum pairwise only along the contiguous axis.
-        sums = np.add.reduce(layers, axis=0)
-        total = sums[:, :1]
-        np.divide(sums[:, 1:], total, out=out[lo : lo + step], where=total > 0.0)
+        total = np.bincount(rows, weights, len(block))
+        sums = np.column_stack([np.bincount(rows, weights * x[idx], len(block)) for x in boxes.T])
+        np.divide(sums, total[:, None], out=out[lo : lo + step], where=total[:, None] > 0.0)
     return out

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -466,6 +467,52 @@ class TestLoadValidation:
         box = json.loads((tmp_path / "again" / "ds.json").read_text())["images"][0]["ground_truth"][0]["box"]
         assert box == [0.0, 0.0, 1.0, 1.0] and {type(v) for v in box} == {float}  # written as 0.0, not 0
 
+    def test_deeply_nested_labels_are_shown_bounded(self, tmp_path):
+        # 980 levels decode (below json's limit) from a shallow stack, as under `wsdsel train`, so the
+        # load runs on a thread of its own; the message shows six of them.
+        _, path = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["images"][0]["labels"] = "NESTED"
+        path.write_text(json.dumps(manifest).replace('"NESTED"', "[" * 980 + "]" * 980))
+        caught = []
+        loader = threading.Thread(target=lambda: caught.append(pytest.raises(DataError, load_dataset, path).value))
+        loader.start()
+        loader.join()
+        assert str(caught[0]) == "image im00000: labels must be a list of 0/1 integers, got [[[[[[[...]]]]]]]"
+
+    def test_long_class_names_are_shown_bounded(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["class_names"] = [f"class{i:03d}" for i in range(499)] + [7]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError) as caught:
+            load_dataset(path)
+        shown = ", ".join(f"'class{i:03d}'" for i in range(20))
+        assert str(caught.value) == f"manifest key 'class_names' must be a list of strings, got [{shown}, ...]"
+
+    @pytest.mark.parametrize("key, value", [
+        ("labels", [0, 2, 1]),
+        ("labels", list(range(20))),  # a 20-class label vector shows whole
+        ("feature_file", ["a", 1.5, None, True]),
+        ("class", "1"),  # shown as the image's list of classes
+        ("class_names", ["a", 1, "c"]),
+    ])
+    def test_short_bad_values_are_shown_whole(self, tmp_path, key, value):
+        _, path = self._saved(tmp_path)
+        manifest = json.loads(path.read_text())
+        record = manifest["images"][0]
+        if key == "class_names":
+            manifest[key] = value
+        elif key == "class":
+            record["ground_truth"][0][key] = value
+        else:
+            record[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError) as caught:
+            load_dataset(path)
+        shown = repr([value, *(g["class"] for g in record["ground_truth"][1:])] if key == "class" else value)
+        assert str(caught.value).endswith(f", got {shown}")
+
     def test_ground_truth_class_beyond_the_array_range_rejected(self, tmp_path):
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
@@ -674,6 +721,47 @@ class TestImageBag:
         assert empty.gt_classes.shape == (0,) and empty.gt_boxes.shape == (0, 4) and empty.ground_truth == []
 
 
+def value_faults(test):
+    """`test` run for a value fault of every kind in each of `_value_fault`'s four images."""
+    test = pytest.mark.parametrize("fault, message", [
+        ("proposal_nan", "non-finite proposal box coordinates"),
+        ("proposal_flat", "degenerate proposal box 1 (non-positive area): [0.5, 0.0, 0.5, 1.0]"),
+        ("truth_inf", "non-finite ground-truth box coordinates"),
+        ("truth_flat", "degenerate ground-truth box 0 (non-positive area): [0.0, 0.5, 1.0, 0.5]"),
+        ("label", "labels must be 0/1"),
+        ("truth_class", "ground-truth class 3 out of range"),
+    ])(test)
+    return pytest.mark.parametrize("image", range(4))(test)
+
+
+def _value_fault(image: int, fault: str) -> Dataset:
+    """Four images, one of them (`image`) with the value fault `fault`."""
+    # images of 3, 1, 4 and 2 regions, with 1, 0, 2 and 1 ground-truth boxes, so that the rows of
+    # the concatenated arrays fall to their images unevenly
+    good = [0.0, 0.0, 1.0, 1.0]
+    bags = [ImageBag(id=f"im{i}", boxes=np.array([good] * n), views=[np.zeros((n, 2), np.float32)],
+                     labels=np.array([1, 0, 1]), ground_truth=[(i % 3, good)] * g)
+            for i, (n, g) in enumerate([(3, 1), (1, 0), (4, 2), (2, 1)])]
+    bag = bags[image]
+    if fault.startswith("truth") and not len(bag.gt_boxes):
+        bag = ImageBag(id=bag.id, boxes=bag.boxes, views=bag.views, labels=bag.labels, ground_truth=[(0, good)])
+        bags[image] = bag
+    if fault == "proposal_nan":
+        bag.boxes[-1, 2] = np.nan
+    elif fault == "proposal_flat":
+        bag.boxes = np.concatenate([bag.boxes[:1], [[0.5, 0.0, 0.5, 1.0]], bag.boxes[1:]])
+        bag.views = [np.zeros((len(bag.boxes), 2), np.float32)]
+    elif fault == "truth_inf":
+        bag.gt_boxes[-1, 0] = -np.inf
+    elif fault == "truth_flat":
+        bag.gt_boxes[0] = [0.0, 0.5, 1.0, 0.5]
+    elif fault == "label":
+        bag.labels = np.array([1, 2, 0])
+    else:
+        bag.gt_classes[-1] = 3
+    return Dataset(num_classes=3, feat_dim=2, class_names=["a", "b", "c"], images=bags)
+
+
 class TestDatasetValidate:
     def test_catches_shape_drift(self):
         bag = ImageBag(
@@ -686,40 +774,35 @@ class TestDatasetValidate:
         with pytest.raises(DataError, match="x.*view shape"):
             ds.validate()
 
-    @pytest.mark.parametrize("image", range(4))
-    @pytest.mark.parametrize("fault, message", [
-        ("proposal_nan", "non-finite proposal box coordinates"),
-        ("proposal_flat", "degenerate proposal box 1 (non-positive area): [0.5, 0.0, 0.5, 1.0]"),
-        ("truth_inf", "non-finite ground-truth box coordinates"),
-        ("truth_flat", "degenerate ground-truth box 0 (non-positive area): [0.0, 0.5, 1.0, 0.5]"),
-        ("label", "labels must be 0/1"),
-        ("truth_class", "ground-truth class 3 out of range"),
-    ])
+    @value_faults
     def test_a_value_fault_names_its_image(self, image, fault, message):
-        # images of 3, 1, 4 and 2 regions, with 1, 0, 2 and 1 ground-truth boxes, so that the rows of
-        # the concatenated arrays fall to their images unevenly
-        good = [0.0, 0.0, 1.0, 1.0]
-        bags = [ImageBag(id=f"im{i}", boxes=np.array([good] * n), views=[np.zeros((n, 2), np.float32)],
-                         labels=np.array([1, 0, 1]), ground_truth=[(i % 3, good)] * g)
-                for i, (n, g) in enumerate([(3, 1), (1, 0), (4, 2), (2, 1)])]
-        bag = bags[image]
-        if fault.startswith("truth") and not len(bag.gt_boxes):
-            bag = ImageBag(id=bag.id, boxes=bag.boxes, views=bag.views, labels=bag.labels, ground_truth=[(0, good)])
-            bags[image] = bag
-        if fault == "proposal_nan":
-            bag.boxes[-1, 2] = np.nan
-        elif fault == "proposal_flat":
-            bag.boxes = np.concatenate([bag.boxes[:1], [[0.5, 0.0, 0.5, 1.0]], bag.boxes[1:]])
-            bag.views = [np.zeros((len(bag.boxes), 2), np.float32)]
-        elif fault == "truth_inf":
-            bag.gt_boxes[-1, 0] = -np.inf
-        elif fault == "truth_flat":
-            bag.gt_boxes[0] = [0.0, 0.5, 1.0, 0.5]
-        elif fault == "label":
-            bag.labels = np.array([1, 2, 0])
-        else:
-            bag.gt_classes[-1] = 3
-        ds = Dataset(num_classes=3, feat_dim=2, class_names=["a", "b", "c"], images=bags)
         with pytest.raises(DataError) as err:
-            ds.validate()
+            _value_fault(image, fault).validate()
         assert str(err.value) == f"image im{image}: {message}"
+
+    @pytest.mark.parametrize("rows", [1, 5, 9])
+    @value_faults
+    def test_a_value_fault_names_its_image_whatever_the_runs(self, monkeypatch, rows, image, fault, message):
+        # Runs of at most 1, 5 or 9 box rows cut the images (4, 1, 6 and 3 rows, or one more with a
+        # fault that adds a row) into runs of one image, of two, and of an image above the limit alone.
+        monkeypatch.setattr(data, "VALIDATE_ROWS", rows)
+        with pytest.raises(DataError) as err:
+            _value_fault(image, fault).validate()
+        assert str(err.value) == f"image im{image}: {message}"
+
+    def test_value_check_copies_are_bounded(self, monkeypatch):
+        # 40 images of 2048 proposals: a copy of every box would take 2.6 MB, a run's at most
+        # VALIDATE_ROWS rows of four float64 coordinates.
+        monkeypatch.setattr(data, "VALIDATE_ROWS", 4096)
+        boxes, views = np.tile([0.0, 0.0, 1.0, 1.0], (2048, 1)), [np.zeros((2048, 1), np.float32)]
+        bags = [ImageBag(id=f"im{i}", boxes=boxes, views=views, labels=np.array([1]), ground_truth=[(0, (0, 0, 1, 1))])
+                for i in range(40)]
+        ds = Dataset(num_classes=1, feat_dim=1, class_names=["a"], images=bags)
+        tracemalloc.start()
+        try:
+            ds.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 4096 * 4 * 8
+

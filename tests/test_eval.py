@@ -1,12 +1,13 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsdsel import evaluation, head
+from wsdsel import evaluation, geometry, head
 from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
 from wsdsel.evaluation import (
     EvalOptions,
@@ -141,6 +142,7 @@ class TestDetect:
             raise AssertionError("IoU matrix built for an image without candidates")
 
         monkeypatch.setattr(evaluation, "iou_matrix", refuse)
+        monkeypatch.setattr(geometry, "iou_matrix", refuse)  # the one the mask pass calls
         boxes = np.array([[0, 0, 1, 1], [2, 2, 3, 3], [0, 0, 2, 2]], dtype=float)
         classes, scores, voted = evaluation.detect_arrays(np.full((3, 2), 1e-6), boxes)
         assert (classes.dtype, classes.shape) == (np.intp, (0,))
@@ -155,7 +157,11 @@ class TestDetect:
             assert a is not b, "IoU matrix of the proposals built for an image without candidates"
             return real(a, b)
 
+        def refuse(*args):
+            raise AssertionError("IoU rows of the proposals built for an image without candidates")
+
         monkeypatch.setattr(evaluation, "iou_matrix", no_square)
+        monkeypatch.setattr(geometry, "iou_matrix", refuse)  # the one the mask pass calls
         report = evaluate_map(ds, init_params(6, 2, 0), EvalOptions(score_floor=2.0))
         assert report.diagnostics["n_detections"] == 0
         assert report.diagnostics["classes_without_candidates"] == [0, 1]
@@ -258,6 +264,61 @@ class TestDetect:
         assert classes.tolist() == want_classes
         assert kept_scores.tolist() == want_scores
         assert voted.tolist() == want_boxes
+
+    @staticmethod
+    def _paper_scale_image():
+        # N=2048, C=20, scores on the ~1/(N*C) scale lifted over the floor: every region a candidate
+        n, c = 2048, 20
+        ds = generate_synthetic(SynthConfig(n_images=1, num_classes=c, feat_dim=2, proposals_per_image=n, seed=3))
+        scores = np.random.default_rng(11).random((n, c)) / (n * c) + 1e-4
+        return scores, ds.images[0].boxes
+
+    def test_paper_scale_memory_is_bounded(self):
+        # A float64 (N, N) IoU matrix alone is 33.6 MB at N=2048, and building one with its
+        # temporaries peaked at 104.9 MB; the blocked mask pass keeps two bool (N, N) masks.
+        scores, boxes = self._paper_scale_image()
+        tracemalloc.start()
+        try:
+            classes, _, _ = evaluation.detect_arrays(scores, boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(classes) > 2048
+        assert peak <= 40e6
+
+    @pytest.mark.parametrize("n, block", [(40, 1), (40, 100), (300, 5000), (2048, None)])
+    def test_iou_rows_stay_within_a_block(self, monkeypatch, n, block):
+        if block is None:
+            scores, boxes = self._paper_scale_image()
+        else:
+            rng = np.random.default_rng(n)
+            xy = rng.uniform(0, 20, (n, 2))
+            boxes, scores = np.hstack([xy, xy + rng.uniform(2, 8, (n, 2))]), rng.random((n, 3))
+            monkeypatch.setattr(geometry, "VOTE_BLOCK", block)
+        real, entries = geometry.iou_matrix, []
+
+        def counted(a, b):
+            entries.append(len(a) * len(b))
+            return real(a, b)
+
+        monkeypatch.setattr(geometry, "iou_matrix", counted)
+        evaluation.detect_arrays(scores, boxes)
+        assert entries and max(entries) <= max(geometry.VOTE_BLOCK, n)  # a block holds one row at the least
+        assert sum(entries) >= n * (n + 1) // 2  # every pair of regions, once
+
+    @pytest.mark.parametrize("block", [1, 39, 40, 41, 120, 400, 820])
+    def test_any_row_blocking_gives_the_single_block_bytes(self, monkeypatch, block):
+        # N=40 over several row blocks, one-row blocks included, against one block of the whole matrix
+        rng = np.random.default_rng(21)
+        xy = rng.uniform(0, 12, (40, 2))
+        boxes = np.hstack([xy, xy + rng.uniform(2, 8, (40, 2))])
+        scores = rng.random((40, 4)) * (rng.random((40, 4)) < 0.8)
+        whole_masks = geometry.overlap_masks(boxes, 0.6, 0.5)
+        whole = evaluation.detect_arrays(scores, boxes)
+        monkeypatch.setattr(geometry, "VOTE_BLOCK", block)
+        masks = geometry.overlap_masks(boxes, 0.6, 0.5)
+        for got, want in zip(masks + evaluation.detect_arrays(scores, boxes), whole_masks + whole):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestCorloc:

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsdsel.data import SynthConfig, generate_synthetic
-from wsdsel.geometry import BBox, Detection, box_vote, iou, iou_matrix, nms
+import wsdsel.geometry as geometry
+from wsdsel.geometry import BBox, Detection, box_vote, iou, iou_matrix, nms, overlap_masks
 
 from reference_eval import greedy_nms_indices, grid_iou
 
@@ -13,9 +14,9 @@ def as_array(boxes):
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64)
 
 
-def pairwise(boxes):
-    arr = as_array(boxes)
-    return iou_matrix(arr, arr)
+def suppressing(boxes, threshold):
+    """The NMS mask of `boxes`, IoU > threshold, from the detection's mask pass."""
+    return overlap_masks(as_array(boxes), threshold, 1.0)[0]
 
 
 def grid_boxes_strategy():
@@ -115,24 +116,25 @@ class TestIoU:
 
 class TestNMS:
     def test_single_detection(self):
-        assert nms(pairwise([BBox(0, 0, 10, 10)]), np.array([0.9]), 0.6).tolist() == [0]
+        assert nms(suppressing([BBox(0, 0, 10, 10)], 0.6), np.array([0.9])).tolist() == [0]
 
     def test_identical_boxes_suppressed(self):
         box = BBox(0, 0, 10, 10)
-        assert nms(pairwise([box, box]), np.array([0.8, 0.9]), 0.6).tolist() == [1]
+        assert nms(suppressing([box, box], 0.6), np.array([0.8, 0.9])).tolist() == [1]
 
     def test_low_overlap_keeps_both(self):
         a, b = BBox(0, 0, 10, 10), BBox(5, 0, 15, 10)
         assert iou(a, b) == pytest.approx(1.0 / 3.0)
-        assert nms(pairwise([a, b]), np.array([0.9, 0.8]), 0.6).tolist() == [0, 1]
+        assert nms(suppressing([a, b], 0.6), np.array([0.9, 0.8])).tolist() == [0, 1]
 
     def test_tie_broken_by_input_order(self):
         boxes = [BBox(0, 0, 10, 10), BBox(1, 0, 11, 10)]
-        assert nms(pairwise(boxes), np.array([0.5, 0.5]), 0.6).tolist() == [0]
+        assert nms(suppressing(boxes, 0.6), np.array([0.5, 0.5])).tolist() == [0]
 
     def test_rejects_bad_threshold(self):
+        # the threshold is applied where the NMS mask is built
         with pytest.raises(ValueError):
-            nms(np.zeros((0, 0)), np.zeros(0), 0.0)
+            overlap_masks(np.zeros((0, 4)), 0.0, 0.5)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_greedy_oracle(self, seed):
@@ -145,7 +147,7 @@ class TestNMS:
             boxes.append(BBox(x1, y1, x1 + w, y1 + h))
             scores.append(float(rng.random()))
         threshold = float(rng.uniform(0.1, 0.9))
-        kept = nms(pairwise(boxes), np.array(scores), threshold).tolist()
+        kept = nms(suppressing(boxes, threshold), np.array(scores)).tolist()
         assert kept == greedy_nms_indices(boxes, scores, threshold, iou)
         # no kept pair may overlap beyond the threshold
         for i, a in enumerate(kept):
@@ -156,7 +158,8 @@ class TestNMS:
 def vote(boxes, scores, vote_threshold=0.5):
     """The voted box of candidate 0 over the pool `boxes`."""
     arr = as_array(boxes)
-    voted = box_vote(np.array([0]), iou_matrix(arr, arr), arr, np.array(scores, dtype=np.float64), vote_threshold)
+    voting = overlap_masks(arr, 1.0, vote_threshold)[1]
+    voted = box_vote(np.array([0]), voting, arr, np.array(scores, dtype=np.float64))
     return BBox(*voted[0].tolist())
 
 
@@ -231,46 +234,85 @@ class TestClassBatched:
         boxes, scores = case
         arr, scores = as_array(boxes), np.array(scores)
         ious = iou_matrix(arr, arr)
+        overlaps, voting = overlap_masks(arr, threshold, vote_threshold)
         candidates = scores >= 1e-4
-        regions, classes = nms(ious, scores, threshold, candidates)
-        voted = box_vote((regions, classes), ious, arr, scores, vote_threshold, candidates)
+        regions, classes = nms(overlaps, scores, candidates)
+        voted = box_vote((regions, classes), voting, arr, scores, candidates)
         assert np.all(np.diff(classes) >= 0)
         for j in range(scores.shape[1]):
             pool = np.flatnonzero(candidates[:, j])
             pool_ious = ious[np.ix_(pool, pool)]
-            kept = nms(pool_ious, scores[pool, j], threshold)
+            kept = nms(overlaps[np.ix_(pool, pool)], scores[pool, j])
             assert kept.tolist() == greedy_nms_indices(range(len(pool)), scores[pool, j].tolist(), threshold,
                                                        lambda a, b: pool_ious[a, b])
             mine = classes == j
             assert regions[mine].tolist() == pool[kept].tolist()
-            want = box_vote(kept, pool_ious, arr[pool], scores[pool, j], vote_threshold)
+            want = box_vote(kept, voting[np.ix_(pool, pool)], arr[pool], scores[pool, j])
             assert voted[mine].tobytes() == want.tobytes()
 
     def test_one_column_equals_a_vector(self):
         boxes = [BBox(0, 0, 10, 10), BBox(1, 0, 11, 10), BBox(20, 20, 30, 30)]
-        ious, scores = pairwise(boxes), np.array([0.5, 0.9, 0.2])
-        regions, classes = nms(ious, scores[:, None], 0.6)
-        assert regions.tolist() == nms(ious, scores, 0.6).tolist() == [1, 2]
+        overlaps, scores = suppressing(boxes, 0.6), np.array([0.5, 0.9, 0.2])
+        regions, classes = nms(overlaps, scores[:, None])
+        assert regions.tolist() == nms(overlaps, scores).tolist() == [1, 2]
         assert classes.tolist() == [0, 0]
 
     def test_non_candidates_never_kept_or_voting(self):
         a, b = BBox(0, 0, 10, 10), BBox(0, 0, 12, 10)
-        ious, scores = pairwise([a, b]), np.array([[0.9, 0.8], [0.95, 0.7]])
+        (overlaps, voting), scores = overlap_masks(as_array([a, b]), 0.6, 0.5), np.array([[0.9, 0.8], [0.95, 0.7]])
         candidates = np.array([[True, True], [False, True]])
-        regions, classes = nms(ious, scores, 0.6, candidates)
+        regions, classes = nms(overlaps, scores, candidates)
         assert list(zip(regions.tolist(), classes.tolist())) == [(0, 0), (0, 1)]
-        voted = box_vote((regions, classes), ious, as_array([a, b]), scores, 0.5, candidates)
+        voted = box_vote((regions, classes), voting, as_array([a, b]), scores, candidates)
         assert BBox(*voted[0]) == a  # region 1 is no candidate of class 0: it neither wins nor votes
         assert voted[1, 2] == pytest.approx((0.8 * 10 + 0.7 * 12) / 1.5)
 
     def test_voting_memory_is_blocked(self, monkeypatch):
-        import wsdsel.geometry as geometry
-
         rng = np.random.default_rng(7)
         xy = rng.uniform(0, 20, (40, 2))
         arr = np.hstack([xy, xy + rng.uniform(2, 8, (40, 2))])
-        ious, scores = iou_matrix(arr, arr), rng.random((40, 3))
-        kept = nms(ious, scores, 0.6)
-        whole = box_vote(kept, ious, arr, scores, 0.0)
+        (overlaps, voting), scores = overlap_masks(arr, 0.6, 0.0), rng.random((40, 3))
+        kept = nms(overlaps, scores)
+        whole = box_vote(kept, voting, arr, scores)
         monkeypatch.setattr(geometry, "VOTE_BLOCK", 41)  # one kept row per block
-        assert box_vote(kept, ious, arr, scores, 0.0).tobytes() == whole.tobytes()
+        assert box_vote(kept, voting, arr, scores).tobytes() == whole.tobytes()
+
+
+def random_boxes(n, seed):
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0, 20, (n, 2))
+    return np.hstack([xy, xy + rng.uniform(2, 8, (n, 2))])
+
+
+class TestOverlapMasks:
+    """The blocked mask pass gives the bits of the whole IoU matrix's two comparisons."""
+
+    @pytest.mark.parametrize("block", [1, 40, 41, 200, 800, 1 << 18])  # one-row blocks up to one block
+    @pytest.mark.parametrize("thresholds", [(0.6, 0.5), (0.3, 0.0), (1.0, 1.0)])
+    def test_equals_the_whole_matrix_compared(self, monkeypatch, block, thresholds):
+        nms_threshold, vote_threshold = thresholds
+        arr = random_boxes(40, 3)
+        arr[5] = arr[9]  # a repeated box: IoU exactly 1
+        ious = iou_matrix(arr, arr)
+        monkeypatch.setattr(geometry, "VOTE_BLOCK", block)
+        overlaps, voting = overlap_masks(arr, nms_threshold, vote_threshold)
+        assert overlaps.dtype == voting.dtype == bool and overlaps.shape == voting.shape == (40, 40)
+        assert overlaps.tobytes() == (ious > nms_threshold).tobytes()
+        assert voting.tobytes() == (ious >= vote_threshold).tobytes()
+
+    @given(st.lists(grid_boxes_strategy() | boxes_strategy(), min_size=1, max_size=30), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_any_blocking_equals_the_whole_matrix(self, boxes, block):
+        arr = as_array(boxes)
+        ious = iou_matrix(arr, arr)
+        original = geometry.VOTE_BLOCK
+        geometry.VOTE_BLOCK = block
+        try:
+            overlaps, voting = overlap_masks(arr, 0.6, 0.5)
+        finally:
+            geometry.VOTE_BLOCK = original
+        assert overlaps.tobytes() == (ious > 0.6).tobytes() and voting.tobytes() == (ious >= 0.5).tobytes()
+
+    def test_no_regions(self):
+        overlaps, voting = overlap_masks(np.zeros((0, 4)), 0.6, 0.5)
+        assert overlaps.shape == voting.shape == (0, 0)
