@@ -9,9 +9,12 @@ from the manifest alone.
 Every output except a feature sidecar is written beside its path and
 renamed into place (`data.replaced`), text as UTF-8; a failed `synth`,
 `train` or `eval` removes what it wrote (`data.removed_on_failure`).
+`train` and `eval` refuse, before reading anything, an output that is the
+same file as `--dataset`, `--checkpoint`, `--config` or another output.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
-written included), 3 data error, 4 numerical failure.
+written or would replace an input or another output included), 3 data
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -169,6 +172,35 @@ def _os_text(value):
     return os.fsencode(value).decode("utf-8", "backslashreplace") if isinstance(value, str) else value
 
 
+def _manifest_path(out: Path) -> Path:
+    return out.parent / (out.name + ".manifest.json")
+
+
+def _same_file(a, b) -> bool:
+    """Whether two paths name one file: `os.path.samefile` where both exist, else their resolved paths."""
+    try:
+        if os.path.exists(a) and os.path.exists(b):
+            return os.path.samefile(a, b)
+        return os.path.realpath(a) == os.path.realpath(b)
+    except (OSError, ValueError):  # a name no file can have: its own write fails with its own message
+        return False
+
+
+def _refuse_overwrites(inputs: dict[str, Any], outputs: dict[str, Any]):
+    """ConfigError if an output is the same file as an input or as another output; unset (empty) paths are skipped.
+
+    Called before the command reads its dataset, so a refused run trains nothing and writes nothing.
+    """
+    taken = [(name, path) for name, path in inputs.items() if path]
+    for name, path in outputs.items():
+        if not path:
+            continue
+        for other, given in taken:
+            if _same_file(path, given):
+                raise ConfigError(f"{name} {path} is the same file as {other} {given}; refusing to overwrite it")
+        taken.append((name, path))
+
+
 def write_manifest(out_path: Path, command: str, config: dict, inputs: dict, outputs: dict, started: float):
     manifest = {
         "command": command,
@@ -179,7 +211,7 @@ def write_manifest(out_path: Path, command: str, config: dict, inputs: dict, out
         "version": __version__,
         "duration_s": round(time.time() - started, 3),
     }
-    with replaced(out_path.parent / (out_path.name + ".manifest.json")) as fh:
+    with replaced(_manifest_path(out_path)) as fh:
         fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
@@ -246,10 +278,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
     config = resolve_config(TRAIN_KEYS, args)
     train_config = _build_train_config(config)
-    dataset = load_dataset(args.dataset)
-    state = train(dataset, train_config)
     out = Path(args.out)
     loss_csv = out.parent / (out.stem + "_loss.csv")
+    _refuse_overwrites({"--dataset": args.dataset, "--config": args.config},
+                      {"--out": out, "the loss CSV": loss_csv, "the run manifest": _manifest_path(out)})
+    dataset = load_dataset(args.dataset)
+    state = train(dataset, train_config)
     with removed_on_failure() as written:
         save_checkpoint(state, out)
         written.append(out)
@@ -267,6 +301,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     started = time.time()
     config = resolve_config(EVAL_KEYS, args)
     opts = EvalOptions(**{f.name: config[f.name] for f in fields(EvalOptions)})
+    out = Path(args.out)
+    _refuse_overwrites({"--dataset": args.dataset, "--checkpoint": args.checkpoint, "--config": args.config},
+                      {"--out": out, "--pr-csv": config["pr_csv"], "the run manifest": _manifest_path(out)})
     dataset = load_dataset(args.dataset)
     state = load_checkpoint(args.checkpoint)
     report = evaluate_map(dataset, state.params, opts)
@@ -275,7 +312,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         per_class, mean_ap = ap_by_class(report.curves, other)
         report.diagnostics[f"map_{other}"] = mean_ap
         report.diagnostics[f"per_class_ap_{other}"] = per_class
-    out = Path(args.out)
     outputs = {"report": str(out)}
     with removed_on_failure() as written:
         if config["pr_csv"]:  # before the report, so that an eval that fails here leaves no report

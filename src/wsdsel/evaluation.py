@@ -11,8 +11,11 @@ as training does). Each view of an image goes through the training step's
 forward stages in it once; detection runs once per image over two bool
 overlap masks shared by all classes (`overlap_masks`; no float IoU matrix
 of the proposals is built), and not at all for an image where no region
-reaches the score floor; and CorLoc, weight concentration, AP under either
-protocol and the PR-curve CSV are all computed from those results.
+reaches the score floor. Each image's detections are judged there, in one
+IoU matrix against its ground truth with pairs of different classes masked
+out; the pass keeps each detection's class, score and verdict, and CorLoc,
+weight concentration, AP under either protocol and the PR-curve CSV are
+all computed from those results.
 """
 
 from __future__ import annotations
@@ -225,10 +228,11 @@ def _match(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
     """True-positive flags of one image's detections (rows, in rank order) against its ground truth (columns).
 
     Each detection in turn takes its best-IoU *unmatched* ground truth, the
-    first on ties, iff that IoU reaches the threshold. The unmatched set
-    only changes at a match, so one argmax over the remaining rows finds
-    the next true positive: at most one step per ground-truth box. `ious`
-    is overwritten.
+    first on ties, iff that IoU reaches the threshold. An entry below 0
+    never matches, so the caller sets the pairs of different classes to -1.
+    The unmatched set only changes at a match, so one argmax over the
+    remaining rows finds the next true positive: at most one step per
+    ground-truth box. `ious` is overwritten.
     """
     tp = np.zeros(len(ious), dtype=bool)
     start = 0
@@ -244,35 +248,13 @@ def _match(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
     return tp
 
 
-def _pr_curve(
-    images: np.ndarray,
-    scores: np.ndarray,
-    boxes: np.ndarray,
-    gts: dict[int, np.ndarray],
-    iou_threshold: float,
-) -> PRCurve:
-    """Greedy matching of one class's detections, in rank order.
-
-    Detection i is in image `images[i]` with score `scores[i]` and box
-    `boxes[i]`; `gts` maps an image to the (G, 4) ground-truth boxes of the
-    class. A detection is a true positive iff its best-IoU *unmatched*
-    ground truth in the same image reaches the threshold. Ties in score
-    keep input order.
-    """
-    npos = sum(len(g) for g in gts.values())
+def _pr_curve(scores: np.ndarray, tp: np.ndarray, npos: int) -> PRCurve:
+    """One class's PR curve: its detections ranked by score (ties in input order), of `npos` ground-truth boxes."""
     ranked = np.argsort(-scores, kind="stable")
-    images, boxes = images[ranked], boxes[ranked]
-    by_image = np.argsort(images, kind="stable")  # ranks grouped by image, in rank order within one
-    grouped = images[by_image]
-    tp = np.zeros(len(ranked))
-    for image, gt in gts.items():
-        rows = by_image[np.searchsorted(grouped, image, "left") : np.searchsorted(grouped, image, "right")]
-        tp[rows] = _match(iou_matrix(boxes[rows], gt), iou_threshold)
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(1.0 - tp)
+    cum_tp = np.cumsum(tp[ranked], dtype=np.float64)
     recall = cum_tp / npos if npos > 0 else np.zeros(len(ranked))
-    precision = cum_tp / np.maximum(cum_tp + cum_fp, 1.0)
-    return PRCurve(scores[ranked], recall, precision, npos)
+    precision = cum_tp / np.arange(1.0, len(ranked) + 1.0)  # true positives over detections so far
+    return PRCurve(scores[ranked], recall, precision, int(npos))
 
 
 def _ap_eleven_point(recall: np.ndarray, precision: np.ndarray) -> float:
@@ -300,17 +282,22 @@ def voc_ap(
 
     `dets` are (image_id, score, box) triples; `gts` maps image id to the
     ground-truth boxes of the class. With no ground truth the AP is 0 by
-    definition (flagged by the caller).
+    definition (flagged by the caller). Raises ValueError for the
+    `iou_threshold` and `protocol` values `EvalOptions` refuses.
     """
-    keys = {image_id: k for k, image_id in enumerate(gts)}
-    curve = _pr_curve(
-        np.array([keys.get(image_id, -1) for image_id, _, _ in dets], dtype=np.intp),
-        np.array([score for _, score, _ in dets], dtype=np.float64),
-        box_array([box for _, _, box in dets]),
-        {keys[image_id]: box_array(boxes) for image_id, boxes in gts.items()},
-        iou_threshold,
-    )
-    return curve.ap(protocol)
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    if protocol not in AP_PROTOCOLS:
+        raise ValueError(f"unknown AP protocol {protocol!r}, expected one of {AP_PROTOCOLS}")
+    scores = np.array([score for _, score, _ in dets], dtype=np.float64)
+    by_image: dict[str, list[int]] = {}
+    for i in np.argsort(-scores, kind="stable").tolist():
+        by_image.setdefault(dets[i][0], []).append(i)
+    tp = np.zeros(len(dets), dtype=bool)
+    for image_id, rows in by_image.items():
+        ious = iou_matrix(box_array([dets[i][2] for i in rows]), box_array(gts.get(image_id, [])))
+        tp[rows] = _match(ious, iou_threshold)
+    return _pr_curve(scores, tp, sum(len(boxes) for boxes in gts.values())).ap(protocol)
 
 
 def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | None = None) -> EvalReport:
@@ -321,17 +308,22 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
     opts = options or EvalOptions()
     work = StepWork.sized_for(dataset, params)
     c = dataset.num_classes
-    gts_by_class: list[dict[int, np.ndarray]] = [{} for _ in range(c)]
-    # per image: the class ids, scores and voted boxes of its detections
-    found = []
-    correct, positives = np.zeros(c), np.zeros(c)
+    # per image: the class ids and scores of its detections, and which of them are true positives
+    judged = []
+    npos, correct, positives = np.zeros(c, dtype=np.intp), np.zeros(c), np.zeros(c)
     fractions: list[float] = []
-    for key, bag in enumerate(dataset.images):  # each image is its own key
+    for bag in dataset.images:
         scores, p, v = _infer(params, bag, opts.mask_mode, opts.top_m, work)
         boxes, gt_classes, gt_boxes = bag.boxes, bag.gt_classes, bag.gt_boxes
-        for j in set(gt_classes.tolist()):
-            gts_by_class[j][key] = gt_boxes[gt_classes == j]
-        found.append(detect_arrays(scores, boxes, opts.nms_threshold, opts.vote_threshold, opts.score_floor))
+        npos += np.bincount(gt_classes, minlength=c)
+        classes, det_scores, voted = detect_arrays(
+            scores, boxes, opts.nms_threshold, opts.vote_threshold, opts.score_floor
+        )
+        # AP: each detection may only match a ground-truth box of its own class. Within one class the
+        # detections come in descending score, ties by index: their order in the class's ranking.
+        ious = iou_matrix(voted, gt_boxes)
+        ious[classes[:, None] != gt_classes] = -1.0
+        judged.append((classes, det_scores, _match(ious, opts.iou_threshold)))
         positive = np.flatnonzero(bag.labels)
         positives[positive] += 1
         # CorLoc: the top-scoring region of each positive class against that class's ground truth
@@ -343,13 +335,8 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
         top = np.argsort(-p[:, positive], axis=0, kind="stable")[: opts.top_m]
         fractions.extend(np.add.reduce(np.take_along_axis(v[:, positive], top, axis=0).T.copy(), axis=1))
 
-    images = np.repeat(np.arange(len(dataset.images)), [len(f[0]) for f in found])
-    classes, det_scores, det_boxes = (np.concatenate(part) for part in zip(*found))
-    del found  # freed before the per-class arrays are built, so the two sets are never held at once
-    curves = []
-    for j in range(c):
-        mine = classes == j
-        curves.append(_pr_curve(images[mine], det_scores[mine], det_boxes[mine], gts_by_class[j], opts.iou_threshold))
+    classes, det_scores, tp = (np.concatenate(part) for part in zip(*judged))
+    curves = [_pr_curve(det_scores[classes == j], tp[classes == j], npos[j]) for j in range(c)]
     per_class_ap, mean_ap = ap_by_class(curves, opts.ap_protocol)
     per_class_corloc = [correct[j] / positives[j] if positives[j] else float("nan") for j in range(c)]
     defined = [x for x in per_class_corloc if not math.isnan(x)]
@@ -358,7 +345,7 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
         "concentration_k": opts.top_m,
         "n_detections": len(classes),
     }
-    flagged = [j for j in range(c) if not gts_by_class[j]]
+    flagged = np.flatnonzero(npos == 0).tolist()
     if flagged:
         diagnostics["classes_without_ground_truth"] = flagged
     # A class with a candidate always keeps one, so a class without detections had no region at or above the floor.

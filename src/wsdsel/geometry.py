@@ -109,27 +109,16 @@ def overlap_masks(boxes: np.ndarray, nms_threshold: float, vote_threshold: float
     return overlaps, voting
 
 
-def _columns(scores: np.ndarray, candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """`scores` as (N, C), one column for a 1-D vector, and the candidate mask of that shape."""
-    scores = np.asarray(scores)
-    cols = scores[:, None] if scores.ndim == 1 else scores
-    if candidates is None:
-        return cols, np.ones(cols.shape, dtype=bool)
-    return cols, np.asarray(candidates, dtype=bool).reshape(cols.shape)
-
-
-def nms(overlaps: np.ndarray, scores: np.ndarray, candidates: np.ndarray | None = None):
+def nms(overlaps: np.ndarray, scores: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy non-maximum suppression, every class on its own; returns the kept entries as an index into `scores`.
 
     `overlaps` is the (N, N) bool relation IoU > threshold of N regions, as
-    `overlap_masks` gives it, and `scores` their (N, C) class scores; a 1-D
-    `scores` is one class. `candidates`, shaped like `scores` (default:
-    every entry), marks the entries that take part. Within a class,
-    candidates are visited in descending score order (ties broken by
-    index); one is removed iff it overlaps an already-kept, higher-scored
-    candidate of the class. For 1-D scores the result is the kept region
-    indices in visiting order; for 2-D it is a (regions, classes) pair of
-    arrays, class by class and each class in visiting order. Either way
+    `overlap_masks` gives it, `scores` their (N, C) class scores and
+    `candidates` the (N, C) bool mask of the entries that take part. Within
+    a class, candidates are visited in descending score order (ties broken
+    by index); one is removed iff it overlaps an already-kept, higher-scored
+    candidate of the class. The result is a (regions, classes) pair of
+    arrays, class by class and each class in visiting order, so
     `scores[kept]` are the kept scores.
 
     Each row of `overlaps` is packed into one Python int, bit i set when
@@ -137,10 +126,9 @@ def nms(overlaps: np.ndarray, scores: np.ndarray, candidates: np.ndarray | None 
     is clear in the class's suppression int and ORs the kept row into it,
     so the walk costs one int test per candidate.
     """
-    cols, live = _columns(scores, candidates)
     # One stable sort per class; non-candidates rank last and are never kept.
-    order = np.argsort(np.where(live, -cols, np.inf), axis=0, kind="stable").T
-    live = np.take_along_axis(live.T, order, axis=1)
+    order = np.argsort(np.where(candidates, -scores, np.inf), axis=0, kind="stable").T
+    live = np.take_along_axis(candidates.T, order, axis=1)
     rows = [int.from_bytes(row, "little") for row in np.packbits(overlaps, axis=1, bitorder="little")]
     regions, counts = [], []
     for ranked, is_live in zip(order, live):
@@ -150,42 +138,35 @@ def nms(overlaps: np.ndarray, scores: np.ndarray, candidates: np.ndarray | None 
                 regions.append(i)
                 suppressed |= rows[i]
         counts.append(len(regions) - before)
-    regions = np.array(regions, dtype=np.intp)
-    return regions if np.ndim(scores) == 1 else (regions, np.repeat(np.arange(len(counts)), counts))
+    return np.array(regions, dtype=np.intp), np.repeat(np.arange(len(counts)), counts)
 
 
-def box_vote(
-    kept,
-    voting: np.ndarray,
-    boxes: np.ndarray,
-    scores: np.ndarray,
-    candidates: np.ndarray | None = None,
-) -> np.ndarray:
+def box_vote(kept, voting: np.ndarray, boxes: np.ndarray, scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Refine kept entries by score-weighted averaging of the boxes overlapping them.
 
-    `kept` indexes `scores` as `nms` returns it, and `scores`/`candidates`
-    are shaped as for `nms`; `boxes` is (N, 4) and `voting` the (N, N) bool
-    relation IoU >= vote threshold, as `overlap_masks` gives it. For a kept
-    region k of class j, every candidate i of class j with voting[k, i]
-    votes with weight scores[i, j]. Returns one row per kept entry. A kept
-    region votes for itself, so the voter set is never empty; if all voter
-    scores are zero its own box is returned unchanged.
+    `kept` is the (regions, classes) pair `nms` returns, and `scores` and
+    `candidates` are the (N, C) arrays passed to it; `boxes` is (N, 4) and
+    `voting` the (N, N) bool relation IoU >= vote threshold, as
+    `overlap_masks` gives it. For a kept region k of class j, every
+    candidate i of class j with voting[k, i] votes with weight
+    scores[i, j]. Returns one row per kept entry. A kept region votes for
+    itself, so the voter set is never empty; if all voter scores are zero
+    its own box is returned unchanged.
 
     `np.bincount` adds each row's entries one by one in input order, and
     `flatnonzero` lists a row's voters in index order, so the weight and
     each weighted coordinate are summed as a scalar loop over the voters
     would sum them.
     """
-    cols, live = _columns(scores, candidates)
-    regions, classes = (kept, np.zeros(len(kept), dtype=np.intp)) if np.ndim(scores) == 1 else kept
-    live_by_class = np.ascontiguousarray(live.T)
+    regions, classes = kept
+    live_by_class = np.ascontiguousarray(candidates.T)
     out = boxes[regions]
     n = len(boxes)
     step = max(1, VOTE_BLOCK // max(n, 1))
     for lo in range(0, len(regions), step):
         block, block_classes = regions[lo : lo + step], classes[lo : lo + step]
         rows, idx = np.divmod(np.flatnonzero(voting[block] & live_by_class[block_classes]), n)
-        weights = cols[idx, block_classes[rows]]
+        weights = scores[idx, block_classes[rows]]
         total = np.bincount(rows, weights, len(block))
         sums = np.column_stack([np.bincount(rows, weights * x[idx], len(block)) for x in boxes.T])
         np.divide(sums, total[:, None], out=out[lo : lo + step], where=total[:, None] > 0.0)

@@ -440,6 +440,50 @@ def test_a_write_that_fails_partway_leaves_nothing(trained, tmp_path, capsys, mo
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("command, config_name, flags", [
+    ("train", "cfg.txt", ["--out", "{dataset}"]),
+    ("train", "cfg.txt", ["--out", "{cfg}"]),
+    ("train", "run_loss.csv", ["--out", "{tmp}/run.wsdc"]),  # the loss CSV
+    ("train", "run.wsdc.manifest.json", ["--out", "{tmp}/run.wsdc"]),  # the run manifest
+    ("train", "cfg.txt", ["--out", "{tmp}/link.json"]),  # a symbolic link to the dataset
+    ("eval", "cfg.txt", ["--out", "{dataset}"]),
+    ("eval", "cfg.txt", ["--out", "{ckpt}"]),
+    ("eval", "cfg.txt", ["--out", "{cfg}"]),
+    ("eval", "cfg.txt", ["--out", "{tmp}/r.json", "--pr-csv", "{dataset}"]),
+    ("eval", "cfg.txt", ["--out", "{tmp}/r.json", "--pr-csv", "{ckpt}"]),
+    ("eval", "r.json.manifest.json", ["--out", "{tmp}/r.json"]),  # the run manifest
+    ("eval", "cfg.txt", ["--out", "{tmp}/link.json"]),
+    # two outputs, neither of which exists yet: compared as resolved paths
+    ("eval", "cfg.txt", ["--out", "{tmp}/r.json", "--pr-csv", "{tmp}/r.json"]),
+    ("eval", "cfg.txt", ["--out", "{tmp}/r.json", "--pr-csv", "{tmp}/sub/../r.json"]),
+    ("eval", "cfg.txt", ["--out", "{tmp}/r.json", "--pr-csv", "{tmp}/r.json.manifest.json"]),
+])
+def test_an_output_that_is_an_input_or_another_output_is_refused(trained, tmp_path, capsys, command, config_name,
+                                                                   flags):
+    dataset, ckpt = trained
+    cfg = tmp_path / config_name
+    cfg.write_text({"train": "epochs = 4\n", "eval": "both = true\n"}[command], encoding="utf-8")
+    (tmp_path / "link.json").symlink_to(dataset)
+    inputs = {"train": ["--dataset", str(dataset), *FAST_TRAIN],
+              "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt)]}[command]
+    argv = [flag.format(dataset=dataset, ckpt=ckpt, cfg=cfg, tmp=tmp_path) for flag in flags]
+    before = _tree(tmp_path)
+    assert main([command, *inputs, "--config", str(cfg), *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "is the same file as" in err and "Traceback" not in err
+    assert _tree(tmp_path) == before  # nothing written: every input as it was, no output and no temporary
+
+
+def test_a_refused_run_leaves_its_inputs_usable(trained, tmp_path, capsys):
+    dataset, ckpt = trained
+    assert run_eval(dataset, ckpt, tmp_path / "r.json", "--pr-csv", str(dataset)) == EXIT_CONFIG
+    assert main(["train", "--dataset", str(dataset), "--out", str(dataset), *FAST_TRAIN]) == EXIT_CONFIG
+    assert f"--out {dataset} is the same file as --dataset {dataset}" in capsys.readouterr().err
+    assert run_eval(dataset, ckpt, tmp_path / "r.json", "--pr-csv", str(tmp_path / "pr.csv")) == EXIT_OK
+    assert main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "again.wsdc"), *FAST_TRAIN]) == EXIT_OK
+    assert (tmp_path / "again.wsdc").read_bytes() == ckpt.read_bytes()
+
+
 @pytest.mark.parametrize("raw", [False, True], ids=["escaped-manifest", "raw-utf8-manifest"])
 def test_eval_under_a_non_utf8_locale_writes_utf8(trained, tmp_path, raw):
     dataset, ckpt = trained

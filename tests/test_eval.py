@@ -19,7 +19,7 @@ from wsdsel.evaluation import (
     weight_concentration,
 )
 from wsdsel.errors import DataError
-from wsdsel.geometry import BBox, Detection, iou, iou_matrix
+from wsdsel.geometry import BBox, Detection, box_array, iou, iou_matrix
 from wsdsel.head import HeadParams, StepWork, class_softmax, masked_softmax
 from wsdsel.trainer import init_params
 
@@ -412,6 +412,17 @@ class TestVocAp:
         b = voc_ap(dets, gts, protocol="area")
         assert abs(a - b) < 0.1
 
+    @pytest.mark.parametrize("iou_threshold", [0.0, -0.5, 1.5, float("nan")])
+    def test_rejects_a_threshold_outside_zero_one(self, iou_threshold):
+        # at 0 a detection touching no ground truth would count as correct; NaN would match nothing
+        with pytest.raises(ValueError, match="iou_threshold"):
+            voc_ap([("a", 0.5, BBox(5, 5, 6, 6))], {"a": [BBox(0, 0, 1, 1)]}, iou_threshold=iou_threshold)
+
+    @pytest.mark.parametrize("dets, gts", [([], {}), ([("a", 0.5, BBox(0, 0, 1, 1))], {"a": [BBox(0, 0, 1, 1)]})])
+    def test_rejects_an_unknown_protocol_with_or_without_input(self, dets, gts):
+        with pytest.raises(ValueError, match="protocol"):
+            voc_ap(dets, gts, protocol="x")
+
     def test_no_ground_truth_defined_as_zero(self):
         assert voc_ap([("a", 0.5, BBox(0, 0, 1, 1))], {}) == 0.0
         assert voc_ap([], {}) == 0.0
@@ -474,20 +485,41 @@ class TestArrayMatching:
     )
     @settings(max_examples=200, deadline=None)
     def test_matcher_equals_reference(self, dets, gts, iou_threshold):
-        # grid boxes tie often, both in score and in IoU with two ground-truth boxes
-        keys = {image_id: k for k, image_id in enumerate(gts)}
-        curve = evaluation._pr_curve(
-            np.array([keys.get(d[0], -1) for d in dets], dtype=np.intp),
-            np.array([d[1] for d in dets], dtype=np.float64),
-            np.array([d[2].as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4),
-            {keys[k]: np.array([b.as_tuple() for b in v]).reshape(-1, 4) for k, v in gts.items()},
-            iou_threshold,
-        )
+        # grid boxes tie often, both in score and in IoU with two ground-truth boxes. Each id here names a
+        # class of one image: eval's class mask keeps a detection to its own class's ground truth as the
+        # reference keeps it to its own image's. The rows go class by class, each in rank order, as
+        # detection emits them, through one masked IoU matrix and one match.
+        names = sorted({d[0] for d in dets} | set(gts))
+        det_classes = np.array([names.index(d[0]) for d in dets], dtype=np.intp)
+        scores = np.array([d[1] for d in dets], dtype=np.float64)
+        rows = sorted(range(len(dets)), key=lambda i: (det_classes[i], -scores[i], i))
+        gt_classes = np.array([names.index(k) for k, boxes in gts.items() for _ in boxes], dtype=np.intp)
+        ious = iou_matrix(box_array([dets[i][2] for i in rows]), box_array([b for v in gts.values() for b in v]))
+        ious[det_classes[rows][:, None] != gt_classes] = -1.0
+        tp = np.zeros(len(dets), dtype=bool)
+        tp[rows] = evaluation._match(ious, iou_threshold)
+        curve = evaluation._pr_curve(scores, tp, len(gt_classes))
         labels, npos = match_detections(dets, gts, iou_threshold, iou)
         assert curve.npos == npos
         got = np.diff(np.rint(curve.recall * npos), prepend=0.0) == 1.0 if npos else np.zeros(len(dets), bool)
         assert got.tolist() == labels
         assert curve.scores.tolist() == sorted((d[1] for d in dets), reverse=True)
+
+    def test_a_detection_never_matches_another_class(self):
+        # One region lies exactly on the image's only ground-truth box, of class 1, and is a detection of
+        # both classes. The class-0 one comes first in the image but is a false positive; the class-1 one
+        # still takes the box.
+        box = BBox(0, 0, 10, 10)
+        bag = ImageBag(id="i", proposals=[box], views=[np.zeros((1, 4), dtype=np.float32)],
+                       labels=np.array([1, 1]), ground_truth=[(1, box)])
+        ds = Dataset(num_classes=2, feat_dim=4, class_names=["a", "b"], images=[bag])
+        params = HeadParams(np.zeros((2, 4)), np.zeros(2), np.zeros((2, 4)), np.zeros(2))
+        report = evaluate_map(ds, params)
+        assert report.diagnostics["n_detections"] == 2
+        first, second = report.curves
+        assert first.precision.tolist() == [0.0] and first.npos == 0
+        assert second.recall.tolist() == [1.0] and second.precision.tolist() == [1.0]
+        assert report.per_class_ap == [0.0, 1.0]
 
     @given(st.lists(st.floats(0.0, 1.0), max_size=30).map(sorted), st.lists(st.floats(0.0, 1.0), max_size=30))
     @settings(max_examples=100, deadline=None)

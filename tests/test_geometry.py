@@ -19,6 +19,22 @@ def suppressing(boxes, threshold):
     return overlap_masks(as_array(boxes), threshold, 1.0)[0]
 
 
+def one_class(scores):
+    """A score vector as one (N, 1) column with every region a candidate: the arrays `nms` and `box_vote` take."""
+    column = np.asarray(scores, dtype=np.float64)[:, None]
+    return column, np.ones(column.shape, dtype=bool)
+
+
+def nms_1d(overlaps, scores):
+    """The kept regions of one class, in visiting order."""
+    return nms(overlaps, *one_class(scores))[0]
+
+
+def vote_1d(kept, voting, boxes, scores):
+    """The voted boxes of one class's kept regions `kept`."""
+    return box_vote((kept, np.zeros(len(kept), dtype=np.intp)), voting, boxes, *one_class(scores))
+
+
 def grid_boxes_strategy():
     """Boxes with small integer corners, so disjoint, touching and nested pairs are common."""
     corner, size = st.integers(0, 6), st.integers(1, 4)
@@ -116,20 +132,20 @@ class TestIoU:
 
 class TestNMS:
     def test_single_detection(self):
-        assert nms(suppressing([BBox(0, 0, 10, 10)], 0.6), np.array([0.9])).tolist() == [0]
+        assert nms_1d(suppressing([BBox(0, 0, 10, 10)], 0.6), [0.9]).tolist() == [0]
 
     def test_identical_boxes_suppressed(self):
         box = BBox(0, 0, 10, 10)
-        assert nms(suppressing([box, box], 0.6), np.array([0.8, 0.9])).tolist() == [1]
+        assert nms_1d(suppressing([box, box], 0.6), [0.8, 0.9]).tolist() == [1]
 
     def test_low_overlap_keeps_both(self):
         a, b = BBox(0, 0, 10, 10), BBox(5, 0, 15, 10)
         assert iou(a, b) == pytest.approx(1.0 / 3.0)
-        assert nms(suppressing([a, b], 0.6), np.array([0.9, 0.8])).tolist() == [0, 1]
+        assert nms_1d(suppressing([a, b], 0.6), [0.9, 0.8]).tolist() == [0, 1]
 
     def test_tie_broken_by_input_order(self):
         boxes = [BBox(0, 0, 10, 10), BBox(1, 0, 11, 10)]
-        assert nms(suppressing(boxes, 0.6), np.array([0.5, 0.5])).tolist() == [0]
+        assert nms_1d(suppressing(boxes, 0.6), [0.5, 0.5]).tolist() == [0]
 
     def test_rejects_bad_threshold(self):
         # the threshold is applied where the NMS mask is built
@@ -147,7 +163,7 @@ class TestNMS:
             boxes.append(BBox(x1, y1, x1 + w, y1 + h))
             scores.append(float(rng.random()))
         threshold = float(rng.uniform(0.1, 0.9))
-        kept = nms(suppressing(boxes, threshold), np.array(scores)).tolist()
+        kept = nms_1d(suppressing(boxes, threshold), scores).tolist()
         assert kept == greedy_nms_indices(boxes, scores, threshold, iou)
         # no kept pair may overlap beyond the threshold
         for i, a in enumerate(kept):
@@ -159,7 +175,7 @@ def vote(boxes, scores, vote_threshold=0.5):
     """The voted box of candidate 0 over the pool `boxes`."""
     arr = as_array(boxes)
     voting = overlap_masks(arr, 1.0, vote_threshold)[1]
-    voted = box_vote(np.array([0]), voting, arr, np.array(scores, dtype=np.float64))
+    voted = vote_1d(np.array([0]), voting, arr, scores)
     return BBox(*voted[0].tolist())
 
 
@@ -225,7 +241,7 @@ def class_batch_strategy():
 
 
 class TestClassBatched:
-    """(N, C) scores run every class at once; each class must match its own 1-D run over its candidate pool,
+    """(N, C) scores run every class at once; each class must match its own one-class run over its candidate pool,
     and that run the greedy oracle."""
 
     @given(class_batch_strategy(), st.sampled_from([0.3, 0.6, 1.0]), st.sampled_from([0.0, 0.5, 1.0]))
@@ -242,20 +258,13 @@ class TestClassBatched:
         for j in range(scores.shape[1]):
             pool = np.flatnonzero(candidates[:, j])
             pool_ious = ious[np.ix_(pool, pool)]
-            kept = nms(overlaps[np.ix_(pool, pool)], scores[pool, j])
+            kept = nms_1d(overlaps[np.ix_(pool, pool)], scores[pool, j])
             assert kept.tolist() == greedy_nms_indices(range(len(pool)), scores[pool, j].tolist(), threshold,
                                                        lambda a, b: pool_ious[a, b])
             mine = classes == j
             assert regions[mine].tolist() == pool[kept].tolist()
-            want = box_vote(kept, voting[np.ix_(pool, pool)], arr[pool], scores[pool, j])
+            want = vote_1d(kept, voting[np.ix_(pool, pool)], arr[pool], scores[pool, j])
             assert voted[mine].tobytes() == want.tobytes()
-
-    def test_one_column_equals_a_vector(self):
-        boxes = [BBox(0, 0, 10, 10), BBox(1, 0, 11, 10), BBox(20, 20, 30, 30)]
-        overlaps, scores = suppressing(boxes, 0.6), np.array([0.5, 0.9, 0.2])
-        regions, classes = nms(overlaps, scores[:, None])
-        assert regions.tolist() == nms(overlaps, scores).tolist() == [1, 2]
-        assert classes.tolist() == [0, 0]
 
     def test_non_candidates_never_kept_or_voting(self):
         a, b = BBox(0, 0, 10, 10), BBox(0, 0, 12, 10)
@@ -272,10 +281,11 @@ class TestClassBatched:
         xy = rng.uniform(0, 20, (40, 2))
         arr = np.hstack([xy, xy + rng.uniform(2, 8, (40, 2))])
         (overlaps, voting), scores = overlap_masks(arr, 0.6, 0.0), rng.random((40, 3))
-        kept = nms(overlaps, scores)
-        whole = box_vote(kept, voting, arr, scores)
+        candidates = np.ones(scores.shape, dtype=bool)
+        kept = nms(overlaps, scores, candidates)
+        whole = box_vote(kept, voting, arr, scores, candidates)
         monkeypatch.setattr(geometry, "VOTE_BLOCK", 41)  # one kept row per block
-        assert box_vote(kept, voting, arr, scores).tobytes() == whole.tobytes()
+        assert box_vote(kept, voting, arr, scores, candidates).tobytes() == whole.tobytes()
 
 
 def random_boxes(n, seed):
