@@ -9,8 +9,11 @@ from the manifest alone.
 Every output except a feature sidecar is written beside its path and
 renamed into place (`data.replaced`), text as UTF-8; a failed `synth`,
 `train` or `eval` removes what it wrote (`data.removed_on_failure`).
-`train` and `eval` refuse, before reading anything, an output that is the
-same file as `--dataset`, `--checkpoint`, `--config` or another output.
+`synth`, `train` and `eval` refuse, before reading anything, an output
+that is the same file as `--dataset`, `--checkpoint`, `--config` or
+another output; `train` and `eval` also refuse, once the dataset is loaded
+and before anything is written, an output that is one of its feature
+sidecars.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written or would replace an input or another output included), 3 data
@@ -29,8 +32,8 @@ from pathlib import Path
 from typing import Any, Optional
 
 from wsdsel import __version__
-from wsdsel.data import (SynthConfig, generate_synthetic, load_dataset, removed_on_failure, replaced, save_dataset,
-                         split_dataset)
+from wsdsel.data import (Dataset, SynthConfig, generate_synthetic, load_dataset, removed_on_failure, replaced,
+                         save_dataset, split_dataset)
 from wsdsel.errors import ConfigError, DataError, TrainingError
 from wsdsel.evaluation import EvalOptions, ap_by_class, dump_pr_curves, evaluate_map
 from wsdsel.head import run_gradcheck
@@ -189,7 +192,7 @@ def _same_file(a, b) -> bool:
 def _refuse_overwrites(inputs: dict[str, Any], outputs: dict[str, Any]):
     """ConfigError if an output is the same file as an input or as another output; unset (empty) paths are skipped.
 
-    Called before the command reads its dataset, so a refused run trains nothing and writes nothing.
+    Called before the command reads its dataset or generates one, so a refused run writes nothing.
     """
     taken = [(name, path) for name, path in inputs.items() if path]
     for name, path in outputs.items():
@@ -199,6 +202,22 @@ def _refuse_overwrites(inputs: dict[str, Any], outputs: dict[str, Any]):
             if _same_file(path, given):
                 raise ConfigError(f"{name} {path} is the same file as {other} {given}; refusing to overwrite it")
         taken.append((name, path))
+
+
+def _refuse_sidecars(dataset: Dataset, outputs: dict[str, Any]):
+    """ConfigError if an output that exists is one of the feature sidecars `dataset` was loaded from.
+
+    Compared by file identity against what the load's `fstat`s recorded, so a link to a sidecar is refused too.
+    """
+    for name, path in outputs.items():
+        try:
+            stat = os.stat(path)
+        except (OSError, ValueError):  # not there yet, so no sidecar; or a name no file can have
+            continue
+        image = dataset.sidecars.get((stat.st_dev, stat.st_ino))
+        if image is not None:
+            raise ConfigError(f"{name} {path} is the same file as image {image}'s feature sidecar; "
+                              "refusing to overwrite it")
 
 
 def write_manifest(out_path: Path, command: str, config: dict, inputs: dict, outputs: dict, started: float):
@@ -222,18 +241,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = SynthConfig(**config)
     if split_at and not 0 < split_at < cfg.n_images:  # checked before any image is generated
         raise ConfigError(f"train_split must be 0 (no split) or in (0, {cfg.n_images}), got {split_at}")
-    ds = generate_synthetic(cfg)
     out = Path(args.out)
     if split_at:
-        train_ds, test_ds = split_dataset(ds, split_at)
-        saves = {"train_dataset": (train_ds, out.parent / (out.stem + "-train.json")),
-                 "test_dataset": (test_ds, out.parent / (out.stem + "-test.json"))}
+        paths = {"train_dataset": out.parent / (out.stem + "-train.json"),
+                 "test_dataset": out.parent / (out.stem + "-test.json")}
     else:
-        saves = {"dataset": (ds, out)}
-    outputs = {name: str(path) for name, (_, path) in saves.items()}
+        paths = {"dataset": out}
+    _refuse_overwrites({"--config": args.config}, {**paths, "the run manifest": _manifest_path(out)})
+    ds = generate_synthetic(cfg)
+    parts = split_dataset(ds, split_at) if split_at else (ds,)
+    outputs = {name: str(path) for name, path in paths.items()}
     config["train_split"] = split_at
     with removed_on_failure() as written:
-        for dataset, path in saves.values():
+        for dataset, path in zip(parts, paths.values()):
             written.extend(save_dataset(dataset, path))
         write_manifest(out, "synth", config, {}, outputs, started)
     print(f"wrote {', '.join(outputs.values())} ({len(ds.images)} images)")
@@ -280,9 +300,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_config = _build_train_config(config)
     out = Path(args.out)
     loss_csv = out.parent / (out.stem + "_loss.csv")
-    _refuse_overwrites({"--dataset": args.dataset, "--config": args.config},
-                      {"--out": out, "the loss CSV": loss_csv, "the run manifest": _manifest_path(out)})
+    targets = {"--out": out, "the loss CSV": loss_csv, "the run manifest": _manifest_path(out)}
+    _refuse_overwrites({"--dataset": args.dataset, "--config": args.config}, targets)
     dataset = load_dataset(args.dataset)
+    _refuse_sidecars(dataset, targets)
     state = train(dataset, train_config)
     with removed_on_failure() as written:
         save_checkpoint(state, out)
@@ -302,9 +323,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = resolve_config(EVAL_KEYS, args)
     opts = EvalOptions(**{f.name: config[f.name] for f in fields(EvalOptions)})
     out = Path(args.out)
-    _refuse_overwrites({"--dataset": args.dataset, "--checkpoint": args.checkpoint, "--config": args.config},
-                      {"--out": out, "--pr-csv": config["pr_csv"], "the run manifest": _manifest_path(out)})
+    targets = {"--out": out, "--pr-csv": config["pr_csv"], "the run manifest": _manifest_path(out)}
+    _refuse_overwrites({"--dataset": args.dataset, "--checkpoint": args.checkpoint, "--config": args.config}, targets)
     dataset = load_dataset(args.dataset)
+    _refuse_sidecars(dataset, targets)
     state = load_checkpoint(args.checkpoint)
     report = evaluate_map(dataset, state.params, opts)
     if config["both"]:

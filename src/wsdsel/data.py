@@ -12,13 +12,11 @@ Boxes travel as arrays: each image's proposals are one (N, 4) float64
 array, `ImageBag.boxes`, and its ground truth a (G,) class array,
 `ImageBag.gt_classes`, beside a (G, 4) float64 array, `ImageBag.gt_boxes`.
 The generator and the loader fill them, `Dataset.validate` checks both box
-arrays alike, the writer formats them row by row and evaluation reads them
-as they are. `ImageBag.proposals` and `ImageBag.ground_truth` build `BBox`
-objects from them only when asked. The loader reads the manifest a piece
-at a time, and its decoder hands each image record over as soon as it is
-decoded, to have its proposals made an array: a load holds one record's
-text, and its coordinates as Python numbers, at a time, never the whole
-manifest's.
+arrays alike, and evaluation reads them as they are. `ImageBag.proposals`
+and `ImageBag.ground_truth` build `BBox` objects from them only when asked.
+An image's proposals are stored with its features, in its binary sidecar,
+and never pass through text: the writer puts the array's bytes there and
+the loader returns a view of the buffer it reads them into.
 
 The boxes of an image are drawn from its own generator in a fixed order,
 each by rejection sampling: the clusters object by object (a tight first
@@ -75,11 +73,14 @@ chunk stays in cache.
 File formats
 ------------
 Dataset manifest (JSON): top level {c, d, class_names, images: [{id,
-labels, proposals, ground_truth, feature_file, views}]}, with proposals as
-[x1, y1, x2, y2] rows and ground_truth as {class, box} records.
+labels, ground_truth, feature_file, views}]}, with ground_truth as {class,
+box} records and each box an [x1, y1, x2, y2] row.
 
-Feature sidecar (binary, one per image): magic "WSDF", version as u16 LE,
-then V, N, D as u32 LE, then V*N*D row-major float32 LE.
+Feature sidecar (binary, one per image), version 2: magic "WSDF", version
+as u16 LE, then V, N, D as u32 LE, then the N proposal rows [x1, y1, x2,
+y2] as float64 LE, then V*N*D row-major float32 LE. The boxes come first,
+so the header and the boxes are one read from the front of the file; the
+features start at byte 18 + 32*N.
 
 Writing outputs
 ---------------
@@ -94,7 +95,6 @@ removes it again if a later step fails.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import errno
 import itertools
@@ -104,7 +104,7 @@ import os
 import reprlib
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -114,17 +114,16 @@ from wsdsel.errors import ConfigError, DataError
 from wsdsel.geometry import BBox, box_array, iou, iou_matrix
 
 FEATURE_MAGIC = b"WSDF"
-FEATURE_VERSION = 1
+FEATURE_VERSION = 2
 # The smallest per-image N*D*views at which generation draws features on two threads (see the module docstring).
 FEATURE_SPLIT_MIN = 1 << 16
 # Noise entries drawn per chunk: 256 KB of float64 per thread, a buffer that stays in cache.
 NOISE_CHUNK = 1 << 15
-# Bytes of manifest text a load reads at a time, at the least (see `_decoded`).
-MANIFEST_PIECE = 1 << 16
 # `Dataset.validate` checks box values over runs of whole images holding at
 # most this many box rows, so its copies stay bounded however many images a
-# dataset has; an image with more rows makes a run alone.
-VALIDATE_ROWS = 1 << 16
+# dataset has; an image with more rows makes a run alone. A run's copy (128 KiB
+# of coordinates) is then the largest thing a load holds beside its arrays.
+VALIDATE_ROWS = 1 << 12
 # What a load message shows of a bad manifest value: lists are cut after 20
 # items (a 20-class label vector shows whole) and nesting after 6 levels.
 _SHOWN = reprlib.Repr()
@@ -185,6 +184,9 @@ class Dataset:
     feat_dim: int
     class_names: list[str]
     images: list[ImageBag]
+    # (st_dev, st_ino) of each feature sidecar `load_dataset` read, to its image's id: the files a
+    # command must not overwrite.
+    sidecars: dict[tuple[int, int], str] = field(default_factory=dict)
 
     def validate(self):
         """Raise a DataError that names the image at the first fault found.
@@ -650,21 +652,30 @@ def removed_on_failure():
         raise
 
 
-def _write_sidecar(path: Path, views: list[np.ndarray]):
+def _write_sidecar(path: Path, boxes: np.ndarray, views: list[np.ndarray]):
     v = len(views)
     n, d = views[0].shape
     stacked = np.stack(views, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC + struct.pack("<HIII", FEATURE_VERSION, v, n, d))
+        fh.write(np.ascontiguousarray(boxes, dtype="<f8").data)
         fh.write(stacked.data)
 
 
-def _read_sidecar(path: Path, image_id: str) -> list[np.ndarray]:
+def _read_sidecar(path: Path, image_id: str) -> tuple[np.ndarray, list[np.ndarray], tuple[int, int]]:
+    """An image's proposal boxes, (N, 4) float64, its V (N, D) float32 views, and the file's (st_dev, st_ino).
+
+    The payload after the 18-byte header is read into one buffer, and the
+    boxes and views are views of it: nothing is copied and nothing is
+    zero-filled. The boxes sit at the start of the buffer, so they are as
+    aligned as numpy's allocation. The payload must be exactly 32*N +
+    4*V*N*D bytes.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read(18)
-            # The floats are read straight into the one array the views share: no copy, no zero fill.
-            payload = np.empty(max(0, os.fstat(fh.fileno()).st_size - len(raw)), dtype=np.uint8)
+            stat = os.fstat(fh.fileno())
+            payload = np.empty(max(0, stat.st_size - len(raw)), dtype=np.uint8)
             payload = payload[: fh.readinto(payload)]
     except (OSError, ValueError) as err:  # ValueError: a NUL in the path
         raise DataError(f"image {image_id}: cannot read feature sidecar {path}: {err}") from err
@@ -676,41 +687,20 @@ def _read_sidecar(path: Path, image_id: str) -> list[np.ndarray]:
     if version != FEATURE_VERSION:
         raise DataError(f"image {image_id}: unsupported sidecar version {version}")
     v, n, d = struct.unpack_from("<III", raw, 6)
-    expected = 4 * v * n * d
+    expected = 32 * n + 4 * v * n * d
     if len(payload) != expected:
         raise DataError(
-            f"image {image_id}: truncated feature sidecar, expected {expected} bytes of floats, got {len(payload)}"
+            f"image {image_id}: truncated feature sidecar, expected {expected} bytes of boxes and floats, "
+            f"got {len(payload)}"
         )
-    return list(payload.view("<f4").reshape(v, n, d))
-
-
-# Where an image's proposal rows go in its record's text. In json's output a quote not preceded by
-# a backslash always opens or closes a string, so this can only be the record's key "proposals"
-# holding the string "\0", the placeholder the writer puts there.
-_PROPOSALS_SLOT = '"proposals": "\\u0000"'
-# One proposal row as json.dump(indent=1) lays it out at its depth in the manifest.
-_ROW = "    [\n     %r,\n     %r,\n     %r,\n     %r\n    ]"
-
-
-def _proposals_json(boxes: np.ndarray) -> str:
-    """The manifest text of an image's proposal rows, byte for byte what json.dump(indent=1) writes for them.
-
-    Finite coordinates are written with `%r`, which is the `float.__repr__`
-    json uses; rows with a non-finite coordinate (json's NaN, Infinity), no
-    rows or rows of another shape are left to json itself.
-    """
-    if boxes.shape[1:] != (4,) or not len(boxes) or not np.isfinite(boxes).all():
-        return json.dumps(boxes.tolist(), indent=1).replace("\n", "\n   ")
-    return "[\n" + ",\n".join([_ROW] * len(boxes)) % tuple(boxes.ravel().tolist()) + "\n   ]"
+    boxes = payload[: 32 * n].view("<f8").reshape(n, 4)
+    return boxes, list(payload[32 * n :].view("<f4").reshape(v, n, d)), (stat.st_dev, stat.st_ino)
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
-    """Write the manifest JSON at `path` plus one feature sidecar per image.
+    """Write the manifest JSON at `path` plus one feature sidecar per image, which holds its boxes too.
 
-    The manifest's bytes are those of json.dump(indent=1). Its list of image
-    records comes last; each record is encoded on its own, with a
-    placeholder for its proposals whose rows are then formatted into it,
-    and written as it is made, so that one image's text exists at a time.
+    The manifest's bytes are those of json.dump(indent=1) and a newline.
 
     An image id names its sidecar file, so an id that is empty, `.` or `..`,
     holds `/`, `\\` or NUL, or repeats another is a DataError, raised before
@@ -730,7 +720,19 @@ def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
     path = Path(path)
     feat_dir_name = path.stem + "_features"
     feat_dir = path.parent / feat_dir_name
-    head = json.dumps({"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "images": []}, indent=1)
+    records = [
+        {
+            "id": bag.id,
+            "labels": bag.labels.tolist(),
+            "ground_truth": [
+                {"class": c, "box": box} for c, box in zip(bag.gt_classes.tolist(), bag.gt_boxes.tolist())
+            ],
+            "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
+            "views": len(bag.views),
+        }
+        for bag in ds.images
+    ]
+    manifest = {"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "images": records}
     with removed_on_failure() as written:
         if not feat_dir.exists():
             written.append(feat_dir)
@@ -739,26 +741,9 @@ def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
             sidecar = feat_dir / f"{bag.id}.wsdf"
             if not sidecar.is_dir():  # a directory standing there is not this call's to remove
                 written.append(sidecar)
-            _write_sidecar(sidecar, bag.views)
+            _write_sidecar(sidecar, bag.boxes, bag.views)
         with replaced(path) as fh:
-            fh.write(head.removesuffix("[]\n}"))
-            separator = "[\n  "
-            for bag in ds.images:
-                record = {
-                    "id": bag.id,
-                    "labels": bag.labels.tolist(),
-                    "proposals": "\0",
-                    "ground_truth": [
-                        {"class": c, "box": box} for c, box in zip(bag.gt_classes.tolist(), bag.gt_boxes.tolist())
-                    ],
-                    "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
-                    "views": len(bag.views),
-                }
-                # Indented two levels deeper: the record sits in the manifest's "images" list.
-                before, after = json.dumps(record, indent=1).replace("\n", "\n  ").split(_PROPOSALS_SLOT)
-                fh.write(f'{separator}{before}"proposals": {_proposals_json(bag.boxes)}{after}')
-                separator = ",\n  "
-            fh.write("\n ]\n}\n" if ds.images else "[]\n}\n")
+            fh.write(json.dumps(manifest, indent=1) + "\n")
         written.append(path)  # only once in place: a failed write leaves what stood at `path`
     return written
 
@@ -794,134 +779,19 @@ def _boxes_from_json(rows, what: str) -> np.ndarray:
         raise DataError(f"{what}: {err}") from err
 
 
-def _decoded(fh, record) -> dict | None:
-    """The JSON object in the bytes `fh` reads, decoded one value at a time, or None.
-
-    The object is the one json.load returns for the same file opened as
-    UTF-8 text, except that each element of its top-level "images" array is
-    what `record` returns for it. `record` sees each element once, after the
-    walk has taken it whole, and nothing else.
-
-    The walk takes the top-level object's keys and values itself, and the
-    elements of an array value one by one; each key, value or element goes
-    to one `raw_decode` of a window of the text. The window is read at
-    least MANIFEST_PIECE bytes at a time, dropping what was decoded, so it
-    holds at most one value's text beside what was read past it. A value is
-    taken once the ',', ':' or closing bracket that must follow it is in
-    the window; until then the window grows to twice its size and the value
-    is decoded again. Before each value it is filled to the longest value
-    yet, so a list of like records decodes each record once.
-
-    Text the walk does not take whole (not UTF-8, not JSON, a BOM, trailing
-    data, a top level that is not an object) gives None, and json.load
-    says why.
-    """
-    decode = json.JSONDecoder().raw_decode
-    # Newlines stay untranslated: outside a string they are whitespace either way, and a string cannot hold one.
-    utf8 = codecs.getincrementaldecoder("utf-8")()
-    space = json.decoder.WHITESPACE.match
-    text, at, ended, longest = "", 0, False, 0  # the window, the next character in it, the file read, a value's length
-
-    def more(least: int):
-        nonlocal text, at, ended
-        text, at = text[at:], 0
-        raw = fh.read(max(MANIFEST_PIECE, least))
-        ended = not raw
-        text += utf8.decode(raw, final=ended)
-
-    def peek() -> str:
-        """The next character after whitespace, with `at` on it; "" at the end of the text."""
-        nonlocal at
-        while (at := space(text, at).end()) == len(text) and not ended:
-            more(0)
-        return text[at : at + 1]
-
-    def expect(chars: str) -> str:
-        nonlocal at
-        char = peek()
-        if not char or char not in chars:
-            raise ValueError(f"expected one of {chars!r}")
-        at += 1
-        return char
-
-    def value(closers: str, convert=None):
-        """The value after whitespace, `convert`ed if given, and the one of `closers` after it, with `at` past that."""
-        nonlocal at, longest
-        peek()
-        if len(text) - at < longest and not ended:
-            more(longest - (len(text) - at))
-        while True:
-            with contextlib.suppress(json.JSONDecodeError):
-                obj, end = decode(text, at)
-                stop = space(text, end).end()
-                if stop < len(text) and text[stop] in closers:
-                    break
-            if ended:
-                raise ValueError("not one JSON object")
-            more(len(text) - at)
-        longest = max(longest, (stop - at) * 9 // 8 + 1)  # room for a slightly longer record
-        at = stop + 1
-        return (convert(obj) if convert else obj), text[stop]
-
-    def members(close: str, member) -> list:
-        """The `member()`s of the object or array just opened, up to `close`, with `at` past it."""
-        nonlocal at
-        found, closer = [], ","
-        if peek() == close:
-            at, closer = at + 1, close
-        while closer == ",":
-            item, closer = member()
-            found.append(item)
-        return found
-
-    def pair():
-        nonlocal at
-        if peek() != '"':
-            raise ValueError("expected a key")
-        key, _ = value(":")
-        if peek() == "[":  # an array value, element by element
-            at += 1
-            return (key, members("]", lambda: value(",]", record if key == "images" else None))), expect(",}")
-        obj, closer = value(",}")
-        return (key, obj), closer
-
-    try:
-        expect("{")
-        manifest = dict(members("}", pair))
-        return None if peek() else manifest
-    except ValueError:  # the walk's, or invalid UTF-8 as the text is read
-        return None
-
-
 def load_dataset(path: str | Path) -> Dataset:
     """Load and fully validate a dataset; errors name the offending image.
 
     Every image's id must differ from every other's as text (`str(id)`),
-    the rule `save_dataset` writes by.
-
-    The manifest is decoded one image record at a time (`_decoded`), which
-    hands each element of "images" over as soon as it is decoded: a record's
-    "proposals" rows then become its (N, 4) array. So a load holds one
-    record's text, and its coordinates as Python numbers, at a time beside
-    the arrays it returns. Text the piecewise decoder does not take whole is
-    decoded by json.load, which raises as it always did or gives a top level
-    that is not an object. Rows that `_boxes_from_json` rejects are left for
-    the record loop, which checks them in its order, with its message.
+    the rule `save_dataset` writes by. The manifest is read with one
+    json.load; each image's proposal boxes and views come from its sidecar
+    (`_read_sidecar`), and the returned dataset's `sidecars` maps each
+    sidecar's file identity to its image's id.
     """
     path = Path(path)
-
-    def proposals_as_array(rec):
-        if isinstance(rec, dict) and "proposals" in rec:
-            with contextlib.suppress(DataError):
-                rec["proposals"] = _boxes_from_json(rec["proposals"], "proposals")
-        return rec
-
     try:
-        with open(path, "rb") as fh:
-            manifest = _decoded(fh, proposals_as_array)
-        if manifest is None:
-            with open(path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
     except (OSError, ValueError, RecursionError) as err:  # not JSON or not UTF-8; nested deeper than json goes
         raise DataError(f"cannot load dataset manifest {path}: {err}") from err
 
@@ -938,7 +808,7 @@ def load_dataset(path: str | Path) -> Dataset:
 
     if not isinstance(manifest["images"], list):
         raise DataError(f"manifest key 'images' must be a list, got {type(manifest['images']).__name__}")
-    images = []
+    images, sidecars = [], {}
     positions: dict[str, int] = {}  # str(id) -> position of the first image with it
     for position, rec in enumerate(manifest["images"]):
         if not isinstance(rec, dict):
@@ -947,12 +817,9 @@ def load_dataset(path: str | Path) -> Dataset:
         first = positions.setdefault(str(image_id), position)
         if first != position:
             raise DataError(f"image {position} ({str(image_id)!r}): id repeats image {first}'s")
-        missing = [key for key in ("proposals", "labels", "feature_file", "views") if key not in rec]
+        missing = [key for key in ("labels", "feature_file", "views") if key not in rec]
         if missing:
             raise DataError(f"image {image_id}: record missing {', '.join(missing)}")
-        boxes = rec["proposals"]
-        if not isinstance(boxes, np.ndarray):
-            boxes = _boxes_from_json(boxes, f"image {image_id}: proposals")
         records = rec.get("ground_truth", [])
         try:
             classes, gt_rows = [g["class"] for g in records], [g["box"] for g in records]
@@ -969,17 +836,18 @@ def load_dataset(path: str | Path) -> Dataset:
             raise DataError(
                 f"image {image_id}: feature_file must be a path string, got {_SHOWN.repr(rec['feature_file'])}"
             )
-        views = _read_sidecar(path.parent / rec["feature_file"], image_id)
+        boxes, views, identity = _read_sidecar(path.parent / rec["feature_file"], image_id)
         if len(views) != n_views:
             raise DataError(
                 f"image {image_id}: manifest declares {rec['views']} views, sidecar has {len(views)}"
             )
+        sidecars[identity] = str(image_id)
         try:
             bag = ImageBag(id=str(image_id), boxes=boxes, views=views, labels=np.asarray(labels, dtype=np.int64),
                            ground_truth=zip(classes, gt_boxes))
         except OverflowError as err:  # a class beyond the range of `gt_classes`
             raise DataError(f"image {image_id}: ground-truth class out of range: {err}") from err
         images.append(bag)
-    ds = Dataset(num_classes=num_classes, feat_dim=feat_dim, class_names=class_names, images=images)
+    ds = Dataset(num_classes, feat_dim, class_names, images, sidecars)
     ds.validate()
     return ds

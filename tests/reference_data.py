@@ -2,7 +2,7 @@
 
 Every box is a `BBox`, every random number comes from its own scalar
 `rng.uniform` call, each proposal's overlap with the ground truth is a
-loop of scalar `iou` calls, and the manifest lists each proposal's
+loop of scalar `iou` calls, and the sidecar holds each proposal's
 `as_tuple()`. `wsdsel.data` draws the same numbers in the same order on
 plain floats and arrays; the tests hold the two to equal bytes, not to a
 tolerance.
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wsdsel.data import FEATURE_MAGIC, FEATURE_VERSION, Dataset, ImageBag, SynthConfig
+from wsdsel.data import FEATURE_MAGIC, Dataset, ImageBag, SynthConfig
 from wsdsel.geometry import BBox, iou
 
 
@@ -158,14 +158,16 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     return ds
 
 
-def _write_sidecar(path: Path, views: list[np.ndarray]):
+def _write_sidecar(path: Path, boxes: np.ndarray, views: list[np.ndarray]):
+    """Version 2: the header, then the (N, 4) proposal rows as float64 LE, then the views as float32 LE."""
     v = len(views)
     n, d = views[0].shape
     stacked = np.stack([view.astype("<f4") for view in views])
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<H", FEATURE_VERSION))
+        fh.write(struct.pack("<H", 2))
         fh.write(struct.pack("<III", v, n, d))
+        fh.write(np.asarray(boxes).astype("<f8").tobytes())
         fh.write(stacked.tobytes())
 
 
@@ -180,12 +182,11 @@ def save_dataset(ds: Dataset, path: str | Path):
     records = []
     for bag in ds.images:
         sidecar = feat_dir / f"{bag.id}.wsdf"
-        _write_sidecar(sidecar, bag.views)
+        _write_sidecar(sidecar, [b.as_tuple() for b in bag.proposals], bag.views)
         records.append(
             {
                 "id": bag.id,
                 "labels": bag.labels.tolist(),
-                "proposals": [list(b.as_tuple()) for b in bag.proposals],
                 "ground_truth": [{"class": c, "box": list(b.as_tuple())} for c, b in bag.ground_truth],
                 "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
                 "views": len(bag.views),

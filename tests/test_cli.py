@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,27 @@ class TestSynth:
         assert generated == []
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("config_name, flags", [
+        ("cfg.txt", ["--out", "{cfg}"]),
+        ("ds.json.manifest.json", ["--out", "{tmp}/ds.json"]),  # the run manifest
+        ("ds-test.json", ["--out", "{tmp}/ds.json", "--train-split", "7"]),  # the test half
+        ("cfg.txt", ["--out", "{tmp}/link.json"]),  # a symbolic link to the config
+    ])
+    def test_an_output_that_is_the_config_is_refused_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                                        config_name, flags):
+        generated = []
+        monkeypatch.setattr(wsdsel.cli, "generate_synthetic", generated.append)
+        cfg = tmp_path / config_name
+        cfg.write_text("n_images = 10\nnum_classes = 3\n", encoding="utf-8")
+        (tmp_path / "link.json").symlink_to(cfg)
+        before = _tree(tmp_path)
+        argv = [flag.format(cfg=cfg, tmp=tmp_path) for flag in flags]
+        assert main(["synth", "--config", str(cfg), *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"is the same file as --config {cfg}" in err
+        # the config as it was; no dataset, features directory or run manifest
+        assert generated == [] and _tree(tmp_path) == before
 
 
 class TestTrain:
@@ -484,6 +506,59 @@ def test_a_refused_run_leaves_its_inputs_usable(trained, tmp_path, capsys):
     assert (tmp_path / "again.wsdc").read_bytes() == ckpt.read_bytes()
 
 
+@pytest.mark.parametrize("command, flag, via", [
+    ("eval", "--pr-csv", "ds_features/im00003.wsdf"),
+    ("eval", "--out", "ds_features/im00003.wsdf"),  # the report
+    ("train", "--out", "ds_features/im00003.wsdf"),  # the checkpoint
+    ("eval", "--pr-csv", "link.wsdf"),  # a symbolic link to the sidecar
+    ("train", "--out", "link.wsdf"),
+    ("eval", "--pr-csv", "hard.wsdf"),  # a hard link: another name for the same file
+    ("train", "--out", "hard.wsdf"),
+    ("eval", "pr_csv", "ds_features/im00003.wsdf"),  # the PR CSV named in --config
+])
+def test_an_output_that_is_a_feature_sidecar_is_refused(trained, tmp_path, capsys, command, flag, via):
+    dataset, ckpt = trained
+    sidecar = tmp_path / "ds_features" / "im00003.wsdf"
+    (tmp_path / "link.wsdf").symlink_to(sidecar)
+    (tmp_path / "hard.wsdf").hardlink_to(sidecar)
+    target = str(tmp_path / via)
+    if flag == "pr_csv":
+        (tmp_path / "cfg.txt").write_text(f"pr_csv = {target}\n", encoding="utf-8")
+        outputs, flag = {"--out": str(tmp_path / "r.json"), "--config": str(tmp_path / "cfg.txt")}, "--pr-csv"
+    else:
+        outputs = {"--out": str(tmp_path / "r.json"), flag: target}  # with flag --out, the sidecar is the report
+    inputs = {"train": ["--dataset", str(dataset), *FAST_TRAIN],
+              "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt)]}[command]
+    before = _tree(tmp_path)
+    assert main([command, *inputs, *(arg for pair in outputs.items() for arg in pair)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {flag} {target} is the same file as image im00003's feature sidecar; " \
+                  "refusing to overwrite it\n"
+    assert _tree(tmp_path) == before  # the sidecar's bytes as they were, and no output or temporary
+    assert run_eval(dataset, ckpt, tmp_path / "after.json") == EXIT_OK
+
+
+@pytest.mark.parametrize("command, out, name", [
+    ("train", "c.wsdc", "the loss CSV"),
+    ("train", "c.wsdc", "the run manifest"),
+    ("eval", "r.json", "the run manifest"),
+])
+def test_a_derived_output_that_is_a_feature_sidecar_is_refused(trained, tmp_path, capsys, command, out, name):
+    # A manifest may name any file as an image's sidecar: here, the file the run would write beside --out.
+    dataset, ckpt = trained
+    taken = tmp_path / (f"{Path(out).stem}_loss.csv" if name == "the loss CSV" else f"{out}.manifest.json")
+    (tmp_path / "ds_features" / "im00003.wsdf").rename(taken)
+    manifest = json.loads(dataset.read_text())
+    manifest["images"][3]["feature_file"] = taken.name
+    dataset.write_text(json.dumps(manifest))
+    inputs = {"train": ["--dataset", str(dataset), *FAST_TRAIN],
+              "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt)]}[command]
+    before = _tree(tmp_path)
+    assert main([command, *inputs, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert f"{name} {taken} is the same file as image im00003's feature sidecar" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("raw", [False, True], ids=["escaped-manifest", "raw-utf8-manifest"])
 def test_eval_under_a_non_utf8_locale_writes_utf8(trained, tmp_path, raw):
     dataset, ckpt = trained
@@ -607,7 +682,18 @@ class TestMalformedInputs:
         sidecar.write_bytes(sidecar.read_bytes()[:12])
         assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
 
-    @pytest.mark.parametrize("key", ["feature_file", "labels", "proposals", "views"])
+    def test_version_1_sidecar_names_the_image_and_the_version(self, trained, tmp_path, capsys):
+        # Version 1 held the header and the floats, with the boxes in the manifest.
+        dataset, ckpt = trained
+        sidecar = tmp_path / "ds_features" / "im00002.wsdf"
+        raw = sidecar.read_bytes()
+        v, n, d = struct.unpack_from("<III", raw, 6)
+        sidecar.write_bytes(raw[:4] + struct.pack("<HIII", 1, v, n, d) + raw[18 + 32 * n :])
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert "data error: image im00002: unsupported sidecar version 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key", ["feature_file", "labels", "views"])
     def test_image_record_missing_key(self, trained, tmp_path, capsys, key):
         dataset, ckpt = trained
         manifest = json.loads(dataset.read_text())

@@ -35,15 +35,16 @@ def _faults(message: str, *edits):
     return edit
 
 
-def _bad_proposals(image: int):
-    return lambda m: m["images"][image]["proposals"][0].__setitem__(2, "0.9")
+def _bad_box(image: int):
+    return lambda m: m["images"][image]["ground_truth"][0]["box"].__setitem__(2, "0.9")
 
 
-def _stray_proposals(manifest: dict):
-    manifest["proposals"] = [[True]]
-    for record in manifest["images"]:
-        for obj in record["ground_truth"]:
-            obj["proposals"] = [[0.0, 0.0, 1.0, 1.0]]
+def _edit_box_block(sidecar, edit):
+    """Call `edit` on the (N, 4) box block of `sidecar`, a view of its bytes, then write them back."""
+    raw = bytearray(sidecar.read_bytes())
+    (n,) = struct.unpack_from("<I", raw, 10)
+    edit(np.frombuffer(raw, "<f8", 4 * n, 18).reshape(n, 4))
+    sidecar.write_bytes(bytes(raw))
 
 
 class TestSynthConfig:
@@ -274,9 +275,9 @@ class TestRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.json", "ds_features"]
 
     def test_load_peaks_at_the_manifest_text_and_the_arrays_it_returns(self, tmp_path):
-        # Decoding holds the manifest's bytes and its str at once, so twice its size is the floor;
-        # proposals that lived as Python floats until the whole manifest was parsed would add
-        # about 1.8 times the size again (a 24-byte float per coordinate, in 4-element lists).
+        # Decoding holds the manifest's bytes and its str at once, so twice its size is the floor.
+        # The boxes come from the sidecars, into the buffer their views share: proposals held as
+        # Python floats would add a 24-byte float per coordinate, in 4-element lists.
         cfg = SynthConfig(n_images=8, num_classes=3, feat_dim=4, proposals_per_image=2048, seed=5)
         save_dataset(generate_synthetic(cfg), tmp_path / "ds.json")
         text = (tmp_path / "ds.json").stat().st_size
@@ -291,9 +292,9 @@ class TestRoundTrip:
         assert peak <= 2 * text + arrays + slack, (peak, text, arrays)
 
     def test_load_holds_one_record_text_at_a_time(self, tmp_path):
-        # The same manifest as above (1.80 MB, 8 records of about 225 KB). Decoded one record at a
-        # time, the load holds a window of about one record's text, and that record's rows as Python
-        # floats until they become its array (about twice its text), beside the arrays it returns.
+        # The same dataset as above. Its manifest holds no proposals, so its 8 records are a few
+        # hundred bytes each, and the whole text decoded at once fits in the slack beside the arrays
+        # the load returns, which hold every box and feature.
         cfg = SynthConfig(n_images=8, num_classes=3, feat_dim=4, proposals_per_image=2048, seed=5)
         save_dataset(generate_synthetic(cfg), tmp_path / "ds.json")
         records = json.loads((tmp_path / "ds.json").read_text())["images"]
@@ -337,7 +338,8 @@ class TestLoadValidation:
         ds, path = self._saved(tmp_path)
         sidecar = tmp_path / "ds_features" / f"{ds.images[1].id}.wsdf"
         raw = bytearray(sidecar.read_bytes())
-        raw[18:22] = struct.pack("<f", float("nan"))
+        at = 18 + 32 * SMALL.proposals_per_image  # the first float32, after the header and the boxes
+        raw[at : at + 4] = struct.pack("<f", float("nan"))
         sidecar.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="im00001.*non-finite"):
             load_dataset(path)
@@ -360,29 +362,80 @@ class TestLoadValidation:
         with pytest.raises(DataError, match=rf"image 3 \('{first}'\): id repeats image 1's"):
             load_dataset(path)
 
-    def test_degenerate_proposal_rejected(self, tmp_path):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b.__setitem__((3, 1), np.nan), "non-finite proposal box coordinates"),
+        (lambda b: b.__setitem__((3, 2), np.inf), "non-finite proposal box coordinates"),
+        (lambda b: b.__setitem__((3, 0), -np.inf), "non-finite proposal box coordinates"),
+        (lambda b: b.__setitem__((3, 0), b[3, 2]), "degenerate proposal box 3"),  # x1 = x2
+        (lambda b: b.__setitem__((3, 3), b[3, 1] - 0.25), "degenerate proposal box 3"),  # y2 < y1
+    ], ids=["nan", "inf", "minus-inf", "x1-at-x2", "y2-below-y1"])
+    def test_a_bad_box_in_the_sidecar_names_its_image(self, tmp_path, edit, message):
+        _, path = self._saved(tmp_path)
+        _edit_box_block(tmp_path / "ds_features" / "im00002.wsdf", edit)
+        with pytest.raises(DataError, match=f"^image im00002: {message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("resize", [
+        lambda raw: raw[:18],  # the header alone
+        lambda raw: raw[: 18 + 8],  # cut inside the first box
+        lambda raw: raw[: 18 + 32 * 5 + 20],  # cut inside the sixth box
+        lambda raw: raw + b"\0" * 8,  # bytes after the features
+    ], ids=["header-only", "first-box", "sixth-box", "trailing-bytes"])
+    def test_a_sidecar_of_another_size_names_its_image(self, tmp_path, resize):
+        _, path = self._saved(tmp_path)
+        sidecar = tmp_path / "ds_features" / "im00002.wsdf"
+        sidecar.write_bytes(resize(sidecar.read_bytes()))
+        want = 32 * SMALL.proposals_per_image + 4 * SMALL.proposals_per_image * SMALL.feat_dim
+        got = sidecar.stat().st_size - 18
+        with pytest.raises(DataError, match=f"^image im00002: truncated feature sidecar, expected {want} bytes "
+                                            f"of boxes and floats, got {got}$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("version", [0, 1, 3])
+    def test_a_sidecar_of_another_version_is_refused(self, tmp_path, version):
+        _, path = self._saved(tmp_path)
+        sidecar = tmp_path / "ds_features" / "im00001.wsdf"
+        raw = bytearray(sidecar.read_bytes())
+        raw[4:6] = struct.pack("<H", version)
+        sidecar.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"^image im00001: unsupported sidecar version {version}$"):
+            load_dataset(path)
+
+    def test_a_sidecar_without_rows_has_no_proposals(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        sidecar = tmp_path / "ds_features" / "im00001.wsdf"
+        raw = bytearray(sidecar.read_bytes()[:18])
+        raw[10:14] = struct.pack("<I", 0)  # N = 0: no boxes and no floats
+        sidecar.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="^image im00001: no proposals$"):
+            load_dataset(path)
+
+    def test_a_sidecar_of_another_feature_dimension_names_its_image(self, tmp_path):
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
-        manifest["images"][0]["proposals"][0] = [0.5, 0.5, 0.5, 0.9]
+        manifest["d"] = SMALL.feat_dim + 1
         path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="im00000"):
+        with pytest.raises(DataError, match=r"^image im00000: view shape \(16, 8\) != \(16, 9\)$"):
             load_dataset(path)
+
+    def test_the_load_records_each_sidecar_file(self, tmp_path):
+        ds, path = self._saved(tmp_path)
+        loaded = load_dataset(path)
+        files = [(tmp_path / "ds_features" / f"{bag.id}.wsdf").stat() for bag in ds.images]
+        assert loaded.sidecars == {(st.st_dev, st.st_ino): bag.id for st, bag in zip(files, ds.images)}
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda m: m["images"][0]["proposals"][0].__setitem__(2, True),
-            lambda m: m["images"][0]["proposals"][0].__setitem__(2, "0.9"),
-            lambda m: m["images"][0]["proposals"][0].__setitem__(0, None),
-            lambda m: m["images"][0]["proposals"][0].__setitem__(1, [0.1]),
-            lambda m: m["images"][0]["proposals"][0].pop(),
-            lambda m: m["images"][0]["proposals"][0].append(0.5),
-            lambda m: m["images"][0]["proposals"].__setitem__(3, {"x1": 0.1}),
-            lambda m: m["images"][0]["proposals"].__setitem__(3, 0.5),
-            lambda m: m["images"][0]["proposals"][0].__setitem__(2, 10**400),
             lambda m: m["images"][0]["ground_truth"][0]["box"].__setitem__(2, True),
             lambda m: m["images"][0]["ground_truth"][0]["box"].__setitem__(3, "1"),
+            lambda m: m["images"][0]["ground_truth"][0]["box"].__setitem__(0, None),
+            lambda m: m["images"][0]["ground_truth"][0]["box"].__setitem__(1, [0.1]),
             lambda m: m["images"][0]["ground_truth"][0]["box"].pop(),
+            lambda m: m["images"][0]["ground_truth"][0]["box"].append(0.5),
+            lambda m: m["images"][0]["ground_truth"][0].__setitem__("box", {"x1": 0.1}),
+            lambda m: m["images"][0]["ground_truth"][0].__setitem__("box", 0.5),
+            lambda m: m["images"][0]["ground_truth"][0]["box"].__setitem__(2, 10**400),
             lambda m: m["images"][0]["ground_truth"][0].__setitem__("class", 1.7),
             lambda m: m["images"][0]["ground_truth"][0].__setitem__("class", True),
             lambda m: m["images"][0]["ground_truth"][0].__setitem__("class", "1"),
@@ -391,27 +444,17 @@ class TestLoadValidation:
             lambda m: m["images"][0].__setitem__("ground_truth", [[0, [0.1, 0.1, 0.2, 0.2]]]),
             # More than one fault: the checks run record by record in their order, so the first
             # fault in that order is reported, whatever was decoded first.
-            pytest.param(_faults("image im00000: record missing views", _bad_proposals(0),
-                                 lambda m: m["images"][0].pop("views")), id="bad-proposals-no-views"),
-            pytest.param(_faults("image im00000: proposals", _bad_proposals(0), _bad_proposals(1)),
-                         id="two-bad-proposals"),
-            pytest.param(_faults("image im00000: ground-truth classes", _bad_proposals(1),
+            pytest.param(_faults("image im00000: record missing views", _bad_box(0),
+                                 lambda m: m["images"][0].pop("views")), id="bad-box-no-views"),
+            pytest.param(_faults("image im00000: ground-truth boxes", _bad_box(0), _bad_box(1)),
+                         id="two-bad-boxes"),
+            pytest.param(_faults("image im00000: ground-truth classes", _bad_box(1),
                                  lambda m: m["images"][0]["ground_truth"][0].update({"class": 1.5})),
-                         id="bad-class-then-bad-proposals"),
-            pytest.param(_faults(r"image 1 \('im00000'\): id repeats image 0's", _bad_proposals(1),
-                                 lambda m: m["images"][1].update(id="im00000")), id="repeated-id-bad-proposals"),
-            pytest.param(_faults("manifest key 'c' must be a positive integer", _bad_proposals(0),
-                                 lambda m: m.update(c=0)), id="bad-c-bad-proposals"),
-            # "proposals" outside an image record: the top level's and a ground-truth object's are
-            # not read, and one inside another value shows in its message as the list it was.
-            pytest.param(_faults(re.escape("image im00000: labels must be a list of 0/1 integers, got "
-                                           "{'proposals': [[0.0, 0.0, 1, 1.0]]}"), _stray_proposals,
-                                 lambda m: m["images"][0].update(labels={"proposals": [[0.0, 0.0, 1, 1.0]]})),
-                         id="stray-proposals-in-labels"),
-            pytest.param(_faults(re.escape("image im00002: feature_file must be a path string, got "
-                                           "{'proposals': [[0.5, 0.25, 1.0, 1.0]]}"), _stray_proposals,
-                                 lambda m: m["images"][2].update(feature_file={"proposals": [[0.5, 0.25, 1.0, 1.0]]})),
-                         id="stray-proposals-in-feature-file"),
+                         id="bad-class-then-bad-box"),
+            pytest.param(_faults(r"image 1 \('im00000'\): id repeats image 0's", _bad_box(1),
+                                 lambda m: m["images"][1].update(id="im00000")), id="repeated-id-bad-box"),
+            pytest.param(_faults("manifest key 'c' must be a positive integer", _bad_box(0),
+                                 lambda m: m.update(c=0)), id="bad-c-bad-box"),
         ],
     )
     def test_non_number_or_misshapen_coordinates_and_classes_rejected(self, tmp_path, edit):
@@ -422,15 +465,10 @@ class TestLoadValidation:
         with pytest.raises(DataError, match=message if isinstance(message, str) else "im00000"):
             load_dataset(path)
 
-    @pytest.mark.parametrize(
-        "edit",
-        [lambda m, v: m["images"][0]["proposals"][0].__setitem__(2, v),
-         lambda m, v: m["images"][0]["ground_truth"][0]["box"].__setitem__(3, v)],
-    )
-    def test_overflowing_coordinate_rejected(self, tmp_path, edit):
+    def test_overflowing_coordinate_rejected(self, tmp_path):
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
-        edit(manifest, 12345.5)
+        manifest["images"][0]["ground_truth"][0]["box"][3] = 12345.5
         path.write_text(json.dumps(manifest).replace("12345.5", "1e999"))  # parses as infinity
         with pytest.raises(DataError, match="im00000.*(non-finite|must be finite)"):
             load_dataset(path)
@@ -533,7 +571,6 @@ class TestLoadValidation:
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope.json")
 
-    @pytest.mark.parametrize("piece", [data.MANIFEST_PIECE, 97])
     @pytest.mark.parametrize("damage, says", [
         pytest.param(lambda raw: raw[: raw.index(b'"id": "im00003"') + 40], "Expecting", id="truncated-mid-record"),
         pytest.param(lambda raw: raw + b' {"c": 3}\n', "Extra data", id="trailing-data"),
@@ -543,11 +580,8 @@ class TestLoadValidation:
         pytest.param(lambda raw: b"[" + raw + b"]", "must be a JSON object, got list", id="top-level-list"),
         pytest.param(lambda raw: raw.replace(b'"c":', b'3:', 1), "Expecting property name", id="key-not-a-string"),
     ])
-    def test_text_that_is_not_one_json_object_fails_as_json_load_does(self, tmp_path, monkeypatch, damage, says,
-                                                                      piece):
-        # The message is json.load's, as it was before the manifest was decoded piece by piece:
-        # an invalid byte, for one, is named by its position in the whole file.
-        monkeypatch.setattr(data, "MANIFEST_PIECE", piece)
+    def test_text_that_is_not_one_json_object_fails_as_json_load_does(self, tmp_path, damage, says):
+        # The message is json.load's: an invalid byte, for one, is named by its position in the whole file.
         _, path = self._saved(tmp_path)
         path.write_bytes(damage(path.read_bytes()))
         try:
@@ -561,31 +595,6 @@ class TestLoadValidation:
         assert str(caught.value) == message and says in message
 
 
-WALKTHROUGH_SHAPE = SynthConfig(n_images=4, seed=3)  # the generator defaults: N=64, C=6, D=64
-DENSE_EVAL_SHAPE = SynthConfig(n_images=3, num_classes=20, feat_dim=64, proposals_per_image=128, n_views=2, seed=201)
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("json.load decoded a manifest that the piecewise walk should take whole")
-
-
-def _layout(name: str, text: str) -> str:
-    """A writer's manifest text laid out another way; every layout decodes to the same dataset."""
-    manifest = json.loads(text)
-    if name == "images-first":
-        return json.dumps({"images": manifest.pop("images"), **manifest}, indent=1)
-    if name == "duplicate-keys":  # the first of each pair sets the key's place, the last its value
-        head, tail = text.split("{", 1)
-        text = f'{head}{{"images": [], "class_names": [{{"id": "gone"}}], "c": "first", {tail}'
-        return text.rstrip().removesuffix("}") + f', "c": {manifest["c"]}}}\n'
-    if name == "extra-whitespace":
-        return " \r\n\t" + json.dumps(manifest, indent=" \t", separators=(" \r\n,\t", "\n : ")) + "\n\r\n \t"
-    if name == "stray-proposals":  # objects other than image records holding proposals, which the load ignores
-        _stray_proposals(manifest)
-        return json.dumps(manifest, indent=1)
-    return text
-
-
 def _same_dataset(got: Dataset, want: Dataset):
     assert (got.num_classes, got.feat_dim, got.class_names) == (want.num_classes, want.feat_dim, want.class_names)
     assert len(got.images) == len(want.images)
@@ -597,73 +606,28 @@ def _same_dataset(got: Dataset, want: Dataset):
         assert [view.tobytes() for view in a.views] == [view.tobytes() for view in b.views]
 
 
-class TestManifestDecoder:
-    """The piecewise decoder takes a manifest whole and builds what json.load builds from it."""
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(n_images=4, seed=3),  # the walkthrough shape: the generator defaults, N=64, C=6, D=64
+    SynthConfig(n_images=3, num_classes=20, feat_dim=64, proposals_per_image=128, n_views=2, seed=201),  # dense_eval
+    SynthConfig(n_images=2, num_classes=20, feat_dim=16, proposals_per_image=2048, n_views=2, seed=4),
+], ids=["walkthrough", "dense-eval", "n2048"])
+def test_a_saved_dataset_loads_bit_equal(tmp_path, cfg):
+    ds = generate_synthetic(cfg)
+    save_dataset(ds, tmp_path / "ds.json")
+    assert all("proposals" not in rec for rec in json.loads((tmp_path / "ds.json").read_text())["images"])
+    loaded = load_dataset(tmp_path / "ds.json")
+    _same_dataset(loaded, ds)
+    for bag in loaded.images:  # the boxes and the views are views of the one buffer each sidecar is read into
+        assert bag.boxes.base is bag.views[0].base and bag.boxes.flags.aligned
 
-    def _check(self, path, monkeypatch):
-        seen = []
-        tag = lambda obj: seen.append(obj) or ("record", obj)  # shows which values the walk handed over, and where
-        with open(path, encoding="utf-8") as fh:
-            want = json.load(fh)
-        want["images"] = [("record", obj) for obj in want["images"]]
-        with open(path, "rb") as fh:
-            assert repr(data._decoded(fh, tag)) == repr(want)
-        assert len(seen) == len(want["images"])  # each image record once, however often it was decoded
-        with monkeypatch.context() as patched:
-            patched.setattr(json, "load", _refuse)
-            piecewise = load_dataset(path)
-        with monkeypatch.context() as patched:
-            patched.setattr(data, "_decoded", lambda fh, record: None)  # json.load, as before
-            whole = load_dataset(path)
-        _same_dataset(piecewise, whole)
 
-    # A piece of 256 bytes is shorter than every record at both shapes.
-    @pytest.mark.parametrize("piece", [data.MANIFEST_PIECE, 256])
-    @pytest.mark.parametrize("layout", ["writer", "images-first", "duplicate-keys", "extra-whitespace",
-                                        "stray-proposals"])
-    @pytest.mark.parametrize("cfg", [WALKTHROUGH_SHAPE, DENSE_EVAL_SHAPE], ids=["walkthrough", "dense-eval"])
-    def test_builds_what_json_load_builds(self, tmp_path, monkeypatch, cfg, layout, piece):
-        monkeypatch.setattr(data, "MANIFEST_PIECE", piece)
-        path = tmp_path / "ds.json"
-        save_dataset(generate_synthetic(cfg), path)
-        path.write_text(_layout(layout, path.read_text()))
-        self._check(path, monkeypatch)
-
-    # Each token is a value of its own: a top-level value, or an element of the top-level "class_names".
-    @pytest.mark.parametrize("token", ["true", '"class00"', "-1.2345678901e+34"], ids=["true", "string", "number"])
-    def test_a_token_across_a_piece_boundary(self, tmp_path, monkeypatch, token):
-        path = tmp_path / "ds.json"
-        save_dataset(generate_synthetic(WALKTHROUGH_SHAPE), path)
-        text = json.dumps({"note": True, "scale": -1.2345678901e34, **json.loads(path.read_text())}, indent=1)
-        path.write_text(text)
-        start = text.index(token)
-        for cut in range(start + 1, start + len(token)):  # the first piece read ends inside the token
-            monkeypatch.setattr(data, "MANIFEST_PIECE", cut)
-            self._check(path, monkeypatch)
-
-    def test_a_record_decoded_again_is_handed_over_once(self, tmp_path, monkeypatch):
-        # The first piece ends just after the first record's closing brace, before the comma that must
-        # follow it: the record decodes whole, is decoded again once the window has grown, and `_check`
-        # requires that `record` saw it once.
-        path = tmp_path / "ds.json"
-        save_dataset(generate_synthetic(WALKTHROUGH_SHAPE), path)
-        monkeypatch.setattr(data, "MANIFEST_PIECE", path.read_text().index("\n  },\n") + len("\n  }"))
-        self._check(path, monkeypatch)
-
-    def test_like_records_are_decoded_once_the_window_has_grown(self, tmp_path, monkeypatch):
-        # A value that does not fit doubles the window, and each later value finds it filled to the
-        # longest one yet: only the first record, about 30 pieces long, is decoded more than once.
-        monkeypatch.setattr(data, "MANIFEST_PIECE", 256)
-        cfg = SynthConfig(n_images=12, seed=3)
-        path = tmp_path / "ds.json"
-        save_dataset(generate_synthetic(cfg), path)
-        record = max(len(json.dumps(rec, indent=1)) for rec in json.loads(path.read_text())["images"])
-        calls = []
-        real = json.JSONDecoder.raw_decode
-        monkeypatch.setattr(json.JSONDecoder, "raw_decode", lambda self, s, idx=0: calls.append(idx) or real(self, s, idx))
-        load_dataset(path)
-        values = 4 + 2 + cfg.num_classes + cfg.n_images  # the keys, c and d, the class names, the records
-        assert values < len(calls) <= values + math.ceil(math.log2(record / 256)) + 2
+def test_a_loaded_dataset_saves_to_the_same_bytes(tmp_path):
+    save_dataset(generate_synthetic(SMALL), tmp_path / "one" / "ds.json")
+    save_dataset(load_dataset(tmp_path / "one" / "ds.json"), tmp_path / "two" / "ds.json")
+    files = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(tmp_path / "two") for p in (tmp_path / "two").rglob("*") if p.is_file())
+    for name in files:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
 class TestImageBag:

@@ -1,4 +1,4 @@
-"""The generator's batched samplers and the template manifest writer, held to the scalar code byte for byte.
+"""The generator's batched samplers and the dataset writer, held to the scalar code byte for byte.
 
 `data._cluster_boxes` and `data._background_boxes` draw the tries of many
 boxes per `rng.random` call, and `data._context_boxes` reads its boxes'
@@ -283,12 +283,11 @@ def test_generator_equals_reference_on_random_configs(cfg):
 
 
 def json_manifest(ds, stem):
-    """What json.dump(indent=1) writes for the manifest of `ds`, proposals listed as JSON numbers."""
+    """What json.dump(indent=1) writes for the manifest of `ds`; its proposals are in the sidecars, not here."""
     records = [
         {
             "id": bag.id,
             "labels": bag.labels.tolist(),
-            "proposals": bag.boxes.tolist(),
             "ground_truth": [{"class": c, "box": list(b.as_tuple())} for c, b in bag.ground_truth],
             "feature_file": f"{stem}_features/{bag.id}.wsdf",
             "views": len(bag.views),
@@ -303,7 +302,7 @@ def awkward_dataset():
     rng = np.random.default_rng(11)
     boxes = [
         np.array([[0.1, 0.2, 0.3, 0.4], [-0.0, 5e-324, 1e16, 1.0 / 3.0], [1e-300, 0.5, 2.0, 123456789.125]]),
-        np.array([[0.1, 0.2, 0.3, 0.4], [np.nan, 0.1, np.inf, -np.inf]]),  # left to json: NaN, Infinity
+        np.array([[0.1, 0.2, 0.3, 0.4], [np.nan, 0.1, np.inf, -np.inf]]),
         np.empty((0, 4)),
         rng.random((5, 4)),
     ]
@@ -338,9 +337,14 @@ def test_generated_manifest_bytes_equal_json_dump(tmp_path):
 
 
 @pytest.mark.parametrize("dtypes", [["<f4"], [">f4", "<f8"]])
-def test_sidecar_bytes_equal_reference(tmp_path, dtypes):
+@pytest.mark.parametrize("box_dtype", ["<f8", ">f8", "<f4"])
+def test_sidecar_bytes_equal_reference(tmp_path, dtypes, box_dtype):
     rng = np.random.default_rng(3)
+    boxes = rng.random((7, 4)).astype(box_dtype)
     views = [rng.normal(size=(7, 5)).astype(t) for t in dtypes]
-    data._write_sidecar(tmp_path / "got.wsdf", views)
-    ref._write_sidecar(tmp_path / "want.wsdf", views)
+    data._write_sidecar(tmp_path / "got.wsdf", boxes, views)
+    ref._write_sidecar(tmp_path / "want.wsdf", boxes, views)
     assert (tmp_path / "got.wsdf").read_bytes() == (tmp_path / "want.wsdf").read_bytes()
+    got, got_views, _ = data._read_sidecar(tmp_path / "got.wsdf", "x")
+    assert got.tobytes() == boxes.astype("<f8").tobytes()
+    assert [v.tobytes() for v in got_views] == [v.astype("<f4").tobytes() for v in views]

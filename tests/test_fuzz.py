@@ -43,15 +43,14 @@ INVALID = {
     "d": lambda v: not is_int(v, D),
     "class_names": lambda v: not (isinstance(v, list) and len(v) == C and all(isinstance(x, str) for x in v)),
     "images": lambda v: True,
-    "proposals": lambda v: not (isinstance(v, list) and len(v) == N),
     "labels": lambda v: not (isinstance(v, list) and len(v) == C and all(is_int(x, 0, 1) for x in v)),
     "feature_file": lambda v: not isinstance(v, str),
     "views": lambda v: not is_int(v, 2),
     "ground_truth": lambda v: not (isinstance(v, (list, dict, str)) and len(v) == 0),
 }
 TOP_KEYS = ("c", "d", "class_names", "images")
-RECORD_KEYS = ("proposals", "labels", "feature_file", "views", "ground_truth")
-REQUIRED_RECORD_KEYS = ("proposals", "labels", "feature_file", "views")
+RECORD_KEYS = ("labels", "feature_file", "views", "ground_truth")
+REQUIRED_RECORD_KEYS = ("labels", "feature_file", "views")
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +78,6 @@ def ground_truth_record(manifest, image: int, g: int) -> dict:
     return records[g % len(records)]  # every pristine image has one or two objects
 
 
-def box_row(manifest, image: int, field: str, r: int) -> list:
-    if field == "proposals":
-        return manifest["images"][image]["proposals"][r % N]
-    return ground_truth_record(manifest, image, r)["box"]
-
-
 def coordinate_edit():
     """One coordinate made a non-number, infinite or out of order, or removed, or one number too many in the row."""
     non_number = st.one_of(
@@ -103,7 +96,7 @@ def coordinate_edit():
 
 
 def box_or_class_corruption():
-    """One coordinate of one proposal or ground-truth box (see `coordinate_edit`), or one ground-truth class, made invalid."""
+    """One coordinate of one ground-truth box (see `coordinate_edit`), or one ground-truth class, made invalid."""
     image = st.integers(0, IMAGES - 1)
     return st.one_of(
         st.tuples(image, st.integers(0, 1), st.one_of(
@@ -114,14 +107,56 @@ def box_or_class_corruption():
                 lambda m: ground_truth_record(m, t[0], t[1]).__setitem__("class", t[2]),
             )
         ),
-        st.tuples(image, st.sampled_from(["proposals", "ground_truth"]), st.integers(0, N - 1), st.integers(0, 3),
-                  coordinate_edit()).map(
+        st.tuples(image, st.integers(0, 1), st.integers(0, 3), coordinate_edit()).map(
             lambda t: (
-                f"image {t[0]} {t[1]} row {t[2]} coordinate {t[3]} {t[4][0]}",
-                lambda m: t[4][1](box_row(m, t[0], t[1], t[2]), t[3]),
+                f"image {t[0]} ground truth {t[1]} coordinate {t[2]} {t[3][0]}",
+                lambda m: t[3][1](ground_truth_record(m, t[0], t[1])["box"], t[2]),
             )
         ),
     ).map(lambda named: ("manifest", named[0], lambda root: edit_manifest(root, named[1])))
+
+
+def sidecar_of(root: Path, image: int) -> Path:
+    return sorted((root / "ds_features").iterdir())[image]
+
+
+def box_block_corruption():
+    """In one image's sidecar: one proposal coordinate made NaN or infinite, or moved past its pair; or the file cut
+    inside the box block."""
+
+    def set_coordinate(image, r, q, value_of):
+        def corrupt(root: Path):
+            path = sidecar_of(root, image)
+            raw = bytearray(path.read_bytes())
+            (pair,) = struct.unpack_from("<d", raw, 18 + 8 * (4 * r + (q ^ 2)))  # the other coordinate of its axis
+            struct.pack_into("<d", raw, 18 + 8 * (4 * r + q), value_of(pair, q))
+            path.write_bytes(bytes(raw))
+
+        return corrupt
+
+    def cut(image, keep):
+        def corrupt(root: Path):
+            path = sidecar_of(root, image)
+            path.write_bytes(path.read_bytes()[: 18 + keep])
+
+        return corrupt
+
+    image = st.integers(0, IMAGES - 1)
+    value = st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf]).map(lambda v: (f"={v!r}", lambda pair, q: v)),
+        st.floats(0.0, 10.0).map(  # x1 >= x2 or y1 >= y2
+            lambda d: (f"past its pair by {d!r}", lambda pair, q: pair + d if q < 2 else pair - d)
+        ),
+    )
+    return st.one_of(
+        st.tuples(image, st.integers(0, N - 1), st.integers(0, 3), value).map(
+            lambda t: ("sidecar", f"image {t[0]} proposal {t[1]} coordinate {t[2]} {t[3][0]}",
+                       set_coordinate(t[0], t[1], t[2], t[3][1]))
+        ),
+        st.tuples(image, st.integers(0, 32 * N - 1)).map(
+            lambda t: ("sidecar", f"image {t[0]} cut {t[1]} bytes into its box block", cut(*t))
+        ),
+    )
 
 
 def manifest_corruption():
@@ -200,7 +235,9 @@ def binary_corruption(target: str, header_fields: list[tuple[int, str]], payload
 
 
 MAGIC_BYTES = [(i, "<B") for i in range(4)]
-SIDECAR = binary_corruption("sidecar", MAGIC_BYTES + [(4, "<H"), (6, "<I"), (10, "<I"), (14, "<I")], 18, lambda n: n)
+# The float32 features start after the header and the N rows of float64 boxes.
+SIDECAR = binary_corruption("sidecar", MAGIC_BYTES + [(4, "<H"), (6, "<I"), (10, "<I"), (14, "<I")], 18 + 32 * N,
+                            lambda n: n)
 CHECKPOINT = binary_corruption("checkpoint", MAGIC_BYTES + [(4, "<I"), (8, "<I"), (12, "<I")], 16, lambda n: n - 4)
 
 
@@ -218,7 +255,7 @@ def corruption():
         st.permutations(range(IMAGES)).map(lambda order: id_copy(order[0], order[1])),
         st.floats(0.0, 1.0, exclude_max=True).map(lambda s: ("manifest", f"truncate at {s:.3f}", truncate_manifest(s))),
         st.tuples(SIDECAR, st.integers(0, IMAGES - 1)).map(
-            lambda t: ("sidecar", f"image {t[1]}: {t[0][1]}", lambda root: t[0][2](sorted((root / "ds_features").iterdir())[t[1]]))
+            lambda t: ("sidecar", f"image {t[1]}: {t[0][1]}", lambda root: t[0][2](sidecar_of(root, t[1])))
         ),
         CHECKPOINT.map(lambda t: ("checkpoint", t[1], lambda root: t[2](root / "ckpt.wsdc"))),
     )
@@ -251,6 +288,13 @@ def test_corrupt_input_ends_in_a_documented_exit_code(pristine, capsys, case):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_corrupt_box_coordinate_or_class_ends_in_a_documented_exit_code(pristine, capsys, case):
     run_corrupted(pristine, case)
+    capsys.readouterr()
+
+
+@given(box_block_corruption())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupt_proposal_box_block_ends_in_exit_data(pristine, capsys, case):
+    run_corrupted(pristine, case, exits={EXIT_DATA})
     capsys.readouterr()
 
 
