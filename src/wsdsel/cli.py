@@ -9,11 +9,11 @@ from the manifest alone.
 Every output except a feature sidecar is written beside its path and
 renamed into place (`data.replaced`), text as UTF-8; a failed `synth`,
 `train` or `eval` removes what it wrote (`data.removed_on_failure`).
-`synth`, `train` and `eval` refuse, before reading anything, an output
-that is the same file as `--dataset`, `--checkpoint`, `--config` or
-another output; `train` and `eval` also refuse, once the dataset is loaded
-and before anything is written, an output that is one of its feature
-sidecars.
+`synth`, `train` and `eval` refuse, before anything is written, an output
+that is the same file as an input (`--dataset`, its feature sidecars,
+`--checkpoint`, `--config`), as a sidecar `synth` writes, or as another
+output; `train` and `eval` check once the dataset is loaded, `synth`
+before it generates anything.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written or would replace an input or another output included), 3 data
@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Any, Optional
 
 from wsdsel import __version__
-from wsdsel.data import (Dataset, SynthConfig, generate_synthetic, load_dataset, removed_on_failure, replaced,
-                         save_dataset, split_dataset)
+from wsdsel.data import (SynthConfig, generate_synthetic, load_dataset, removed_on_failure, replaced, save_dataset,
+                         sidecar_path, split_dataset, synthetic_id)
 from wsdsel.errors import ConfigError, DataError, TrainingError
 from wsdsel.evaluation import EvalOptions, ap_by_class, dump_pr_curves, evaluate_map
 from wsdsel.head import run_gradcheck
@@ -179,45 +179,29 @@ def _manifest_path(out: Path) -> Path:
     return out.parent / (out.name + ".manifest.json")
 
 
-def _same_file(a, b) -> bool:
-    """Whether two paths name one file: `os.path.samefile` where both exist, else their resolved paths."""
-    try:
-        if os.path.exists(a) and os.path.exists(b):
-            return os.path.samefile(a, b)
-        return os.path.realpath(a) == os.path.realpath(b)
-    except (OSError, ValueError):  # a name no file can have: its own write fails with its own message
-        return False
+def _refuse_overwrites(inputs: dict[str, Any], outputs: dict[str, Any],
+                       sidecars: Optional[dict[tuple[int, int], str]] = None):
+    """ConfigError if an output is the same file as an input, a loaded feature sidecar or an earlier output.
 
-
-def _refuse_overwrites(inputs: dict[str, Any], outputs: dict[str, Any]):
-    """ConfigError if an output is the same file as an input or as another output; unset (empty) paths are skipped.
-
-    Called before the command reads its dataset or generates one, so a refused run writes nothing.
+    Each path is keyed once: a file that exists by its (st_dev, st_ino), as `Dataset.sidecars` keys the
+    sidecars a load read, so a link counts as the file it names; one that does not exist by its resolved
+    path. Unset (empty) paths are skipped, and so are names no file can have: their own writes fail.
     """
-    taken = [(name, path) for name, path in inputs.items() if path]
-    for name, path in outputs.items():
-        if not path:
-            continue
-        for other, given in taken:
-            if _same_file(path, given):
-                raise ConfigError(f"{name} {path} is the same file as {other} {given}; refusing to overwrite it")
-        taken.append((name, path))
-
-
-def _refuse_sidecars(dataset: Dataset, outputs: dict[str, Any]):
-    """ConfigError if an output that exists is one of the feature sidecars `dataset` was loaded from.
-
-    Compared by file identity against what the load's `fstat`s recorded, so a link to a sidecar is refused too.
-    """
-    for name, path in outputs.items():
-        try:
-            stat = os.stat(path)
-        except (OSError, ValueError):  # not there yet, so no sidecar; or a name no file can have
-            continue
-        image = dataset.sidecars.get((stat.st_dev, stat.st_ino))
-        if image is not None:
-            raise ConfigError(f"{name} {path} is the same file as image {image}'s feature sidecar; "
-                              "refusing to overwrite it")
+    taken = {identity: f"image {image}'s feature sidecar" for identity, image in (sidecars or {}).items()}
+    for refuse, named in ((False, inputs), (True, outputs)):
+        for name, path in named.items():
+            if not path:
+                continue
+            try:
+                stat = os.stat(path)
+                key = stat.st_dev, stat.st_ino
+            except FileNotFoundError:
+                key = os.path.realpath(path)
+            except (OSError, ValueError):  # ValueError: a NUL, or a name the filesystem encoding cannot hold
+                continue
+            if refuse and key in taken:
+                raise ConfigError(f"{name} {path} is the same file as {taken[key]}; refusing to overwrite it")
+            taken[key] = f"{name} {path}"
 
 
 def write_manifest(out_path: Path, command: str, config: dict, inputs: dict, outputs: dict, started: float):
@@ -247,7 +231,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
                  "test_dataset": out.parent / (out.stem + "-test.json")}
     else:
         paths = {"dataset": out}
-    _refuse_overwrites({"--config": args.config}, {**paths, "the run manifest": _manifest_path(out)})
+    bounds = (0, split_at, cfg.n_images) if split_at else (0, cfg.n_images)  # each dataset's images
+    sidecars = {f"image {synthetic_id(i)}'s feature sidecar": sidecar_path(path, synthetic_id(i))
+                for path, start, stop in zip(paths.values(), bounds, bounds[1:]) for i in range(start, stop)}
+    _refuse_overwrites({"--config": args.config}, {**paths, "the run manifest": _manifest_path(out), **sidecars})
     ds = generate_synthetic(cfg)
     parts = split_dataset(ds, split_at) if split_at else (ds,)
     outputs = {name: str(path) for name, path in paths.items()}
@@ -301,9 +288,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     loss_csv = out.parent / (out.stem + "_loss.csv")
     targets = {"--out": out, "the loss CSV": loss_csv, "the run manifest": _manifest_path(out)}
-    _refuse_overwrites({"--dataset": args.dataset, "--config": args.config}, targets)
     dataset = load_dataset(args.dataset)
-    _refuse_sidecars(dataset, targets)
+    _refuse_overwrites({"--dataset": args.dataset, "--config": args.config}, targets, dataset.sidecars)
     state = train(dataset, train_config)
     with removed_on_failure() as written:
         save_checkpoint(state, out)
@@ -324,9 +310,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     opts = EvalOptions(**{f.name: config[f.name] for f in fields(EvalOptions)})
     out = Path(args.out)
     targets = {"--out": out, "--pr-csv": config["pr_csv"], "the run manifest": _manifest_path(out)}
-    _refuse_overwrites({"--dataset": args.dataset, "--checkpoint": args.checkpoint, "--config": args.config}, targets)
     dataset = load_dataset(args.dataset)
-    _refuse_sidecars(dataset, targets)
+    _refuse_overwrites({"--dataset": args.dataset, "--checkpoint": args.checkpoint, "--config": args.config},
+                       targets, dataset.sidecars)
     state = load_checkpoint(args.checkpoint)
     report = evaluate_map(dataset, state.params, opts)
     if config["both"]:

@@ -543,8 +543,13 @@ def _sample_image(cfg: SynthConfig, i: int) -> tuple[ImageBag, tuple]:
     views = [np.empty((n, cfg.feat_dim), dtype=np.float32) for _ in range(cfg.n_views)]
     labels = np.zeros(cfg.num_classes, dtype=np.int64)
     labels[[c for c, _ in gt]] = 1
-    bag = ImageBag(id=f"im{i:05d}", boxes=boxes, views=views, labels=labels, ground_truth=gt)
+    bag = ImageBag(id=synthetic_id(i), boxes=boxes, views=views, labels=labels, ground_truth=gt)
     return bag, (rng, overlap, is_context, views)
+
+
+def synthetic_id(i: int) -> str:
+    """The id `generate_synthetic` gives its image `i`: `im`, then `i` zero-padded to five digits."""
+    return f"im{i:05d}"
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
@@ -697,17 +702,24 @@ def _read_sidecar(path: Path, image_id: str) -> tuple[np.ndarray, list[np.ndarra
     return boxes, list(payload[32 * n :].view("<f4").reshape(v, n, d)), (stat.st_dev, stat.st_ino)
 
 
+def sidecar_path(manifest: Path, image_id: str) -> Path:
+    """Where `save_dataset` writes image `image_id`'s feature sidecar: `<stem>_features/<id>.wsdf` by `manifest`."""
+    return manifest.parent / f"{manifest.stem}_features/{image_id}.wsdf"
+
+
 def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
     """Write the manifest JSON at `path` plus one feature sidecar per image, which holds its boxes too.
 
     The manifest's bytes are those of json.dump(indent=1) and a newline.
 
-    An image id names its sidecar file, so an id that is empty, `.` or `..`,
-    holds `/`, `\\` or NUL, or repeats another is a DataError, raised before
-    anything is written. The sidecars are written in place and then the
-    manifest through `replaced`, in one `removed_on_failure`; it returns what
-    that recorded: the features directory if this call made it, the
-    sidecars, then the manifest.
+    An image id names its sidecar file (`sidecar_path`), so an id that is
+    empty, `.` or `..`, holds `/`, `\\` or NUL, or repeats another is a
+    DataError, raised before anything is written; so is a view not shaped
+    (N, `ds.feat_dim`) for the image's N boxes, since a sidecar's header
+    gives one N for its boxes and views. The sidecars are written in place
+    and then the manifest through `replaced`, in one `removed_on_failure`;
+    it returns what that recorded: the features directory if this call
+    made it, the sidecars, then the manifest.
     """
     seen = set()
     for position, bag in enumerate(ds.images):
@@ -717,9 +729,12 @@ def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
         if name in seen:
             raise DataError(f"image {position} ({name!r}): id repeats an earlier image's")
         seen.add(name)
+        for view in bag.views:
+            if view.shape != (bag.n_regions, ds.feat_dim):
+                raise DataError(f"image {bag.id}: view shape {view.shape} != ({bag.n_regions}, {ds.feat_dim})")
     path = Path(path)
-    feat_dir_name = path.stem + "_features"
-    feat_dir = path.parent / feat_dir_name
+    sidecars = [sidecar_path(path, bag.id) for bag in ds.images]
+    feat_dir = sidecar_path(path, "").parent  # made even for a dataset with no images
     records = [
         {
             "id": bag.id,
@@ -727,18 +742,17 @@ def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
             "ground_truth": [
                 {"class": c, "box": box} for c, box in zip(bag.gt_classes.tolist(), bag.gt_boxes.tolist())
             ],
-            "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
+            "feature_file": f"{feat_dir.name}/{sidecar.name}",
             "views": len(bag.views),
         }
-        for bag in ds.images
+        for bag, sidecar in zip(ds.images, sidecars)
     ]
     manifest = {"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "images": records}
     with removed_on_failure() as written:
         if not feat_dir.exists():
             written.append(feat_dir)
         feat_dir.mkdir(parents=True, exist_ok=True)
-        for bag in ds.images:
-            sidecar = feat_dir / f"{bag.id}.wsdf"
+        for bag, sidecar in zip(ds.images, sidecars):
             if not sidecar.is_dir():  # a directory standing there is not this call's to remove
                 written.append(sidecar)
             _write_sidecar(sidecar, bag.boxes, bag.views)

@@ -134,12 +134,15 @@ class TestSynth:
         ("ds.json.manifest.json", ["--out", "{tmp}/ds.json"]),  # the run manifest
         ("ds-test.json", ["--out", "{tmp}/ds.json", "--train-split", "7"]),  # the test half
         ("cfg.txt", ["--out", "{tmp}/link.json"]),  # a symbolic link to the config
+        ("ds_features/im00000.wsdf", ["--out", "{tmp}/ds.json"]),  # a feature sidecar synth writes
+        ("ds-test_features/im00008.wsdf", ["--out", "{tmp}/ds.json", "--train-split", "7"]),  # one of the test half
     ])
     def test_an_output_that_is_the_config_is_refused_before_generating(self, tmp_path, capsys, monkeypatch,
                                                                         config_name, flags):
         generated = []
         monkeypatch.setattr(wsdsel.cli, "generate_synthetic", generated.append)
         cfg = tmp_path / config_name
+        cfg.parent.mkdir(exist_ok=True)
         cfg.write_text("n_images = 10\nnum_classes = 3\n", encoding="utf-8")
         (tmp_path / "link.json").symlink_to(cfg)
         before = _tree(tmp_path)
@@ -468,6 +471,7 @@ def test_a_write_that_fails_partway_leaves_nothing(trained, tmp_path, capsys, mo
     ("train", "run_loss.csv", ["--out", "{tmp}/run.wsdc"]),  # the loss CSV
     ("train", "run.wsdc.manifest.json", ["--out", "{tmp}/run.wsdc"]),  # the run manifest
     ("train", "cfg.txt", ["--out", "{tmp}/link.json"]),  # a symbolic link to the dataset
+    ("train", "cfg.txt", ["--out", "{tmp}/hard.json"]),  # a hard link: another name for the dataset
     ("eval", "cfg.txt", ["--out", "{dataset}"]),
     ("eval", "cfg.txt", ["--out", "{ckpt}"]),
     ("eval", "cfg.txt", ["--out", "{cfg}"]),
@@ -475,6 +479,7 @@ def test_a_write_that_fails_partway_leaves_nothing(trained, tmp_path, capsys, mo
     ("eval", "cfg.txt", ["--out", "{tmp}/r.json", "--pr-csv", "{ckpt}"]),
     ("eval", "r.json.manifest.json", ["--out", "{tmp}/r.json"]),  # the run manifest
     ("eval", "cfg.txt", ["--out", "{tmp}/link.json"]),
+    ("eval", "cfg.txt", ["--out", "{tmp}/r.json", "--pr-csv", "{tmp}/hard.json"]),
     # two outputs, neither of which exists yet: compared as resolved paths
     ("eval", "cfg.txt", ["--out", "{tmp}/r.json", "--pr-csv", "{tmp}/r.json"]),
     ("eval", "cfg.txt", ["--out", "{tmp}/r.json", "--pr-csv", "{tmp}/sub/../r.json"]),
@@ -486,6 +491,7 @@ def test_an_output_that_is_an_input_or_another_output_is_refused(trained, tmp_pa
     cfg = tmp_path / config_name
     cfg.write_text({"train": "epochs = 4\n", "eval": "both = true\n"}[command], encoding="utf-8")
     (tmp_path / "link.json").symlink_to(dataset)
+    (tmp_path / "hard.json").hardlink_to(dataset)
     inputs = {"train": ["--dataset", str(dataset), *FAST_TRAIN],
               "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt)]}[command]
     argv = [flag.format(dataset=dataset, ckpt=ckpt, cfg=cfg, tmp=tmp_path) for flag in flags]
@@ -494,6 +500,17 @@ def test_an_output_that_is_an_input_or_another_output_is_refused(trained, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "is the same file as" in err and "Traceback" not in err
     assert _tree(tmp_path) == before  # nothing written: every input as it was, no output and no temporary
+
+
+def test_a_bad_dataset_is_reported_before_an_output_that_would_replace_it(trained, tmp_path, capsys):
+    # The guard runs once the dataset is loaded, so a dataset that cannot be loaded is the error named.
+    _, ckpt = trained
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json\n", encoding="utf-8")
+    before = _tree(tmp_path)
+    assert run_eval(bad, ckpt, tmp_path / "r.json", "--pr-csv", str(bad)) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: cannot load dataset manifest {bad}")
+    assert _tree(tmp_path) == before  # bad.json as it was, and no output
 
 
 def test_a_refused_run_leaves_its_inputs_usable(trained, tmp_path, capsys):

@@ -240,6 +240,15 @@ class TestRoundTrip:
             save_dataset(ds, tmp_path / "out" / "ds.json")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 5)])  # fewer rows than the boxes; another feature dimension
+    def test_rejects_a_view_not_shaped_as_its_boxes(self, tmp_path, shape):
+        boxes = np.array([[0.1, 0.1, 0.5, 0.5], [0.2, 0.2, 0.6, 0.6], [0.0, 0.0, 1.0, 1.0]])
+        bag = ImageBag("a", boxes=boxes, views=[np.zeros(shape, np.float32)], labels=np.array([1]))
+        ds = Dataset(num_classes=1, feat_dim=4, class_names=["c"], images=[bag])
+        with pytest.raises(DataError, match=re.escape(f"image a: view shape {shape} != (3, 4)")):
+            save_dataset(ds, tmp_path / "ds.json")
+        assert list(tmp_path.iterdir()) == []  # no manifest, features directory or sidecar
+
     @pytest.mark.parametrize("taken", ["ds.json", "ds_features", "ds_features/im00002.wsdf"])
     def test_a_path_that_cannot_be_written_leaves_nothing(self, tmp_path, taken):
         if taken == "ds_features":  # a file where the sidecar directory goes
