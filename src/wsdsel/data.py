@@ -14,9 +14,10 @@ array, `ImageBag.boxes`, and its ground truth a (G,) class array,
 The generator and the loader fill them, `Dataset.validate` checks both box
 arrays alike, and evaluation reads them as they are. `ImageBag.proposals`
 and `ImageBag.ground_truth` build `BBox` objects from them only when asked.
-An image's proposals are stored with its features, in its binary sidecar,
-and never pass through text: the writer puts the array's bytes there and
-the loader returns a view of the buffer it reads them into.
+An image's features are one (V, N, D) float32 array, `ImageBag.views`,
+stored with its proposals in its binary sidecar, never through text: the
+writer puts both arrays' bytes there and the loader returns views of the
+buffer it reads them into.
 
 The boxes of an image are drawn from its own generator in a fixed order,
 each by rejection sampling: the clusters object by object (a tight first
@@ -131,7 +132,7 @@ _SHOWN.maxlist = 20
 
 
 class ImageBag:
-    """One image: proposal boxes, per-region features (one or more views), labels, ground truth.
+    """One image: proposal boxes, per-region features as one (V, N, D) array of views, labels, ground truth.
 
     `boxes` holds the proposals as an (N, 4) float64 array of [x1, y1, x2,
     y2] rows; `proposals` builds them as `BBox`es on demand. A bag is made
@@ -149,7 +150,7 @@ class ImageBag:
         self,
         id: str,
         *,
-        views: list[np.ndarray],  # V arrays, each (N, D) float32
+        views: np.ndarray | list[np.ndarray],  # (V, N, D) float32, as a sidecar lays it out; or V (N, D) arrays
         labels: np.ndarray,  # (C,) ints in {0, 1}
         ground_truth: Iterable[tuple[int, BBox | Box]] | None = None,
         boxes: np.ndarray | None = None,
@@ -159,7 +160,7 @@ class ImageBag:
             raise ValueError("an ImageBag takes its proposals as either `boxes` or `proposals`")
         self.id = id
         self.boxes = box_array(proposals) if boxes is None else np.asarray(boxes, dtype=np.float64)
-        self.views = views
+        self.views = np.asarray(views)
         self.labels = labels
         pairs = list(ground_truth or ())
         self.gt_classes = np.array([c for c, _ in pairs], dtype=np.intp)
@@ -211,15 +212,9 @@ class Dataset:
                 raise DataError(f"image {bag.id}: proposal boxes have shape {bag.boxes.shape}, expected ({n}, 4)")
             if bag.labels.shape != (self.num_classes,):
                 raise DataError(f"image {bag.id}: label vector has shape {bag.labels.shape}")
-            if not bag.views:
-                raise DataError(f"image {bag.id}: no feature views")
-            for view in bag.views:
-                if view.shape != (n, self.feat_dim):
-                    raise DataError(
-                        f"image {bag.id}: view shape {view.shape} != ({n}, {self.feat_dim})"
-                    )
-                if not np.isfinite(view).all():
-                    raise DataError(f"image {bag.id}: non-finite feature values")
+            _check_views(bag, self.feat_dim)
+            if not np.isfinite(bag.views).all():
+                raise DataError(f"image {bag.id}: non-finite feature values")
         for run in _runs(self.images, VALIDATE_ROWS):
             boxes = np.concatenate([bag.boxes for bag in run] + [bag.gt_boxes for bag in run])
             classes = np.concatenate([bag.gt_classes for bag in run])
@@ -248,6 +243,14 @@ class Dataset:
         outside = np.flatnonzero((bag.gt_classes < 0) | (bag.gt_classes >= self.num_classes))
         if outside.size:
             raise DataError(f"image {bag.id}: ground-truth class {bag.gt_classes[outside[0]]} out of range")
+
+
+def _check_views(bag: ImageBag, feat_dim: int):
+    """The view rule of `Dataset.validate` and `save_dataset`: (V, N, `feat_dim`) views, V >= 1, for N boxes."""
+    if not len(bag.views):
+        raise DataError(f"image {bag.id}: no feature views")
+    if bag.views.shape[1:] != (bag.n_regions, feat_dim):
+        raise DataError(f"image {bag.id}: view shape {bag.views.shape[1:]} != ({bag.n_regions}, {feat_dim})")
 
 
 def _runs(images: list[ImageBag], limit: int):
@@ -502,10 +505,10 @@ def _background_boxes(rng: np.random.Generator, gt_boxes, count: int, tries: int
 def _sample_image(cfg: SynthConfig, i: int) -> tuple[ImageBag, tuple]:
     """Image `i` with its boxes, labels and ground truth, and what its features are drawn from.
 
-    The bag's views are allocated and left unfilled. The second item is
-    (rng, overlap, is_context, views): the image's generator, positioned at
-    its noise, each region's best IoU with a ground-truth box of each
-    class, (N, C), the (N,) context mask, and the views to fill.
+    The bag's (V, N, D) float32 views are allocated and left unfilled. The
+    second item is (rng, overlap, is_context, views): the image's generator,
+    positioned at its noise, each region's best IoU with a ground-truth box
+    of each class, (N, C), the (N,) context mask, and the views to fill.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, i)))
     n = cfg.proposals_per_image
@@ -540,7 +543,7 @@ def _sample_image(cfg: SynthConfig, i: int) -> tuple[ImageBag, tuple]:
     overlap = np.zeros((n, cfg.num_classes))
     for t, (class_id, _) in enumerate(gt):
         np.maximum(overlap[:, class_id], ious[:, t], out=overlap[:, class_id])
-    views = [np.empty((n, cfg.feat_dim), dtype=np.float32) for _ in range(cfg.n_views)]
+    views = np.empty((cfg.n_views, n, cfg.feat_dim), dtype=np.float32)
     labels = np.zeros(cfg.num_classes, dtype=np.int64)
     labels[[c for c, _ in gt]] = 1
     bag = ImageBag(id=synthetic_id(i), boxes=boxes, views=views, labels=labels, ground_truth=gt)
@@ -657,18 +660,17 @@ def removed_on_failure():
         raise
 
 
-def _write_sidecar(path: Path, boxes: np.ndarray, views: list[np.ndarray]):
-    v = len(views)
-    n, d = views[0].shape
-    stacked = np.stack(views, dtype="<f4")
+def _write_sidecar(path: Path, boxes: np.ndarray, views: np.ndarray | list[np.ndarray]):
+    """The sidecar of `boxes` (N, 4) and `views` (V, N, D); a bag's own float32 views are written without a copy."""
+    views = np.ascontiguousarray(views, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC + struct.pack("<HIII", FEATURE_VERSION, v, n, d))
+        fh.write(FEATURE_MAGIC + struct.pack("<HIII", FEATURE_VERSION, *views.shape))
         fh.write(np.ascontiguousarray(boxes, dtype="<f8").data)
-        fh.write(stacked.data)
+        fh.write(views.data)
 
 
-def _read_sidecar(path: Path, image_id: str) -> tuple[np.ndarray, list[np.ndarray], tuple[int, int]]:
-    """An image's proposal boxes, (N, 4) float64, its V (N, D) float32 views, and the file's (st_dev, st_ino).
+def _read_sidecar(path: Path, image_id: str) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """An image's proposal boxes, (N, 4) float64, its views, (V, N, D) float32, and the file's (st_dev, st_ino).
 
     The payload after the 18-byte header is read into one buffer, and the
     boxes and views are views of it: nothing is copied and nothing is
@@ -699,7 +701,7 @@ def _read_sidecar(path: Path, image_id: str) -> tuple[np.ndarray, list[np.ndarra
             f"got {len(payload)}"
         )
     boxes = payload[: 32 * n].view("<f8").reshape(n, 4)
-    return boxes, list(payload[32 * n :].view("<f4").reshape(v, n, d)), (stat.st_dev, stat.st_ino)
+    return boxes, payload[32 * n :].view("<f4").reshape(v, n, d), (stat.st_dev, stat.st_ino)
 
 
 def sidecar_path(manifest: Path, image_id: str) -> Path:
@@ -714,12 +716,12 @@ def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
 
     An image id names its sidecar file (`sidecar_path`), so an id that is
     empty, `.` or `..`, holds `/`, `\\` or NUL, or repeats another is a
-    DataError, raised before anything is written; so is a view not shaped
-    (N, `ds.feat_dim`) for the image's N boxes, since a sidecar's header
-    gives one N for its boxes and views. The sidecars are written in place
-    and then the manifest through `replaced`, in one `removed_on_failure`;
-    it returns what that recorded: the features directory if this call
-    made it, the sidecars, then the manifest.
+    DataError, raised before anything is written; so are views
+    `_check_views` refuses (none, or not (V, N, `ds.feat_dim`) for N boxes:
+    a sidecar's header gives one N for boxes and views). The sidecars are
+    written in place and then the manifest through `replaced`, in one
+    `removed_on_failure`; it returns what that recorded: the features
+    directory if this call made it, the sidecars, then the manifest.
     """
     seen = set()
     for position, bag in enumerate(ds.images):
@@ -729,9 +731,7 @@ def save_dataset(ds: Dataset, path: str | Path) -> list[Path]:
         if name in seen:
             raise DataError(f"image {position} ({name!r}): id repeats an earlier image's")
         seen.add(name)
-        for view in bag.views:
-            if view.shape != (bag.n_regions, ds.feat_dim):
-                raise DataError(f"image {bag.id}: view shape {view.shape} != ({bag.n_regions}, {ds.feat_dim})")
+        _check_views(bag, ds.feat_dim)
     path = Path(path)
     sidecars = [sidecar_path(path, bag.id) for bag in ds.images]
     feat_dir = sidecar_path(path, "").parent  # made even for a dataset with no images
@@ -775,8 +775,6 @@ def _boxes_from_json(rows, what: str) -> np.ndarray:
     `true` as 1.0 and "0.5" as 0.5. Finite, ordered coordinates are checked
     by the caller.
     """
-    if not isinstance(rows, list):
-        raise DataError(f"{what} must be a list of [x1, y1, x2, y2] rows, got {type(rows).__name__}")
     try:
         four = set(map(len, rows)) <= {4}
     except TypeError:  # a row without a length

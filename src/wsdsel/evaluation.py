@@ -149,7 +149,9 @@ def _infer(params: HeadParams, bag: ImageBag, mask_mode: str, top_m: int, work: 
     return total / n_views, p_sum / n_views, v_sum / n_views
 
 
-def infer_image(params: HeadParams, bag: ImageBag, mask_mode: str = "all", top_m: int = 128) -> np.ndarray:
+def infer_image(
+    params: HeadParams, bag: ImageBag, mask_mode: str = EvalOptions.mask_mode, top_m: int = EvalOptions.top_m
+) -> np.ndarray:
     """Per-region per-class confidence scores v*p, averaged over views."""
     return _infer(params, bag, mask_mode, top_m, StepWork(bag.n_regions, params.num_classes, params.feat_dim))[0]
 
@@ -157,9 +159,9 @@ def infer_image(params: HeadParams, bag: ImageBag, mask_mode: str = "all", top_m
 def detect_arrays(
     scores: np.ndarray,
     boxes: np.ndarray,
-    nms_threshold: float = 0.6,
-    vote_threshold: float = 0.5,
-    score_floor: float = 1e-4,
+    nms_threshold: float = EvalOptions.nms_threshold,
+    vote_threshold: float = EvalOptions.vote_threshold,
+    score_floor: float = EvalOptions.score_floor,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class NMS plus box voting over the pre-NMS candidate pool, all classes at once.
 
@@ -182,9 +184,9 @@ def detect_arrays(
 def detect(
     scores: np.ndarray,
     proposals: list[BBox],
-    nms_threshold: float = 0.6,
-    vote_threshold: float = 0.5,
-    score_floor: float = 1e-4,
+    nms_threshold: float = EvalOptions.nms_threshold,
+    vote_threshold: float = EvalOptions.vote_threshold,
+    score_floor: float = EvalOptions.score_floor,
 ) -> list[Detection]:
     """Per-class NMS plus box voting over the pre-NMS candidate pool, as `Detection`s (see `detect_arrays`)."""
     classes, kept_scores, voted = detect_arrays(
@@ -199,9 +201,9 @@ def detect(
 def corloc(
     dataset: Dataset,
     params: HeadParams,
-    mask_mode: str = "all",
-    top_m: int = 128,
-    iou_threshold: float = 0.5,
+    mask_mode: str = EvalOptions.mask_mode,
+    top_m: int = EvalOptions.top_m,
+    iou_threshold: float = EvalOptions.iou_threshold,
 ) -> tuple[list[float], float]:
     """Top-1 localization accuracy over positive images, per class and mean.
 
@@ -275,8 +277,8 @@ def _ap_area(recall: np.ndarray, precision: np.ndarray) -> float:
 def voc_ap(
     dets: list[tuple[str, float, BBox]],
     gts: dict[str, list[BBox]],
-    iou_threshold: float = 0.5,
-    protocol: str = "eleven_point",
+    iou_threshold: float = EvalOptions.iou_threshold,
+    protocol: str = EvalOptions.ap_protocol,
 ) -> float:
     """Average precision for one class across images.
 

@@ -15,6 +15,7 @@ import pytest
 import wsdsel.cli
 import wsdsel.evaluation
 import wsdsel.head
+import wsdsel.trainer
 from wsdsel.cli import (EVAL_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, GRADCHECK_KEYS, SYNTH_KEYS,
                         TRAIN_KEYS, _build_train_config, _write_loss_csv, main, resolve_config)
 from wsdsel.data import SynthConfig, load_dataset, save_dataset
@@ -250,6 +251,49 @@ class TestTrain:
         assert rc == EXIT_CONFIG
         assert "schedule_epochs must be >= 0 (0 means max(epochs, warmup_epochs + 1))" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("text, value", [("off", False), ("on", True)])
+    def test_config_file_boolean_words(self, small_dataset, tmp_path, text, value):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"baseline = {text}\n")
+        ckpt = tmp_path / "c.wsdc"
+        assert main(["train", "--dataset", str(small_dataset), "--out", str(ckpt), "--config", str(cfg),
+                     *FAST_TRAIN]) == EXIT_OK
+        assert json.loads((tmp_path / "c.wsdc.manifest.json").read_text())["config"]["baseline"] is value
+
+    @pytest.mark.parametrize("text, message", [
+        ("baseline = maybe", "config key baseline: cannot parse boolean value 'maybe'"),
+        ("epochs", "{cfg}:1: expected 'key = value', got 'epochs'"),
+        ("epochs = abc", "config key epochs: invalid literal for int()"),
+    ])
+    def test_bad_config_line_exits_config_and_writes_nothing(self, small_dataset, tmp_path, capsys, text, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(text + "\n")
+        before = _tree(tmp_path)
+        rc = main(["train", "--dataset", str(small_dataset), "--out", str(tmp_path / "c.wsdc"), "--config", str(cfg)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: " + message.format(cfg=cfg))
+        assert _tree(tmp_path) == before  # no checkpoint, loss CSV or run manifest
+
+    def test_non_finite_gradient_exits_numeric_and_writes_nothing(self, small_dataset, tmp_path, capsys,
+                                                                  monkeypatch):
+        # A loaded dataset holds no NaN feature, so the third step of the run writes one into its gradient.
+        steps = []
+
+        def poisoned(params, feats, labels, budgets, eps, work, prefetch=None):
+            loss = wsdsel.head.image_step(params, feats, labels, budgets, eps, work, prefetch)
+            steps.append(feats.copy())
+            if len(steps) == 3:
+                work.grads.flat[0] = np.nan
+            return loss
+
+        monkeypatch.setattr(wsdsel.trainer, "image_step", poisoned)
+        before = _tree(tmp_path)
+        rc = main(["train", "--dataset", str(small_dataset), "--out", str(tmp_path / "c.wsdc"), *FAST_TRAIN])
+        assert rc == EXIT_NUMERIC and len(steps) == 3
+        image = next(bag.id for bag in load_dataset(small_dataset).images if np.array_equal(bag.views[0], steps[-1]))
+        assert capsys.readouterr().err == f"training error: non-finite gradient (image {image}, epoch 0)\n"
+        assert _tree(tmp_path) == before  # no checkpoint, loss CSV or run manifest
 
     def test_lr_decay_epoch_minus_one_turns_decay_off(self):
         args = wsdsel.cli.build_parser().parse_args(["train", "--dataset", "d.json", "--out", "c.wsdc",
@@ -786,6 +830,23 @@ class TestMalformedInputs:
         dataset, ckpt = trained
         dataset.write_text(text)
         assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+
+    def test_fewer_class_names_than_classes(self, trained, tmp_path, capsys):
+        dataset, _ = trained
+        manifest = json.loads(dataset.read_text())
+        manifest["class_names"] = manifest["class_names"][:2]
+        dataset.write_text(json.dumps(manifest))
+        before = _tree(tmp_path)
+        assert main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "c.wsdc"), *FAST_TRAIN]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: expected 3 class names, got 2\n"
+        assert _tree(tmp_path) == before  # no checkpoint, loss CSV or run manifest
+
+    def test_missing_checkpoint(self, trained, tmp_path, capsys):
+        dataset, _ = trained
+        before = _tree(tmp_path)
+        assert run_eval(dataset, tmp_path / "missing.wsdc", tmp_path / "r.json") == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: cannot read checkpoint {tmp_path / 'missing.wsdc'}: ")
+        assert _tree(tmp_path) == before  # no report or run manifest
 
     def test_no_images(self, trained, tmp_path):
         dataset, ckpt = trained

@@ -249,6 +249,13 @@ class TestRoundTrip:
             save_dataset(ds, tmp_path / "ds.json")
         assert list(tmp_path.iterdir()) == []  # no manifest, features directory or sidecar
 
+    def test_rejects_an_image_without_views(self, tmp_path):
+        bag = ImageBag("a", boxes=np.array([[0.1, 0.1, 0.5, 0.5]]), views=[], labels=np.array([1]))
+        ds = Dataset(num_classes=1, feat_dim=4, class_names=["c"], images=[bag])
+        with pytest.raises(DataError, match="image a: no feature views"):
+            save_dataset(ds, tmp_path / "ds.json")
+        assert list(tmp_path.iterdir()) == []  # no manifest, features directory or sidecar
+
     @pytest.mark.parametrize("taken", ["ds.json", "ds_features", "ds_features/im00002.wsdf"])
     def test_a_path_that_cannot_be_written_leaves_nothing(self, tmp_path, taken):
         if taken == "ds_features":  # a file where the sidecar directory goes
@@ -630,6 +637,16 @@ def test_a_saved_dataset_loads_bit_equal(tmp_path, cfg):
         assert bag.boxes.base is bag.views[0].base and bag.boxes.flags.aligned
 
 
+def test_views_are_one_array_generated_and_loaded(tmp_path):
+    cfg = SynthConfig(n_images=3, num_classes=2, feat_dim=6, proposals_per_image=8, n_views=3, seed=3)
+    ds = generate_synthetic(cfg)
+    save_dataset(ds, tmp_path / "ds.json")
+    for bags in (ds.images, load_dataset(tmp_path / "ds.json").images):
+        for bag in bags:
+            assert type(bag.views) is np.ndarray and bag.views.shape == (3, 8, 6) and bag.views.dtype == np.float32
+            assert np.ascontiguousarray(bag.views, dtype="<f4") is bag.views  # the sidecar writer copies nothing
+
+
 def test_a_loaded_dataset_saves_to_the_same_bytes(tmp_path):
     save_dataset(generate_synthetic(SMALL), tmp_path / "one" / "ds.json")
     save_dataset(load_dataset(tmp_path / "one" / "ds.json"), tmp_path / "two" / "ds.json")
@@ -648,6 +665,12 @@ class TestImageBag:
         assert bag.proposals == boxes and bag.n_regions == 2
         same = ImageBag(id="x", boxes=bag.boxes, views=bag.views, labels=bag.labels)
         assert same.boxes is bag.boxes and same.proposals == boxes
+
+    def test_views_are_one_array(self):
+        views = np.arange(12, dtype=np.float32).reshape(2, 3, 2)
+        assert ImageBag(id="x", boxes=np.zeros((3, 4)), views=views, labels=np.array([1])).views is views
+        stacked = ImageBag(id="x", boxes=np.zeros((3, 4)), views=list(views), labels=np.array([1])).views
+        assert stacked.shape == (2, 3, 2) and stacked.tobytes() == views.tobytes()
 
     def test_takes_boxes_or_proposals_not_both(self):
         views, labels = [np.zeros((1, 1), np.float32)], np.array([1])
@@ -723,7 +746,7 @@ def _value_fault(image: int, fault: str) -> Dataset:
         bag.boxes[-1, 2] = np.nan
     elif fault == "proposal_flat":
         bag.boxes = np.concatenate([bag.boxes[:1], [[0.5, 0.0, 0.5, 1.0]], bag.boxes[1:]])
-        bag.views = [np.zeros((len(bag.boxes), 2), np.float32)]
+        bag.views = np.zeros((1, len(bag.boxes), 2), np.float32)
     elif fault == "truth_inf":
         bag.gt_boxes[-1, 0] = -np.inf
     elif fault == "truth_flat":
@@ -745,6 +768,20 @@ class TestDatasetValidate:
         )
         ds = Dataset(num_classes=2, feat_dim=5, class_names=["a", "b"], images=[bag])
         with pytest.raises(DataError, match="x.*view shape"):
+            ds.validate()
+
+    def test_catches_an_image_without_views(self):
+        bag = ImageBag(id="x", proposals=[BBox(0, 0, 1, 1)], views=[], labels=np.array([1]))
+        ds = Dataset(num_classes=1, feat_dim=4, class_names=["a"], images=[bag])
+        with pytest.raises(DataError, match="^image x: no feature views$"):
+            ds.validate()
+
+    def test_catches_a_non_finite_value_in_any_view(self):
+        views = np.zeros((2, 1, 4), np.float32)
+        views[1, 0, 3] = np.inf
+        bag = ImageBag(id="x", proposals=[BBox(0, 0, 1, 1)], views=views, labels=np.array([1]))
+        ds = Dataset(num_classes=1, feat_dim=4, class_names=["a"], images=[bag])
+        with pytest.raises(DataError, match="^image x: non-finite feature values$"):
             ds.validate()
 
     @value_faults

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import tracemalloc
 
@@ -56,6 +57,15 @@ def bag_with(feats, labels, proposals=None, gt=None, n_views=1):
         labels=np.asarray(labels),
         ground_truth=gt or [],
     )
+
+
+@pytest.mark.parametrize("function", [evaluation.detect_arrays, detect, infer_image, corloc, voc_ap])
+def test_defaults_are_eval_options_defaults(function):
+    defaults = {name: p.default for name, p in inspect.signature(function).parameters.items()
+                if p.default is not p.empty}
+    options = EvalOptions()
+    assert defaults and defaults == {name: getattr(options, "ap_protocol" if name == "protocol" else name)
+                                     for name in defaults}
 
 
 class TestInferImage:
