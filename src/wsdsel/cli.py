@@ -87,13 +87,13 @@ TRAIN_KEYS = [
 ]
 
 EVAL_KEYS = [
-    Key("mask_mode", str, "all", "test-time importance mask: all | top_mpt"),
-    Key("top_m", int, 128, "top-M budget for mask_mode=top_mpt and the concentration diagnostic"),
-    Key("ap_protocol", str, "eleven_point", "AP protocol: eleven_point | area"),
-    Key("nms_threshold", float, 0.6, "NMS IoU threshold"),
-    Key("vote_threshold", float, 0.5, "box-voting IoU threshold"),
-    Key("score_floor", float, 1e-4, "drop detections scoring below this"),
-    Key("iou_threshold", float, 0.5, "IoU threshold for a correct detection"),
+    Key("mask_mode", str, EvalOptions.mask_mode, "test-time importance mask: all | top_mpt"),
+    Key("top_m", int, EvalOptions.top_m, "top-M budget for mask_mode=top_mpt and the concentration diagnostic"),
+    Key("ap_protocol", str, EvalOptions.ap_protocol, "AP protocol: eleven_point | area"),
+    Key("nms_threshold", float, EvalOptions.nms_threshold, "NMS IoU threshold"),
+    Key("vote_threshold", float, EvalOptions.vote_threshold, "box-voting IoU threshold"),
+    Key("score_floor", float, EvalOptions.score_floor, "drop detections scoring below this"),
+    Key("iou_threshold", float, EvalOptions.iou_threshold, "IoU threshold for a correct detection"),
     Key("both", bool, False, "also report the other AP protocol in diagnostics"),
     Key("pr_csv", str, "", "optional path for a per-class PR-curve CSV dump"),
 ]

@@ -798,7 +798,8 @@ def load_dataset(path: str | Path) -> Dataset:
     the rule `save_dataset` writes by. The manifest is read with one
     json.load; each image's proposal boxes and views come from its sidecar
     (`_read_sidecar`), and the returned dataset's `sidecars` maps each
-    sidecar's file identity to its image's id.
+    sidecar's file identity to its image's id. A sidecar file that an
+    earlier record already names, by any path or link, is refused.
     """
     path = Path(path)
     try:
@@ -853,7 +854,9 @@ def load_dataset(path: str | Path) -> Dataset:
             raise DataError(
                 f"image {image_id}: manifest declares {rec['views']} views, sidecar has {len(views)}"
             )
-        sidecars[identity] = str(image_id)
+        other = sidecars.setdefault(identity, str(image_id))
+        if other != str(image_id):
+            raise DataError(f"image {image_id}: feature sidecar {rec['feature_file']} is image {other}'s")
         try:
             bag = ImageBag(id=str(image_id), boxes=boxes, views=views, labels=np.asarray(labels, dtype=np.int64),
                            ground_truth=zip(classes, gt_boxes))

@@ -5,6 +5,10 @@ The importance weights v default to an unmasked softmax over all regions
 (labels are unknown at test time); a label-free top-M mask by class
 probability is available for ablation.
 
+Every evaluation setting travels in one frozen `EvalOptions`, checked
+where it is built. Each public function that takes settings one by one
+builds one first, so it refuses what `EvalOptions` refuses before any work.
+
 `evaluate_map` is one pass: it checks the dataset against the params and
 builds one `StepWork` sized for the largest image (`StepWork.sized_for`,
 as training does). Each view of an image goes through the training step's
@@ -38,7 +42,7 @@ MASK_MODES = ("all", "top_mpt")
 AP_PROTOCOLS = ("eleven_point", "area")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalOptions:
     mask_mode: str = "all"
     top_m: int = 128  # top-M budget when mask_mode == "top_mpt"; also the concentration k
@@ -49,10 +53,9 @@ class EvalOptions:
     iou_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.mask_mode not in MASK_MODES:
-            raise ConfigError(f"mask_mode must be one of {MASK_MODES}, got {self.mask_mode!r}")
-        if self.ap_protocol not in AP_PROTOCOLS:
-            raise ConfigError(f"ap_protocol must be one of {AP_PROTOCOLS}, got {self.ap_protocol!r}")
+        for name, choices in (("mask_mode", MASK_MODES), ("ap_protocol", AP_PROTOCOLS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.top_m < 1:
             raise ConfigError(f"top_m must be >= 1, got {self.top_m}")
         for name in ("nms_threshold", "iou_threshold"):
@@ -74,14 +77,12 @@ class PRCurve:
     npos: int  # ground-truth boxes of the class
 
     def ap(self, protocol: str) -> float:
-        """Average precision; 0 by definition without ground truth or detections."""
+        """Average precision, 0 by definition without ground truth or detections; an unknown protocol refused first."""
+        if protocol not in AP_PROTOCOLS:
+            raise ConfigError(f"ap_protocol must be one of {AP_PROTOCOLS}, got {protocol!r}")
         if self.npos == 0 or len(self.scores) == 0:
             return 0.0
-        if protocol == "eleven_point":
-            return _ap_eleven_point(self.recall, self.precision)
-        if protocol == "area":
-            return _ap_area(self.recall, self.precision)
-        raise ValueError(f"unknown AP protocol {protocol!r}")
+        return (_ap_eleven_point if protocol == "eleven_point" else _ap_area)(self.recall, self.precision)
 
 
 def ap_by_class(curves: list[PRCurve], protocol: str) -> tuple[list[float], float]:
@@ -118,22 +119,21 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _infer(params: HeadParams, bag: ImageBag, mask_mode: str, top_m: int, work: StepWork):
+def _infer(params: HeadParams, bag: ImageBag, opts: EvalOptions, work: StepWork):
     """One image through the head in `work`, each view once: test scores v*p, p, and the all-mask v, view-averaged.
 
-    Each view runs the training step's stages: `_outputs` gives p and the
-    importance logits in the stack z. Under "top_mpt" every class keeps
-    its top_m regions by probability, as if every label were positive:
+    `opts` gives the mask mode and top_m. Each view runs the training
+    step's stages: `_outputs` gives p and the importance logits in the
+    stack z. Under "top_mpt" every class keeps its top_m regions by
+    probability, as if every label were positive:
     `_select` and the masked softmax over that selection, which gathers
     it and so leaves the logits in `work.zt`, give v in `work.q[0]`. Then
     the all-mask softmax runs in place and writes v_all over the logits in
     z[1]. Under "all", or with top_m >= N, `_select` returns None and v
     is v_all.
     """
-    if mask_mode not in MASK_MODES:
-        raise ValueError(f"unknown mask_mode {mask_mode!r}, expected one of {MASK_MODES}")
     shape = (bag.n_regions, params.num_classes)
-    budget = top_m if mask_mode == "top_mpt" else shape[0]
+    budget = opts.top_m if opts.mask_mode == "top_mpt" else shape[0]
     budgets = Budgets(np.ones(shape[1], dtype=bool), shape[0], budget, budget)
     total, p_sum, v_sum = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     for feats in bag.views:
@@ -152,31 +152,30 @@ def _infer(params: HeadParams, bag: ImageBag, mask_mode: str, top_m: int, work: 
 def infer_image(
     params: HeadParams, bag: ImageBag, mask_mode: str = EvalOptions.mask_mode, top_m: int = EvalOptions.top_m
 ) -> np.ndarray:
-    """Per-region per-class confidence scores v*p, averaged over views."""
-    return _infer(params, bag, mask_mode, top_m, StepWork(bag.n_regions, params.num_classes, params.feat_dim))[0]
+    """Per-region per-class confidence scores v*p, averaged over views; settings checked by `EvalOptions`."""
+    opts = EvalOptions(mask_mode=mask_mode, top_m=top_m)
+    return _infer(params, bag, opts, StepWork(bag.n_regions, params.num_classes, params.feat_dim))[0]
 
 
 def detect_arrays(
-    scores: np.ndarray,
-    boxes: np.ndarray,
-    nms_threshold: float = EvalOptions.nms_threshold,
-    vote_threshold: float = EvalOptions.vote_threshold,
-    score_floor: float = EvalOptions.score_floor,
+    scores: np.ndarray, boxes: np.ndarray, opts: EvalOptions | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class NMS plus box voting over the pre-NMS candidate pool, all classes at once.
 
-    `scores` is (N, C) and `boxes` the (N, 4) proposals; the candidates of a
-    class are the regions scoring at least `score_floor`. Every class shares
-    the two bool (N, N) masks of `overlap_masks`, built block by block with
-    no float (N, N) IoU matrix: NMS reads IoU > nms_threshold and voting
+    `scores` is (N, C) and `boxes` the (N, 4) proposals; `opts` (default
+    `EvalOptions()`) gives the thresholds. The candidates of a class are
+    the regions scoring at least `opts.score_floor`. Every class shares the
+    two bool (N, N) masks of `overlap_masks`, built block by block with no
+    float (N, N) IoU matrix: NMS reads IoU > nms_threshold and voting
     IoU >= vote_threshold. No mask is built when no region is a candidate.
     Returns the detections' class ids, scores and voted (K, 4) boxes, class
     by class and each class in descending score order.
     """
-    candidates = scores >= score_floor
+    opts = opts or EvalOptions()
+    candidates = scores >= opts.score_floor
     if not candidates.any():
         return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 4))
-    overlaps, voting = overlap_masks(boxes, nms_threshold, vote_threshold)
+    overlaps, voting = overlap_masks(boxes, opts.nms_threshold, opts.vote_threshold)
     kept = nms(overlaps, scores, candidates)
     return kept[1], scores[kept], box_vote(kept, voting, boxes, scores, candidates)
 
@@ -189,9 +188,8 @@ def detect(
     score_floor: float = EvalOptions.score_floor,
 ) -> list[Detection]:
     """Per-class NMS plus box voting over the pre-NMS candidate pool, as `Detection`s (see `detect_arrays`)."""
-    classes, kept_scores, voted = detect_arrays(
-        np.asarray(scores), box_array(proposals), nms_threshold, vote_threshold, score_floor
-    )
+    opts = EvalOptions(nms_threshold=nms_threshold, vote_threshold=vote_threshold, score_floor=score_floor)
+    classes, kept_scores, voted = detect_arrays(np.asarray(scores), box_array(proposals), opts)
     return [
         Detection(box=BBox(*box), class_id=j, score=score)
         for j, score, box in zip(classes.tolist(), kept_scores.tolist(), voted.tolist())
@@ -284,13 +282,10 @@ def voc_ap(
 
     `dets` are (image_id, score, box) triples; `gts` maps image id to the
     ground-truth boxes of the class. With no ground truth the AP is 0 by
-    definition (flagged by the caller). Raises ValueError for the
-    `iou_threshold` and `protocol` values `EvalOptions` refuses.
+    definition (flagged by the caller). An `iou_threshold` or `protocol`
+    that `EvalOptions` refuses raises its ConfigError, whatever the input.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    if protocol not in AP_PROTOCOLS:
-        raise ValueError(f"unknown AP protocol {protocol!r}, expected one of {AP_PROTOCOLS}")
+    opts = EvalOptions(iou_threshold=iou_threshold, ap_protocol=protocol)
     scores = np.array([score for _, score, _ in dets], dtype=np.float64)
     by_image: dict[str, list[int]] = {}
     for i in np.argsort(-scores, kind="stable").tolist():
@@ -298,8 +293,8 @@ def voc_ap(
     tp = np.zeros(len(dets), dtype=bool)
     for image_id, rows in by_image.items():
         ious = iou_matrix(box_array([dets[i][2] for i in rows]), box_array(gts.get(image_id, [])))
-        tp[rows] = _match(ious, iou_threshold)
-    return _pr_curve(scores, tp, sum(len(boxes) for boxes in gts.values())).ap(protocol)
+        tp[rows] = _match(ious, opts.iou_threshold)
+    return _pr_curve(scores, tp, sum(len(boxes) for boxes in gts.values())).ap(opts.ap_protocol)
 
 
 def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | None = None) -> EvalReport:
@@ -315,12 +310,10 @@ def evaluate_map(dataset: Dataset, params: HeadParams, options: EvalOptions | No
     npos, correct, positives = np.zeros(c, dtype=np.intp), np.zeros(c), np.zeros(c)
     fractions: list[float] = []
     for bag in dataset.images:
-        scores, p, v = _infer(params, bag, opts.mask_mode, opts.top_m, work)
+        scores, p, v = _infer(params, bag, opts, work)
         boxes, gt_classes, gt_boxes = bag.boxes, bag.gt_classes, bag.gt_boxes
         npos += np.bincount(gt_classes, minlength=c)
-        classes, det_scores, voted = detect_arrays(
-            scores, boxes, opts.nms_threshold, opts.vote_threshold, opts.score_floor
-        )
+        classes, det_scores, voted = detect_arrays(scores, boxes, opts)
         # AP: each detection may only match a ground-truth box of its own class. Within one class the
         # detections come in descending score, ties by index: their order in the class's ranking.
         ious = iou_matrix(voted, gt_boxes)

@@ -299,12 +299,12 @@ def load_checkpoint(path: str | Path) -> TrainState:
     except OSError as err:
         raise DataError(f"cannot read checkpoint {path}: {err}") from err
     if raw[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"bad checkpoint magic {raw[:4]!r}")
+        raise DataError(f"checkpoint {path}: bad checkpoint magic {raw[:4]!r}")
     if len(raw) < 16:
         raise DataError(f"checkpoint {path}: truncated header, {len(raw)} bytes")
     version, c, d = struct.unpack_from("<III", raw, 4)
     if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
+        raise DataError(f"checkpoint {path}: unsupported checkpoint version {version}")
     size = 2 * c * d + 2 * c  # entries of one flat buffer
     expected = 16 + 2 * 4 * size + 4
     if len(raw) != expected:

@@ -19,6 +19,7 @@ import wsdsel.trainer
 from wsdsel.cli import (EVAL_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, GRADCHECK_KEYS, SYNTH_KEYS,
                         TRAIN_KEYS, _build_train_config, _write_loss_csv, main, resolve_config)
 from wsdsel.data import SynthConfig, load_dataset, save_dataset
+from wsdsel.errors import DataError
 from wsdsel.evaluation import EvalOptions
 from wsdsel.head import HeadParams, run_gradcheck
 from wsdsel.schedule import PruneSchedule
@@ -736,6 +737,38 @@ class TestMalformedInputs:
         save_checkpoint(state, ckpt)
         assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
         assert not (tmp_path / "r.json").exists()
+
+    def test_checkpoint_of_another_version_names_the_file_and_the_version(self, trained, tmp_path, capsys):
+        dataset, ckpt = trained
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+        with pytest.raises(DataError, match="unsupported checkpoint version 2"):
+            load_checkpoint(ckpt)
+        before = _tree(tmp_path)
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: checkpoint {ckpt}: unsupported checkpoint version 2\n"
+        assert _tree(tmp_path) == before  # no report or run manifest
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("via", ["same-path", "symlink", "hardlink"])
+    def test_one_sidecar_named_for_two_images(self, trained, tmp_path, capsys, command, via):
+        # Image 2 would carry image 0's proposals and features under its own labels and ground truth.
+        dataset, ckpt = trained
+        manifest = json.loads(dataset.read_text())
+        named = manifest["images"][0]["feature_file"]
+        if via != "same-path":
+            (os.symlink if via == "symlink" else os.link)(tmp_path / named, tmp_path / "ds_features" / "link.wsdf")
+            named = "ds_features/link.wsdf"
+        manifest["images"][2]["feature_file"] = named
+        dataset.write_text(json.dumps(manifest))
+        before = _tree(tmp_path)
+        if command == "eval":
+            rc = run_eval(dataset, ckpt, tmp_path / "r.json")
+        else:
+            rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "c.wsdc"), *FAST_TRAIN])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: image im00002: feature sidecar {named} is image im00000's\n"
+        assert _tree(tmp_path) == before  # no checkpoint, loss CSV, report or run manifest
 
     def test_short_sidecar(self, trained, tmp_path):
         dataset, ckpt = trained

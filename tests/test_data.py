@@ -770,6 +770,13 @@ class TestDatasetValidate:
         with pytest.raises(DataError, match="x.*view shape"):
             ds.validate()
 
+    def test_catches_proposal_boxes_of_three_columns(self):
+        bag = ImageBag(id="x", boxes=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]),
+                       views=[np.zeros((2, 4), dtype=np.float32)], labels=np.array([1]))
+        ds = Dataset(num_classes=1, feat_dim=4, class_names=["a"], images=[bag])
+        with pytest.raises(DataError, match=re.escape("image x: proposal boxes have shape (2, 3), expected (2, 4)")):
+            ds.validate()
+
     def test_catches_an_image_without_views(self):
         bag = ImageBag(id="x", proposals=[BBox(0, 0, 1, 1)], views=[], labels=np.array([1]))
         ds = Dataset(num_classes=1, feat_dim=4, class_names=["a"], images=[bag])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 
 from wsdsel import evaluation, geometry, head
 from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic
+from wsdsel.errors import ConfigError
 from wsdsel.evaluation import (
     EvalOptions,
+    PRCurve,
+    ap_by_class,
     corloc,
     detect,
     evaluate_map,
@@ -59,13 +63,34 @@ def bag_with(feats, labels, proposals=None, gt=None, n_views=1):
     )
 
 
-@pytest.mark.parametrize("function", [evaluation.detect_arrays, detect, infer_image, corloc, voc_ap])
+@pytest.mark.parametrize("function", [detect, infer_image, corloc, voc_ap])
 def test_defaults_are_eval_options_defaults(function):
     defaults = {name: p.default for name, p in inspect.signature(function).parameters.items()
                 if p.default is not p.empty}
     options = EvalOptions()
     assert defaults and defaults == {name: getattr(options, "ap_protocol" if name == "protocol" else name)
                                      for name in defaults}
+
+
+class TestEvalOptions:
+    def test_is_frozen(self):
+        options = EvalOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.score_floor = 0.0
+        assert options == EvalOptions()
+
+    def test_detect_arrays_reads_its_settings_from_the_options(self):
+        rng = np.random.default_rng(5)
+        corners = rng.uniform(0, 8, size=(30, 2))
+        boxes = np.hstack([corners, corners + rng.uniform(0.5, 4, size=(30, 2))])
+        scores = rng.uniform(size=(30, 3))
+        for kwargs in ({}, {"nms_threshold": 0.3, "vote_threshold": 0.8, "score_floor": 0.5}):
+            got = evaluation.detect_arrays(scores, boxes, EvalOptions(**kwargs))
+            want = scalar_detect(scores, [BBox(*row) for row in boxes.tolist()], **kwargs)
+            assert [Detection(BBox(*b), j, s) for j, s, b in zip(*(part.tolist() for part in got))] == want
+        default = evaluation.detect_arrays(scores, boxes)
+        for a, b in zip(default, evaluation.detect_arrays(scores, boxes, EvalOptions())):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestInferImage:
@@ -131,7 +156,7 @@ class TestInferImage:
                 total += v * p
                 p_sum += p
                 v_sum += v_all
-            got = evaluation._infer(params, bag, mask_mode, top_m, work)
+            got = evaluation._infer(params, bag, EvalOptions(mask_mode=mask_mode, top_m=top_m), work)
             for a, b in zip(got, (total / n_views, p_sum / n_views, v_sum / n_views)):
                 assert a.tobytes() == b.tobytes()
 
@@ -140,12 +165,35 @@ class TestInferImage:
         with pytest.raises(ValueError):
             infer_image(params, bag_with([[1.0]], [1]), mask_mode="bogus")
 
+    @pytest.mark.parametrize("mask_mode", ["all", "top_mpt"])
+    @pytest.mark.parametrize("top_m", [0, -3])
+    def test_a_budget_below_one_is_refused_in_either_mode(self, mask_mode, top_m):
+        # under "all" the budget only sizes the concentration diagnostic, but it is a setting all the same
+        params = HeadParams(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        with pytest.raises(ConfigError, match=f"top_m must be >= 1, got {top_m}"):
+            infer_image(params, bag_with([[1.0]], [1]), mask_mode=mask_mode, top_m=top_m)
+
 
 class TestDetect:
     def test_all_below_floor(self):
         scores = np.full((3, 2), 1e-6)
         props = [BBox(0, 0, 1, 1), BBox(2, 2, 3, 3), BBox(4, 4, 5, 5)]
         assert detect(scores, props) == []
+
+    @pytest.mark.parametrize("score", [1e-6, 0.9], ids=["below-floor", "above-floor"])
+    @pytest.mark.parametrize("setting", [
+        {"nms_threshold": 2.0}, {"nms_threshold": 0.0}, {"score_floor": float("nan")}, {"score_floor": -1.0},
+        {"score_floor": float("inf")}, {"vote_threshold": -1.0}, {"vote_threshold": 1.5},
+        {"vote_threshold": float("nan")},
+    ], ids=repr)
+    def test_refuses_a_setting_whatever_the_scores(self, setting, score):
+        # Each setting `EvalOptions` refuses is refused before any work. Two disjoint proposals: below the
+        # floor nothing would be detected; above it, a negative vote threshold would average them into a
+        # box that overlaps neither.
+        props = [BBox(0, 0, 1, 1), BBox(2, 2, 3, 3)]
+        (name,) = setting
+        with pytest.raises(ConfigError, match=name):
+            detect(np.full((2, 1), score), props, **setting)
 
     def test_no_candidate_builds_no_iou_matrix(self, monkeypatch):
         def refuse(*args):
@@ -433,6 +481,15 @@ class TestVocAp:
         with pytest.raises(ValueError, match="protocol"):
             voc_ap(dets, gts, protocol="x")
 
+    @pytest.mark.parametrize("npos, scores", [(0, []), (0, [0.5]), (2, []), (2, [0.5])])
+    def test_ap_by_class_rejects_an_unknown_protocol_whatever_the_curves_hold(self, npos, scores):
+        # a curve without ground truth or detections has AP 0 under either known protocol, but not under "x"
+        curve = evaluation._pr_curve(np.array(scores, dtype=float), np.ones(len(scores), dtype=bool), npos)
+        with pytest.raises(ConfigError, match="ap_protocol must be one of .*, got 'x'"):
+            ap_by_class([curve, curve], "x")
+        with pytest.raises(ConfigError, match="ap_protocol"):
+            PRCurve(np.zeros(0), np.zeros(0), np.zeros(0), 0).ap("x")
+
     def test_no_ground_truth_defined_as_zero(self):
         assert voc_ap([("a", 0.5, BBox(0, 0, 1, 1))], {}) == 0.0
         assert voc_ap([], {}) == 0.0
@@ -675,7 +732,7 @@ class TestEvaluateMap:
                            labels=labels, ground_truth=[])
             params = HeadParams(*(rng.normal(scale=rng.uniform(0.1, 3), size=s) for s in ((c, d), c, (c, d), c)))
             ds = Dataset(num_classes=c, feat_dim=d, class_names=["a", "b", "c"], images=[bag])
-            _, p, v = evaluation._infer(params, bag, "all", k, StepWork(n, c, d))
+            _, p, v = evaluation._infer(params, bag, EvalOptions(top_m=k), StepWork(n, c, d))
             want = float(np.mean([v[np.argsort(-p[:, j], kind="stable")[:k], j].sum() for j in range(c)]))
             report = evaluate_map(ds, params, EvalOptions(top_m=k, score_floor=2.0))
             assert report.diagnostics["weight_concentration"] == want

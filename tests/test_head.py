@@ -4,6 +4,7 @@ import gc
 import inspect
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -231,7 +232,30 @@ class TestForwardImage:
         assert shuffled.loss == pytest.approx(trace.loss, rel=1e-9)
 
 
+class TestHeadParams:
+    @pytest.mark.parametrize("block, shape", [("w_imp", (3, 2)), ("b_cls", (3,)), ("b_imp", (1,)), ("b_cls", (2, 1))])
+    def test_blocks_of_inconsistent_shapes_are_refused(self, block, shape):
+        # a transposed w_imp has the right number of entries, so only the shape check can catch it
+        blocks = {"w_cls": np.zeros((2, 3)), "b_cls": np.zeros(2), "w_imp": np.zeros((2, 3)), "b_imp": np.zeros(2)}
+        blocks[block] = np.zeros(shape)
+        with pytest.raises(ValueError, match="^parameter block shapes are inconsistent$"):
+            HeadParams(**blocks)
+
+    @pytest.mark.parametrize("shape", [(15,), (17,), (2, 8), (16, 1)])
+    def test_from_flat_refuses_a_buffer_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"flat buffer has shape {shape}, expected (16,)")):
+            HeadParams.from_flat(np.zeros(shape), 2, 3)
+
+
 class TestBackwardImage:
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (3, 3)])
+    def test_features_not_shaped_for_the_trace_are_refused(self, shape):
+        params = HeadParams(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 3)), np.zeros(2))
+        labels = np.array([1, 0])
+        trace = forward_image(params, np.ones((4, 3)), labels, 2, 2)
+        with pytest.raises(ValueError, match="^features do not match the trace/params shapes$"):
+            backward_image(trace, params, np.ones(shape), labels)
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         worst = 0.0

@@ -326,6 +326,21 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("offset, field, message", [
+        (0, b"JUNK", "bad checkpoint magic b'JUNK'"),
+        (4, (2).to_bytes(4, "little"), "unsupported checkpoint version 2"),
+    ], ids=["magic", "version"])
+    def test_a_bad_header_field_is_refused_naming_the_file(self, tmp_path, offset, field, message):
+        path = tmp_path / "ckpt.wsdc"
+        save_checkpoint(train(toy_dataset(), self._config(1)), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:offset] + field + raw[offset + len(field) :])
+        from wsdsel.errors import DataError
+
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"checkpoint {path}: {message}"
+
     def test_truncated_rejected(self, tmp_path):
         ds = toy_dataset()
         state = train(ds, self._config(1))
