@@ -6,14 +6,16 @@ file over default. Each command writes a RunManifest JSON next to its
 outputs with the fully resolved configuration, so a run is reproducible
 from the manifest alone.
 
-Every output except a feature sidecar is written beside its path and
-renamed into place (`data.replaced`), text as UTF-8; a failed `synth`,
-`train` or `eval` removes what it wrote (`data.removed_on_failure`).
-`synth`, `train` and `eval` refuse, before anything is written, an output
-that is the same file as an input (`--dataset`, its feature sidecars,
-`--checkpoint`, `--config`), as a sidecar `synth` writes, or as another
-output; `train` and `eval` check once the dataset is loaded, `synth`
-before it generates anything.
+Every output except a feature sidecar is written beside its path, text as
+UTF-8, and a command's outputs are renamed into place together once all
+are written (`data.removed_on_failure`): a failed `train` or `eval` leaves
+every previous file as it was, and a failed `synth` also removes the
+sidecars it wrote in place. `synth`, `train` and `eval` refuse, before
+anything is written, an output that is an existing directory or the same
+file as an input (`--dataset`, its feature sidecars, `--checkpoint`,
+`--config`), as a sidecar `synth` writes, or as another output; `train`
+and `eval` check once the dataset is loaded, `synth` before it generates
+anything.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written or would replace an input or another output included), 3 data
@@ -29,6 +31,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
+from stat import S_ISDIR
 from typing import Any, Optional
 
 from wsdsel import __version__
@@ -55,35 +58,36 @@ class Key:
 
 
 SYNTH_KEYS = [
-    Key("n_images", int, 200, "number of images to generate"),
-    Key("num_classes", int, 6, "number of object classes"),
-    Key("feat_dim", int, 64, "feature dimensionality"),
-    Key("proposals_per_image", int, 64, "candidate regions per image"),
-    Key("objects_min", int, 1, "minimum ground-truth objects per image"),
-    Key("objects_max", int, 3, "maximum ground-truth objects per image"),
-    Key("noise_sigma", float, 0.5, "feature noise standard deviation"),
-    Key("context_fraction", float, 0.2, "fraction of proposals that are oversized context boxes"),
-    Key("distractor_strength", float, 2.0, "scale of the shared scene-context direction"),
-    Key("n_views", int, 1, "feature views per image"),
-    Key("seed", int, 0, "generation seed"),
+    Key("n_images", int, SynthConfig.n_images, "number of images to generate"),
+    Key("num_classes", int, SynthConfig.num_classes, "number of object classes"),
+    Key("feat_dim", int, SynthConfig.feat_dim, "feature dimensionality"),
+    Key("proposals_per_image", int, SynthConfig.proposals_per_image, "candidate regions per image"),
+    Key("objects_min", int, SynthConfig.objects_min, "minimum ground-truth objects per image"),
+    Key("objects_max", int, SynthConfig.objects_max, "maximum ground-truth objects per image"),
+    Key("noise_sigma", float, SynthConfig.noise_sigma, "feature noise standard deviation"),
+    Key("context_fraction", float, SynthConfig.context_fraction,
+        "fraction of proposals that are oversized context boxes"),
+    Key("distractor_strength", float, SynthConfig.distractor_strength, "scale of the shared scene-context direction"),
+    Key("n_views", int, SynthConfig.n_views, "feature views per image"),
+    Key("seed", int, SynthConfig.seed, "generation seed"),
     Key("train_split", int, 0, "if > 0, write <out>-train/<out>-test datasets split at this index (< n_images)"),
 ]
 
 TRAIN_KEYS = [
-    Key("learning_rate", float, 1e-3, "SGD learning rate"),
-    Key("momentum", float, 0.9, "SGD momentum"),
-    Key("weight_decay", float, 5e-4, "L2 weight decay"),
-    Key("epochs", int, 40, "training epochs"),
-    Key("seed", int, 0, "initialization/shuffle seed"),
-    Key("epsilon", float, 1e-12, "aggregated-score clamp"),
-    Key("lr_decay_epoch", int, 30, "epoch at which the learning rate steps down (-1 disables)"),
-    Key("lr_decay_factor", float, 0.1, "learning-rate step factor"),
-    Key("warmup_epochs", int, 20, "epochs with the full positive region set"),
-    Key("m_start", int, 1024, "positive budget at the end of warmup"),
-    Key("m_final", int, 128, "positive budget floor"),
-    Key("m_neg", int, 128, "negative budget (constant)"),
+    Key("learning_rate", float, TrainConfig.learning_rate, "SGD learning rate"),
+    Key("momentum", float, TrainConfig.momentum, "SGD momentum"),
+    Key("weight_decay", float, TrainConfig.weight_decay, "L2 weight decay"),
+    Key("epochs", int, TrainConfig.total_epochs, "training epochs"),
+    Key("seed", int, TrainConfig.seed, "initialization/shuffle seed"),
+    Key("epsilon", float, TrainConfig.epsilon, "aggregated-score clamp"),
+    Key("lr_decay_epoch", int, TrainConfig.lr_decay_epoch, "epoch at which the learning rate steps down (-1 disables)"),
+    Key("lr_decay_factor", float, TrainConfig.lr_decay_factor, "learning-rate step factor"),
+    Key("warmup_epochs", int, PruneSchedule.warmup_epochs, "epochs with the full positive region set"),
+    Key("m_start", int, PruneSchedule.m_start, "positive budget at the end of warmup"),
+    Key("m_final", int, PruneSchedule.m_final, "positive budget floor"),
+    Key("m_neg", int, PruneSchedule.m_neg, "negative budget (constant)"),
     Key("schedule_epochs", int, 0, "pruning-schedule horizon (0: max(epochs, warmup+1))"),
-    Key("baseline", bool, False, "disable region selection (budgets = all regions)"),
+    Key("baseline", bool, TrainConfig.baseline, "disable region selection (budgets = all regions)"),
 ]
 
 EVAL_KEYS = [
@@ -157,13 +161,9 @@ def resolve_config(keys: list[Key], args: argparse.Namespace) -> dict[str, Any]:
     return resolved
 
 
-def _add_key_flags(parser: argparse.ArgumentParser, keys: list[Key]):
-    for key in keys:
-        flag = "--" + key.name.replace("_", "-")
-        if key.type is bool:
-            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=key.help)
-        else:
-            parser.add_argument(flag, type=key.type, default=None, help=key.help)
+def _settings(cls, config: dict[str, Any], **others):
+    """The dataclass `cls` of the config keys named as its fields, `others` in place of some."""
+    return cls(**{f.name: config[f.name] for f in fields(cls) if f.name in config} | others)
 
 
 def _os_text(value):
@@ -181,7 +181,7 @@ def _manifest_path(out: Path) -> Path:
 
 def _refuse_overwrites(inputs: dict[str, Any], outputs: dict[str, Any],
                        sidecars: Optional[dict[tuple[int, int], str]] = None):
-    """ConfigError if an output is the same file as an input, a loaded feature sidecar or an earlier output.
+    """ConfigError if an output is a directory, or the same file as an input, a loaded sidecar or an earlier output.
 
     Each path is keyed once: a file that exists by its (st_dev, st_ino), as `Dataset.sidecars` keys the
     sidecars a load read, so a link counts as the file it names; one that does not exist by its resolved
@@ -194,11 +194,14 @@ def _refuse_overwrites(inputs: dict[str, Any], outputs: dict[str, Any],
                 continue
             try:
                 stat = os.stat(path)
-                key = stat.st_dev, stat.st_ino
             except FileNotFoundError:
                 key = os.path.realpath(path)
             except (OSError, ValueError):  # ValueError: a NUL, or a name the filesystem encoding cannot hold
                 continue
+            else:
+                if refuse and S_ISDIR(stat.st_mode):  # no rename onto it could succeed
+                    raise ConfigError(f"{name} {path} is a directory; refusing to write it")
+                key = stat.st_dev, stat.st_ino
             if refuse and key in taken:
                 raise ConfigError(f"{name} {path} is the same file as {taken[key]}; refusing to overwrite it")
             taken[key] = f"{name} {path}"
@@ -218,11 +221,10 @@ def write_manifest(out_path: Path, command: str, config: dict, inputs: dict, out
         fh.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, config: dict[str, Any]) -> int:
     started = time.time()
-    config = resolve_config(SYNTH_KEYS, args)
-    split_at = config.pop("train_split")
-    cfg = SynthConfig(**config)
+    split_at = config["train_split"]
+    cfg = _settings(SynthConfig, config)
     if split_at and not 0 < split_at < cfg.n_images:  # checked before any image is generated
         raise ConfigError(f"train_split must be 0 (no split) or in (0, {cfg.n_images}), got {split_at}")
     out = Path(args.out)
@@ -238,10 +240,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     ds = generate_synthetic(cfg)
     parts = split_dataset(ds, split_at) if split_at else (ds,)
     outputs = {name: str(path) for name, path in paths.items()}
-    config["train_split"] = split_at
-    with removed_on_failure() as written:
+    with removed_on_failure():
         for dataset, path in zip(parts, paths.values()):
-            written.extend(save_dataset(dataset, path))
+            save_dataset(dataset, path)
         write_manifest(out, "synth", config, {}, outputs, started)
     print(f"wrote {', '.join(outputs.values())} ({len(ds.images)} images)")
     return EXIT_OK
@@ -251,25 +252,10 @@ def _build_train_config(config: dict[str, Any]) -> TrainConfig:
     if config["schedule_epochs"] < 0:
         raise ConfigError("schedule_epochs must be >= 0 (0 means max(epochs, warmup_epochs + 1)), "
                           f"got {config['schedule_epochs']}")
-    schedule = PruneSchedule(
-        warmup_epochs=config["warmup_epochs"],
-        m_start=config["m_start"],
-        m_final=config["m_final"],
-        m_neg=config["m_neg"],
-        total_epochs=config["schedule_epochs"] or max(config["epochs"], config["warmup_epochs"] + 1),
-    )
-    return TrainConfig(
-        learning_rate=config["learning_rate"],
-        momentum=config["momentum"],
-        weight_decay=config["weight_decay"],
-        total_epochs=config["epochs"],
-        seed=config["seed"],
-        schedule=schedule,
-        epsilon=config["epsilon"],
-        lr_decay_epoch=None if config["lr_decay_epoch"] == -1 else config["lr_decay_epoch"],
-        lr_decay_factor=config["lr_decay_factor"],
-        baseline=config["baseline"],
-    )
+    horizon = config["schedule_epochs"] or max(config["epochs"], config["warmup_epochs"] + 1)
+    return _settings(TrainConfig, config, total_epochs=config["epochs"],
+                     schedule=_settings(PruneSchedule, config, total_epochs=horizon),
+                     lr_decay_epoch=None if config["lr_decay_epoch"] == -1 else config["lr_decay_epoch"])
 
 
 def _write_loss_csv(path: Path, state: TrainState, config: TrainConfig):
@@ -281,9 +267,8 @@ def _write_loss_csv(path: Path, state: TrainState, config: TrainConfig):
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace, config: dict[str, Any]) -> int:
     started = time.time()
-    config = resolve_config(TRAIN_KEYS, args)
     train_config = _build_train_config(config)
     out = Path(args.out)
     loss_csv = out.parent / (out.stem + "_loss.csv")
@@ -291,11 +276,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     _refuse_overwrites({"--dataset": args.dataset, "--config": args.config}, targets, dataset.sidecars)
     state = train(dataset, train_config)
-    with removed_on_failure() as written:
+    with removed_on_failure():
         save_checkpoint(state, out)
-        written.append(out)
         _write_loss_csv(loss_csv, state, train_config)
-        written.append(loss_csv)
         write_manifest(out, "train", config, {"dataset": str(args.dataset)},
                        {"checkpoint": str(out), "loss_history": str(loss_csv)}, started)
     final = state.loss_history[-1] if state.loss_history else float("nan")
@@ -304,10 +287,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
     started = time.time()
-    config = resolve_config(EVAL_KEYS, args)
-    opts = EvalOptions(**{f.name: config[f.name] for f in fields(EvalOptions)})
+    opts = _settings(EvalOptions, config)
     out = Path(args.out)
     targets = {"--out": out, "--pr-csv": config["pr_csv"], "the run manifest": _manifest_path(out)}
     dataset = load_dataset(args.dataset)
@@ -321,14 +303,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report.diagnostics[f"map_{other}"] = mean_ap
         report.diagnostics[f"per_class_ap_{other}"] = per_class
     outputs = {"report": str(out)}
-    with removed_on_failure() as written:
-        if config["pr_csv"]:  # before the report, so that an eval that fails here leaves no report
-            dump_pr_curves(report.curves, dataset.class_names, config["pr_csv"])
-            outputs["pr_csv"] = config["pr_csv"]
-            written.append(config["pr_csv"])
+    with removed_on_failure():
         with replaced(out) as fh:
             fh.write(report.to_json())
-        written.append(out)
+        if config["pr_csv"]:
+            dump_pr_curves(report.curves, dataset.class_names, config["pr_csv"])
+            outputs["pr_csv"] = config["pr_csv"]
         write_manifest(out, "eval", config, {"dataset": str(args.dataset), "checkpoint": str(args.checkpoint)},
                        outputs, started)
     print(f"mAP {report.map:.4f}  mean CorLoc {report.mean_corloc:.4f}  ({report.n_images} images)")
@@ -342,8 +322,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    report = run_gradcheck(**resolve_config(GRADCHECK_KEYS, args))
+def cmd_gradcheck(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    report = run_gradcheck(**config)
     print(f"gradcheck: {report['instances']} instances, max relative error {report['max_rel_error']:.3e}")
     if report["passed"]:
         print(f"PASS (tolerance {report['tolerance']:.1e})")
@@ -352,45 +332,55 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return EXIT_NUMERIC
 
 
+@dataclass(frozen=True)
+class Command:
+    help: str
+    inputs: dict[str, str]  # the required input flags, each with its help
+    out: Optional[str]  # the help of the required --out flag; None: the command takes none
+    keys: list[Key]
+    # A cmd_* function of this module, looked up by name when the command runs, so that a wrapper put
+    # in the module's namespace in its place is the one called.
+    handler: str
+
+
+# The one table of commands: `build_parser` makes each subparser from it, and `main` resolves a command's keys
+# before it calls the handler.
+COMMANDS = {
+    "synth": Command("generate a synthetic dataset", {}, "dataset manifest path (JSON)", SYNTH_KEYS, "cmd_synth"),
+    "train": Command("train the detection head", {"--dataset": "dataset manifest path"}, "checkpoint output path",
+                     TRAIN_KEYS, "cmd_train"),
+    "eval": Command("evaluate a checkpoint: mAP, CorLoc, diagnostics",
+                    {"--dataset": "dataset manifest path", "--checkpoint": "checkpoint path"},
+                    "report output path (JSON)", EVAL_KEYS, "cmd_eval"),
+    "gradcheck": Command("verify backward against finite differences", {}, None, GRADCHECK_KEYS, "cmd_gradcheck"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wsdsel", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"wsdsel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    p_synth.add_argument("--config", help="key-value config file")
-    p_synth.add_argument("--out", required=True, help="dataset manifest path (JSON)")
-    _add_key_flags(p_synth, SYNTH_KEYS)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_train = sub.add_parser("train", help="train the detection head")
-    p_train.add_argument("--dataset", required=True, help="dataset manifest path")
-    p_train.add_argument("--config", help="key-value config file")
-    p_train.add_argument("--out", required=True, help="checkpoint output path")
-    _add_key_flags(p_train, TRAIN_KEYS)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint: mAP, CorLoc, diagnostics")
-    p_eval.add_argument("--dataset", required=True, help="dataset manifest path")
-    p_eval.add_argument("--checkpoint", required=True, help="checkpoint path")
-    p_eval.add_argument("--config", help="key-value config file")
-    p_eval.add_argument("--out", required=True, help="report output path (JSON)")
-    _add_key_flags(p_eval, EVAL_KEYS)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_grad = sub.add_parser("gradcheck", help="verify backward against finite differences")
-    p_grad.add_argument("--config", help="key-value config file")
-    _add_key_flags(p_grad, GRADCHECK_KEYS)
-    p_grad.set_defaults(func=cmd_gradcheck)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, text in command.inputs.items():
+            p.add_argument(flag, required=True, help=text)
+        p.add_argument("--config", help="key-value config file")
+        if command.out:
+            p.add_argument("--out", required=True, help=command.out)
+        for key in command.keys:
+            flag = "--" + key.name.replace("_", "-")
+            if key.type is bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=key.help)
+            else:
+                p.add_argument(flag, type=key.type, default=None, help=key.help)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return globals()[command.handler](args, resolve_config(command.keys, args))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,9 +48,9 @@ b_imp) as row-major float32 LE, which is the parameter buffer followed by
 the velocity buffer, then the completed-epoch index as u32 LE. Like every
 output but a feature sidecar, the file is written through `data.replaced`:
 beside its target under a temporary name, then renamed into place, so a
-failed write leaves the previous checkpoint as it was (text outputs are
-UTF-8). If a later write of the `train` command fails, the command removes
-the checkpoint again (`data.removed_on_failure`).
+failed write leaves the previous checkpoint as it was. `train` writes it in
+one `data.removed_on_failure` block with its loss CSV and run manifest, so
+a failure at any of the three leaves the previous three as they were.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ CHECKPOINT_VERSION = 1
 StepHook = Callable[[str, int, int, int, float], None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     momentum: float = 0.9
@@ -296,7 +296,7 @@ def load_checkpoint(path: str | Path) -> TrainState:
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
         raise DataError(f"cannot read checkpoint {path}: {err}") from err
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"checkpoint {path}: bad checkpoint magic {raw[:4]!r}")

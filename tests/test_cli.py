@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -510,6 +511,41 @@ def test_a_write_that_fails_partway_leaves_nothing(trained, tmp_path, capsys, mo
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("failure", ["full disk", "directory"])
+@pytest.mark.parametrize("command, name", [
+    ("train", "ckpt.wsdc"),
+    ("train", "ckpt_loss.csv"),
+    ("train", "ckpt.wsdc.manifest.json"),
+    ("eval", "pr.csv"),
+    ("eval", "r.json"),
+    ("eval", "r.json.manifest.json"),
+])
+def test_a_failed_run_keeps_every_output_it_would_have_replaced(trained, tmp_path, capsys, full_disk, command, name,
+                                                                 failure):
+    # A previous run's outputs stand at every path the run writes, and one write fails: by a full disk
+    # partway through, or because a directory stands where the file goes.
+    dataset, ckpt = trained
+    out = tmp_path / "out"
+    argv = {"train": ["--dataset", str(dataset), *FAST_TRAIN, "--out", str(out / "ckpt.wsdc")],
+            "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt), "--pr-csv", str(out / "pr.csv"),
+                     "--out", str(out / "r.json")]}[command]
+    previous = {"train": ["--seed", "1"], "eval": ["--score-floor", "0.5"]}[command]
+    assert main([command, *argv, *previous]) == EXIT_OK
+    if failure == "directory":
+        (out / name).unlink()
+        (out / name).mkdir()
+        (out / name / "kept.txt").write_text("kept\n")
+    else:
+        full_disk(name)
+    before = _tree(tmp_path)
+    assert main([command, *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("No space left on device" if failure == "full disk" else f"{out / name} is a directory") in err
+    # every previous output as it was, the one that failed included; nothing new and no temporary
+    assert _tree(tmp_path) == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("command, config_name, flags", [
     ("train", "cfg.txt", ["--out", "{dataset}"]),
     ("train", "cfg.txt", ["--out", "{cfg}"]),
@@ -984,3 +1020,82 @@ def test_readme_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+# Each subcommand's options, in order: (option strings, required, help).
+PARSER_TABLE = {
+    "synth": ("generate a synthetic dataset", [
+        (["-h", "--help"], False, "show this help message and exit"),
+        (["--config"], False, "key-value config file"),
+        (["--out"], True, "dataset manifest path (JSON)"),
+        (["--n-images"], False, "number of images to generate"),
+        (["--num-classes"], False, "number of object classes"),
+        (["--feat-dim"], False, "feature dimensionality"),
+        (["--proposals-per-image"], False, "candidate regions per image"),
+        (["--objects-min"], False, "minimum ground-truth objects per image"),
+        (["--objects-max"], False, "maximum ground-truth objects per image"),
+        (["--noise-sigma"], False, "feature noise standard deviation"),
+        (["--context-fraction"], False, "fraction of proposals that are oversized context boxes"),
+        (["--distractor-strength"], False, "scale of the shared scene-context direction"),
+        (["--n-views"], False, "feature views per image"),
+        (["--seed"], False, "generation seed"),
+        (["--train-split"], False, "if > 0, write <out>-train/<out>-test datasets split at this index (< n_images)"),
+    ]),
+    "train": ("train the detection head", [
+        (["-h", "--help"], False, "show this help message and exit"),
+        (["--dataset"], True, "dataset manifest path"),
+        (["--config"], False, "key-value config file"),
+        (["--out"], True, "checkpoint output path"),
+        (["--learning-rate"], False, "SGD learning rate"),
+        (["--momentum"], False, "SGD momentum"),
+        (["--weight-decay"], False, "L2 weight decay"),
+        (["--epochs"], False, "training epochs"),
+        (["--seed"], False, "initialization/shuffle seed"),
+        (["--epsilon"], False, "aggregated-score clamp"),
+        (["--lr-decay-epoch"], False, "epoch at which the learning rate steps down (-1 disables)"),
+        (["--lr-decay-factor"], False, "learning-rate step factor"),
+        (["--warmup-epochs"], False, "epochs with the full positive region set"),
+        (["--m-start"], False, "positive budget at the end of warmup"),
+        (["--m-final"], False, "positive budget floor"),
+        (["--m-neg"], False, "negative budget (constant)"),
+        (["--schedule-epochs"], False, "pruning-schedule horizon (0: max(epochs, warmup+1))"),
+        (["--baseline", "--no-baseline"], False, "disable region selection (budgets = all regions)"),
+    ]),
+    "eval": ("evaluate a checkpoint: mAP, CorLoc, diagnostics", [
+        (["-h", "--help"], False, "show this help message and exit"),
+        (["--dataset"], True, "dataset manifest path"),
+        (["--checkpoint"], True, "checkpoint path"),
+        (["--config"], False, "key-value config file"),
+        (["--out"], True, "report output path (JSON)"),
+        (["--mask-mode"], False, "test-time importance mask: all | top_mpt"),
+        (["--top-m"], False, "top-M budget for mask_mode=top_mpt and the concentration diagnostic"),
+        (["--ap-protocol"], False, "AP protocol: eleven_point | area"),
+        (["--nms-threshold"], False, "NMS IoU threshold"),
+        (["--vote-threshold"], False, "box-voting IoU threshold"),
+        (["--score-floor"], False, "drop detections scoring below this"),
+        (["--iou-threshold"], False, "IoU threshold for a correct detection"),
+        (["--both", "--no-both"], False, "also report the other AP protocol in diagnostics"),
+        (["--pr-csv"], False, "optional path for a per-class PR-curve CSV dump"),
+    ]),
+    "gradcheck": ("verify backward against finite differences", [
+        (["-h", "--help"], False, "show this help message and exit"),
+        (["--config"], False, "key-value config file"),
+        (["--seed"], False, "instance-generation seed"),
+        (["--instances"], False, "number of random instances"),
+        (["--max-regions"], False, "max regions per instance"),
+        (["--max-classes"], False, "max classes per instance"),
+        (["--max-dim"], False, "max feature dimension"),
+        (["--step"], False, "finite-difference step"),
+        (["--tolerance"], False, "max relative error allowed"),
+    ]),
+}
+
+
+def test_parser_options_are_the_commands_table():
+    # argparse keeps a parser's subcommands and options only in its private attributes
+    parser = wsdsel.cli.build_parser()
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    got = {name: (helps[name], [(action.option_strings, action.required, action.help) for action in p._actions])
+           for name, p in sub.choices.items()}
+    assert got == PARSER_TABLE

@@ -282,6 +282,30 @@ class TestRoundTrip:
         )
         assert not (tmp_path / "ds.json").exists()
 
+    def test_a_save_inside_a_block_commits_with_it(self, tmp_path):
+        # The manifest is renamed into place when the outer block ends; a failure before then
+        # removes the sidecars, the features directory and the manifest's temporary file.
+        ds = generate_synthetic(SMALL)
+        (tmp_path / "ds.json").write_text("previous\n")
+        with pytest.raises(RuntimeError):
+            with data.removed_on_failure():
+                data.save_dataset(ds, tmp_path / "ds.json")
+                assert (tmp_path / "ds.json").read_text() == "previous\n"
+                raise RuntimeError("a later step fails")
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.json"]
+        assert (tmp_path / "ds.json").read_text() == "previous\n"
+        with data.removed_on_failure():
+            data.save_dataset(ds, tmp_path / "ds.json")
+            assert (tmp_path / "ds.json").read_text() == "previous\n"
+        assert len(load_dataset(tmp_path / "ds.json").images) == len(ds.images)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_a_failed_write_removes_the_directories_it_made(self, tmp_path, full_disk):
+        full_disk("ds.json")
+        with pytest.raises(OSError, match="No space left on device"):
+            save_dataset(generate_synthetic(SMALL), tmp_path / "new" / "dir" / "ds.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_ids_are_names_not_paths(self, tmp_path):
         ds = generate_synthetic(SMALL)
         for bag, name in zip(ds.images, ["a.b", "...", " ", "caf\u00e9", "-x", "%s", "a:b"]):

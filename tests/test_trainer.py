@@ -1,8 +1,11 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from wsdsel.data import Dataset, ImageBag
-from wsdsel.errors import ConfigError, TrainingError
+from wsdsel.errors import ConfigError, DataError, TrainingError
 from wsdsel.geometry import BBox
 from wsdsel.head import HeadParams
 from wsdsel.schedule import PruneSchedule, pos_budget
@@ -128,6 +131,15 @@ class TestTrainConfig:
             TrainConfig(momentum=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(weight_decay=-1.0)
+
+    @pytest.mark.parametrize("name, value", [("total_epochs", 45), ("learning_rate", float("nan")),
+                                             ("schedule", PruneSchedule(warmup_epochs=1, total_epochs=10))])
+    def test_is_frozen(self, name, value):
+        # a config is checked once, at construction, and stays checked
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+        assert getattr(config, name) == getattr(TrainConfig(), name)
 
     def test_epochs_beyond_schedule_rejected(self):
         with pytest.raises(ConfigError):
@@ -298,6 +310,10 @@ class TestCheckpoint:
         for (_, x), (_, y) in zip(full.params.blocks(), resumed.params.blocks()):
             assert x.tobytes() == y.tobytes()
         np.testing.assert_array_equal(full.loss_history[3:], resumed.loss_history)
+
+    def test_a_path_holding_a_nul_is_a_data_error_naming_it(self):
+        with pytest.raises(DataError, match=re.escape("cannot read checkpoint a\0b: embedded null byte")):
+            load_checkpoint("a\0b")
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, full_disk):
         ds = toy_dataset()
