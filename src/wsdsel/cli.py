@@ -6,16 +6,15 @@ file over default. Each command writes a RunManifest JSON next to its
 outputs with the fully resolved configuration, so a run is reproducible
 from the manifest alone.
 
-Every output except a feature sidecar is written beside its path, text as
+Every output is written beside its path under a temporary name, text as
 UTF-8, and a command's outputs are renamed into place together once all
-are written (`data.removed_on_failure`): a failed `train` or `eval` leaves
-every previous file as it was, and a failed `synth` also removes the
-sidecars it wrote in place. `synth`, `train` and `eval` refuse, before
-anything is written, an output that is an existing directory or the same
-file as an input (`--dataset`, its feature sidecars, `--checkpoint`,
-`--config`), as a sidecar `synth` writes, or as another output; `train`
-and `eval` check once the dataset is loaded, `synth` before it generates
-anything.
+are written (`data.removed_on_failure`): a failed `synth`, `train` or
+`eval` leaves every previous file as it was. `synth`, `train` and `eval`
+refuse, before anything is written, an output that is an existing
+directory or the same file as an input (`--dataset`, its features file,
+`--checkpoint`, `--config`), as a features file `synth` writes, or as
+another output; `train` and `eval` check once the dataset is loaded,
+`synth` before it generates anything.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written or would replace an input or another output included), 3 data
@@ -35,8 +34,8 @@ from stat import S_ISDIR
 from typing import Any, Optional
 
 from wsdsel import __version__
-from wsdsel.data import (SynthConfig, generate_synthetic, load_dataset, removed_on_failure, replaced, save_dataset,
-                         sidecar_path, split_dataset, synthetic_id)
+from wsdsel.data import (SynthConfig, features_path, generate_synthetic, load_dataset, removed_on_failure, replaced,
+                         save_dataset, split_dataset)
 from wsdsel.errors import ConfigError, DataError, TrainingError
 from wsdsel.evaluation import EvalOptions, ap_by_class, dump_pr_curves, evaluate_map
 from wsdsel.head import run_gradcheck
@@ -179,15 +178,14 @@ def _manifest_path(out: Path) -> Path:
     return out.parent / (out.name + ".manifest.json")
 
 
-def _refuse_overwrites(inputs: dict[str, Any], outputs: dict[str, Any],
-                       sidecars: Optional[dict[tuple[int, int], str]] = None):
-    """ConfigError if an output is a directory, or the same file as an input, a loaded sidecar or an earlier output.
+def _refuse_overwrites(inputs: dict[str, Any], outputs: dict[str, Any], features: Optional[tuple[int, int]] = None):
+    """ConfigError if an output is a directory, or the same file as an input, the features file or an earlier output.
 
-    Each path is keyed once: a file that exists by its (st_dev, st_ino), as `Dataset.sidecars` keys the
-    sidecars a load read, so a link counts as the file it names; one that does not exist by its resolved
-    path. Unset (empty) paths are skipped, and so are names no file can have: their own writes fail.
+    Each path is keyed once: a file that exists by its (st_dev, st_ino), as `Dataset.features_file` keys
+    the features file a load read, so a link counts as the file it names; one that does not exist by its
+    resolved path. Unset (empty) paths are skipped, and so are names no file can have: their own writes fail.
     """
-    taken = {identity: f"image {image}'s feature sidecar" for identity, image in (sidecars or {}).items()}
+    taken = {features: "the dataset's features file"} if features else {}
     for refuse, named in ((False, inputs), (True, outputs)):
         for name, path in named.items():
             if not path:
@@ -233,10 +231,8 @@ def cmd_synth(args: argparse.Namespace, config: dict[str, Any]) -> int:
                  "test_dataset": out.parent / (out.stem + "-test.json")}
     else:
         paths = {"dataset": out}
-    bounds = (0, split_at, cfg.n_images) if split_at else (0, cfg.n_images)  # each dataset's images
-    sidecars = {f"image {synthetic_id(i)}'s feature sidecar": sidecar_path(path, synthetic_id(i))
-                for path, start, stop in zip(paths.values(), bounds, bounds[1:]) for i in range(start, stop)}
-    _refuse_overwrites({"--config": args.config}, {**paths, "the run manifest": _manifest_path(out), **sidecars})
+    features = {f"the {name.replace('_', ' ')}'s features file": features_path(path) for name, path in paths.items()}
+    _refuse_overwrites({"--config": args.config}, {**paths, "the run manifest": _manifest_path(out), **features})
     ds = generate_synthetic(cfg)
     parts = split_dataset(ds, split_at) if split_at else (ds,)
     outputs = {name: str(path) for name, path in paths.items()}
@@ -274,7 +270,7 @@ def cmd_train(args: argparse.Namespace, config: dict[str, Any]) -> int:
     loss_csv = out.parent / (out.stem + "_loss.csv")
     targets = {"--out": out, "the loss CSV": loss_csv, "the run manifest": _manifest_path(out)}
     dataset = load_dataset(args.dataset)
-    _refuse_overwrites({"--dataset": args.dataset, "--config": args.config}, targets, dataset.sidecars)
+    _refuse_overwrites({"--dataset": args.dataset, "--config": args.config}, targets, dataset.features_file)
     state = train(dataset, train_config)
     with removed_on_failure():
         save_checkpoint(state, out)
@@ -294,7 +290,7 @@ def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
     targets = {"--out": out, "--pr-csv": config["pr_csv"], "the run manifest": _manifest_path(out)}
     dataset = load_dataset(args.dataset)
     _refuse_overwrites({"--dataset": args.dataset, "--checkpoint": args.checkpoint, "--config": args.config},
-                       targets, dataset.sidecars)
+                       targets, dataset.features_file)
     state = load_checkpoint(args.checkpoint)
     report = evaluate_map(dataset, state.params, opts)
     if config["both"]:

@@ -15,9 +15,9 @@ The generator and the loader fill them, `Dataset.validate` checks both box
 arrays alike, and evaluation reads them as they are. `ImageBag.proposals`
 and `ImageBag.ground_truth` build `BBox` objects from them only when asked.
 An image's features are one (V, N, D) float32 array, `ImageBag.views`,
-stored with its proposals in its binary sidecar, never through text: the
-writer puts both arrays' bytes there and the loader returns views of the
-buffer it reads them into.
+stored with its proposals in its dataset's binary features file, never
+through text: the writer puts both arrays' bytes there and the loader
+returns views of the buffer it reads each image's block into.
 
 The boxes of an image are drawn from its own generator in a fixed order,
 each by rejection sampling: the clusters object by object (a tight first
@@ -73,26 +73,26 @@ chunk stays in cache.
 
 File formats
 ------------
-Dataset manifest (JSON): top level {c, d, class_names, images: [{id,
-labels, ground_truth, feature_file, views}]}, with ground_truth as {class,
-box} records and each box an [x1, y1, x2, y2] row.
+Dataset manifest (JSON): top level {c, d, class_names, features, images:
+[{id, labels, ground_truth, views}]}, with ground_truth as {class, box}
+records and each box an [x1, y1, x2, y2] row. `features` is the path of
+the features file relative to the manifest's directory; each record's
+`views` is checked against its block.
 
-Feature sidecar (binary, one per image), version 2: magic "WSDF", version
-as u16 LE, then V, N, D as u32 LE, then the N proposal rows [x1, y1, x2,
-y2] as float64 LE, then V*N*D row-major float32 LE. The boxes come first,
-so the header and the boxes are one read from the front of the file; the
-features start at byte 18 + 32*N.
+Features file (binary, one per dataset, `<stem>_features/features.wsdf`),
+version 3: magic "WSDF", version as u16 LE, the image count as u32 LE;
+then, for each image in manifest order, a block: V, N, D as u32 LE, the N
+proposal rows [x1, y1, x2, y2] as float64 LE, then V*N*D row-major float32
+LE. The file ends exactly after the last block. A load opens it once and
+reads each block's arrays into a buffer of the image's own.
 
 Writing outputs
 ---------------
-Every output of `synth`, `train` and `eval` but a feature sidecar is
-written through `replaced`, under a temporary name beside its path, text
-as UTF-8 whatever the locale. A command writes them in one
-`removed_on_failure` block, which renames them all into place once every
-one is written, so a failure leaves each previous file as it was. Feature
-sidecars are written in place (renaming the walkthrough's 200 made a save
-about 40% slower), and a failure removes them, even one that replaced an
-earlier dataset's sidecar.
+Every output of `synth`, `train` and `eval` is written through `replaced`,
+under a temporary name of its own beside its path, text as UTF-8 whatever
+the locale. A command writes them in one `removed_on_failure` block, which
+renames them all into place once every one is written, so a failure leaves
+each previous file as it was.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ import os
 import reprlib
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +117,7 @@ from wsdsel.errors import ConfigError, DataError
 from wsdsel.geometry import BBox, box_array, iou, iou_matrix
 
 FEATURE_MAGIC = b"WSDF"
-FEATURE_VERSION = 2
+FEATURE_VERSION = 3
 # The smallest per-image N*D*views at which generation draws features on two threads (see the module docstring).
 FEATURE_SPLIT_MIN = 1 << 16
 # Noise entries drawn per chunk: 256 KB of float64 per thread, a buffer that stays in cache.
@@ -152,7 +152,7 @@ class ImageBag:
         self,
         id: str,
         *,
-        views: np.ndarray | list[np.ndarray],  # (V, N, D) float32, as a sidecar lays it out; or V (N, D) arrays
+        views: np.ndarray | list[np.ndarray],  # (V, N, D) float32, as a features file lays it out; or V (N, D) arrays
         labels: np.ndarray,  # (C,) ints in {0, 1}
         ground_truth: Iterable[tuple[int, BBox | Box]] | None = None,
         boxes: np.ndarray | None = None,
@@ -187,9 +187,8 @@ class Dataset:
     feat_dim: int
     class_names: list[str]
     images: list[ImageBag]
-    # (st_dev, st_ino) of each feature sidecar `load_dataset` read, to its image's id: the files a
-    # command must not overwrite.
-    sidecars: dict[tuple[int, int], str] = field(default_factory=dict)
+    # (st_dev, st_ino) of the features file `load_dataset` read: the file a command must not overwrite.
+    features_file: tuple[int, int] | None = None
 
     def validate(self):
         """Raise a DataError that names the image at the first fault found.
@@ -548,13 +547,8 @@ def _sample_image(cfg: SynthConfig, i: int) -> tuple[ImageBag, tuple]:
     views = np.empty((cfg.n_views, n, cfg.feat_dim), dtype=np.float32)
     labels = np.zeros(cfg.num_classes, dtype=np.int64)
     labels[[c for c, _ in gt]] = 1
-    bag = ImageBag(id=synthetic_id(i), boxes=boxes, views=views, labels=labels, ground_truth=gt)
+    bag = ImageBag(id=f"im{i:05d}", boxes=boxes, views=views, labels=labels, ground_truth=gt)
     return bag, (rng, overlap, is_context, views)
-
-
-def synthetic_id(i: int) -> str:
-    """The id `generate_synthetic` gives its image `i`: `im`, then `i` zero-padded to five digits."""
-    return f"im{i:05d}"
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
@@ -624,23 +618,27 @@ _block: contextvars.ContextVar[tuple[list, list] | None] = contextvars.ContextVa
 
 @contextlib.contextmanager
 def removed_on_failure():
-    """Commit what the block writes as one: yield the list of paths it wrote, which a failure removes.
+    """Commit what the block writes as one: every `replaced` file in it is renamed into place, or none is.
 
     A `replaced` file written in the block is recorded under its temporary
-    name and renamed onto its target only when the outermost block ends
-    cleanly, in the order written; a block opened inside another joins it.
-    If the block fails, every recorded path is removed, last first (a
-    directory, recorded before its files, with `rmdir`), and the error is
-    re-raised: the target of every `replaced` file is as it was, and what
-    the caller wrote in place and recorded is gone.
+    name, with any directory made for it, and renamed onto its target only
+    when the outermost block ends cleanly, in the order written; a block
+    opened inside another joins it. A directory standing at any target
+    fails the commit before the first rename. If the block fails, every
+    recorded path is removed, last first (a directory, recorded before its
+    files, with `rmdir`), and the error is re-raised: the target of every
+    `replaced` file is as it was.
     """
     if _block.get() is not None:
-        yield _block.get()[0]
+        yield
         return
     written, renames = [], []
     token = _block.set((written, renames))
     try:
-        yield written
+        yield
+        for _, path in renames:  # before the first rename: no file moves if one of them cannot
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
         for tmp, path in renames:
             os.replace(tmp, path)
     except BaseException:
@@ -651,118 +649,96 @@ def removed_on_failure():
         _block.reset(token)
 
 
-def _make_dirs(directory: Path, written: list):
-    """Make `directory` and its missing parents, recording each one made in `written`, outermost first."""
-    for made in reversed(list(itertools.takewhile(lambda d: not d.exists(), (directory, *directory.parents)))):
-        made.mkdir()
-        written.append(made)
-
-
 @contextlib.contextmanager
 def replaced(path: str | Path, mode: str = "w", **open_kwargs):
-    """Open a temporary file beside `path`, text as UTF-8, and rename it onto `path` once its block commits.
+    """Open a new temporary file beside `path`, text as UTF-8, and rename it onto `path` once its block commits.
 
-    The write is its own `removed_on_failure` block, or joins the one open:
-    if the write or anything later in that block fails, the temporary file,
-    and any parent directory made for it, is removed and `path` is left as
-    it was. A path the filesystem encoding cannot encode (a name read as
-    text under an ASCII locale) or that holds a NUL cannot be written: an
-    OSError, before anything is made.
+    The temporary is `<name>.<8 random hex digits>.tmp`, created in
+    exclusive mode (`mode` with "w" as "x"): an existing file is never
+    opened in its place, and a name that is taken is a FileExistsError,
+    with nothing written. The write is its own `removed_on_failure` block,
+    or joins the one open: if the write or anything later in that block
+    fails, the temporary file, and any parent directory made for it, is
+    removed and `path` is left as it was. A path the filesystem encoding
+    cannot encode (a name read as text under an ASCII locale) or that holds
+    a NUL cannot be written: an OSError, before anything is made.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        os.fsencode(tmp)
+        os.fsencode(path)
     except UnicodeEncodeError as err:
         raise OSError(errno.EILSEQ, f"the filesystem encoding cannot encode the name ({err.reason})", str(path)) from err
-    if "\0" in str(tmp):
+    if "\0" in str(path):
         raise OSError(errno.EINVAL, "a file name cannot hold a NUL byte", str(path))
     if "b" not in mode:
         open_kwargs.setdefault("encoding", "utf-8")
-    with removed_on_failure() as written:
-        _make_dirs(path.parent, written)
-        with open(tmp, mode, **open_kwargs) as fh:
-            written.append(tmp)  # once open: a directory standing at `tmp` is not this write's to remove
-            _block.get()[1].append((tmp, path))
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    with removed_on_failure():
+        written, renames = _block.get()
+        for made in reversed(list(itertools.takewhile(lambda d: not d.exists(), path.parents))):
+            made.mkdir()  # the missing parents, outermost first
+            written.append(made)
+        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
+            written.append(tmp)
+            renames.append((tmp, path))
             yield fh
 
 
-def _write_sidecar(path: Path, boxes: np.ndarray, views: np.ndarray | list[np.ndarray]):
-    """The sidecar of `boxes` (N, 4) and `views` (V, N, D); a bag's own float32 views are written without a copy."""
-    views = np.ascontiguousarray(views, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC + struct.pack("<HIII", FEATURE_VERSION, *views.shape))
-        fh.write(np.ascontiguousarray(boxes, dtype="<f8").data)
-        fh.write(views.data)
+def features_path(manifest: Path) -> Path:
+    """Where `save_dataset` writes the features file of the dataset at `manifest`: `<stem>_features/features.wsdf`."""
+    return manifest.parent / f"{manifest.stem}_features" / "features.wsdf"
 
 
-def _read_sidecar(path: Path, image_id: str) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """An image's proposal boxes, (N, 4) float64, its views, (V, N, D) float32, and the file's (st_dev, st_ino).
+def _read_block(fh, left: int, image_id: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Image `image_id`'s block from `fh`, which holds `left` more bytes: its boxes, its views, and the bytes then left.
 
-    The payload after the 18-byte header is read into one buffer, and the
-    boxes and views are views of it: nothing is copied and nothing is
-    zero-filled. The boxes sit at the start of the buffer, so they are as
-    aligned as numpy's allocation. The payload must be exactly 32*N +
-    4*V*N*D bytes.
+    The boxes, (N, 4) float64, and the views, (V, N, D) float32, are read
+    into one buffer of their own, and both are views of it: nothing is
+    copied and nothing is zero-filled. The boxes sit at the start of the
+    buffer, so they are as aligned as numpy's allocation. A block that
+    would run past the end of the file is refused before anything is
+    allocated for it.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read(18)
-            stat = os.fstat(fh.fileno())
-            payload = np.empty(max(0, stat.st_size - len(raw)), dtype=np.uint8)
-            payload = payload[: fh.readinto(payload)]
-    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
-        raise DataError(f"image {image_id}: cannot read feature sidecar {path}: {err}") from err
-    if raw[:4] != FEATURE_MAGIC:
-        raise DataError(f"image {image_id}: bad sidecar magic {raw[:4]!r}")
-    if len(raw) < 18:
-        raise DataError(f"image {image_id}: truncated feature sidecar header, {len(raw)} bytes")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != FEATURE_VERSION:
-        raise DataError(f"image {image_id}: unsupported sidecar version {version}")
-    v, n, d = struct.unpack_from("<III", raw, 6)
-    expected = 32 * n + 4 * v * n * d
-    if len(payload) != expected:
+    header = fh.read(12)
+    if len(header) < 12:
         raise DataError(
-            f"image {image_id}: truncated feature sidecar, expected {expected} bytes of boxes and floats, "
-            f"got {len(payload)}"
+            f"image {image_id}: truncated features file, expected a 12-byte block header, got {len(header)} bytes"
         )
-    boxes = payload[: 32 * n].view("<f8").reshape(n, 4)
-    return boxes, payload[32 * n :].view("<f4").reshape(v, n, d), (stat.st_dev, stat.st_ino)
-
-
-def sidecar_path(manifest: Path, image_id: str) -> Path:
-    """Where `save_dataset` writes image `image_id`'s feature sidecar: `<stem>_features/<id>.wsdf` by `manifest`."""
-    return manifest.parent / f"{manifest.stem}_features/{image_id}.wsdf"
+    v, n, d = struct.unpack("<III", header)
+    size, left = 32 * n + 4 * v * n * d, left - 12
+    got = min(size, left)
+    if got == size:
+        payload = np.empty(size, dtype=np.uint8)
+        got = fh.readinto(payload)
+    if got != size:
+        raise DataError(
+            f"image {image_id}: truncated features file, expected {size} bytes of boxes and floats, got {got}"
+        )
+    return payload[: 32 * n].view("<f8").reshape(n, 4), payload[32 * n :].view("<f4").reshape(v, n, d), left - size
 
 
 def save_dataset(ds: Dataset, path: str | Path):
-    """Write the manifest JSON at `path` plus one feature sidecar per image, which holds its boxes too.
+    """Write the manifest JSON at `path` and the dataset's features file (`features_path`), which holds the boxes too.
 
     The manifest's bytes are those of json.dump(indent=1) and a newline.
 
-    An image id names its sidecar file (`sidecar_path`), so an id that is
-    empty, `.` or `..`, holds `/`, `\\` or NUL, or repeats another is a
-    DataError, raised before anything is written; so are views
-    `_check_views` refuses (none, or not (V, N, `ds.feat_dim`) for N boxes:
-    a sidecar's header gives one N for boxes and views). The sidecars are
-    written in place and then the manifest through `replaced`, in one
+    An image id that repeats another (as text) is a DataError, raised
+    before anything is written; so are views `_check_views` refuses (none,
+    or not (V, N, `ds.feat_dim`) for N boxes: a block's header gives one N
+    for boxes and views). Both files are written through `replaced` in one
     `removed_on_failure` block, which joins the caller's if one is open:
-    if the save fails, the features directory (if this call made it), the
-    sidecars and the manifest's temporary file are removed.
+    they are renamed into place together, and if the save fails, their
+    temporary files and the features directory (if this call made it) are
+    removed.
     """
     seen = set()
     for position, bag in enumerate(ds.images):
-        name = str(bag.id)
-        if name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
-            raise DataError(f"image {position} ({name!r}): id cannot name a feature file")
-        if name in seen:
-            raise DataError(f"image {position} ({name!r}): id repeats an earlier image's")
-        seen.add(name)
+        if str(bag.id) in seen:
+            raise DataError(f"image {position} ({str(bag.id)!r}): id repeats an earlier image's")
+        seen.add(str(bag.id))
         _check_views(bag, ds.feat_dim)
     path = Path(path)
-    sidecars = [sidecar_path(path, bag.id) for bag in ds.images]
-    feat_dir = sidecar_path(path, "").parent  # made even for a dataset with no images
+    features = features_path(path)
     records = [
         {
             "id": bag.id,
@@ -770,18 +746,20 @@ def save_dataset(ds: Dataset, path: str | Path):
             "ground_truth": [
                 {"class": c, "box": box} for c, box in zip(bag.gt_classes.tolist(), bag.gt_boxes.tolist())
             ],
-            "feature_file": f"{feat_dir.name}/{sidecar.name}",
             "views": len(bag.views),
         }
-        for bag, sidecar in zip(ds.images, sidecars)
+        for bag in ds.images
     ]
-    manifest = {"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "images": records}
-    with removed_on_failure() as written:
-        _make_dirs(feat_dir, written)
-        for bag, sidecar in zip(ds.images, sidecars):
-            if not sidecar.is_dir():  # a directory standing there is not this call's to remove
-                written.append(sidecar)
-            _write_sidecar(sidecar, bag.boxes, bag.views)
+    manifest = {"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names,
+                "features": f"{features.parent.name}/{features.name}", "images": records}
+    with removed_on_failure():
+        with replaced(features, "wb") as fh:
+            fh.write(FEATURE_MAGIC + struct.pack("<HI", FEATURE_VERSION, len(ds.images)))
+            for bag in ds.images:
+                views = np.ascontiguousarray(bag.views, dtype="<f4")  # a bag's own float32 views: no copy
+                fh.write(struct.pack("<III", *views.shape))
+                fh.write(np.ascontiguousarray(bag.boxes, dtype="<f8").data)
+                fh.write(views.data)
         with replaced(path) as fh:
             fh.write(json.dumps(manifest, indent=1) + "\n")
 
@@ -816,14 +794,15 @@ def _boxes_from_json(rows, what: str) -> np.ndarray:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load and fully validate a dataset; errors name the offending image.
+    """Load and fully validate a dataset; errors name the offending image, or the file.
 
     Every image's id must differ from every other's as text (`str(id)`),
     the rule `save_dataset` writes by. The manifest is read with one
-    json.load; each image's proposal boxes and views come from its sidecar
-    (`_read_sidecar`), and the returned dataset's `sidecars` maps each
-    sidecar's file identity to its image's id. A sidecar file that an
-    earlier record already names, by any path or link, is refused.
+    json.load; the features file it names is opened once, its header
+    checked against the manifest's image count, and each image's proposal
+    boxes and views read from its block (`_read_block`). The file must end
+    exactly after the last block. The returned dataset's `features_file` is
+    the features file's identity.
     """
     path = Path(path)
     try:
@@ -834,32 +813,62 @@ def load_dataset(path: str | Path) -> Dataset:
 
     if not isinstance(manifest, dict):
         raise DataError(f"dataset manifest {path} must be a JSON object, got {type(manifest).__name__}")
-    for key in ("c", "d", "class_names", "images"):
+    for key in ("c", "d", "class_names", "features", "images"):
         if key not in manifest:
-            raise DataError(f"dataset manifest missing key '{key}'")
+            raise DataError(f"dataset manifest {path} missing key '{key}'")
     num_classes = _positive_int(manifest["c"], "manifest key 'c'")
     feat_dim = _positive_int(manifest["d"], "manifest key 'd'")
     class_names = manifest["class_names"]
     if not isinstance(class_names, list) or not all(isinstance(name, str) for name in class_names):
         raise DataError(f"manifest key 'class_names' must be a list of strings, got {_SHOWN.repr(class_names)}")
-
     if not isinstance(manifest["images"], list):
         raise DataError(f"manifest key 'images' must be a list, got {type(manifest['images']).__name__}")
-    images, sidecars = [], {}
+    if not isinstance(manifest["features"], str):
+        raise DataError(f"manifest key 'features' must be a path string, got {_SHOWN.repr(manifest['features'])}")
+
+    features = path.parent / manifest["features"]
+    try:
+        fh = open(features, "rb")
+    except (OSError, ValueError) as err:  # ValueError: a NUL, or a name the filesystem encoding cannot hold
+        raise DataError(f"cannot read features file {features}: {err}") from err
+    with fh:
+        try:
+            stat = os.fstat(fh.fileno())
+            images = _load_images(manifest["images"], fh, stat.st_size, features)
+        except OSError as err:
+            raise DataError(f"cannot read features file {features}: {err}") from err
+    ds = Dataset(num_classes, feat_dim, class_names, images, (stat.st_dev, stat.st_ino))
+    ds.validate()
+    return ds
+
+
+def _load_images(records: list, fh, size: int, features: Path) -> list[ImageBag]:
+    """The bags of the manifest's image `records`, their arrays read from `fh`, the features file at `features`."""
+    header = fh.read(10)
+    if header[:4] != FEATURE_MAGIC:
+        raise DataError(f"features file {features}: bad magic {header[:4]!r}")
+    if len(header) < 10:
+        raise DataError(f"features file {features}: truncated header, {len(header)} bytes")
+    version, count = struct.unpack_from("<HI", header, 4)
+    if version != FEATURE_VERSION:
+        raise DataError(f"features file {features}: unsupported version {version}")
+    if count != len(records):
+        raise DataError(f"features file {features} holds {count} images, the manifest {len(records)}")
+    images, left = [], size - len(header)
     positions: dict[str, int] = {}  # str(id) -> position of the first image with it
-    for position, rec in enumerate(manifest["images"]):
+    for position, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise DataError(f"image record {position} must be an object, got {type(rec).__name__}")
         image_id = rec.get("id", "<missing id>")
         first = positions.setdefault(str(image_id), position)
         if first != position:
             raise DataError(f"image {position} ({str(image_id)!r}): id repeats image {first}'s")
-        missing = [key for key in ("labels", "feature_file", "views") if key not in rec]
+        missing = [key for key in ("labels", "views") if key not in rec]
         if missing:
             raise DataError(f"image {image_id}: record missing {', '.join(missing)}")
-        records = rec.get("ground_truth", [])
+        gt_records = rec.get("ground_truth", [])
         try:
-            classes, gt_rows = [g["class"] for g in records], [g["box"] for g in records]
+            classes, gt_rows = [g["class"] for g in gt_records], [g["box"] for g in gt_records]
         except (TypeError, KeyError) as err:
             raise DataError(f"image {image_id}: bad ground-truth record: {err}") from err
         if any(type(c) is not int for c in classes):
@@ -869,24 +878,15 @@ def load_dataset(path: str | Path) -> Dataset:
         if not isinstance(labels, list) or any(type(x) is not int or x not in (0, 1) for x in labels):
             raise DataError(f"image {image_id}: labels must be a list of 0/1 integers, got {_SHOWN.repr(labels)}")
         n_views = _positive_int(rec["views"], f"image {image_id}: views")
-        if not isinstance(rec["feature_file"], str):
-            raise DataError(
-                f"image {image_id}: feature_file must be a path string, got {_SHOWN.repr(rec['feature_file'])}"
-            )
-        boxes, views, identity = _read_sidecar(path.parent / rec["feature_file"], image_id)
+        boxes, views, left = _read_block(fh, left, image_id)
         if len(views) != n_views:
-            raise DataError(
-                f"image {image_id}: manifest declares {rec['views']} views, sidecar has {len(views)}"
-            )
-        other = sidecars.setdefault(identity, str(image_id))
-        if other != str(image_id):
-            raise DataError(f"image {image_id}: feature sidecar {rec['feature_file']} is image {other}'s")
+            raise DataError(f"image {image_id}: manifest declares {n_views} views, features file has {len(views)}")
         try:
             bag = ImageBag(id=str(image_id), boxes=boxes, views=views, labels=np.asarray(labels, dtype=np.int64),
                            ground_truth=zip(classes, gt_boxes))
         except OverflowError as err:  # a class beyond the range of `gt_classes`
             raise DataError(f"image {image_id}: ground-truth class out of range: {err}") from err
         images.append(bag)
-    ds = Dataset(num_classes, feat_dim, class_names, images, sidecars)
-    ds.validate()
-    return ds
+    if left:
+        raise DataError(f"features file {features}: {left} bytes after the last image's block")
+    return images

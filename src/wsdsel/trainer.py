@@ -46,11 +46,11 @@ Checkpoint format: magic "WSDC", then version, C, D as u32 LE, then the
 four parameter blocks and four velocity blocks (w_cls, b_cls, w_imp,
 b_imp) as row-major float32 LE, which is the parameter buffer followed by
 the velocity buffer, then the completed-epoch index as u32 LE. Like every
-output but a feature sidecar, the file is written through `data.replaced`:
-beside its target under a temporary name, then renamed into place, so a
-failed write leaves the previous checkpoint as it was. `train` writes it in
-one `data.removed_on_failure` block with its loss CSV and run manifest, so
-a failure at any of the three leaves the previous three as they were.
+output, the file is written through `data.replaced`: beside its target
+under a temporary name, then renamed into place, so a failed write leaves
+the previous checkpoint as it was. `train` writes it in one
+`data.removed_on_failure` block with its loss CSV and run manifest, so a
+failure at any of the three leaves the previous three as they were.
 """
 
 from __future__ import annotations

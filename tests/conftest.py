@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ def full_disk(monkeypatch):
     """`full_disk(name, room=40)`: a file `wsdsel.data` opens for `name` takes `room` bytes, then fails as a full disk would.
 
     `wsdsel.data` opens every output file, so this reaches each of them; a
-    file written beside its target is matched by the target's name.
+    temporary written beside its target (`<name>.<8 hex digits>.tmp`, or
+    `<name>.tmp`) is matched by the target's name.
     """
     real_open = open
 
@@ -33,7 +35,7 @@ def full_disk(monkeypatch):
     def fill(name, room=40):
         def failing_open(file, *args, **kwargs):
             fh = real_open(file, *args, **kwargs)
-            return FailingFile(fh, room) if Path(file).name.removesuffix(".tmp") == name else fh
+            return FailingFile(fh, room) if re.sub(r"(\.[0-9a-f]{8})?\.tmp$", "", Path(file).name) == name else fh
 
         monkeypatch.setattr("wsdsel.data.open", failing_open, raising=False)
 

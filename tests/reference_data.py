@@ -2,7 +2,7 @@
 
 Every box is a `BBox`, every random number comes from its own scalar
 `rng.uniform` call, each proposal's overlap with the ground truth is a
-loop of scalar `iou` calls, and the sidecar holds each proposal's
+loop of scalar `iou` calls, and the features file holds each proposal's
 `as_tuple()`. `wsdsel.data` draws the same numbers in the same order on
 plain floats and arrays; the tests hold the two to equal bytes, not to a
 tolerance.
@@ -158,21 +158,18 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     return ds
 
 
-def _write_sidecar(path: Path, boxes: np.ndarray, views: list[np.ndarray]):
-    """Version 2: the header, then the (N, 4) proposal rows as float64 LE, then the views as float32 LE."""
+def _write_block(fh, boxes, views: list[np.ndarray]):
+    """One image's block: V, N, D, then the (N, 4) proposal rows as float64 LE, then the views as float32 LE."""
     v = len(views)
     n, d = views[0].shape
     stacked = np.stack([view.astype("<f4") for view in views])
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<H", 2))
-        fh.write(struct.pack("<III", v, n, d))
-        fh.write(np.asarray(boxes).astype("<f8").tobytes())
-        fh.write(stacked.tobytes())
+    fh.write(struct.pack("<III", v, n, d))
+    fh.write(np.asarray(boxes).astype("<f8").tobytes())
+    fh.write(stacked.tobytes())
 
 
 def save_dataset(ds: Dataset, path: str | Path):
-    """Write the manifest JSON at `path` plus one feature sidecar per image."""
+    """Write the manifest JSON at `path` plus the features file (version 3) of all its images."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     feat_dir_name = path.stem + "_features"
@@ -180,25 +177,27 @@ def save_dataset(ds: Dataset, path: str | Path):
     feat_dir.mkdir(exist_ok=True)
 
     records = []
-    for bag in ds.images:
-        sidecar = feat_dir / f"{bag.id}.wsdf"
-        _write_sidecar(sidecar, [b.as_tuple() for b in bag.proposals], bag.views)
-        records.append(
-            {
-                "id": bag.id,
-                "labels": bag.labels.tolist(),
-                "ground_truth": [{"class": c, "box": list(b.as_tuple())} for c, b in bag.ground_truth],
-                "feature_file": f"{feat_dir_name}/{bag.id}.wsdf",
-                "views": len(bag.views),
-            }
-        )
+    with open(feat_dir / "features.wsdf", "wb") as fh:
+        fh.write(FEATURE_MAGIC)
+        fh.write(struct.pack("<H", 3))
+        fh.write(struct.pack("<I", len(ds.images)))
+        for bag in ds.images:
+            _write_block(fh, [b.as_tuple() for b in bag.proposals], bag.views)
+            records.append(
+                {
+                    "id": bag.id,
+                    "labels": bag.labels.tolist(),
+                    "ground_truth": [{"class": c, "box": list(b.as_tuple())} for c, b in bag.ground_truth],
+                    "views": len(bag.views),
+                }
+            )
     manifest = {
         "c": ds.num_classes,
         "d": ds.feat_dim,
         "class_names": ds.class_names,
+        "features": f"{feat_dir_name}/features.wsdf",
         "images": records,
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
-

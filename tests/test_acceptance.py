@@ -247,13 +247,12 @@ def test_criterion_9_determinism(tmp_path):
         assert main(["train", "--dataset", str(ds), "--out", str(ckpt), *train_flags]) == 0
         assert main(["eval", "--dataset", str(ds), "--checkpoint", str(ckpt),
                      "--out", str(report), "--top-m", "4"]) == 0
-        sidecars = {p.name: p.read_bytes() for p in sorted((root / "ds_features").iterdir())}
         blobs.append({
             "manifest": ds.read_bytes(),
-            "sidecars": sidecars,
+            "features": {p.name: p.read_bytes() for p in sorted((root / "ds_features").iterdir())},
             "checkpoint": ckpt.read_bytes(),
             "report": report.read_bytes(),
         })
     ok = blobs[0] == blobs[1]
     announce(ok, "criterion 9: synth -> train -> eval reruns are byte-identical "
-                 "(dataset manifest, sidecars, checkpoint, report)")
+                 "(dataset manifest, features file, checkpoint, report)")

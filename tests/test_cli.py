@@ -66,8 +66,8 @@ class TestSynth:
             assert main(["synth", "--out", str(tmp_path / sub / "ds.json"), *SMALL_SYNTH]) == EXIT_OK
         a, b = tmp_path / "a", tmp_path / "b"
         assert (a / "ds.json").read_bytes() == (b / "ds.json").read_bytes()
-        for sidecar in sorted((a / "ds_features").iterdir()):
-            assert sidecar.read_bytes() == (b / "ds_features" / sidecar.name).read_bytes()
+        assert [p.name for p in (a / "ds_features").iterdir()] == ["features.wsdf"]
+        assert (a / "ds_features/features.wsdf").read_bytes() == (b / "ds_features/features.wsdf").read_bytes()
 
     def test_invalid_value_exits_config(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x.json"), "--objects-max", "0"])
@@ -137,8 +137,8 @@ class TestSynth:
         ("ds.json.manifest.json", ["--out", "{tmp}/ds.json"]),  # the run manifest
         ("ds-test.json", ["--out", "{tmp}/ds.json", "--train-split", "7"]),  # the test half
         ("cfg.txt", ["--out", "{tmp}/link.json"]),  # a symbolic link to the config
-        ("ds_features/im00000.wsdf", ["--out", "{tmp}/ds.json"]),  # a feature sidecar synth writes
-        ("ds-test_features/im00008.wsdf", ["--out", "{tmp}/ds.json", "--train-split", "7"]),  # one of the test half
+        ("ds_features/features.wsdf", ["--out", "{tmp}/ds.json"]),  # the features file synth writes
+        ("ds-test_features/features.wsdf", ["--out", "{tmp}/ds.json", "--train-split", "7"]),  # the test half's
     ])
     def test_an_output_that_is_the_config_is_refused_before_generating(self, tmp_path, capsys, monkeypatch,
                                                                         config_name, flags):
@@ -467,7 +467,7 @@ def test_output_that_cannot_be_written_exits_config(trained, tmp_path, capsys, c
     assert main([command, *inputs, *extra, "--out", str(tmp_path / "out" / "x"), *taking]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and str(taken) in err
-    # no dataset, sidecar, features directory, checkpoint, loss CSV, PR CSV, report or manifest temporary
+    # no dataset, features file, features directory, checkpoint, loss CSV, PR CSV, report or manifest temporary
     # is left behind, only the output directory made for them
     assert set(tmp_path.rglob("*")) - before <= {tmp_path / "out"}
 
@@ -546,6 +546,21 @@ def test_a_failed_run_keeps_every_output_it_would_have_replaced(trained, tmp_pat
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_file_named_as_a_temporary_is_left_alone(trained, tmp_path, full_disk, fails):
+    # An output's temporary takes a name no file has, so a user's `r.json.tmp` beside `--out r.json` is not
+    # written over, renamed onto the report or removed, whether the run succeeds or fails after the report.
+    dataset, ckpt = trained
+    notes = tmp_path / "r.json.tmp"
+    notes.write_text("my notes\n")
+    if fails:
+        full_disk("r.json.manifest.json")
+    assert run_eval(dataset, ckpt, tmp_path / "r.json") == (EXIT_CONFIG if fails else EXIT_OK)
+    assert notes.read_bytes() == b"my notes\n"
+    assert (tmp_path / "r.json").exists() != fails
+    assert sorted(p.name for p in tmp_path.glob("*.tmp")) == ["r.json.tmp"]
+
+
 @pytest.mark.parametrize("command, config_name, flags", [
     ("train", "cfg.txt", ["--out", "{dataset}"]),
     ("train", "cfg.txt", ["--out", "{cfg}"]),
@@ -605,34 +620,34 @@ def test_a_refused_run_leaves_its_inputs_usable(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flag, via", [
-    ("eval", "--pr-csv", "ds_features/im00003.wsdf"),
-    ("eval", "--out", "ds_features/im00003.wsdf"),  # the report
-    ("train", "--out", "ds_features/im00003.wsdf"),  # the checkpoint
-    ("eval", "--pr-csv", "link.wsdf"),  # a symbolic link to the sidecar
+    ("eval", "--pr-csv", "ds_features/features.wsdf"),
+    ("eval", "--out", "ds_features/features.wsdf"),  # the report
+    ("train", "--out", "ds_features/features.wsdf"),  # the checkpoint
+    ("eval", "--pr-csv", "link.wsdf"),  # a symbolic link to the features file
     ("train", "--out", "link.wsdf"),
     ("eval", "--pr-csv", "hard.wsdf"),  # a hard link: another name for the same file
     ("train", "--out", "hard.wsdf"),
-    ("eval", "pr_csv", "ds_features/im00003.wsdf"),  # the PR CSV named in --config
+    ("eval", "pr_csv", "ds_features/features.wsdf"),  # the PR CSV named in --config
 ])
-def test_an_output_that_is_a_feature_sidecar_is_refused(trained, tmp_path, capsys, command, flag, via):
+def test_an_output_that_is_the_features_file_is_refused(trained, tmp_path, capsys, command, flag, via):
     dataset, ckpt = trained
-    sidecar = tmp_path / "ds_features" / "im00003.wsdf"
-    (tmp_path / "link.wsdf").symlink_to(sidecar)
-    (tmp_path / "hard.wsdf").hardlink_to(sidecar)
+    features = tmp_path / "ds_features" / "features.wsdf"
+    (tmp_path / "link.wsdf").symlink_to(features)
+    (tmp_path / "hard.wsdf").hardlink_to(features)
     target = str(tmp_path / via)
     if flag == "pr_csv":
         (tmp_path / "cfg.txt").write_text(f"pr_csv = {target}\n", encoding="utf-8")
         outputs, flag = {"--out": str(tmp_path / "r.json"), "--config": str(tmp_path / "cfg.txt")}, "--pr-csv"
     else:
-        outputs = {"--out": str(tmp_path / "r.json"), flag: target}  # with flag --out, the sidecar is the report
+        outputs = {"--out": str(tmp_path / "r.json"), flag: target}  # with flag --out, the features file is the report
     inputs = {"train": ["--dataset", str(dataset), *FAST_TRAIN],
               "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt)]}[command]
     before = _tree(tmp_path)
     assert main([command, *inputs, *(arg for pair in outputs.items() for arg in pair)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"config error: {flag} {target} is the same file as image im00003's feature sidecar; " \
+    assert err == f"config error: {flag} {target} is the same file as the dataset's features file; " \
                   "refusing to overwrite it\n"
-    assert _tree(tmp_path) == before  # the sidecar's bytes as they were, and no output or temporary
+    assert _tree(tmp_path) == before  # the features file's bytes as they were, and no output or temporary
     assert run_eval(dataset, ckpt, tmp_path / "after.json") == EXIT_OK
 
 
@@ -641,19 +656,19 @@ def test_an_output_that_is_a_feature_sidecar_is_refused(trained, tmp_path, capsy
     ("train", "c.wsdc", "the run manifest"),
     ("eval", "r.json", "the run manifest"),
 ])
-def test_a_derived_output_that_is_a_feature_sidecar_is_refused(trained, tmp_path, capsys, command, out, name):
-    # A manifest may name any file as an image's sidecar: here, the file the run would write beside --out.
+def test_a_derived_output_that_is_the_features_file_is_refused(trained, tmp_path, capsys, command, out, name):
+    # A manifest may name any file as its features file: here, the file the run would write beside --out.
     dataset, ckpt = trained
     taken = tmp_path / (f"{Path(out).stem}_loss.csv" if name == "the loss CSV" else f"{out}.manifest.json")
-    (tmp_path / "ds_features" / "im00003.wsdf").rename(taken)
+    (tmp_path / "ds_features" / "features.wsdf").rename(taken)
     manifest = json.loads(dataset.read_text())
-    manifest["images"][3]["feature_file"] = taken.name
+    manifest["features"] = taken.name
     dataset.write_text(json.dumps(manifest))
     inputs = {"train": ["--dataset", str(dataset), *FAST_TRAIN],
               "eval": ["--dataset", str(dataset), "--checkpoint", str(ckpt)]}[command]
     before = _tree(tmp_path)
     assert main([command, *inputs, "--out", str(tmp_path / out)]) == EXIT_CONFIG
-    assert f"{name} {taken} is the same file as image im00003's feature sidecar" in capsys.readouterr().err
+    assert f"{name} {taken} is the same file as the dataset's features file" in capsys.readouterr().err
     assert _tree(tmp_path) == before
 
 
@@ -786,16 +801,12 @@ class TestMalformedInputs:
         assert _tree(tmp_path) == before  # no report or run manifest
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("via", ["same-path", "symlink", "hardlink"])
-    def test_one_sidecar_named_for_two_images(self, trained, tmp_path, capsys, command, via):
-        # Image 2 would carry image 0's proposals and features under its own labels and ground truth.
+    def test_features_file_of_another_dataset_is_refused(self, trained, tmp_path, capsys, command):
+        # The manifest names the features file of a split with fewer images: its header's count differs.
         dataset, ckpt = trained
+        assert main(["synth", "--out", str(tmp_path / "sp.json"), *SMALL_SYNTH, "--train-split", "7"]) == EXIT_OK
         manifest = json.loads(dataset.read_text())
-        named = manifest["images"][0]["feature_file"]
-        if via != "same-path":
-            (os.symlink if via == "symlink" else os.link)(tmp_path / named, tmp_path / "ds_features" / "link.wsdf")
-            named = "ds_features/link.wsdf"
-        manifest["images"][2]["feature_file"] = named
+        manifest["features"] = "sp-test_features/features.wsdf"
         dataset.write_text(json.dumps(manifest))
         before = _tree(tmp_path)
         if command == "eval":
@@ -803,27 +814,49 @@ class TestMalformedInputs:
         else:
             rc = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "c.wsdc"), *FAST_TRAIN])
         assert rc == EXIT_DATA
-        assert capsys.readouterr().err == f"data error: image im00002: feature sidecar {named} is image im00000's\n"
+        named = tmp_path / "sp-test_features" / "features.wsdf"
+        assert capsys.readouterr().err == f"data error: features file {named} holds 3 images, the manifest 10\n"
         assert _tree(tmp_path) == before  # no checkpoint, loss CSV, report or run manifest
 
-    def test_short_sidecar(self, trained, tmp_path):
+    def test_short_features_file(self, trained, tmp_path, capsys):
         dataset, ckpt = trained
-        sidecar = sorted((tmp_path / "ds_features").iterdir())[0]
-        sidecar.write_bytes(sidecar.read_bytes()[:12])
+        features = tmp_path / "ds_features" / "features.wsdf"
+        features.write_bytes(features.read_bytes()[:12])
         assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert "data error: image im00000: truncated features file" in capsys.readouterr().err
 
-    def test_version_1_sidecar_names_the_image_and_the_version(self, trained, tmp_path, capsys):
-        # Version 1 held the header and the floats, with the boxes in the manifest.
+    def test_a_dataset_of_per_image_sidecars_names_the_manifest(self, trained, tmp_path, capsys):
+        # The layout before features file version 3: each record names its own version-2 sidecar (magic,
+        # version, V, N, D, then the boxes and the views), and the manifest has no `features` key.
         dataset, ckpt = trained
-        sidecar = tmp_path / "ds_features" / "im00002.wsdf"
-        raw = sidecar.read_bytes()
-        v, n, d = struct.unpack_from("<III", raw, 6)
-        sidecar.write_bytes(raw[:4] + struct.pack("<HIII", 1, v, n, d) + raw[18 + 32 * n :])
+        loaded = load_dataset(dataset)
+        manifest = json.loads(dataset.read_text())
+        (tmp_path / "ds_features" / "features.wsdf").unlink()
+        del manifest["features"]
+        for bag, record in zip(loaded.images, manifest["images"]):
+            record["feature_file"] = f"ds_features/{bag.id}.wsdf"
+            (tmp_path / record["feature_file"]).write_bytes(
+                b"WSDF" + struct.pack("<HIII", 2, *bag.views.shape) + bag.boxes.tobytes() + bag.views.tobytes()
+            )
+        dataset.write_text(json.dumps(manifest))
+        before = _tree(tmp_path)
         assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
-        assert "data error: image im00002: unsupported sidecar version 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"data error: dataset manifest {dataset} missing key 'features'\n"
+        assert _tree(tmp_path) == before  # no report or run manifest
+
+    def test_a_sidecar_named_as_the_features_file_names_the_version(self, trained, tmp_path, capsys):
+        # A version-2 sidecar begins as a features file does; its version tells them apart.
+        dataset, ckpt = trained
+        loaded = load_dataset(dataset)
+        bag = loaded.images[0]
+        features = tmp_path / "ds_features" / "features.wsdf"
+        features.write_bytes(b"WSDF" + struct.pack("<HIII", 2, *bag.views.shape) + bag.boxes.tobytes()
+                             + bag.views.tobytes())
+        assert run_eval(dataset, ckpt, tmp_path / "r.json") == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: features file {features}: unsupported version 2\n"
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("key", ["feature_file", "labels", "views"])
+    @pytest.mark.parametrize("key", ["labels", "views"])
     def test_image_record_missing_key(self, trained, tmp_path, capsys, key):
         dataset, ckpt = trained
         manifest = json.loads(dataset.read_text())
@@ -885,13 +918,13 @@ class TestMalformedInputs:
         assert "cannot load dataset manifest" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_feature_file_holding_a_nul_names_the_image(self, small_dataset, tmp_path, capsys):
+    def test_features_path_holding_a_nul_names_the_file(self, small_dataset, tmp_path, capsys):
         manifest = json.loads(small_dataset.read_text())
-        manifest["images"][1]["feature_file"] = "ds_features/im\u000000001.wsdf"
+        manifest["features"] = "ds_features/feat\u0000ures.wsdf"
         small_dataset.write_text(json.dumps(manifest))
         rc = main(["train", "--dataset", str(small_dataset), "--out", str(tmp_path / "c.wsdc"), *FAST_TRAIN])
         assert rc == EXIT_DATA
-        assert "image im00001: cannot read feature sidecar" in capsys.readouterr().err
+        assert "data error: cannot read features file" in capsys.readouterr().err
         assert not (tmp_path / "c.wsdc").exists()
 
     @pytest.mark.parametrize("text", ["[1, 2, 3]", '"c d class_names images"'])

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import re
 import struct
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,12 +41,23 @@ def _bad_box(image: int):
     return lambda m: m["images"][image]["ground_truth"][0]["box"].__setitem__(2, "0.9")
 
 
-def _edit_box_block(sidecar, edit):
-    """Call `edit` on the (N, 4) box block of `sidecar`, a view of its bytes, then write them back."""
-    raw = bytearray(sidecar.read_bytes())
-    (n,) = struct.unpack_from("<I", raw, 10)
-    edit(np.frombuffer(raw, "<f8", 4 * n, 18).reshape(n, 4))
-    sidecar.write_bytes(bytes(raw))
+def _blocks(raw) -> list[tuple[int, int, int, int]]:
+    """(offset, V, N, D) of each image's block in `raw`, the bytes of a features file."""
+    (count,) = struct.unpack_from("<I", raw, 6)
+    blocks, at = [], 10
+    for _ in range(count):
+        v, n, d = struct.unpack_from("<III", raw, at)
+        blocks.append((at, v, n, d))
+        at += 12 + 32 * n + 4 * v * n * d
+    return blocks
+
+
+def _edit_box_block(features, image, edit):
+    """Call `edit` on the (N, 4) boxes of image `image` in `features`, a view of its bytes, then write them back."""
+    raw = bytearray(features.read_bytes())
+    at, _, n, _ = _blocks(raw)[image]
+    edit(np.frombuffer(raw, "<f8", 4 * n, at + 12).reshape(n, 4))
+    features.write_bytes(bytes(raw))
 
 
 class TestSynthConfig:
@@ -219,19 +232,30 @@ class TestRoundTrip:
         for sub in ("one", "two"):
             save_dataset(generate_synthetic(SMALL), tmp_path / sub / "ds.json")
         a, b = tmp_path / "one", tmp_path / "two"
-        assert (a / "ds.json").read_bytes() == (b / "ds.json").read_bytes()
-        sidecars = sorted(p.name for p in (a / "ds_features").iterdir())
-        assert sidecars == sorted(p.name for p in (b / "ds_features").iterdir())
-        for name in sidecars:
-            assert (a / "ds_features" / name).read_bytes() == (b / "ds_features" / name).read_bytes()
+        for name in ("ds.json", "ds_features/features.wsdf"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    @pytest.mark.parametrize("bad", ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0here"])
-    def test_rejects_an_id_that_cannot_name_a_sidecar(self, tmp_path, bad):
+    def test_a_save_writes_two_files_and_a_load_opens_two(self, tmp_path, monkeypatch):
         ds = generate_synthetic(SMALL)
-        ds.images[1].id = bad
-        with pytest.raises(DataError, match=r"image 1 .*cannot name a feature file"):
-            save_dataset(ds, tmp_path / "out" / "ds.json")
-        assert not (tmp_path / "out").exists()
+        save_dataset(ds, tmp_path / "ds.json")
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) == [
+            "ds.json", "ds_features/features.wsdf"]
+        opened, real_open = [], open
+        monkeypatch.setattr("builtins.open", lambda file, *args, **kwargs: opened.append(file) or real_open(
+            file, *args, **kwargs))
+        loaded = load_dataset(tmp_path / "ds.json")
+        monkeypatch.undo()
+        assert [str(Path(f).relative_to(tmp_path)) for f in opened] == ["ds.json", "ds_features/features.wsdf"]
+        assert [bag.views.tobytes() for bag in loaded.images] == [bag.views.tobytes() for bag in ds.images]
+
+    @pytest.mark.parametrize("odd", ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0here"])
+    def test_an_id_names_no_file(self, tmp_path, odd):
+        ds = generate_synthetic(SMALL)
+        ds.images[1].id = odd
+        save_dataset(ds, tmp_path / "out" / "ds.json")
+        assert [bag.id for bag in load_dataset(tmp_path / "out" / "ds.json").images] == [bag.id for bag in ds.images]
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+            "out", "out/ds.json", "out/ds_features", "out/ds_features/features.wsdf"]
 
     def test_rejects_a_repeated_id(self, tmp_path):
         ds = generate_synthetic(SMALL)
@@ -247,44 +271,44 @@ class TestRoundTrip:
         ds = Dataset(num_classes=1, feat_dim=4, class_names=["c"], images=[bag])
         with pytest.raises(DataError, match=re.escape(f"image a: view shape {shape} != (3, 4)")):
             save_dataset(ds, tmp_path / "ds.json")
-        assert list(tmp_path.iterdir()) == []  # no manifest, features directory or sidecar
+        assert list(tmp_path.iterdir()) == []  # no manifest, features directory or features file
 
     def test_rejects_an_image_without_views(self, tmp_path):
         bag = ImageBag("a", boxes=np.array([[0.1, 0.1, 0.5, 0.5]]), views=[], labels=np.array([1]))
         ds = Dataset(num_classes=1, feat_dim=4, class_names=["c"], images=[bag])
         with pytest.raises(DataError, match="image a: no feature views"):
             save_dataset(ds, tmp_path / "ds.json")
-        assert list(tmp_path.iterdir()) == []  # no manifest, features directory or sidecar
+        assert list(tmp_path.iterdir()) == []  # no manifest, features directory or features file
 
-    @pytest.mark.parametrize("taken", ["ds.json", "ds_features", "ds_features/im00002.wsdf"])
+    @pytest.mark.parametrize("taken", ["ds.json", "ds_features", "ds_features/features.wsdf"])
     def test_a_path_that_cannot_be_written_leaves_nothing(self, tmp_path, taken):
-        if taken == "ds_features":  # a file where the sidecar directory goes
+        if taken == "ds_features":  # a file where the features directory goes
             (tmp_path / taken).touch()
-        else:  # a directory where the manifest or the third image's sidecar goes
+        else:  # a directory where the manifest or the features file goes
             (tmp_path / taken).mkdir(parents=True)
         before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
         with pytest.raises(OSError):
             save_dataset(generate_synthetic(SMALL), tmp_path / "ds.json")
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
-    def test_a_failed_save_removes_only_what_it_wrote(self, tmp_path):
-        ds = generate_synthetic(SMALL)
-        save_dataset(ds, tmp_path / "ds.json")
-        (tmp_path / "ds.json").unlink()
-        (tmp_path / "ds_features" / "im00002.wsdf").unlink()
-        (tmp_path / "ds_features" / "im00002.wsdf").mkdir()
+    @pytest.mark.parametrize("failure", ["full disk", "directory"])
+    def test_a_failed_save_keeps_the_files_it_would_have_replaced(self, tmp_path, full_disk, failure):
+        # A saved dataset stands at the path; a save of another fails at the manifest, after the features file.
+        save_dataset(generate_synthetic(SMALL), tmp_path / "ds.json")
         (tmp_path / "ds_features" / "other.wsdf").write_bytes(b"kept")
+        if failure == "directory":
+            (tmp_path / "ds.json").unlink()
+            (tmp_path / "ds.json").mkdir()
+        else:
+            full_disk("ds.json")
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
         with pytest.raises(OSError):
-            save_dataset(ds, tmp_path / "ds.json")
-        # The two sidecars written before the failure are gone; what the call did not write stays.
-        assert sorted(p.name for p in (tmp_path / "ds_features").iterdir()) == (
-            ["im00002.wsdf"] + [f"im{i:05d}.wsdf" for i in range(3, len(ds.images))] + ["other.wsdf"]
-        )
-        assert not (tmp_path / "ds.json").exists()
+            save_dataset(generate_synthetic(dataclasses.replace(SMALL, seed=8)), tmp_path / "ds.json")
+        assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
     def test_a_save_inside_a_block_commits_with_it(self, tmp_path):
-        # The manifest is renamed into place when the outer block ends; a failure before then
-        # removes the sidecars, the features directory and the manifest's temporary file.
+        # Both files are renamed into place when the outer block ends; a failure before then
+        # removes their temporary files and the features directory.
         ds = generate_synthetic(SMALL)
         (tmp_path / "ds.json").write_text("previous\n")
         with pytest.raises(RuntimeError):
@@ -316,7 +340,7 @@ class TestRoundTrip:
 
     def test_load_peaks_at_the_manifest_text_and_the_arrays_it_returns(self, tmp_path):
         # Decoding holds the manifest's bytes and its str at once, so twice its size is the floor.
-        # The boxes come from the sidecars, into the buffer their views share: proposals held as
+        # The boxes come from the features file, into the buffer their views share: proposals held as
         # Python floats would add a 24-byte float per coordinate, in 4-element lists.
         cfg = SynthConfig(n_images=8, num_classes=3, feat_dim=4, proposals_per_image=2048, seed=5)
         save_dataset(generate_synthetic(cfg), tmp_path / "ds.json")
@@ -357,30 +381,31 @@ class TestLoadValidation:
         save_dataset(ds, path)
         return ds, path
 
-    def test_truncated_sidecar_reports_byte_counts(self, tmp_path):
-        ds, path = self._saved(tmp_path)
-        sidecar = tmp_path / "ds_features" / f"{ds.images[0].id}.wsdf"
-        raw = sidecar.read_bytes()
-        sidecar.write_bytes(raw[:-8])
-        with pytest.raises(DataError, match=r"im00000.*expected \d+ bytes.*got \d+"):
+    def test_truncated_features_file_reports_byte_counts(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        features = tmp_path / "ds_features" / "features.wsdf"
+        features.write_bytes(features.read_bytes()[:-8])
+        with pytest.raises(DataError, match=r"^image im00011: truncated features file, expected 1024 bytes "
+                                            r"of boxes and floats, got 1016$"):
             load_dataset(path)
 
     def test_bad_magic(self, tmp_path):
-        ds, path = self._saved(tmp_path)
-        sidecar = tmp_path / "ds_features" / f"{ds.images[0].id}.wsdf"
-        raw = bytearray(sidecar.read_bytes())
+        _, path = self._saved(tmp_path)
+        features = tmp_path / "ds_features" / "features.wsdf"
+        raw = bytearray(features.read_bytes())
         raw[:4] = b"XXXX"
-        sidecar.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match="magic"):
+        features.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"^features file {re.escape(str(features))}: bad magic b'XXXX'$"):
             load_dataset(path)
 
     def test_non_finite_feature_rejected(self, tmp_path):
-        ds, path = self._saved(tmp_path)
-        sidecar = tmp_path / "ds_features" / f"{ds.images[1].id}.wsdf"
-        raw = bytearray(sidecar.read_bytes())
-        at = 18 + 32 * SMALL.proposals_per_image  # the first float32, after the header and the boxes
+        _, path = self._saved(tmp_path)
+        features = tmp_path / "ds_features" / "features.wsdf"
+        raw = bytearray(features.read_bytes())
+        at, _, n, _ = _blocks(raw)[1]
+        at += 12 + 32 * n  # image 1's first float32, after its block header and its boxes
         raw[at : at + 4] = struct.pack("<f", float("nan"))
-        sidecar.write_bytes(bytes(raw))
+        features.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="im00001.*non-finite"):
             load_dataset(path)
 
@@ -394,7 +419,7 @@ class TestLoadValidation:
 
     @pytest.mark.parametrize("first, second", [("dup", "dup"), ("7", 7)])
     def test_repeated_id_rejected(self, tmp_path, first, second):
-        # ids compare as the text that names a sidecar, so 7 repeats "7"
+        # ids compare as text (`str(id)`), so 7 repeats "7"
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
         manifest["images"][1]["id"], manifest["images"][3]["id"] = first, second
@@ -409,48 +434,85 @@ class TestLoadValidation:
         (lambda b: b.__setitem__((3, 0), b[3, 2]), "degenerate proposal box 3"),  # x1 = x2
         (lambda b: b.__setitem__((3, 3), b[3, 1] - 0.25), "degenerate proposal box 3"),  # y2 < y1
     ], ids=["nan", "inf", "minus-inf", "x1-at-x2", "y2-below-y1"])
-    def test_a_bad_box_in_the_sidecar_names_its_image(self, tmp_path, edit, message):
+    def test_a_bad_box_in_the_features_file_names_its_image(self, tmp_path, edit, message):
         _, path = self._saved(tmp_path)
-        _edit_box_block(tmp_path / "ds_features" / "im00002.wsdf", edit)
+        _edit_box_block(tmp_path / "ds_features" / "features.wsdf", 2, edit)
         with pytest.raises(DataError, match=f"^image im00002: {message}"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("resize", [
-        lambda raw: raw[:18],  # the header alone
-        lambda raw: raw[: 18 + 8],  # cut inside the first box
-        lambda raw: raw[: 18 + 32 * 5 + 20],  # cut inside the sixth box
-        lambda raw: raw + b"\0" * 8,  # bytes after the features
-    ], ids=["header-only", "first-box", "sixth-box", "trailing-bytes"])
-    def test_a_sidecar_of_another_size_names_its_image(self, tmp_path, resize):
+    @pytest.mark.parametrize("cut, message", [
+        (5, "a 12-byte block header, got 5 bytes"),  # inside image 2's V, N, D
+        (12, "1024 bytes of boxes and floats, got 0"),  # its block header alone
+        (12 + 8, "1024 bytes of boxes and floats, got 8"),  # inside its first box
+        (12 + 32 * 5 + 20, "1024 bytes of boxes and floats, got 180"),  # inside its sixth box
+        (12 + 1023, "1024 bytes of boxes and floats, got 1023"),  # its last float cut short
+    ], ids=["block-header", "header-only", "first-box", "sixth-box", "last-float"])
+    def test_a_file_cut_inside_a_block_names_its_image(self, tmp_path, cut, message):
         _, path = self._saved(tmp_path)
-        sidecar = tmp_path / "ds_features" / "im00002.wsdf"
-        sidecar.write_bytes(resize(sidecar.read_bytes()))
-        want = 32 * SMALL.proposals_per_image + 4 * SMALL.proposals_per_image * SMALL.feat_dim
-        got = sidecar.stat().st_size - 18
-        with pytest.raises(DataError, match=f"^image im00002: truncated feature sidecar, expected {want} bytes "
-                                            f"of boxes and floats, got {got}$"):
+        features = tmp_path / "ds_features" / "features.wsdf"
+        raw = features.read_bytes()
+        features.write_bytes(raw[: _blocks(raw)[2][0] + cut])
+        with pytest.raises(DataError, match=f"^image im00002: truncated features file, expected {message}$"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("version", [0, 1, 3])
-    def test_a_sidecar_of_another_version_is_refused(self, tmp_path, version):
+    def test_bytes_after_the_last_block_name_the_file(self, tmp_path):
         _, path = self._saved(tmp_path)
-        sidecar = tmp_path / "ds_features" / "im00001.wsdf"
-        raw = bytearray(sidecar.read_bytes())
+        features = tmp_path / "ds_features" / "features.wsdf"
+        features.write_bytes(features.read_bytes() + b"\0" * 8)
+        with pytest.raises(DataError, match=f"^features file {re.escape(str(features))}: 8 bytes after the last "
+                                            "image's block$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("count", [0, 11, 13])
+    def test_an_image_count_other_than_the_manifests_names_the_file(self, tmp_path, count):
+        _, path = self._saved(tmp_path)
+        features = tmp_path / "ds_features" / "features.wsdf"
+        raw = bytearray(features.read_bytes())
+        raw[6:10] = struct.pack("<I", count)
+        features.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"^features file {re.escape(str(features))} holds {count} images, "
+                                            "the manifest 12$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("version", [0, 1, 2, 4])
+    def test_a_features_file_of_another_version_is_refused(self, tmp_path, version):
+        _, path = self._saved(tmp_path)
+        features = tmp_path / "ds_features" / "features.wsdf"
+        raw = bytearray(features.read_bytes())
         raw[4:6] = struct.pack("<H", version)
-        sidecar.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match=f"^image im00001: unsupported sidecar version {version}$"):
+        features.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"^features file {re.escape(str(features))}: unsupported version "
+                                            f"{version}$"):
             load_dataset(path)
 
-    def test_a_sidecar_without_rows_has_no_proposals(self, tmp_path):
+    def test_a_features_file_cut_inside_its_header_names_the_file(self, tmp_path):
         _, path = self._saved(tmp_path)
-        sidecar = tmp_path / "ds_features" / "im00001.wsdf"
-        raw = bytearray(sidecar.read_bytes()[:18])
-        raw[10:14] = struct.pack("<I", 0)  # N = 0: no boxes and no floats
-        sidecar.write_bytes(bytes(raw))
+        features = tmp_path / "ds_features" / "features.wsdf"
+        features.write_bytes(features.read_bytes()[:7])
+        with pytest.raises(DataError, match=f"^features file {re.escape(str(features))}: truncated header, 7 bytes$"):
+            load_dataset(path)
+
+    def test_a_block_of_other_views_than_its_record_names_its_image(self, tmp_path):
+        # V, N, D = 2, 16, 4 spans the bytes of 1, 16, 8: the block still ends where it did.
+        _, path = self._saved(tmp_path)
+        features = tmp_path / "ds_features" / "features.wsdf"
+        raw = bytearray(features.read_bytes())
+        at = _blocks(raw)[3][0]
+        raw[at : at + 12] = struct.pack("<III", 2, 16, 4)
+        features.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="^image im00003: manifest declares 1 views, features file has 2$"):
+            load_dataset(path)
+
+    def test_a_block_without_rows_has_no_proposals(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        features = tmp_path / "ds_features" / "features.wsdf"
+        raw = features.read_bytes()
+        (at, v, _, d), (end, *_) = _blocks(raw)[1:3]
+        features.write_bytes(raw[:at] + struct.pack("<III", v, 0, d) + raw[end:])  # N = 0: no boxes and no floats
         with pytest.raises(DataError, match="^image im00001: no proposals$"):
             load_dataset(path)
 
-    def test_a_sidecar_of_another_feature_dimension_names_its_image(self, tmp_path):
+    def test_a_block_of_another_feature_dimension_names_its_image(self, tmp_path):
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
         manifest["d"] = SMALL.feat_dim + 1
@@ -458,11 +520,11 @@ class TestLoadValidation:
         with pytest.raises(DataError, match=r"^image im00000: view shape \(16, 8\) != \(16, 9\)$"):
             load_dataset(path)
 
-    def test_the_load_records_each_sidecar_file(self, tmp_path):
-        ds, path = self._saved(tmp_path)
+    def test_the_load_records_the_features_file(self, tmp_path):
+        _, path = self._saved(tmp_path)
         loaded = load_dataset(path)
-        files = [(tmp_path / "ds_features" / f"{bag.id}.wsdf").stat() for bag in ds.images]
-        assert loaded.sidecars == {(st.st_dev, st.st_ino): bag.id for st, bag in zip(files, ds.images)}
+        st = (tmp_path / "ds_features" / "features.wsdf").stat()
+        assert loaded.features_file == (st.st_dev, st.st_ino)
 
     @pytest.mark.parametrize(
         "edit",
@@ -571,7 +633,7 @@ class TestLoadValidation:
     @pytest.mark.parametrize("key, value", [
         ("labels", [0, 2, 1]),
         ("labels", list(range(20))),  # a 20-class label vector shows whole
-        ("feature_file", ["a", 1.5, None, True]),
+        ("features", ["a", 1.5, None, True]),
         ("class", "1"),  # shown as the image's list of classes
         ("class_names", ["a", 1, "c"]),
     ])
@@ -579,7 +641,7 @@ class TestLoadValidation:
         _, path = self._saved(tmp_path)
         manifest = json.loads(path.read_text())
         record = manifest["images"][0]
-        if key == "class_names":
+        if key in ("class_names", "features"):
             manifest[key] = value
         elif key == "class":
             record["ground_truth"][0][key] = value
@@ -657,7 +719,7 @@ def test_a_saved_dataset_loads_bit_equal(tmp_path, cfg):
     assert all("proposals" not in rec for rec in json.loads((tmp_path / "ds.json").read_text())["images"])
     loaded = load_dataset(tmp_path / "ds.json")
     _same_dataset(loaded, ds)
-    for bag in loaded.images:  # the boxes and the views are views of the one buffer each sidecar is read into
+    for bag in loaded.images:  # the boxes and the views are views of the one buffer each block is read into
         assert bag.boxes.base is bag.views[0].base and bag.boxes.flags.aligned
 
 
@@ -668,7 +730,7 @@ def test_views_are_one_array_generated_and_loaded(tmp_path):
     for bags in (ds.images, load_dataset(tmp_path / "ds.json").images):
         for bag in bags:
             assert type(bag.views) is np.ndarray and bag.views.shape == (3, 8, 6) and bag.views.dtype == np.float32
-            assert np.ascontiguousarray(bag.views, dtype="<f4") is bag.views  # the sidecar writer copies nothing
+            assert np.ascontiguousarray(bag.views, dtype="<f4") is bag.views  # the features writer copies nothing
 
 
 def test_a_loaded_dataset_saves_to_the_same_bytes(tmp_path):

@@ -63,16 +63,15 @@ def test_split_gate_config_crosses_the_gate():
 
 
 @pytest.mark.parametrize("name", ["walkthrough", "two_views", "crowded"])
-def test_saved_manifest_and_sidecars_equal_reference(name, tmp_path):
+def test_saved_manifest_and_features_file_equal_reference(name, tmp_path):
     cfg = SynthConfig(seed=5, **CONFIGS[name])
     save_dataset(generate_synthetic(cfg), tmp_path / "got" / "ds.json")
     ref.save_dataset(ref.generate_synthetic(cfg), tmp_path / "want" / "ds.json")
-    got, want = tmp_path / "got", tmp_path / "want"
-    assert (got / "ds.json").read_bytes() == (want / "ds.json").read_bytes()
-    names = sorted(p.name for p in (want / "ds_features").iterdir())
-    assert sorted(p.name for p in (got / "ds_features").iterdir()) == names
-    for sidecar in names:
-        assert (got / "ds_features" / sidecar).read_bytes() == (want / "ds_features" / sidecar).read_bytes()
+    for side in ("got", "want"):
+        files = sorted(str(p.relative_to(tmp_path / side)) for p in (tmp_path / side).rglob("*") if p.is_file())
+        assert files == ["ds.json", "ds_features/features.wsdf"]
+    for name in ("ds.json", "ds_features/features.wsdf"):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
 
 def run_both(seed, production, reference):

@@ -283,18 +283,18 @@ def test_generator_equals_reference_on_random_configs(cfg):
 
 
 def json_manifest(ds, stem):
-    """What json.dump(indent=1) writes for the manifest of `ds`; its proposals are in the sidecars, not here."""
+    """What json.dump(indent=1) writes for the manifest of `ds`; its proposals are in the features file, not here."""
     records = [
         {
             "id": bag.id,
             "labels": bag.labels.tolist(),
             "ground_truth": [{"class": c, "box": list(b.as_tuple())} for c, b in bag.ground_truth],
-            "feature_file": f"{stem}_features/{bag.id}.wsdf",
             "views": len(bag.views),
         }
         for bag in ds.images
     ]
-    manifest = {"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "images": records}
+    manifest = {"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names,
+                "features": f"{stem}_features/features.wsdf", "images": records}
     return json.dumps(manifest, indent=1) + "\n"
 
 
@@ -306,8 +306,8 @@ def awkward_dataset():
         np.empty((0, 4)),
         rng.random((5, 4)),
     ]
-    # Ids name the sidecar files too, so they hold no NUL, `/` or backslash; class names do.
-    ids = ["plain", 'quo"ted \x1f "proposals": "\x01"', '"proposals": "\x7f"', "ünï ☃"]
+    # Ids name no file, so they may hold a NUL, `/` or backslash, as class names do.
+    ids = ["plain", 'quo"ted \x1f "proposals": "\x01"', '"proposals": "\x7f" / \\ \x00', "ünï ☃"]
     images = [
         ImageBag(
             id=image_id,
@@ -339,12 +339,17 @@ def test_generated_manifest_bytes_equal_json_dump(tmp_path):
 @pytest.mark.parametrize("dtypes", [["<f4"], [">f4", "<f8"]])
 @pytest.mark.parametrize("box_dtype", ["<f8", ">f8", "<f4"])
 def test_sidecar_bytes_equal_reference(tmp_path, dtypes, box_dtype):
+    # One image's block in the features file, from boxes and views of other float dtypes, and its manifest.
     rng = np.random.default_rng(3)
-    boxes = rng.random((7, 4)).astype(box_dtype)
+    corners = rng.random((7, 4))
+    boxes = np.concatenate((corners[:, :2], corners[:, :2] + corners[:, 2:] + 0.01), axis=1).astype(box_dtype)
     views = [rng.normal(size=(7, 5)).astype(t) for t in dtypes]
-    data._write_sidecar(tmp_path / "got.wsdf", boxes, views)
-    ref._write_sidecar(tmp_path / "want.wsdf", boxes, views)
-    assert (tmp_path / "got.wsdf").read_bytes() == (tmp_path / "want.wsdf").read_bytes()
-    got, got_views, _ = data._read_sidecar(tmp_path / "got.wsdf", "x")
-    assert got.tobytes() == boxes.astype("<f8").tobytes()
-    assert [v.tobytes() for v in got_views] == [v.astype("<f4").tobytes() for v in views]
+    bag = ImageBag("x", boxes=boxes, views=views, labels=np.array([1, 0]), ground_truth=[(0, BBox(0.1, 0.2, 0.3, 0.4))])
+    ds = Dataset(num_classes=2, feat_dim=5, class_names=["a", "b"], images=[bag])
+    save_dataset(ds, tmp_path / "got" / "ds.json")
+    ref.save_dataset(ds, tmp_path / "want" / "ds.json")
+    for name in ("ds.json", "ds_features/features.wsdf"):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    (got,) = data.load_dataset(tmp_path / "got" / "ds.json").images
+    assert got.boxes.tobytes() == boxes.astype("<f8").tobytes()
+    assert [v.tobytes() for v in got.views] == [v.astype("<f4").tobytes() for v in views]

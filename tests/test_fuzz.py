@@ -44,13 +44,16 @@ INVALID = {
     "class_names": lambda v: not (isinstance(v, list) and len(v) == C and all(isinstance(x, str) for x in v)),
     "images": lambda v: True,
     "labels": lambda v: not (isinstance(v, list) and len(v) == C and all(is_int(x, 0, 1) for x in v)),
-    "feature_file": lambda v: not isinstance(v, str),
+    "features": lambda v: v != "ds_features/features.wsdf",
     "views": lambda v: not is_int(v, 2),
     "ground_truth": lambda v: not (isinstance(v, (list, dict, str)) and len(v) == 0),
 }
-TOP_KEYS = ("c", "d", "class_names", "images")
-RECORD_KEYS = ("labels", "feature_file", "views", "ground_truth")
-REQUIRED_RECORD_KEYS = ("labels", "feature_file", "views")
+TOP_KEYS = ("c", "d", "class_names", "features", "images")
+RECORD_KEYS = ("labels", "views", "ground_truth")
+REQUIRED_RECORD_KEYS = ("labels", "views")
+# One image's block in the features file: V, N, D, then its N boxes and its two (N, D) views. Every
+# pristine image has the same shape, so image k's block starts at byte 10 + BLOCK * k.
+BLOCK = 12 + 32 * N + 4 * 2 * N * D
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,7 @@ def pristine(tmp_path_factory):
                  "--epochs", "1", "--warmup-epochs", "1", "--m-start", "4", "--m-final", "2", "--m-neg", "2"]) == EXIT_OK
     (root / "ds.json.manifest.json").unlink()
     (root / "ckpt.wsdc.manifest.json").unlink()
+    assert features_of(root).stat().st_size == 10 + BLOCK * IMAGES  # the offsets the corruptions use
     return root
 
 
@@ -116,28 +120,34 @@ def box_or_class_corruption():
     ).map(lambda named: ("manifest", named[0], lambda root: edit_manifest(root, named[1])))
 
 
-def sidecar_of(root: Path, image: int) -> Path:
-    return sorted((root / "ds_features").iterdir())[image]
+def features_of(root: Path) -> Path:
+    return root / "ds_features" / "features.wsdf"
+
+
+def boxes_at(image: int) -> int:
+    """The offset of image `image`'s boxes in the features file, after its block's V, N, D."""
+    return 10 + BLOCK * image + 12
 
 
 def box_block_corruption():
-    """In one image's sidecar: one proposal coordinate made NaN or infinite, or moved past its pair; or the file cut
-    inside the box block."""
+    """In one image's block of the features file: one proposal coordinate made NaN or infinite, or moved past its
+    pair; or the file cut inside its boxes."""
 
     def set_coordinate(image, r, q, value_of):
         def corrupt(root: Path):
-            path = sidecar_of(root, image)
+            path = features_of(root)
             raw = bytearray(path.read_bytes())
-            (pair,) = struct.unpack_from("<d", raw, 18 + 8 * (4 * r + (q ^ 2)))  # the other coordinate of its axis
-            struct.pack_into("<d", raw, 18 + 8 * (4 * r + q), value_of(pair, q))
+            start = boxes_at(image)
+            (pair,) = struct.unpack_from("<d", raw, start + 8 * (4 * r + (q ^ 2)))  # the other coordinate of its axis
+            struct.pack_into("<d", raw, start + 8 * (4 * r + q), value_of(pair, q))
             path.write_bytes(bytes(raw))
 
         return corrupt
 
     def cut(image, keep):
         def corrupt(root: Path):
-            path = sidecar_of(root, image)
-            path.write_bytes(path.read_bytes()[: 18 + keep])
+            path = features_of(root)
+            path.write_bytes(path.read_bytes()[: boxes_at(image) + keep])
 
         return corrupt
 
@@ -150,11 +160,11 @@ def box_block_corruption():
     )
     return st.one_of(
         st.tuples(image, st.integers(0, N - 1), st.integers(0, 3), value).map(
-            lambda t: ("sidecar", f"image {t[0]} proposal {t[1]} coordinate {t[2]} {t[3][0]}",
+            lambda t: ("features file", f"image {t[0]} proposal {t[1]} coordinate {t[2]} {t[3][0]}",
                        set_coordinate(t[0], t[1], t[2], t[3][1]))
         ),
         st.tuples(image, st.integers(0, 32 * N - 1)).map(
-            lambda t: ("sidecar", f"image {t[0]} cut {t[1]} bytes into its box block", cut(*t))
+            lambda t: ("features file", f"image {t[0]} cut {t[1]} bytes into its box block", cut(*t))
         ),
     )
 
@@ -235,9 +245,16 @@ def binary_corruption(target: str, header_fields: list[tuple[int, str]], payload
 
 
 MAGIC_BYTES = [(i, "<B") for i in range(4)]
-# The float32 features start after the header and the N rows of float64 boxes.
-SIDECAR = binary_corruption("sidecar", MAGIC_BYTES + [(4, "<H"), (6, "<I"), (10, "<I"), (14, "<I")], 18 + 32 * N,
-                            lambda n: n)
+
+
+def features_corruption(image: int):
+    """`binary_corruption` of the features file: its header fields and image `image`'s V, N, D; the payload is that
+    image's float32 views, after its N rows of float64 boxes."""
+    at = 10 + BLOCK * image
+    fields = MAGIC_BYTES + [(4, "<H"), (6, "<I"), (at, "<I"), (at + 4, "<I"), (at + 8, "<I")]
+    return binary_corruption("features file", fields, boxes_at(image) + 32 * N, lambda n: at + BLOCK)
+
+
 CHECKPOINT = binary_corruption("checkpoint", MAGIC_BYTES + [(4, "<I"), (8, "<I"), (12, "<I")], 16, lambda n: n - 4)
 
 
@@ -254,9 +271,9 @@ def corruption():
         manifest_corruption(),
         st.permutations(range(IMAGES)).map(lambda order: id_copy(order[0], order[1])),
         st.floats(0.0, 1.0, exclude_max=True).map(lambda s: ("manifest", f"truncate at {s:.3f}", truncate_manifest(s))),
-        st.tuples(SIDECAR, st.integers(0, IMAGES - 1)).map(
-            lambda t: ("sidecar", f"image {t[1]}: {t[0][1]}", lambda root: t[0][2](sidecar_of(root, t[1])))
-        ),
+        st.integers(0, IMAGES - 1).flatmap(lambda image: features_corruption(image).map(
+            lambda t: ("features file", f"image {image}: {t[1]}", lambda root: t[2](features_of(root)))
+        )),
         CHECKPOINT.map(lambda t: ("checkpoint", t[1], lambda root: t[2](root / "ckpt.wsdc"))),
     )
 
