@@ -24,6 +24,7 @@ error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -372,8 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: every `main` call parses with it."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
         return globals()[command.handler](args, resolve_config(command.keys, args))

@@ -28,12 +28,27 @@ those of its background boxes another; the samplers draw each stream in
 rounds rather than four doubles at a time. A round holds one candidate for
 every box still needed, drawn with one `rng.random` call; since every such
 box takes at least one more try, no round reads past what the box-by-box
-loop would, and nothing is put back. The candidates are judged at once and
-handed to the boxes in stream order, with each box's try count carried
-across rounds, so a box gives up after exactly as many tries as it would
-alone: a cluster box then becomes a copy of its ground truth (30 tries), a
-background box keeps its last try (20 tries). The boxes, and the generator
-state left behind, are the same bytes as one scalar loop per box.
+loop would, and nothing is put back. The candidates are handed to the boxes
+in stream order, with each box's try count carried across rounds, so a box
+gives up after exactly as many tries as it would alone: a cluster box then
+becomes a copy of its ground truth (30 tries), a background box keeps its
+last try (20 tries). The boxes, and the generator state left behind, are
+the same bytes as one scalar loop per box.
+
+The rounds run over a batch of images: consecutive images holding at most
+SAMPLE_ROWS proposals, one image at least. `_sample_batch` draws each
+image's object count and ground truth, then the cluster rounds of the whole
+batch, each image's context boxes, the background rounds of the whole
+batch, and each image's permutation. In a batch's round every open image
+makes the `rng.random` call it would make alone, on its own generator; the
+tries of all of them are concatenated and judged at once, each against its
+own image's ground truth, with `iou_pairs`, whose entries are `iou`'s bit
+for bit. A background try is judged against every ground-truth box of its
+image, the images' boxes padded to the batch's largest object count with
+OFF_CANVAS boxes, whose IoU with any try is 0. A cluster round hands each
+image its tries at once. So does a background round, except to an image
+one of whose boxes reaches its 20-try cap in the round: that image walks
+its round try by try.
 
 The context boxes read theirs from raw outputs instead. A box-by-box loop
 calls `rng.integers(k)` for the object a box surrounds, then tries three
@@ -56,9 +71,12 @@ of numpy calls on its own generator: the signal `overlap @ prototypes`,
 the distractor added to the context rows, then per view a normal fill, a
 scale, an add and a float32 cast. Every image has a generator of its own,
 so two images' blocks can run at the same time and draw the same bytes.
-Where the head's gate, `head._worker_for(N*D*views, FEATURE_SPLIT_MIN)`,
-gives its worker (N*D*views of at least 2^16 on at least two usable
-CPUs), `generate_synthetic` samples the boxes of images i and i+1, then
+The images leave the batches one by one (`_sampled`), each with its (N, C)
+overlap computed as it leaves, so a batch's temporaries are all that the
+sampling holds beyond the images. Where the head's gate,
+`head._worker_for(N*D*views, FEATURE_SPLIT_MIN)`, gives its worker (N*D*views
+of at least 2^16 on at least two usable CPUs), `generate_synthetic` takes
+images i and i+1 (sampling the next batch first where i+1 begins one), then
 runs image i's block on that worker thread (through `beside`) while the
 calling thread runs image i+1's; with an odd image count the last image
 runs on the caller. Below the gate, the handoff and the worker's wake-up
@@ -114,7 +132,7 @@ import numpy as np
 
 from wsdsel import head
 from wsdsel.errors import ConfigError, DataError
-from wsdsel.geometry import BBox, box_array, iou, iou_matrix
+from wsdsel.geometry import BBox, box_array, iou, iou_matrix, iou_pairs
 
 FEATURE_MAGIC = b"WSDF"
 FEATURE_VERSION = 3
@@ -127,6 +145,11 @@ NOISE_CHUNK = 1 << 15
 # dataset has; an image with more rows makes a run alone. A run's copy (128 KiB
 # of coordinates) is then the largest thing a load holds beside its arrays.
 VALIDATE_ROWS = 1 << 12
+# The generator samples boxes over batches of consecutive images holding at most this many proposals (one
+# image at least), so its round temporaries stay bounded however many images a dataset has.
+SAMPLE_ROWS = 1 << 14
+# What each image's ground truth is padded with in a batch's background rounds: IoU 0 with any box on the canvas.
+OFF_CANVAS = (2.0, 2.0, 3.0, 3.0)
 # What a load message shows of a bad manifest value: lists are cut after 20
 # items (a 20-class label vector shows whole) and nesting after 6 levels.
 _SHOWN = reprlib.Repr()
@@ -349,37 +372,62 @@ def _jitter(box, scale, u):
 
 
 def _cluster_boxes(rng: np.random.Generator, gt, scales, min_iou, tries: int = 30) -> np.ndarray:
-    """A jittered copy of each row of `gt` (M, 4), drawn in rounds (see the module docstring).
+    """A jittered copy of each row of `gt` (M, 4): `_cluster_rounds` on a batch of one image.
 
     Box i is rejection-sampled at relative magnitude `scales[i]` until a try
     is not degenerate and has IoU >= `min_iou[i]` with `gt[i]` (at a
     `min_iou` of 0 or less, any box that is not degenerate passes); after
-    `tries` failed tries it is a copy of `gt[i]`. A try is judged at its own
-    box, so a round takes its tries up to the first rejected one and carries
-    the rest into the next round, shifted onto the boxes they then belong to.
+    `tries` failed tries it is a copy of `gt[i]`.
     """
-    count = len(gt)
-    out = np.empty((count, 4))
-    done = tried = 0  # boxes finished; rejected tries of box `done`
-    u = np.empty((0, 4))  # tries drawn for the boxes from `done` on
-    while done < count:
-        if len(u) < count - done:
-            u = np.concatenate((u, rng.random((count - done - len(u), 4))))
-        cand = np.stack(_jitter(gt[done:].T, scales[done:], u.T), axis=1)
+    return _cluster_rounds([rng], gt, scales, min_iou, [len(gt)], tries)
+
+
+def _cluster_rounds(rngs, gt, scales, min_iou, counts, tries: int = 30) -> np.ndarray:
+    """The cluster boxes of a batch of images, drawn in rounds, each image's from its own generator in `rngs`.
+
+    `gt` (M, 4), `scales` and `min_iou` hold one row per box, image after
+    image, `counts[i]` of them for image i; each box is drawn as
+    `_cluster_boxes` says (see the module docstring). A try is judged at its
+    own box, so an image's round takes its tries up to the first rejected
+    one and carries the rest into its next round, shifted onto the boxes
+    they then belong to.
+    """
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 4)
+    out = np.empty((len(gt), 4))
+    end = np.cumsum(counts, dtype=np.intp)
+    done = end - counts  # each image's next box, as a row
+    tried = np.zeros(len(end), dtype=np.intp)  # that box's rejected tries
+    u, carried = np.empty((0, 4)), np.zeros(len(end), dtype=np.intp)  # tries carried over, image after image; how many
+    live = np.flatnonzero(done < end)
+    while live.size:
+        need = end[live] - done[live]
+        pieces, at = [], 0  # each open image's carried tries, then its new ones
+        for i, have, want in zip(live.tolist(), carried[live].tolist(), need.tolist()):
+            pieces.append(u[at : at + have])
+            if have < want:
+                pieces.append(rngs[i].random((want - have, 4)))
+            at += have
+        t = np.concatenate(pieces)
+        start = np.cumsum(need) - need  # each open image's first try in `t`
+        local = np.arange(len(t)) - np.repeat(start, need)
+        rows = local + np.repeat(done[live], need)  # each try's box, as a row of `gt`
+        box = gt[rows]
+        cand = np.stack(_jitter(box.T, scales[rows], t.T), axis=1)
         rejected = (cand[:, 2] - cand[:, 0] < 1e-3) | (cand[:, 3] - cand[:, 1] < 1e-3)
-        judged = np.flatnonzero(min_iou[done:] > 0.0)
-        ious = iou_matrix(cand[judged], gt[done:][judged]).diagonal()  # each entry is `iou`'s, bit for bit
-        rejected[judged] |= ious < min_iou[done:][judged]
-        r = int(rejected.argmax()) if rejected.any() else len(cand)
-        out[done : done + r] = cand[:r]
-        done += r
-        if done == count:
-            break
-        tried = tried + 1 if r == 0 else 1
-        if tried == tries:  # every try failed: the ground-truth copy
-            out[done] = gt[done]
-            done, tried = done + 1, 0
-        u = u[r + 1 :]
+        rejected |= iou_pairs(cand, box) < min_iou[rows]  # never at a floor of 0 or less: an IoU is 0 or more
+        stop = np.append(np.flatnonzero(rejected), len(t))
+        r = np.minimum(stop[np.searchsorted(stop, start)] - start, need)  # tries taken: up to the first rejected one
+        cut = np.repeat(r, need)
+        taken = local < cut
+        out[rows[taken]] = cand[taken]
+        u, carried[live] = t[local > cut], np.maximum(need - r - 1, 0)
+        done[live] += r
+        tried[live] = np.where(r == 0, tried[live] + 1, 1)
+        copied = live[(tried[live] == tries) & (done[live] < end[live])]  # every try failed: the ground-truth copy
+        out[done[copied]] = gt[done[copied]]
+        done[copied] += 1
+        tried[copied] = 0
+        live = live[done[live] < end[live]]
     return out
 
 
@@ -467,88 +515,147 @@ def _context_boxes(rng: np.random.Generator, gt: np.ndarray, count: int, tries: 
 
 
 def _background_boxes(rng: np.random.Generator, gt_boxes, count: int, tries: int = 20) -> np.ndarray:
-    """`count` boxes, each with IoU below 0.3 with every ground-truth box, drawn in rounds (see the module docstring).
+    """`count` boxes, each with IoU below 0.3 with every ground-truth box: `_background_rounds` on a batch of one image.
 
-    Each box is rejection-sampled and keeps its last try if all `tries`
-    fail. A try's verdict does not depend on its box, so a round hands out
-    all its tries in stream order: each box takes them up to its first
-    accepted one or its last one, and the next box starts after it.
+    Each box is rejection-sampled and keeps its last try if all `tries` fail.
     """
-    gt = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    out = np.empty((count, 4))
-    done = tried = 0  # boxes finished; rejected tries of box `done`
-    while done < count:
-        uw, uh, ux, uy = rng.random((count - done, 4)).T
+    return _background_rounds([rng], np.asarray(gt_boxes, dtype=np.float64).reshape(1, -1, 4), [count], tries)
+
+
+def _background_rounds(rngs, gt: np.ndarray, counts, tries: int = 20) -> np.ndarray:
+    """The background boxes of a batch of images, drawn in rounds, each image's from its own generator in `rngs`.
+
+    Image i takes `counts[i]` boxes, drawn as `_background_boxes` says
+    against its ground truth `gt[i]`, where `gt` (B, K, 4) pads each image's
+    boxes with OFF_CANVAS ones (see the module docstring). A try's verdict
+    does not depend on its box, so an image's round hands out all its tries
+    in stream order: each box takes them up to its first accepted one or its
+    last one, and the next box starts after it.
+    """
+    out = np.empty((sum(counts), 4))
+    end = np.cumsum(counts, dtype=np.intp)
+    done = end - counts  # each image's next box, as a row
+    tried = np.zeros(len(end), dtype=np.intp)  # that box's rejected tries
+    live = np.flatnonzero(done < end)
+    while live.size:
+        need = end[live] - done[live]
+        uw, uh, ux, uy = np.concatenate([rngs[i].random((m, 4)) for i, m in zip(live.tolist(), need.tolist())]).T
         w = _uniform(0.05, 0.5, uw)
         h = _uniform(0.05, 0.5, uh)
         x1 = _uniform(0.0, 1.0 - w, ux)
         y1 = _uniform(0.0, 1.0 - h, uy)
         cand = np.stack((x1, y1, x1 + w, y1 + h), axis=1)
-        ok = (iou_matrix(cand, gt) < 0.3).all(axis=1)
-        pos, end = 0, len(cand)
-        while pos < end:
-            # Each box ends at an accepted try; the box left open at the round's end ends at `end` at the earliest.
-            stops = np.append(pos + np.flatnonzero(ok[pos:]), end)
-            starts = np.append(pos - tried, stops[:-1] + 1)
-            over = np.flatnonzero(stops - starts >= tries)  # boxes whose tries run out first
-            n_ok = int(over[0]) if over.size else len(stops) - 1
-            out[done : done + n_ok] = cand[stops[:n_ok]]
-            done += n_ok
-            if not over.size:
-                tried, pos = end - starts[-1], end
-                break
-            last = starts[n_ok] + tries - 1
-            out[done] = cand[last]
-            done, tried, pos = done + 1, 0, last + 1
+        ok = (iou_pairs(cand[:, None], gt[np.repeat(live, need)]) < 0.3).all(axis=1)
+        start = np.cumsum(need) - need  # each open image's first try in `cand`
+        # Each box ends at an accepted try and begins after the one before it, or, at its image's first
+        # accepted try, with the tries the image carries over: an earlier image's accepted try is no bound.
+        stops = np.flatnonzero(ok)
+        image = np.searchsorted(start, stops, side="right") - 1  # each accepted try's open image
+        begins = np.roll(stops, 1) + 1
+        first = np.diff(image, prepend=-1) != 0
+        begins[first] = start[image[first]] - tried[live[image[first]]]
+        last = np.append(-1, stops)[np.searchsorted(stops, start + need)]  # each image's last accepted try, if any
+        tail = start + need - np.where(last >= start, last + 1, start - tried[live])  # the tries of its box left open
+        capped = tail >= tries
+        capped[image[stops - begins >= tries]] = True  # a box whose tries ran out before its accepted one
+        # The common case, all at once: each accepted try is its image's next box.
+        fine = ~capped[image]
+        rank = np.arange(len(stops)) - np.searchsorted(stops, start)[image]
+        out[(done[live][image] + rank)[fine]] = cand[stops[fine]]
+        done[live[~capped]] += np.bincount(image, minlength=len(live))[~capped]
+        tried[live[~capped]] = tail[~capped]
+        # An image with a box that reaches its cap walks its round try by try, as the box-by-box loop would.
+        for s in np.flatnonzero(capped).tolist():
+            i = live[s]
+            at, run = int(done[i]), int(tried[i])
+            for j in range(start[s], start[s] + need[s]):
+                run += 1
+                if ok[j] or run == tries:  # the box ends at its accepted try, or keeps its last one
+                    out[at] = cand[j]
+                    at, run = at + 1, 0
+            done[i], tried[i] = at, run
+        live = live[done[live] < end[live]]
     return out
 
 
-def _sample_image(cfg: SynthConfig, i: int) -> tuple[ImageBag, tuple]:
-    """Image `i` with its boxes, labels and ground truth, and what its features are drawn from.
+def _cluster_layout(k: int, n: int, n_context: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The clusters of an image with `k` objects: boxes per object, and each box's scale and IoU floor.
 
-    The bag's (V, N, D) float32 views are allocated and left unfilled. The
-    second item is (rng, overlap, is_context, views): the image's generator,
-    positioned at its noise, each region's best IoU with a ground-truth box
-    of each class, (N, C), the (N,) context mask, and the views to fill.
+    Per object, tight to loose overlap; the first member is forced tight so
+    a correct localization always exists.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, i)))
-    n = cfg.proposals_per_image
-    n_context = round(cfg.context_fraction * n)
-    k = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
-    gt = [(int(rng.integers(cfg.num_classes)), _random_gt_box(rng)) for _ in range(k)]
-    gt_boxes = [b for _, b in gt]
-
-    # Per-object clusters spanning tight to loose overlap, object by object; the first
-    # member is forced tight so a correct localization always exists.
-    # Clusters and context boxes never hold more than n boxes (SynthConfig checks it).
-    proposals = np.empty((n, 4))
     per_obj = max(k, (n - n_context) // 2) // k
-    n_cluster = k * per_obj
     scales = np.tile(np.append(0.05, 0.08 + 0.62 * np.arange(1, per_obj) / per_obj), k)
     min_iou = np.tile(np.append(0.7, np.zeros(per_obj - 1)), k)
-    gt_array = np.array(gt_boxes)
-    proposals[:n_cluster] = _cluster_boxes(rng, np.repeat(gt_array, per_obj, axis=0), scales, min_iou)
+    return per_obj, scales, min_iou
+
+
+def _sample_batch(cfg: SynthConfig, ids: range, layouts: dict) -> list[tuple]:
+    """The boxes of images `ids`, sampled as one batch (see the module docstring).
+
+    Per image: (rng, ground truth as (class, box) pairs, its (K, 4) boxes,
+    the (N, 4) proposals, the (N,) context mask), its generator positioned
+    at its noise. `layouts` keeps `_cluster_layout` by object count.
+    """
+    n = cfg.proposals_per_image
+    n_context = round(cfg.context_fraction * n)
+    rngs, gts = [], []
+    for i in ids:
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, i)))
+        k = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
+        rngs.append(rng)
+        gts.append([(int(rng.integers(cfg.num_classes)), _random_gt_box(rng)) for _ in range(k)])
+    ks = np.array([len(gt) for gt in gts])
+    gt_boxes = np.array([box for gt in gts for _, box in gt])  # image after image
+    for k in set(ks.tolist()) - layouts.keys():
+        layouts[k] = _cluster_layout(k, n, n_context)
+    per_obj, scales, min_iou = zip(*(layouts[k] for k in ks.tolist()))
+    n_cluster = ks * per_obj
+    # Clusters and context boxes never hold more than n boxes (SynthConfig checks it).
+    clusters = np.split(_cluster_rounds(rngs, np.repeat(gt_boxes, np.repeat(per_obj, ks), axis=0),
+                                        np.concatenate(scales), np.concatenate(min_iou), n_cluster),
+                        np.cumsum(n_cluster)[:-1])
+    gt_arrays = np.split(gt_boxes, np.cumsum(ks)[:-1])
     # From blocks of raw outputs: each context box's rng.integers(k) reads a 32-bit half
     # between the double draws of the tries, so both are rebuilt from the one stream.
-    proposals[n_cluster : n_cluster + n_context] = _context_boxes(rng, gt_array, n_context)
-    proposals[n_cluster + n_context :] = _background_boxes(rng, gt_array, n - n_cluster - n_context)
-    is_context = np.zeros(n, dtype=bool)
-    is_context[n_cluster : n_cluster + n_context] = True
+    contexts = [_context_boxes(rng, gt, n_context) for rng, gt in zip(rngs, gt_arrays)]
+    padded = np.full((len(ids), ks.max(), 4), OFF_CANVAS)
+    for rows, gt in zip(padded, gt_arrays):
+        rows[: len(gt)] = gt
+    n_background = n - n_cluster - n_context
+    backgrounds = np.split(_background_rounds(rngs, padded, n_background), np.cumsum(n_background)[:-1])
+    proposals = map(np.concatenate, zip(clusters, contexts, backgrounds))
+    out = []
+    for rng, gt, gt_array, boxes, m in zip(rngs, gts, gt_arrays, proposals, n_cluster.tolist()):
+        perm = rng.permutation(n)
+        out.append((rng, gt, gt_array, boxes[perm], (perm >= m) & (perm < m + n_context)))
+    return out
 
-    perm = rng.permutation(n)
-    boxes = proposals[perm]
-    is_context = is_context[perm]
 
-    # Each region's best IoU with a ground-truth box of each class.
-    ious = iou_matrix(boxes, gt_array)
-    overlap = np.zeros((n, cfg.num_classes))
-    for t, (class_id, _) in enumerate(gt):
-        np.maximum(overlap[:, class_id], ious[:, t], out=overlap[:, class_id])
-    views = np.empty((cfg.n_views, n, cfg.feat_dim), dtype=np.float32)
-    labels = np.zeros(cfg.num_classes, dtype=np.int64)
-    labels[[c for c, _ in gt]] = 1
-    bag = ImageBag(id=f"im{i:05d}", boxes=boxes, views=views, labels=labels, ground_truth=gt)
-    return bag, (rng, overlap, is_context, views)
+def _sampled(cfg: SynthConfig):
+    """Each image `i` in order, as (bag, (rng, overlap, is_context, views)): what its features are drawn from.
+
+    The boxes are sampled a batch of images at a time, each batch holding at
+    most SAMPLE_ROWS proposals (one image at least). The bag's (V, N, D)
+    float32 views are allocated and left unfilled; `rng` is the image's
+    generator, positioned at its noise, and `overlap` each region's best IoU
+    with a ground-truth box of each class, (N, C), computed as the image is
+    handed out.
+    """
+    layouts = {}
+    step = max(1, SAMPLE_ROWS // cfg.proposals_per_image)
+    for first in range(0, cfg.n_images, step):
+        ids = range(first, min(first + step, cfg.n_images))
+        for i, (rng, gt, gt_array, boxes, is_context) in zip(ids, _sample_batch(cfg, ids, layouts)):
+            ious = iou_matrix(boxes, gt_array)
+            overlap = np.zeros((len(boxes), cfg.num_classes))
+            for t, (class_id, _) in enumerate(gt):
+                np.maximum(overlap[:, class_id], ious[:, t], out=overlap[:, class_id])
+            views = np.empty((cfg.n_views, len(boxes), cfg.feat_dim), dtype=np.float32)
+            labels = np.zeros(cfg.num_classes, dtype=np.int64)
+            labels[[c for c, _ in gt]] = 1
+            bag = ImageBag(id=f"im{i:05d}", boxes=boxes, views=views, labels=labels, ground_truth=gt)
+            yield bag, (rng, overlap, is_context, views)
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
@@ -586,14 +693,13 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
                 np.add(signal[start : start + len(chunk)], chunk, out=chunk)
                 np.copyto(view[start : start + len(chunk)], chunk)
 
-    images = []
-    for i in range(0, cfg.n_images, 1 + split):
-        bag, draw = _sample_image(cfg, i)
+    images, sampled = [], _sampled(cfg)
+    for bag, draw in sampled:
         images.append(bag)
-        if split and i + 1 < cfg.n_images:
-            after, after_draw = _sample_image(cfg, i + 1)
-            images.append(after)
-            worker.beside(lambda: features(*draw, *buffers[1]), lambda: features(*after_draw, *buffers[0]))
+        after = next(sampled, None) if split else None
+        if after:
+            images.append(after[0])
+            worker.beside(lambda: features(*draw, *buffers[1]), lambda: features(*after[1], *buffers[0]))
         else:
             features(*draw, *buffers[0])
 
@@ -717,10 +823,60 @@ def _read_block(fh, left: int, image_id: str) -> tuple[np.ndarray, np.ndarray, i
     return payload[: 32 * n].view("<f8").reshape(n, 4), payload[32 * n :].view("<f4").reshape(v, n, d), left - size
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A list of encoded JSON `items` as json.dumps(indent=1) lays it out, each item at `indent`."""
+    return f"[\n{indent}" + f",\n{indent}".join(items) + f"\n{indent[1:]}]" if items else "[]"
+
+
+def _manifest_text(ds: Dataset, features: str) -> str:
+    """The text of `ds`'s manifest, naming the features file `features`: json.dumps(manifest, indent=1) and a newline.
+
+    json lays out an indented manifest with its pure-Python encoder, so a
+    manifest of the usual types (int `c` and `d`, str class names and ids,
+    integer labels, finite ground-truth boxes) is laid out here instead:
+    each string by json's own escape, each number by its `repr`, as json
+    writes them. Any other is handed to json.
+    """
+    gt_boxes = [bag.gt_boxes for bag in ds.images]
+    if not (
+        type(ds.num_classes) is int and type(ds.feat_dim) is int
+        and all(type(name) is str for name in ds.class_names)
+        and all(type(bag.id) is str and bag.labels.dtype.kind in "iu" for bag in ds.images)
+        and np.isfinite(np.concatenate([np.empty((0, 4)), *gt_boxes])).all()
+    ):
+        records = [
+            {
+                "id": bag.id,
+                "labels": bag.labels.tolist(),
+                "ground_truth": [
+                    {"class": c, "box": box} for c, box in zip(bag.gt_classes.tolist(), bag.gt_boxes.tolist())
+                ],
+                "views": len(bag.views),
+            }
+            for bag in ds.images
+        ]
+        manifest = {"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names, "features": features,
+                    "images": records}
+        return json.dumps(manifest, indent=1) + "\n"
+    string = json.encoder.encode_basestring_ascii
+    # "%d" and "%r" write an int and a float by int.__repr__ and float.__repr__, as json does.
+    gt_record = '{\n     "class": %d,\n     "box": [\n      %r,\n      %r,\n      %r,\n      %r\n     ]\n    }'
+    records = []
+    for bag, boxes in zip(ds.images, gt_boxes):
+        labels = _json_list(list(map(str, bag.labels.tolist())), "    ")
+        gt = _json_list([gt_record % (c, *box) for c, box in zip(bag.gt_classes.tolist(), boxes.tolist())], "    ")
+        records.append(f'{{\n   "id": {string(bag.id)},\n   "labels": {labels},\n   "ground_truth": {gt},\n'
+                       f'   "views": {len(bag.views)}\n  }}')
+    return (f'{{\n "c": {ds.num_classes},\n "d": {ds.feat_dim},\n'
+            f' "class_names": {_json_list(list(map(string, ds.class_names)), "  ")},\n'
+            f' "features": {string(features)},\n "images": {_json_list(records, "  ")}\n}}\n')
+
+
 def save_dataset(ds: Dataset, path: str | Path):
     """Write the manifest JSON at `path` and the dataset's features file (`features_path`), which holds the boxes too.
 
-    The manifest's bytes are those of json.dump(indent=1) and a newline.
+    The manifest's bytes are those of json.dump(indent=1) and a newline
+    (`_manifest_text`).
 
     An image id that repeats another (as text) is a DataError, raised
     before anything is written; so are views `_check_views` refuses (none,
@@ -739,19 +895,7 @@ def save_dataset(ds: Dataset, path: str | Path):
         _check_views(bag, ds.feat_dim)
     path = Path(path)
     features = features_path(path)
-    records = [
-        {
-            "id": bag.id,
-            "labels": bag.labels.tolist(),
-            "ground_truth": [
-                {"class": c, "box": box} for c, box in zip(bag.gt_classes.tolist(), bag.gt_boxes.tolist())
-            ],
-            "views": len(bag.views),
-        }
-        for bag in ds.images
-    ]
-    manifest = {"c": ds.num_classes, "d": ds.feat_dim, "class_names": ds.class_names,
-                "features": f"{features.parent.name}/{features.name}", "images": records}
+    text = _manifest_text(ds, f"{features.parent.name}/{features.name}")
     with removed_on_failure():
         with replaced(features, "wb") as fh:
             fh.write(FEATURE_MAGIC + struct.pack("<HI", FEATURE_VERSION, len(ds.images)))
@@ -761,7 +905,7 @@ def save_dataset(ds: Dataset, path: str | Path):
                 fh.write(np.ascontiguousarray(bag.boxes, dtype="<f8").data)
                 fh.write(views.data)
         with replaced(path) as fh:
-            fh.write(json.dumps(manifest, indent=1) + "\n")
+            fh.write(text)
 
 
 def _positive_int(value, what: str) -> int:

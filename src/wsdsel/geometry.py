@@ -68,13 +68,21 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The arithmetic is `iou`'s, so entry [i, j] equals iou(a_i, b_j) bit for bit.
     """
+    return iou_pairs(np.asarray(a, dtype=np.float64)[:, None], b)
+
+
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of the [x1, y1, x2, y2] boxes on the last axis of `a` and `b`, the other axes broadcast against each other.
+
+    The arithmetic is `iou`'s, so each entry equals `iou` of its two boxes bit for bit.
+    """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    iw = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0])
-    ih = np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1])
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     overlap = (iw > 0.0) & (ih > 0.0)
     inter = iw * ih
     del iw, ih
-    union = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]))[:, None] + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1]) + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union -= inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 

@@ -1132,3 +1132,19 @@ def test_parser_options_are_the_commands_table():
     got = {name: (helps[name], [(action.option_strings, action.required, action.help) for action in p._actions])
            for name, p in sub.choices.items()}
     assert got == PARSER_TABLE
+
+
+def test_main_builds_its_parser_once_and_finds_each_handler_by_name(monkeypatch):
+    built, handled = [], []
+    build_parser = wsdsel.cli.build_parser
+    monkeypatch.setattr(wsdsel.cli, "build_parser", lambda: built.append(1) or build_parser())
+    wsdsel.cli._parser.cache_clear()
+    try:
+        # A wrapper put in the module's namespace after the parser exists is the handler each command calls.
+        for instances in ("2", "3"):
+            monkeypatch.setattr(wsdsel.cli, "cmd_gradcheck", lambda args, config: handled.append(config) or EXIT_OK)
+            assert wsdsel.cli.main(["gradcheck", "--instances", instances]) == EXIT_OK
+    finally:
+        wsdsel.cli._parser.cache_clear()
+    assert built == [1]
+    assert [config["instances"] for config in handled] == [2, 3]

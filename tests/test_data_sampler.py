@@ -8,7 +8,10 @@ boxes rejected inside a round, the 30-try and 20-try fallbacks, a box whose
 tries span two rounds or two blocks, a held 32-bit half, an integer drawn
 again) with hand-made ground truth and generator states, and compare each
 sampler with one `reference_data` loop per box: the boxes as float64 bytes
-and the generator state left behind.
+and the generator state left behind. `data._cluster_rounds` and
+`data._background_rounds` run the rounds over a batch of images, each on its
+own generator; the batch tests hold every image of a batch to the same loop,
+and each of its rounds' draws to those of the image sampled alone.
 """
 
 import json
@@ -19,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_data as ref
-from test_data_oracle import assert_same_dataset
-from wsdsel import data
-from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic, save_dataset
+from test_data_oracle import CONFIGS, assert_same_dataset
+from wsdsel import data, head
+from wsdsel.data import Dataset, ImageBag, SynthConfig, generate_synthetic, save_dataset, split_dataset
 from wsdsel.geometry import BBox
 
 
@@ -258,6 +261,149 @@ def test_context_tries_past_a_block(seed, k, monkeypatch):
     assert len(blocks) > 1
 
 
+def padded_gt(gts):
+    """The ground-truth rows of each image, padded to the batch's largest count with off-canvas boxes, as generated."""
+    padded = np.full((len(gts), max(map(len, gts)), 4), data.OFF_CANVAS)
+    for row, gt in zip(padded, gts):
+        row[: len(gt)] = np.array(gt).reshape(-1, 4)
+    return padded
+
+
+def batch_both(seeds, clusters, backgrounds):
+    """One batch through `data._cluster_rounds`, then `data._background_rounds`, against the per-image reference.
+
+    Image i has its own generator of `seeds[i]`, the cluster boxes `clusters[i]`, a list of (gt row, scale,
+    IoU floor), and `backgrounds[i]`, (ground-truth rows, box count). Its cluster and background boxes, its
+    generator state and each of its rounds' draws must equal those of the box-by-box loop, and of the image
+    sampled alone. Returns each image's (tries per cluster box, tries per background box, draws per background round).
+    """
+    recs = [Recorder(seed) for seed in seeds]
+    rows = [box for boxes in clusters for box in boxes]
+    got_clusters = data._cluster_rounds(recs, np.array([r[0] for r in rows]).reshape(-1, 4),
+                                        np.array([r[1] for r in rows]), np.array([r[2] for r in rows]),
+                                        [len(boxes) for boxes in clusters])
+    after_clusters = [len(rec.draws) for rec in recs]
+    got_backgrounds = data._background_rounds(recs, padded_gt([gt for gt, _ in backgrounds]),
+                                              [count for _, count in backgrounds])
+    found, c_at, b_at = [], 0, 0
+    for rec, seed, boxes, (gt, count), cut in zip(recs, seeds, clusters, backgrounds, after_clusters):
+        want = Recorder(seed)
+        tries = []
+        for sample, n in ((lambda r, i: ref._cluster_box(r, BBox(*boxes[i][0]), boxes[i][1], boxes[i][2]), len(boxes)),
+                          (lambda r, i: ref._background_box(r, [BBox(*g) for g in gt]), count)):
+            out, per_box = [], []
+            for i in range(n):
+                before = len(want.draws)
+                out.append(sample(want, i).as_tuple())
+                per_box.append((len(want.draws) - before) // 4)
+            tries.append((np.array(out, dtype=np.float64).reshape(-1, 4), per_box))
+        (want_c, c_tries), (want_b, b_tries) = tries
+        assert got_clusters[c_at : c_at + len(boxes)].tobytes() == want_c.tobytes()
+        assert got_backgrounds[b_at : b_at + count].tobytes() == want_b.tobytes()
+        assert rec.rng.bit_generator.state == want.rng.bit_generator.state
+        alone = Recorder(seed)
+        data._cluster_boxes(alone, np.array([b[0] for b in boxes]).reshape(-1, 4), np.array([b[1] for b in boxes]),
+                            np.array([b[2] for b in boxes]))
+        data._background_boxes(alone, gt, count)
+        assert rec.draws == alone.draws  # each round's rng.random call, as the image makes it alone
+        found.append((c_tries, b_tries, rec.draws[cut:]))
+        c_at, b_at = c_at + len(boxes), b_at + count
+    return found
+
+
+def generator_clusters(gts):
+    """The cluster boxes of an image with ground-truth rows `gts`, laid out as the walkthrough generator lays them."""
+    per_obj, scales, min_iou = data._cluster_layout(len(gts), 64, 13)
+    return [(gts[j // per_obj], s, m) for j, (s, m) in enumerate(zip(scales.tolist(), min_iou.tolist()))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_of_one_two_and_three_objects(seed):
+    # A thin second object: its loose boxes' tries are degenerate at times, so its image takes several rounds
+    # while the others have finished.
+    images = [ORDINARY[:1], [ORDINARY[1], (0.4, 0.5, 0.4009, 0.5009)], ORDINARY, ORDINARY[1:2]]
+    found = batch_both([seed, seed + 10, seed + 20, seed + 30], [generator_clusters(gts) for gts in images],
+                       [(gts, 64 - 13 - 25 // len(gts) * len(gts)) for gts in images])
+    assert [len(c) for c, _, _ in found] == [25, 24, 24, 25]
+    assert max(c for c in found[1][0]) > 1  # a try rejected in a round the other images took whole
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_with_a_ground_truth_copy_beside_a_background_cap(seed):
+    # Image 0's tight box must match its ground truth exactly, which no try does: its copy after 30 tries. Its
+    # background boxes are mostly accepted at once. Image 1's background boxes sit among 729 ground-truth boxes,
+    # so they reach their 20-try cap, and their runs of rejected tries carry across rounds. In a round, the
+    # first accepted try of image 1 ends a box that began in an earlier round of its own: not after image 0's
+    # last accepted try, which lies just before it in the batch.
+    tight = ORDINARY[0]
+    found = batch_both([seed, seed + 100],
+                       [[(tight, 0.05, 0.7), (tight, 0.3, 1.0), (tight, 0.4, 0.0)], generator_clusters(ORDINARY[1:3])],
+                       [([tight], 40), (crowded_gt(), 40)])
+    (copy_tries, open_background, _), (_, crowded_tries, rounds) = found
+    assert copy_tries[1] == 30
+    assert any(t < 20 for t in open_background)
+    boundaries = set(np.cumsum(rounds) // 4)
+    starts = np.cumsum([0] + crowded_tries[:-1])
+    assert any(t == 20 and any(s < b < s + 20 for b in boundaries) for s, t in zip(starts, crowded_tries))
+    assert any(1 < t < 20 and any(s < b < s + t for b in boundaries) for s, t in zip(starts, crowded_tries))
+
+
+class Scripted:
+    """A generator that hands out given doubles in order, through `random` as the samplers draw and `uniform` as
+    the reference does."""
+
+    def __init__(self, doubles):
+        self.doubles, self.pos = list(doubles), 0
+
+    def random(self, size):
+        count = int(np.prod(size))
+        self.pos += count
+        assert self.pos <= len(self.doubles), "read past the script"
+        return np.array(self.doubles[self.pos - count : self.pos]).reshape(size)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random(1)[0]
+
+
+# Background tries against the ground truth (0, 0, 0.5, 0.5) read as (uw, uh, ux, uy): the box (0, 0, 0.5, 0.5)
+# itself, rejected, or (0.5, 0.5, 1, 1), which only touches it, accepted.
+REJECT, ACCEPT = (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)
+
+
+def test_first_accepted_try_of_an_image_ends_its_own_carried_run():
+    # Round 1: image 0 closes a box and leaves one open; image 1 closes one and carries 15 rejected tries.
+    # Round 2: image 0's last accepted try lies just before image 1's tries. Image 1's first accepted try, its
+    # 7th of the round, would be its open box's 22nd try: that box keeps its 20th instead, and the accepted
+    # try ends the next box. Round 3 accepts every try.
+    gt = [(0.0, 0.0, 0.5, 0.5)]
+    scripts = [[ACCEPT, REJECT, ACCEPT],
+               [ACCEPT] + [REJECT] * 15 + [REJECT] * 6 + [ACCEPT] + [REJECT] * 8 + [ACCEPT] * 13]
+    counts = [2, 16]
+    streams = [Scripted(np.ravel(script)) for script in scripts]
+    got = data._background_rounds(streams, padded_gt([gt, gt]), counts)
+    at = 0
+    for script, count, stream in zip(scripts, counts, streams):
+        ref_stream = Scripted(np.ravel(script))
+        want = [ref._background_box(ref_stream, [BBox(*gt[0])]).as_tuple() for _ in range(count)]
+        assert got[at : at + count].tobytes() == np.array(want).tobytes()
+        assert stream.pos == ref_stream.pos == len(ref_stream.doubles)
+        at += count
+    assert got[3].tolist() == [0.0, 0.0, 0.5, 0.5]  # image 1's second box: its 20th try, rejected
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "serial"])
+@pytest.mark.parametrize("config", ["walkthrough", "split_gate"])
+@pytest.mark.parametrize("batch", [1, 3, None], ids=["one", "three", "all"])
+def test_generator_bytes_at_any_batch_size(config, batch, split, monkeypatch):
+    # The feature split forced on and off through the gate's inputs: on, a pair of images may straddle two batches.
+    cfg = SynthConfig(seed=4, **dict(CONFIGS[config], n_images=7))
+    monkeypatch.setattr(data, "SAMPLE_ROWS", cfg.proposals_per_image * (batch or cfg.n_images))
+    monkeypatch.setattr(data, "FEATURE_SPLIT_MIN", 1)
+    monkeypatch.setattr(head, "_usable_cpus", lambda: 2 if split else 1)
+    assert cfg.proposals_per_image * cfg.feat_dim * cfg.n_views >= 1 << 16 or config == "walkthrough"
+    assert_same_dataset(generate_synthetic(cfg), ref.generate_synthetic(cfg))
+
+
 @st.composite
 def synth_configs(draw):
     n = draw(st.integers(2, 80))
@@ -328,6 +474,50 @@ def test_manifest_bytes_equal_json_dump(tmp_path, images):
     ds.images = {"all": ds.images, "one": ds.images[1:2], "none": []}[images]
     save_dataset(ds, tmp_path / "odd.json")
     assert (tmp_path / "odd.json").read_bytes() == json_manifest(ds, "odd").encode()
+
+
+def refuse_json(*args, **kwargs):
+    raise AssertionError("the manifest went through json.dumps")
+
+
+@pytest.mark.parametrize("images", ["all", "one", "none"])
+def test_manifest_laid_out_without_json_equals_json_dump(tmp_path, images, monkeypatch):
+    # Ids with quotes, a backslash, `/`, NUL and non-ASCII text, escaped class names, an image without ground
+    # truth; integer labels, so every value has the usual type and json is never called.
+    ds = awkward_dataset()
+    for bag in ds.images:
+        bag.labels = bag.labels.astype(np.int64 if bag.id != "plain" else np.uint8)
+    ds.images = {"all": ds.images, "one": ds.images[2:3], "none": []}[images]
+    want = json_manifest(ds, "odd").encode()
+    monkeypatch.setattr(json, "dumps", refuse_json)
+    save_dataset(ds, tmp_path / "odd.json")
+    assert (tmp_path / "odd.json").read_bytes() == want
+
+
+def test_walkthrough_split_manifests_equal_json_dump(tmp_path):
+    for part, ds in zip(("train", "test"), split_dataset(generate_synthetic(SynthConfig(seed=0)), 160)):
+        save_dataset(ds, tmp_path / f"{part}.json")
+        assert (tmp_path / f"{part}.json").read_bytes() == json_manifest(ds, part).encode()
+
+
+@pytest.mark.parametrize("odd", ["bool labels", "float labels", "int id", "nan box", "inf box", "int class name"])
+def test_manifest_of_other_types_equals_json_dump(tmp_path, odd):
+    bag = ImageBag("x", boxes=np.array([[0.1, 0.2, 0.3, 0.4]]), views=np.zeros((1, 1, 2), dtype=np.float32),
+                   labels=np.array([1, 0]), ground_truth=[(1, (0.1, 0.2, 0.3, 0.4))])
+    ds = Dataset(num_classes=2, feat_dim=2, class_names=["a", "b"], images=[bag])
+    if odd.endswith("labels"):
+        bag.labels = bag.labels.astype(bool if odd == "bool labels" else float)
+    elif odd == "int id":
+        bag.id = 7
+    elif odd == "int class name":
+        ds.class_names = ["a", 2]
+    else:
+        bag.gt_boxes[0, 2] = np.nan if odd == "nan box" else -np.inf
+    save_dataset(ds, tmp_path / "ds.json")
+    record = {"id": bag.id, "labels": bag.labels.tolist(),
+              "ground_truth": [{"class": 1, "box": bag.gt_boxes[0].tolist()}], "views": 1}
+    want = {"c": 2, "d": 2, "class_names": ds.class_names, "features": "ds_features/features.wsdf", "images": [record]}
+    assert (tmp_path / "ds.json").read_bytes() == (json.dumps(want, indent=1) + "\n").encode()
 
 
 def test_generated_manifest_bytes_equal_json_dump(tmp_path):
